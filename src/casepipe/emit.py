@@ -119,12 +119,18 @@ def flatten_record(record: Mapping[str, Any], schema: SchemaDefinition) -> dict[
     Nulls become empty strings; empty lists and maps produce no columns at
     all (their absence is what marks them empty on the way back in).
     """
+    cells = _cells(record)
+    return {column: cells[column] for column in column_order(cells, schema)}
+
+
+def _cells(record: Mapping[str, Any]) -> dict[str, str]:
+    """flatten_record's cells, in flattening order."""
     cells = {}
     for path, value in flatten_leaves(dict(record)).items():
         if isinstance(value, (list, dict)) and not value:
             continue
         cells[path] = _format_cell(value)
-    return {column: cells[column] for column in column_order(cells, schema)}
+    return cells
 
 
 def column_order(columns: Iterable[str], schema: SchemaDefinition) -> list[str]:
@@ -242,7 +248,7 @@ def write_records_csv(
     schema: SchemaDefinition,
 ) -> int:
     """All records as one CSV with union columns in canonical order."""
-    flat_rows = [flatten_record(record, schema) for record in records]
+    flat_rows = [_cells(record) for record in records]
     columns: set[str] = set()
     for row in flat_rows:
         columns.update(row)

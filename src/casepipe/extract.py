@@ -143,11 +143,18 @@ def validate_chain(chain: list[EngineSpec]) -> None:
         raise ConfigError("ocr engine must be last in the chain")
 
 
+_ASCII_ALNUM = bytes(c for c in range(128) if chr(c).isalnum())
+
+
 def _text_quality(text: str) -> tuple[int, float]:
     chars = len(text)
     if chars == 0:
         return 0, 0.0
-    alnum = sum(1 for ch in text if ch.isalnum())
+    if text.isascii():
+        # Deleting the alphanumerics leaves everything else.
+        alnum = chars - len(text.encode("ascii").translate(None, _ASCII_ALNUM))
+    else:
+        alnum = sum(map(str.isalnum, text))
     return chars, alnum / chars
 
 

@@ -113,6 +113,8 @@ class Gazetteer:
             self._by_place.setdefault(place_key, []).append(entry)
             for code in entry.postal_codes:
                 self._by_postal.setdefault(code, []).append(entry)
+        # Keyed by every region, so it is also the region set _split_region needs.
+        self.default_boxes = self.region_boxes()
 
     @classmethod
     def load(cls, path: str | Path) -> "Gazetteer":
@@ -204,10 +206,9 @@ class Gazetteer:
     def _split_region(self, tokens: list[str]) -> tuple[str, str | None]:
         """Split trailing region tokens off a query, if a known region matches."""
         plain = [t for t in tokens if not _POSTAL_TOKEN_RE.match(t)]
-        regions = {normalize_place(e.region) for e in self.entries}
         for cut in range(1, len(plain)):
             suffix = "|".join(plain[cut:])
-            if suffix in regions:
+            if suffix in self.default_boxes:
                 return "|".join(plain[:cut]), suffix
         return "|".join(plain), None
 
@@ -311,7 +312,7 @@ def geocode(
     """Resolve one query, consulting and feeding the cache."""
     key = _cache_key(query)
     present, cached = cache.lookup(key)
-    boxes = gazetteer.region_boxes()
+    boxes = gazetteer.default_boxes
     if present:
         if cached is None:
             return GeocodeResult(None, None, None, cache_hit=True, plausible=None)

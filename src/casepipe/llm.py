@@ -21,8 +21,6 @@ import os
 import re
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable, Sequence
@@ -215,12 +213,9 @@ def build_extraction_prompt(
     priority_headers: Sequence[str] = DEFAULT_PRIORITY_HEADERS,
     max_output_hint: int = 4096,
 ) -> ExtractionPrompt:
-    schema_text = "\n".join(
-        json.dumps(row, ensure_ascii=False) for row in schema.to_records()
-    )
     return ExtractionPrompt(
         instruction=EXTRACT_INSTRUCTION,
-        schema_text=schema_text,
+        schema_text=schema.records_text,
         document_text=truncate_for_budget(text, budget_chars, priority_headers),
         max_output_hint=max_output_hint,
     )
@@ -268,36 +263,18 @@ def call_backend(
 # Candidate sanitization
 
 
+_DECODER = json.JSONDecoder()
+
+
 def _first_object(text: str) -> dict[str, Any]:
+    """The first ``{`` at which a whole JSON object parses; prose around it
+    and unparseable brace runs before it are skipped."""
     start = text.find("{")
     while start != -1:
-        depth = 0
-        in_string = False
-        escaped = False
-        for i in range(start, len(text)):
-            ch = text[i]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif ch == "\\":
-                    escaped = True
-                elif ch == '"':
-                    in_string = False
-            elif ch == '"':
-                in_string = True
-            elif ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    try:
-                        parsed = json.loads(text[start : i + 1])
-                    except json.JSONDecodeError:
-                        break
-                    if isinstance(parsed, dict):
-                        return parsed
-                    break
-        start = text.find("{", start + 1)
+        try:
+            return _DECODER.raw_decode(text, start)[0]
+        except json.JSONDecodeError:
+            start = text.find("{", start + 1)
     raise CandidateParseError("no structured object found in response")
 
 
@@ -616,6 +593,9 @@ class WireBackend(_CountingBackend):
         self.token = os.environ.get("CASEPIPE_BACKEND_TOKEN")
 
     def _generate(self, request: BackendRequest) -> str:
+        import urllib.error  # deferred: only this backend needs HTTP
+        import urllib.request
+
         payload = json.dumps(
             {
                 "request_id": request.request_id,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections import abc
 from dataclasses import dataclass
 from datetime import date, datetime
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -101,7 +102,8 @@ def is_nullish(value: Any) -> bool:
 def get_path(record: Mapping[str, Any] | None, path: str) -> Any:
     node: Any = record
     for segment in path.split("."):
-        if not isinstance(node, Mapping):
+        # The exact-type test spares plain dicts typing's slow isinstance.
+        if type(node) is not dict and not isinstance(node, abc.Mapping):
             return None
         node = node.get(segment)
     return node

@@ -17,9 +17,11 @@ report.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, field
 from datetime import date, datetime
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -185,6 +187,12 @@ class SchemaDefinition:
                 )
         object.__setattr__(self, "entries", ordered)
         object.__setattr__(self, "_by_path", {e.field_path: e for e in ordered})
+        # Fixed for the schema's lifetime; validate and assemble_record use
+        # them. Creation order puts every section before its children.
+        required = tuple((e.field_path, e.field_path.split(".")) for e in ordered if e.required)
+        object.__setattr__(self, "_required", required)
+        creation = sorted(ordered, key=lambda e: (e.field_path.count("."), e.field_path))
+        object.__setattr__(self, "_creation_order", tuple(creation))
 
     # -- lookup helpers -----------------------------------------------------
 
@@ -199,17 +207,6 @@ class SchemaDefinition:
 
     def section_paths(self) -> list[str]:
         return [e.field_path for e in self.entries if e.kind == KIND_SECTION]
-
-    def children(self, path: str) -> list[SchemaEntry]:
-        prefix = path + "."
-        return [
-            e
-            for e in self.entries
-            if e.field_path.startswith(prefix) and "." not in e.field_path[len(prefix):]
-        ]
-
-    def top_level(self) -> list[SchemaEntry]:
-        return [e for e in self.entries if "." not in e.field_path]
 
     def required_paths(self) -> list[str]:
         return [e.field_path for e in self.entries if e.required]
@@ -242,6 +239,11 @@ class SchemaDefinition:
 
     def save(self, path: str | Path) -> None:
         write_jsonl(path, self.to_records())
+
+    @cached_property
+    def records_text(self) -> str:
+        """The rows ``save`` writes, joined by newlines, rendered once."""
+        return "\n".join(json.dumps(row, ensure_ascii=False) for row in self.to_records())
 
     @classmethod
     def from_records(cls, records: Iterable[Mapping[str, Any]]) -> "SchemaDefinition":
@@ -411,17 +413,19 @@ def flatten_leaves(candidate: Any, prefix: str = "") -> dict[str, Any]:
     leaves (there is nothing below them).
     """
     out: dict[str, Any] = {}
+    _flatten_into(out, candidate, prefix)
+    return out
+
+
+def _flatten_into(out: dict[str, Any], candidate: Any, prefix: str) -> None:
     if isinstance(candidate, dict) and candidate:
         for key, value in candidate.items():
-            sub = f"{prefix}.{key}" if prefix else str(key)
-            out.update(flatten_leaves(value, sub))
+            _flatten_into(out, value, f"{prefix}.{key}" if prefix else str(key))
     elif isinstance(candidate, list) and candidate:
         for i, value in enumerate(candidate):
-            sub = f"{prefix}.{i}" if prefix else str(i)
-            out.update(flatten_leaves(value, sub))
+            _flatten_into(out, value, f"{prefix}.{i}" if prefix else str(i))
     else:
         out[prefix] = candidate
-    return out
 
 
 def assemble_record(values: Mapping[str, Any], schema: SchemaDefinition) -> dict[str, Any]:
@@ -433,7 +437,7 @@ def assemble_record(values: Mapping[str, Any], schema: SchemaDefinition) -> dict
     come out as sorted dicts.
     """
     record: dict[str, Any] = {}
-    for entry in self_and_sections(schema):
+    for entry in schema._creation_order:  # type: ignore[attr-defined]
         parts = entry.field_path.split(".")
         parent = record
         for part in parts[:-1]:
@@ -451,11 +455,6 @@ def assemble_record(values: Mapping[str, Any], schema: SchemaDefinition) -> dict
         else:
             parent[name] = values.get(entry.field_path)
     return record
-
-
-def self_and_sections(schema: SchemaDefinition) -> Iterable[SchemaEntry]:
-    """Entries in creation order: every section before its children."""
-    return sorted(schema.entries, key=lambda e: (e.field_path.count("."), e.field_path))
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +496,8 @@ def validate(candidate: Any, schema: SchemaDefinition) -> ValidationReport:
         add("", WRONG_TYPE, "record must be an object")
         return ValidationReport(False, tuple(violations))
 
-    for path in schema.required_paths():
-        value = resolve_path(candidate, path)
+    for path, segments in schema._required:  # type: ignore[attr-defined]
+        value = _resolve(candidate, segments)
         if value is ABSENT or value is None:
             add(path, MISSING_REQUIRED, "required field is missing or null")
 
@@ -618,7 +617,8 @@ _MINMAX_PAIRS = (
 
 def _validate_cross_field(candidate: dict, add) -> None:
     def get(path: str) -> Any:
-        value = resolve_path(candidate, path)
+        # Literal, well-formed paths: skip split_path's syntax check.
+        value = _resolve(candidate, path.split("."))
         return None if value is ABSENT else value
 
     for min_path, max_path in _MINMAX_PAIRS:
