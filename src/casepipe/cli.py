@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
-from casepipe import emit, metrics
+from casepipe import emit
 from casepipe.config import ConfigError, bundled_path, read_jsonl
 from casepipe.extract import (
     EngineSpec,
@@ -63,6 +63,9 @@ from casepipe.schema import (
     validate,
 )
 from casepipe.sources import UNKNOWN_LABEL, detect_source, load_signatures
+
+if TYPE_CHECKING:
+    from casepipe import metrics
 
 PATH_CHOICES = ("rule", "llm", "both")
 BACKEND_CHOICES = ("wire", "oracle", "dropout_oracle", "invalid_then_fix", "never_fix")
@@ -505,6 +508,8 @@ def _runtime_block(samples: list[tuple[str, float]]) -> dict[str, Any]:
     ordered = [seconds for _, seconds in sorted(samples, key=lambda kv: kv[0])]
     block: dict[str, Any] = {"samples": ordered}
     if ordered:
+        from casepipe import metrics  # deferred: an empty run never scores
+
         mean_s, p95_s = metrics.runtime_stats(ordered)
         block["mean_s"] = mean_s
         block["p95_s"] = p95_s
@@ -613,6 +618,8 @@ def evaluate_outputs(
     on_warning: metrics.WarnFn | None = None,
 ) -> dict[str, metrics.MetricsReport]:
     """Score each path's emitted JSONL against gold; write reports + table."""
+    from casepipe import metrics  # deferred: cold starts skip the scorer
+
     if not gold_path.is_file():
         raise ConfigError(f"gold file does not exist: {gold_path}")
     gold = read_jsonl(gold_path)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from collections import abc
+from collections import Counter, abc
 from dataclasses import dataclass
 from datetime import date, datetime
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -128,10 +128,11 @@ def structured_paths(schema: SchemaDefinition) -> tuple[str, ...]:
 
 
 def default_match_rules(schema: SchemaDefinition) -> dict[str, MatchRule]:
+    scored = set(scored_paths(schema))
     rules = {}
     for rec in schema.to_records():
         path = rec["field_path"]
-        if path not in scored_paths(schema):
+        if path not in scored:
             continue
         if rec.get("pattern") == ISO_TIMESTAMP:
             comparator = COMPARATOR_TIMESTAMP
@@ -184,14 +185,20 @@ def _sets_equal(a: Any, b: Any) -> bool:
     return {_canonical_text(x) for x in list_a} == {_canonical_text(x) for x in list_b}
 
 
+def _texts_equal(a: Any, b: Any) -> bool:
+    return _canonical_text(a) == _canonical_text(b)
+
+
+_COMPARATOR_FNS: dict[str, Callable[[Any, Any], bool]] = {
+    COMPARATOR_EXACT: _texts_equal,
+    COMPARATOR_NUMERIC: _numbers_equal,
+    COMPARATOR_TIMESTAMP: _timestamps_equal,
+    COMPARATOR_SET: _sets_equal,
+}
+
+
 def values_match(rule: MatchRule, parsed_value: Any, gold_value: Any) -> bool:
-    if rule.comparator == COMPARATOR_NUMERIC:
-        return _numbers_equal(parsed_value, gold_value)
-    if rule.comparator == COMPARATOR_TIMESTAMP:
-        return _timestamps_equal(parsed_value, gold_value)
-    if rule.comparator == COMPARATOR_SET:
-        return _sets_equal(parsed_value, gold_value)
-    return _canonical_text(parsed_value) == _canonical_text(gold_value)
+    return _COMPARATOR_FNS[rule.comparator](parsed_value, gold_value)
 
 
 # ---------------------------------------------------------------------------
@@ -247,34 +254,97 @@ def _require_rules(rules: Mapping[str, MatchRule], paths: Sequence[str]) -> None
         raise ConfigError(f"no match rule for scored fields: {', '.join(missing)}")
 
 
-def slot_counts(
-    alignment: AlignmentResult, rules: Mapping[str, MatchRule]
-) -> tuple[int, int, int]:
-    """(true positives, false positives, false negatives) over all slots."""
-    paths = sorted(rules)
-    tp = fp = fn = 0
+class _ScoringPlan:
+    """Each rule's path pre-split, with its comparator looked up once.
+
+    Paths are grouped by their first segment, so a record's section is looked
+    up once for all the fields under it; ``checks`` follows the order in which
+    ``values`` yields them. A check's weight counts how often its path appears
+    among the structured paths, so one walk over the slots yields both the
+    field counts and the structured accuracy.
+    """
+
+    __slots__ = ("groups", "checks")
+
+    def __init__(
+        self, rules: Mapping[str, MatchRule], structured: Sequence[str] = ()
+    ) -> None:
+        weights = Counter(structured)
+        groups: dict[str, list] = {}
+        for path, rule in rules.items():
+            head, *tail = path.split(".")
+            check = (_COMPARATOR_FNS[rule.comparator], weights[path])
+            groups.setdefault(head, []).append((tuple(tail), check))
+        self.groups = [
+            (head, [tail for tail, _ in leaves]) for head, leaves in groups.items()
+        ]
+        self.checks = [check for leaves in groups.values() for _, check in leaves]
+
+    def values(self, record: dict[str, Any]) -> list[Any]:
+        """The record's value at each path, None wherever it is nullish."""
+        row = []
+        for head, tails in self.groups:
+            section = record.get(head)
+            for tail in tails:
+                # get_path and is_nullish, inlined: this loop visits every slot.
+                node = section
+                for segment in tail:
+                    if type(node) is not dict and not isinstance(node, abc.Mapping):
+                        node = None
+                        break
+                    node = node.get(segment)
+                if node == "" or (isinstance(node, (list, dict)) and not node):
+                    node = None
+                row.append(node)
+        return row
+
+
+@dataclass(frozen=True)
+class _Tally:
+    tp: int
+    fp: int
+    fn: int
+    slots: int
+    matches: int
+
+
+def _tally(alignment: AlignmentResult, plan: _ScoringPlan) -> _Tally:
+    """One walk over every gold-aligned slot, comparing each at most once."""
+    checks = plan.checks
+    tp = fp = fn = slots = matches = 0
     for parsed_record, gold_record in alignment.pairs:
-        for path in paths:
-            parsed_value = get_path(parsed_record, path)
-            gold_value = get_path(gold_record, path)
-            parsed_null = is_nullish(parsed_value)
-            gold_null = is_nullish(gold_value)
-            if parsed_null and gold_null:
+        for parsed_value, gold_value, (compare, weight) in zip(
+            plan.values(parsed_record), plan.values(gold_record), checks
+        ):
+            if gold_value is None:
+                if parsed_value is not None:
+                    fp += 1
                 continue
-            if parsed_null:
+            slots += weight
+            if parsed_value is None:
                 fn += 1
-            elif gold_null:
-                fp += 1
-            elif values_match(rules[path], parsed_value, gold_value):
+            elif compare(parsed_value, gold_value):
                 tp += 1
+                matches += weight
             else:
                 fp += 1
                 fn += 1
     for gold_record in alignment.unmatched_gold:
-        fn += sum(1 for p in paths if not is_nullish(get_path(gold_record, p)))
+        for gold_value, (_, weight) in zip(plan.values(gold_record), checks):
+            if gold_value is not None:
+                fn += 1
+                slots += weight
     for parsed_record in alignment.unmatched_parsed:
-        fp += sum(1 for p in paths if not is_nullish(get_path(parsed_record, p)))
-    return tp, fp, fn
+        fp += sum(1 for value in plan.values(parsed_record) if value is not None)
+    return _Tally(tp, fp, fn, slots, matches)
+
+
+def slot_counts(
+    alignment: AlignmentResult, rules: Mapping[str, MatchRule]
+) -> tuple[int, int, int]:
+    """(true positives, false positives, false negatives) over all slots."""
+    tally = _tally(alignment, _ScoringPlan(rules))
+    return tally.tp, tally.fp, tally.fn
 
 
 def f1_score(precision: float, recall: float) -> float:
@@ -283,14 +353,26 @@ def f1_score(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
+def _prf(tally: _Tally) -> tuple[float, float, float]:
+    tp, fp, fn = tally.tp, tally.fp, tally.fn
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    return precision, recall, f1_score(precision, recall)
+
+
+def _accuracy(tally: _Tally, on_warning: WarnFn | None) -> float:
+    if tally.slots == 0:
+        if on_warning is not None:
+            on_warning("degenerate_metric", "no gold-populated structured slots")
+        return 0.0
+    return tally.matches / tally.slots
+
+
 def field_prf(
     alignment: AlignmentResult, rules: Mapping[str, MatchRule]
 ) -> tuple[float, float, float]:
     """Micro-averaged precision, recall, and F1 over every scored slot."""
-    tp, fp, fn = slot_counts(alignment, rules)
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    return precision, recall, f1_score(precision, recall)
+    return _prf(_tally(alignment, _ScoringPlan(rules)))
 
 
 def structured_field_accuracy(
@@ -301,25 +383,8 @@ def structured_field_accuracy(
 ) -> float:
     """Share of gold-populated structured slots the parsed side got right."""
     _require_rules(rules, paths)
-    slots = matches = 0
-    for parsed_record, gold_record in alignment.pairs:
-        for path in paths:
-            gold_value = get_path(gold_record, path)
-            if is_nullish(gold_value):
-                continue
-            slots += 1
-            parsed_value = get_path(parsed_record, path)
-            if not is_nullish(parsed_value) and values_match(
-                rules[path], parsed_value, gold_value
-            ):
-                matches += 1
-    for gold_record in alignment.unmatched_gold:
-        slots += sum(1 for p in paths if not is_nullish(get_path(gold_record, p)))
-    if slots == 0:
-        if on_warning is not None:
-            on_warning("degenerate_metric", "no gold-populated structured slots")
-        return 0.0
-    return matches / slots
+    plan = _ScoringPlan({path: rules[path] for path in paths}, paths)
+    return _accuracy(_tally(alignment, plan), on_warning)
 
 
 # ---------------------------------------------------------------------------
@@ -485,11 +550,10 @@ def build_report(
     if rules is None:
         rules = default_match_rules(schema)
     _require_rules(rules, scored_paths(schema))
-    alignment = align(parsed, gold)
-    precision, recall, f1 = field_prf(alignment, rules)
-    accuracy = structured_field_accuracy(
-        alignment, rules, structured_paths(schema), on_warning
-    )
+    structured = structured_paths(schema)
+    tally = _tally(align(parsed, gold), _ScoringPlan(rules, structured))
+    precision, recall, f1 = _prf(tally)
+    accuracy = _accuracy(tally, on_warning)
     overall, by_field = completeness(parsed, key_fields, on_warning)
     success, plausible = geocode_rates(parsed, on_warning)
     pre, post, repaired = repair_stats(run_log, on_warning)

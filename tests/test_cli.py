@@ -6,6 +6,9 @@ A fixed --ingest-ts pins every emitted timestamp so byte comparisons work.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -305,6 +308,28 @@ class TestUnknownSource:
         )
         assert summary.documents_in == 0
         assert summary.segments == 0
+
+
+class TestColdStart:
+    def test_empty_run_does_not_load_the_scorer(self, tmp_path):
+        (tmp_path / "docs").mkdir()
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from casepipe import cli\n"
+            "cli.run(cli.RunConfig(input_dir=Path(sys.argv[1]), output_dir=Path(sys.argv[2])))\n"
+            "print('casepipe.metrics' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        loaded = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "docs"), str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+            check=True,
+        ).stdout
+        assert loaded.strip() == "False"
 
 
 class TestEvaluation:

@@ -1,0 +1,396 @@
+"""Equivalence of the one-pass scorer with the two walks it replaces.
+
+slot_counts and structured_field_accuracy once walked the gold-aligned slots
+separately, each looking every value up with get_path and comparing it with
+values_match. Those loops are kept here as the oracle. The one-pass tally
+must give the same counts, the same accuracy and the same report, warnings
+included, on record sets that also hold unmatched and anonymous records,
+sections that are not mappings, empty values, and rules for paths the schema
+does not have.
+"""
+
+import copy
+import json
+from collections import abc
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from casepipe import metrics
+from casepipe.metrics import (
+    COMPARATOR_NUMERIC,
+    COMPARATOR_SET,
+    COMPARATOR_TIMESTAMP,
+    COMPARATORS,
+    DEFAULT_KEY_FIELDS,
+    MatchRule,
+    MetricsReport,
+    align,
+    build_report,
+    completeness,
+    default_match_rules,
+    f1_score,
+    field_prf,
+    geocode_rates,
+    repair_stats,
+    runtime_stats,
+    scored_paths,
+    slot_counts,
+    structured_field_accuracy,
+    structured_paths,
+)
+from casepipe.schema import default_schema
+from recordgen import records
+
+SCHEMA = default_schema()
+RULES = default_match_rules(SCHEMA)
+STRUCTURED = structured_paths(SCHEMA)
+# Paths no schema field has: one segment, three segments under a real
+# section, and three segments through a leaf that is normally a string.
+EXTRA_PATHS = ("zz", "demographic.extra.deep", "spatial.city.name")
+VALUE_PATHS = tuple(p for p in scored_paths(SCHEMA) if p != "case_id") + EXTRA_PATHS
+HEADS = sorted({p.split(".")[0] for p in VALUE_PATHS})
+
+
+# ---------------------------------------------------------------------------
+# The two walks the tally replaces, as they were
+
+
+def _oracle_get_path(record, path):
+    node = record
+    for segment in path.split("."):
+        if type(node) is not dict and not isinstance(node, abc.Mapping):
+            return None
+        node = node.get(segment)
+    return node
+
+
+def _oracle_is_nullish(value):
+    if value is None or value == "":
+        return True
+    return isinstance(value, (list, dict)) and not value
+
+
+def _oracle_values_match(rule, parsed_value, gold_value):
+    if rule.comparator == COMPARATOR_NUMERIC:
+        return metrics._numbers_equal(parsed_value, gold_value)
+    if rule.comparator == COMPARATOR_TIMESTAMP:
+        return metrics._timestamps_equal(parsed_value, gold_value)
+    if rule.comparator == COMPARATOR_SET:
+        return metrics._sets_equal(parsed_value, gold_value)
+    return metrics._canonical_text(parsed_value) == metrics._canonical_text(gold_value)
+
+
+def oracle_slot_counts(alignment, rules):
+    paths = sorted(rules)
+    tp = fp = fn = 0
+    for parsed_record, gold_record in alignment.pairs:
+        for path in paths:
+            parsed_value = _oracle_get_path(parsed_record, path)
+            gold_value = _oracle_get_path(gold_record, path)
+            parsed_null = _oracle_is_nullish(parsed_value)
+            gold_null = _oracle_is_nullish(gold_value)
+            if parsed_null and gold_null:
+                continue
+            if parsed_null:
+                fn += 1
+            elif gold_null:
+                fp += 1
+            elif _oracle_values_match(rules[path], parsed_value, gold_value):
+                tp += 1
+            else:
+                fp += 1
+                fn += 1
+    for gold_record in alignment.unmatched_gold:
+        fn += sum(
+            1 for p in paths if not _oracle_is_nullish(_oracle_get_path(gold_record, p))
+        )
+    for parsed_record in alignment.unmatched_parsed:
+        fp += sum(
+            1 for p in paths if not _oracle_is_nullish(_oracle_get_path(parsed_record, p))
+        )
+    return tp, fp, fn
+
+
+def oracle_structured_field_accuracy(alignment, rules, paths, on_warning=None):
+    slots = matches = 0
+    for parsed_record, gold_record in alignment.pairs:
+        for path in paths:
+            gold_value = _oracle_get_path(gold_record, path)
+            if _oracle_is_nullish(gold_value):
+                continue
+            slots += 1
+            parsed_value = _oracle_get_path(parsed_record, path)
+            if not _oracle_is_nullish(parsed_value) and _oracle_values_match(
+                rules[path], parsed_value, gold_value
+            ):
+                matches += 1
+    for gold_record in alignment.unmatched_gold:
+        slots += sum(
+            1 for p in paths if not _oracle_is_nullish(_oracle_get_path(gold_record, p))
+        )
+    if slots == 0:
+        if on_warning is not None:
+            on_warning("degenerate_metric", "no gold-populated structured slots")
+        return 0.0
+    return matches / slots
+
+
+def oracle_report(parsed, gold, rules, run_log, runtimes, on_warning):
+    parsed = [dict(r) for r in parsed]
+    alignment = align(parsed, gold)
+    tp, fp, fn = oracle_slot_counts(alignment, rules)
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    accuracy = oracle_structured_field_accuracy(alignment, rules, STRUCTURED, on_warning)
+    overall, by_field = completeness(parsed, DEFAULT_KEY_FIELDS, on_warning)
+    success, plausible = geocode_rates(parsed, on_warning)
+    pre, post, repaired = repair_stats(run_log, on_warning)
+    if runtimes:
+        mean_s, p95_s = runtime_stats(runtimes)
+    else:
+        on_warning("degenerate_metric", "no runtime samples recorded")
+        mean_s = p95_s = 0.0
+    return MetricsReport(
+        precision=precision,
+        recall=recall,
+        f1=f1_score(precision, recall),
+        structured_field_accuracy=accuracy,
+        completeness_overall=overall,
+        completeness_by_field=by_field,
+        geocode_success_rate=success,
+        geocode_plausible_rate=plausible,
+        pre_pass_rate=pre,
+        post_pass_rate=post,
+        repair_rate=repaired,
+        runtime_mean_s=mean_s,
+        runtime_p95_s=p95_s,
+        record_count=len(parsed),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Record sets
+
+_TEXT = st.text(alphabet="aAbB \t-:0123456789", max_size=8)
+_TIMESTAMPS = st.sampled_from(
+    (
+        "2023-06-14",
+        "2023-06-14T10:00:00Z",
+        "2023-06-14T05:00:00-05:00",
+        "2023-06-14T10:00:00",
+        "June 14",
+    )
+)
+_EMPTY = st.sampled_from((None, "", [], {}))
+_LEAF = st.one_of(
+    _EMPTY,
+    _TEXT,
+    _TIMESTAMPS,
+    st.integers(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=False, width=16),
+    st.booleans(),
+    st.lists(_TEXT, max_size=3),
+    st.dictionaries(st.sampled_from(("name", "deep")), _TEXT, max_size=2),
+)
+# What a whole section can be when it is not the mapping the schema expects.
+_NOT_A_SECTION = st.sampled_from(("", "Dover", [], ["Dover"], {}, None, 3))
+_CASE_IDS = st.sampled_from(("A", "B", "C", "D", ""))
+
+
+def _set_deep(record, path, value):
+    *parents, leaf = path.split(".")
+    node = record
+    for part in parents:
+        child = node.get(part)
+        if not isinstance(child, dict):
+            child = node[part] = {}
+        node = child
+    node[leaf] = value
+
+
+@st.composite
+def messy_records(draw, case_id=None):
+    record = {}
+    case_id = case_id if case_id is not None else draw(st.none() | _CASE_IDS)
+    if case_id is not None:
+        record["case_id"] = case_id
+    for path in draw(st.lists(st.sampled_from(VALUE_PATHS), max_size=10)):
+        _set_deep(record, path, draw(_LEAF))
+    for head in draw(st.lists(st.sampled_from(HEADS), max_size=2)):
+        record[head] = draw(_NOT_A_SECTION)
+    return record
+
+
+def _unique_ids(side):
+    """Drop repeated case_ids, which align rejects; anonymous records stay."""
+    seen = set()
+    kept = []
+    for record in side:
+        case_id = record.get("case_id")
+        if case_id is not None:
+            if case_id in seen:
+                continue
+            seen.add(case_id)
+        kept.append(record)
+    return kept
+
+
+@st.composite
+def scoring_sets(draw):
+    gold = _unique_ids(draw(st.lists(records() | messy_records(), max_size=5)))
+    parsed = []
+    for gold_record in gold:
+        fate = draw(st.sampled_from(("copy", "perturb", "messy", "drop")))
+        if fate == "drop":
+            continue
+        if fate == "messy":
+            parsed.append(draw(messy_records(case_id=gold_record.get("case_id"))))
+            continue
+        candidate = copy.deepcopy(gold_record)
+        if fate == "perturb":
+            for path in draw(st.lists(st.sampled_from(VALUE_PATHS), max_size=4)):
+                _set_deep(candidate, path, draw(_LEAF))
+        parsed.append(candidate)
+    parsed += draw(st.lists(messy_records(), max_size=2))
+    return _unique_ids(parsed), gold
+
+
+@st.composite
+def custom_rules(draw):
+    """Rules for a subset of the schema's paths plus some it does not have."""
+    paths = draw(
+        st.lists(st.sampled_from(tuple(RULES) + EXTRA_PATHS), min_size=1, unique=True)
+    )
+    return {p: MatchRule(p, draw(st.sampled_from(COMPARATORS))) for p in paths}
+
+
+# ---------------------------------------------------------------------------
+# The tally against the oracle
+
+
+@settings(max_examples=150, deadline=None)
+@given(scoring_sets(), custom_rules() | st.just(RULES))
+def test_slot_counts_match_the_oracle(sets, rules):
+    alignment = align(*sets)
+    assert slot_counts(alignment, rules) == oracle_slot_counts(alignment, rules)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scoring_sets(), custom_rules(), st.data())
+def test_structured_accuracy_matches_the_oracle(sets, rules, data):
+    # A subset of the rules' paths, repeats allowed: a repeated path counts
+    # its slots once per appearance, as the old walk did.
+    paths = data.draw(st.lists(st.sampled_from(sorted(rules)), max_size=8))
+    alignment = align(*sets)
+    warned, oracle_warned = [], []
+    accuracy = structured_field_accuracy(
+        alignment, rules, paths, lambda c, m: warned.append((c, m))
+    )
+    expected = oracle_structured_field_accuracy(
+        alignment, rules, paths, lambda c, m: oracle_warned.append((c, m))
+    )
+    assert accuracy == expected
+    assert warned == oracle_warned
+
+
+@settings(max_examples=50, deadline=None)
+@given(scoring_sets(), custom_rules())
+def test_field_prf_matches_the_oracle_counts(sets, rules):
+    alignment = align(*sets)
+    tp, fp, fn = oracle_slot_counts(alignment, rules)
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    assert field_prf(alignment, rules) == (
+        precision,
+        recall,
+        f1_score(precision, recall),
+    )
+
+
+_RUN_LOGS = st.lists(
+    st.fixed_dictionaries(
+        {
+            "pre_valid": st.booleans(),
+            "post_valid": st.booleans(),
+            "attempts": st.integers(0, 2),
+        }
+    ),
+    max_size=3,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    scoring_sets(),
+    custom_rules(),
+    _RUN_LOGS,
+    st.lists(st.floats(0, 2), max_size=3),
+)
+def test_build_report_matches_the_oracle(sets, extra_rules, run_log, runtimes):
+    parsed, gold = sets
+    # build_report needs a rule for every scored schema path; the drawn rules
+    # add paths the schema lacks and may change the comparator of others.
+    rules = {**RULES, **extra_rules}
+    warned, oracle_warned = [], []
+    report = build_report(
+        parsed,
+        gold,
+        schema=SCHEMA,
+        rules=rules,
+        run_log=run_log,
+        runtimes=runtimes,
+        on_warning=lambda c, m: warned.append((c, m)),
+    )
+    expected = oracle_report(
+        parsed,
+        gold,
+        rules,
+        run_log,
+        runtimes,
+        lambda c, m: oracle_warned.append((c, m)),
+    )
+    assert json.dumps(report.as_dict(), sort_keys=True) == json.dumps(
+        expected.as_dict(), sort_keys=True
+    )
+    assert warned == oracle_warned
+
+
+@settings(max_examples=25, deadline=None)
+@given(scoring_sets())
+def test_default_rules_report_matches_the_oracle(sets):
+    parsed, gold = sets
+    report = build_report(parsed, gold, runtimes=[0.1])
+    expected = oracle_report(parsed, gold, RULES, (), [0.1], lambda c, m: None)
+    assert report.as_dict() == expected.as_dict()
+
+
+def test_every_slot_is_compared_at_most_once(monkeypatch):
+    gold = [
+        {
+            "case_id": "A",
+            "demographic": {"name": "Avery", "age_years": 30},
+            "spatial": {"city": "Dover"},
+        }
+    ]
+    parsed = [
+        {
+            "case_id": "A",
+            "demographic": {"name": "avery", "age_years": 31},
+            "spatial": {"city": None},
+        }
+    ]
+    calls = []
+    comparators = {
+        name: (lambda fn: lambda a, b: calls.append((a, b)) or fn(a, b))(fn)
+        for name, fn in metrics._COMPARATOR_FNS.items()
+    }
+    monkeypatch.setattr(metrics, "_COMPARATOR_FNS", comparators)
+    report = build_report(parsed, gold)
+    # case_id, name and age are populated on both sides: three comparisons,
+    # though each slot is scored for both F1 and structured accuracy.
+    assert sorted(calls, key=repr) == sorted(
+        [("A", "A"), ("avery", "Avery"), (31, 30)], key=repr
+    )
+    assert (report.precision, report.recall) == (2 / 3, 2 / 4)
+    assert report.structured_field_accuracy == 2 / 4
