@@ -7,6 +7,7 @@ A fixed --ingest-ts pins every emitted timestamp so byte comparisons work.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -308,6 +309,34 @@ class TestUnknownSource:
         )
         assert summary.documents_in == 0
         assert summary.segments == 0
+
+
+class TestExtractWarnings:
+    def test_short_and_unreadable_documents(self, mixed_corpus, tmp_path):
+        doc_dir = tmp_path / "docs"
+        shutil.copytree(mixed_corpus / "docs", doc_dir)
+        (doc_dir / "short.txt").write_text("hello", encoding="utf-8")
+        (doc_dir / "broken.txt").mkdir()  # matches *.txt but cannot be read
+        summary = run(_config(tmp_path, tmp_path / "out", paths_enabled="rule"))
+        assert summary.documents_in == 8
+        # The six corpus documents plus short's one; broken adds none.
+        assert summary.segments == 7
+        case_ids = {r["case_id"] for r in _read_jsonl(tmp_path / "out" / "cases_rule.jsonl")}
+        assert "short#s0" in case_ids
+        assert not any(case_id.startswith("broken#") for case_id in case_ids)
+        extract_rows = [
+            w for w in _read_jsonl(tmp_path / "out" / "warnings.jsonl")
+            if w["stage"] == "extract"
+        ]
+        by_doc = {w["document_id"]: w for w in extract_rows}
+        assert len(extract_rows) == len(by_doc) == 2
+        assert by_doc["short"]["code"] == "low_quality_text"
+        assert by_doc["short"]["severity"] == "warning"
+        assert by_doc["broken"]["code"] == "extraction_failed"
+        assert by_doc["broken"]["severity"] == "error"
+        assert by_doc["broken"]["message"].startswith(
+            "all engines failed for broken: plaintext:"
+        )
 
 
 class TestColdStart:
