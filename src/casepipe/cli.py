@@ -31,14 +31,13 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 from casepipe import emit
 from casepipe.config import ConfigError, bundled_path, read_jsonl
 from casepipe.extract import (
-    EngineSpec,
+    DEFAULT_SPLIT_PATTERNS,
     ExtractionFailure,
     SourceDocument,
     extract_text,
     prenormalize,
     split_cases,
 )
-from casepipe.extract import DEFAULT_SPLIT_PATTERNS
 from casepipe.geocode import Gazetteer, GeocodeCache, apply_geocode
 from casepipe.harmonize import MappingTable, harmonize, identity_table, load_mapping_dir
 from casepipe.llm import (
@@ -56,12 +55,7 @@ from casepipe.llm import (
     sanitize_candidate,
 )
 from casepipe.rules import DraftRecord, dispatch, load_rulesets
-from casepipe.schema import (
-    SchemaDefinition,
-    default_schema,
-    parse_iso_timestamp,
-    validate,
-)
+from casepipe.schema import SchemaDefinition, parse_iso_timestamp, validate
 from casepipe.sources import UNKNOWN_LABEL, detect_source, load_signatures
 
 if TYPE_CHECKING:
@@ -242,17 +236,17 @@ class _Pipeline:
             timespec="seconds"
         )
         self.warning_log = emit.WarningLog(clock=lambda: self.ingest_ts)
-        self.engine_chain = [EngineSpec(engine="plaintext")]
-        self._identity_tables: dict[str, MappingTable] = {}
+        self._identity_tables: dict[str | None, MappingTable] = {}
 
     # -- helpers ----------------------------------------------------------
 
     def _identity_for(self, source_label: str) -> MappingTable:
-        table = self._identity_tables.get(source_label)
+        mapping = self.mappings.get(source_label) or self.mappings[UNKNOWN_LABEL]
+        tz_default = mapping.tz_default
+        table = self._identity_tables.get(tz_default)
         if table is None:
-            mapping = self.mappings.get(source_label) or self.mappings[UNKNOWN_LABEL]
-            table = identity_table(self.schema, tz_default=mapping.tz_default)
-            self._identity_tables[source_label] = table
+            table = identity_table(self.schema, tz_default=tz_default)
+            self._identity_tables[tz_default] = table
         return table
 
     def _sink(
@@ -453,11 +447,8 @@ class _Pipeline:
     def process_document(self, path: Path) -> _DocumentResult:
         document_id = path.stem
         result = _DocumentResult(document_id=document_id)
-        doc = SourceDocument(
-            document_id=document_id, path=path, declared_kind="plaintext"
-        )
         try:
-            extracted = extract_text(doc, self.engine_chain)
+            extracted = extract_text(SourceDocument(document_id=document_id, path=path))
         except ExtractionFailure as exc:
             self.warning_log.log(
                 document_id=document_id,

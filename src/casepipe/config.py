@@ -59,7 +59,3 @@ def write_jsonl(path: str | Path, records: Iterable[dict[str, Any]]) -> int:
             count += 1
     return count
 
-
-def dumps_line(record: dict[str, Any]) -> str:
-    """Serialize one record exactly as write_jsonl would (without newline)."""
-    return json.dumps(record, ensure_ascii=False)

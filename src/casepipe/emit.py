@@ -7,8 +7,8 @@ is the schema's canonical order, which by construction is plain lexicographic
 order at every nesting level.
 
 Warnings never interrupt a run. Every call appends exactly one entry (no
-deduplication), codes come from the WARNING_CODES registry below, and a
-failing sink file degrades to in-memory logging rather than raising.
+deduplication) and its code must come from the WARNING_CODES registry below;
+the log is held in memory and written once, in a stable order, at the end.
 """
 
 from __future__ import annotations
@@ -47,17 +47,14 @@ SEVERITIES = ("info", "warning", "error")
 # not listed here, so a typo fails loudly in tests instead of silently
 # fragmenting the log vocabulary.
 WARNING_CODES = {
-    "engine_error": "a text extraction engine exited with an error",
-    "engine_timeout": "a text extraction engine hit its time limit",
-    "low_quality_text": "no engine met the quality floor; best-effort text used",
-    "extraction_failed": "every engine failed; the document was skipped",
+    "low_quality_text": "document text is below the quality floor; used as read",
+    "extraction_failed": "the document could not be read; it was skipped",
     "unknown_source": "no source signature reached the marker threshold",
     "unknown_source_fallback": "unknown source routed to the fallback rule set",
     "duplicate_field_match": "a later rule match for an already-filled field was ignored",
     "candidate_parse_error": "no structured object found in a backend response",
     "unknown_key_dropped": "candidate carried a key outside the schema",
     "backend_error": "backend call failed after retries",
-    "empty_response": "backend returned an empty response",
     "unmapped_key": "draft key had no mapping row and was dropped",
     "unparseable_timestamp": "timestamp text could not be normalized",
     "unparseable_height": "height text could not be normalized",
@@ -72,7 +69,6 @@ WARNING_CODES = {
     "repair_attempt_failed": "a repair-tier backend call failed",
     "non_minimal_edit_reverted": "a repair touched fields outside the cited violations",
     "record_withheld": "an invalid record was withheld from output",
-    "io_error": "an output artifact could not be written",
 }
 
 
@@ -300,12 +296,7 @@ class WarningLog:
     timestamp; the default is wall-clock UTC.
     """
 
-    def __init__(
-        self,
-        sink_path: str | Path | None = None,
-        clock: Callable[[], str] = _utc_now,
-    ):
-        self.sink_path = Path(sink_path) if sink_path is not None else None
+    def __init__(self, clock: Callable[[], str] = _utc_now):
         self._clock = clock
         self._entries: list[WarningLogEntry] = []
         self._lock = threading.Lock()
@@ -342,49 +333,13 @@ class WarningLog:
         )
         with self._lock:
             self._entries.append(entry)
-            if self.sink_path is not None:
-                try:
-                    with self.sink_path.open("a", encoding="utf-8", newline="\n") as fh:
-                        fh.write(json.dumps(entry.as_dict(), ensure_ascii=False))
-                        fh.write("\n")
-                except OSError:
-                    pass  # logging must never take the pipeline down
         return entry
-
-    def warn_fn(
-        self,
-        document_id: str,
-        stage: str,
-        severity: str = "warning",
-        case_id: str | None = None,
-    ) -> Callable[[str, str], None]:
-        """Adapter matching the (code, message) callback the stages take."""
-
-        def _warn(code: str, message: str) -> None:
-            self.log(
-                document_id=document_id,
-                case_id=case_id,
-                stage=stage,
-                severity=severity,
-                code=code,
-                message=message,
-            )
-
-        return _warn
 
     def counts_by_severity(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for entry in self._entries:
             counts[entry.severity] = counts.get(entry.severity, 0) + 1
         return counts
-
-    def count(self, code: str | None = None, severity: str | None = None) -> int:
-        return sum(
-            1
-            for e in self._entries
-            if (code is None or e.code == code)
-            and (severity is None or e.severity == severity)
-        )
 
     def save(self, path: str | Path) -> int:
         """Write all entries sorted by a stable key (not arrival order), so

@@ -1,76 +1,39 @@
-"""Document text acquisition: engine cascade, pre-normalization, case splitting.
+"""Document text acquisition: plain-text read, pre-normalization, case splitting.
 
-Extraction engines are external commands configured per deployment; nothing
-here links against a PDF or OCR library. An engine command template names
-``{input}`` (the document path) and optionally ``{output}`` (a temp file the
-command writes); without ``{output}`` the engine's stdout is captured. The
-built-in ``plaintext`` engine just reads the file.
-
-Engines run strictly in chain order and the cascade stops at the first result
-that clears the quality thresholds. When nothing clears them the best-scoring
-result is returned anyway and the caller is told via ``quality_ok=False`` so
-it can log a warning. Every attempt lands in the engine call log.
+Documents are UTF-8 text files, read with undecodable bytes replaced. A read
+that yields too little text, or text that is mostly not alphanumeric, is
+still returned, with ``quality_ok=False`` so the caller can log a warning; a
+file that cannot be read at all raises ExtractionFailure.
 """
 
 from __future__ import annotations
 
 import re
-import shlex
-import subprocess
-import tempfile
-import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
-from casepipe.config import ConfigError, read_jsonl, write_jsonl
-from casepipe.schema import ENGINES
-
-DEFAULT_QUALITY_MIN_CHARS = 64
-DEFAULT_QUALITY_MIN_ALNUM = 0.3
+from casepipe.config import ConfigError
 
 ENGINE_PLAINTEXT = "plaintext"
-ENGINE_OCR = "ocr"
 
-OUTCOME_PASS = "pass"
-OUTCOME_BELOW_QUALITY = "below_quality"
-OUTCOME_ERROR = "error"
-OUTCOME_TIMEOUT = "timeout"
+QUALITY_MIN_CHARS = 64
+QUALITY_MIN_ALNUM = 0.3
 
 
 class ExtractionFailure(RuntimeError):
-    """Every engine in the chain errored or timed out; nothing was produced."""
+    """The document could not be read; nothing was produced."""
 
-    def __init__(self, document_id: str, causes: dict[str, str]):
+    def __init__(self, document_id: str, cause: str):
         self.document_id = document_id
-        self.causes = causes
-        detail = "; ".join(f"{k}: {v}" for k, v in causes.items())
-        super().__init__(f"all engines failed for {document_id}: {detail}")
-
-
-@dataclass(frozen=True)
-class EngineSpec:
-    engine: str
-    command_template: str | None = None
-    timeout_s: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
-            raise ConfigError(f"unknown engine {self.engine!r}")
-        if self.engine == ENGINE_PLAINTEXT:
-            return
-        if not self.command_template or "{input}" not in self.command_template:
-            raise ConfigError(
-                f"engine {self.engine}: command template must contain {{input}}"
-            )
+        super().__init__(
+            f"all engines failed for {document_id}: {ENGINE_PLAINTEXT}: {cause}"
+        )
 
 
 @dataclass(frozen=True)
 class SourceDocument:
     document_id: str
     path: Path
-    declared_kind: str  # "pdf" | "plaintext"
 
 
 @dataclass(frozen=True)
@@ -91,58 +54,6 @@ class CaseSegment:
     char_end: int
 
 
-class EngineCallLog:
-    """Thread-safe append-only log of engine invocations."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._entries: list[dict[str, Any]] = []
-
-    def record(self, document_id: str, engine: str, outcome: str, millis: int) -> None:
-        entry = {
-            "document_id": document_id,
-            "engine": engine,
-            "outcome": outcome,
-            "millis": millis,
-        }
-        with self._lock:
-            self._entries.append(entry)
-
-    def entries(self) -> list[dict[str, Any]]:
-        with self._lock:
-            return list(self._entries)
-
-    def engines_for(self, document_id: str) -> list[str]:
-        return [e["engine"] for e in self.entries() if e["document_id"] == document_id]
-
-    def save(self, path: str | Path) -> int:
-        return write_jsonl(path, self.entries())
-
-
-def load_engine_chain(path: str | Path) -> list[EngineSpec]:
-    specs = []
-    for rec in read_jsonl(path):
-        specs.append(
-            EngineSpec(
-                engine=rec.get("engine", ""),
-                command_template=rec.get("command"),
-                timeout_s=float(rec.get("timeout_s", 30.0)),
-            )
-        )
-    validate_chain(specs)
-    return specs
-
-
-def validate_chain(chain: list[EngineSpec]) -> None:
-    if not chain:
-        raise ConfigError("engine chain is empty")
-    engines = [spec.engine for spec in chain]
-    if len(set(engines)) != len(engines):
-        raise ConfigError("engine chain repeats an engine")
-    if ENGINE_OCR in engines and engines[-1] != ENGINE_OCR:
-        raise ConfigError("ocr engine must be last in the chain")
-
-
 _ASCII_ALNUM = bytes(c for c in range(128) if chr(c).isalnum())
 
 
@@ -158,92 +69,21 @@ def _text_quality(text: str) -> tuple[int, float]:
     return chars, alnum / chars
 
 
-def _run_engine(spec: EngineSpec, doc: SourceDocument) -> str:
-    if spec.engine == ENGINE_PLAINTEXT:
-        return doc.path.read_text(encoding="utf-8", errors="replace")
-    assert spec.command_template is not None
-    tokens = shlex.split(spec.command_template)
-    if "{output}" in spec.command_template:
-        with tempfile.NamedTemporaryFile(
-            mode="w+", suffix=".txt", delete=False, encoding="utf-8"
-        ) as out:
-            out_path = Path(out.name)
-        try:
-            argv = [
-                t.replace("{input}", str(doc.path)).replace("{output}", str(out_path))
-                for t in tokens
-            ]
-            proc = subprocess.run(
-                argv, capture_output=True, timeout=spec.timeout_s, check=False
-            )
-            if proc.returncode != 0:
-                stderr = proc.stderr.decode("utf-8", "replace").strip()[:200]
-                raise RuntimeError(f"exit {proc.returncode}: {stderr}")
-            return out_path.read_text(encoding="utf-8", errors="replace")
-        finally:
-            out_path.unlink(missing_ok=True)
-    argv = [t.replace("{input}", str(doc.path)) for t in tokens]
-    proc = subprocess.run(argv, capture_output=True, timeout=spec.timeout_s, check=False)
-    if proc.returncode != 0:
-        stderr = proc.stderr.decode("utf-8", "replace").strip()[:200]
-        raise RuntimeError(f"exit {proc.returncode}: {stderr}")
-    return proc.stdout.decode("utf-8", "replace")
-
-
-def extract_text(
-    doc: SourceDocument,
-    chain: list[EngineSpec],
-    *,
-    quality_min_chars: int = DEFAULT_QUALITY_MIN_CHARS,
-    quality_min_alnum: float = DEFAULT_QUALITY_MIN_ALNUM,
-    call_log: EngineCallLog | None = None,
-) -> ExtractedText:
-    """Run the engine cascade and return the first quality-passing result.
-
-    Falls back to the best-scoring result (most alphanumeric content) with
-    ``quality_ok=False`` when no engine clears the thresholds. Raises
-    ExtractionFailure when every engine errors or times out.
-    """
-    validate_chain(chain)
-    causes: dict[str, str] = {}
-    best: ExtractedText | None = None
-    best_score = -1.0
-    for spec in chain:
-        started = time.monotonic()
-        try:
-            text = _run_engine(spec, doc)
-        except subprocess.TimeoutExpired:
-            _log(call_log, doc, spec, OUTCOME_TIMEOUT, started)
-            causes[spec.engine] = f"timeout after {spec.timeout_s}s"
-            continue
-        except (OSError, RuntimeError) as exc:
-            _log(call_log, doc, spec, OUTCOME_ERROR, started)
-            causes[spec.engine] = str(exc)
-            continue
-        chars, ratio = _text_quality(text)
-        passed = chars >= quality_min_chars and ratio >= quality_min_alnum
-        _log(call_log, doc, spec, OUTCOME_PASS if passed else OUTCOME_BELOW_QUALITY, started)
-        result = ExtractedText(
-            document_id=doc.document_id,
-            engine_used=spec.engine,
-            text=text,
-            char_count=chars,
-            alnum_ratio=ratio,
-            quality_ok=passed,
-        )
-        if passed:
-            return result
-        score = chars * ratio
-        if score > best_score:
-            best, best_score = result, score
-    if best is not None:
-        return best
-    raise ExtractionFailure(doc.document_id, causes)
-
-
-def _log(log: EngineCallLog | None, doc, spec, outcome: str, started: float) -> None:
-    if log is not None:
-        log.record(doc.document_id, spec.engine, outcome, int((time.monotonic() - started) * 1000))
+def extract_text(doc: SourceDocument) -> ExtractedText:
+    """Read the document as text and score it against the quality floor."""
+    try:
+        text = doc.path.read_text(encoding="utf-8", errors="replace")
+    except OSError as exc:
+        raise ExtractionFailure(doc.document_id, str(exc)) from exc
+    chars, ratio = _text_quality(text)
+    return ExtractedText(
+        document_id=doc.document_id,
+        engine_used=ENGINE_PLAINTEXT,
+        text=text,
+        char_count=chars,
+        alnum_ratio=ratio,
+        quality_ok=chars >= QUALITY_MIN_CHARS and ratio >= QUALITY_MIN_ALNUM,
+    )
 
 
 # ---------------------------------------------------------------------------

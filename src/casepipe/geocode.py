@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from casepipe.config import ConfigError, read_jsonl
-from casepipe.schema import LAT_RANGE, LON_RANGE, SchemaDefinition, resolve_path
+from casepipe.schema import LAT_RANGE, LON_RANGE, resolve_path
 
 WarnFn = Callable[[str, str], None]
 
@@ -239,14 +239,8 @@ class GeocodeCache:
     def __len__(self) -> int:
         return len(self._data)
 
-    def contains(self, key: str) -> bool:
-        return key in self._data
-
-    def get(self, key: str) -> tuple[float, float, str] | None:
-        return self._data.get(key)
-
     def lookup(self, key: str) -> tuple[bool, tuple[float, float, str] | None]:
-        """Like get, but distinguishes absent keys and counts hit/miss."""
+        """(present, value) for a key; counts the hit or miss."""
         with self._lock:
             if key in self._data:
                 self.hits += 1
@@ -285,16 +279,6 @@ def plausible_coords(
         return False
     lat_min, lat_max, lon_min, lon_max = box
     return lat_min <= lat <= lat_max and lon_min <= lon <= lon_max
-
-
-def plausibility(
-    result: GeocodeResult,
-    expected_region: str | None,
-    region_boxes: RegionBoxes,
-) -> bool:
-    if result.lat is None or result.lon is None:
-        return False
-    return plausible_coords(result.lat, result.lon, expected_region, region_boxes)
 
 
 def _cache_key(query: GeocodeQuery) -> str:
@@ -344,7 +328,6 @@ def apply_geocode(
     gazetteer: Gazetteer,
     cache: GeocodeCache,
     on_warning: WarnFn | None = None,
-    schema: SchemaDefinition | None = None,
 ) -> None:
     """Fill spatial coordinates on a record in place, when a place is known.
 
@@ -352,7 +335,6 @@ def apply_geocode(
     marked source_provided. Records with no usable place text are left
     untouched (method stays "none", coordinates stay null).
     """
-    del schema  # reserved for schema-specific spatial layouts
     spatial = record.get("spatial")
     if not isinstance(spatial, dict):
         return
@@ -393,6 +375,5 @@ __all__ = [
     "apply_geocode",
     "geocode",
     "normalize_place",
-    "plausibility",
     "plausible_coords",
 ]

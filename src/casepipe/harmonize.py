@@ -17,7 +17,7 @@ pounds x 0.45359237 -> whole kilograms.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -127,7 +127,7 @@ def load_mapping_dir(directory: str | Path) -> dict[str, MappingTable]:
     return tables
 
 
-def build_identity_mappings(schema: SchemaDefinition) -> MappingTable:
+def identity_table(schema: SchemaDefinition, tz_default: str | None = None) -> MappingTable:
     """Canonical-path passthrough for model candidates, with type transforms."""
     rows: dict[str, tuple[str, str]] = {}
     for entry in schema.entries:
@@ -145,11 +145,7 @@ def build_identity_mappings(schema: SchemaDefinition) -> MappingTable:
         else:
             transform = TRANSFORM_NONE
         rows[path] = (path, transform)
-    return MappingTable(source_label="identity", rows=rows)
-
-
-def identity_table(schema: SchemaDefinition, tz_default: str | None = None) -> MappingTable:
-    return replace(build_identity_mappings(schema), tz_default=tz_default)
+    return MappingTable(source_label="identity", rows=rows, tz_default=tz_default)
 
 
 # ---------------------------------------------------------------------------

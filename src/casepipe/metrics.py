@@ -544,8 +544,7 @@ def build_report(
     runtimes: Iterable[float] = (),
     on_warning: WarnFn | None = None,
 ) -> MetricsReport:
-    parsed = [dict(r) for r in parsed]
-    gold = [dict(r) for r in gold]
+    parsed = list(parsed)  # align copies each record; the coverage passes only read
     schema = schema if schema is not None else default_schema()
     if rules is None:
         rules = default_match_rules(schema)

@@ -225,73 +225,32 @@ def extract_movement_cues(
     return candidates
 
 
-def parse_registry_form(
-    segment: CaseSegment,
-    rules: Iterable[LabelRule],
-    source_label: str = "registry_form",
-    on_warning: WarnFn | None = None,
-) -> DraftRecord:
-    """Parse a labeled registry form segment."""
-    return apply_rules(segment, rules, source_label, on_warning)
-
-
-def parse_bulletin(
-    segment: CaseSegment,
-    rules: Iterable[LabelRule],
-    source_label: str = "bulletin",
-    on_warning: WarnFn | None = None,
-) -> DraftRecord:
-    """Parse a terse all-caps police bulletin segment."""
-    return apply_rules(segment, rules, source_label, on_warning)
-
-
-def parse_narrative_profile(
-    segment: CaseSegment,
-    rules: Iterable[LabelRule],
-    source_label: str = "narrative_profile",
-    on_warning: WarnFn | None = None,
-) -> DraftRecord:
-    """Parse a prose-heavy profile: label rules plus movement cue phrases."""
-    draft = apply_rules(segment, rules, source_label, on_warning)
-    for candidate in extract_movement_cues(strip_sentinel(segment.text)):
-        draft.candidates[candidate.field_path] = candidate
-    return draft
-
-
-_PARSERS = {
-    FAMILY_REGISTRY: parse_registry_form,
-    FAMILY_BULLETIN: parse_bulletin,
-    FAMILY_NARRATIVE: parse_narrative_profile,
-}
-
-
 def dispatch(
     detection: DetectionResult,
     segment: CaseSegment,
     rulesets: Mapping[str, Iterable[LabelRule]],
     on_warning: WarnFn | None = None,
 ) -> DraftRecord:
-    """Route a segment to its family parser.
+    """Run a segment's family rules; narrative profiles add movement cues.
 
     Unknown sources fall back to the registry-form rules (the most generic
     label shape) and say so through the warning callback.
     """
     family = detection.family
-    if family in _PARSERS:
-        parser = _PARSERS[family]
+    if family in RULE_FAMILIES:
         rules = rulesets.get(family)
         if rules is None:
             raise ConfigError(f"no ruleset configured for family {family!r}")
-        return parser(segment, rules, detection.source_label, on_warning)
-    if on_warning is not None:
-        on_warning(
-            "unknown_source_fallback",
-            f"source {detection.source_label!r} has no family; using generic "
-            "registry rules",
-        )
-    return parse_registry_form(
-        segment,
-        rulesets.get(FAMILY_REGISTRY, ()),
-        detection.source_label,
-        on_warning,
-    )
+    else:
+        if on_warning is not None:
+            on_warning(
+                "unknown_source_fallback",
+                f"source {detection.source_label!r} has no family; using generic "
+                "registry rules",
+            )
+        rules = rulesets.get(FAMILY_REGISTRY, ())
+    draft = apply_rules(segment, rules, detection.source_label, on_warning)
+    if family == FAMILY_NARRATIVE:
+        for candidate in extract_movement_cues(strip_sentinel(segment.text)):
+            draft.candidates[candidate.field_path] = candidate
+    return draft

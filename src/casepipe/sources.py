@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from casepipe.config import ConfigError, read_jsonl
 from casepipe.schema import SOURCE_FAMILIES
@@ -122,8 +122,3 @@ def detect_source(text: str, signatures: Iterable[SourceSignature]) -> Detection
             )
     return best_result if best_result is not None else UNKNOWN_DETECTION
 
-
-def signatures_by_label(
-    signatures: Iterable[SourceSignature],
-) -> Mapping[str, SourceSignature]:
-    return {sig.source_label: sig for sig in signatures}

@@ -347,7 +347,7 @@ class TestColdStart:
             "from pathlib import Path\n"
             "from casepipe import cli\n"
             "cli.run(cli.RunConfig(input_dir=Path(sys.argv[1]), output_dir=Path(sys.argv[2])))\n"
-            "print('casepipe.metrics' in sys.modules)\n"
+            "print([m for m in ('casepipe.metrics', 'subprocess', 'shlex') if m in sys.modules])\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         loaded = subprocess.run(
@@ -358,7 +358,7 @@ class TestColdStart:
             timeout=60,
             check=True,
         ).stdout
-        assert loaded.strip() == "False"
+        assert loaded.strip() == "[]"
 
 
 class TestEvaluation:

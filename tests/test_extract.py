@@ -7,14 +7,11 @@ from hypothesis import strategies as st
 from casepipe.config import ConfigError
 from casepipe.extract import (
     CaseSegment,
-    EngineCallLog,
-    EngineSpec,
     ExtractionFailure,
     SourceDocument,
     extract_text,
     prenormalize,
     split_cases,
-    validate_chain,
 )
 
 GOOD_TEXT = "Missing person report. " * 10
@@ -23,115 +20,33 @@ GOOD_TEXT = "Missing person report. " * 10
 def make_doc(tmp_path, name, content):
     path = tmp_path / name
     path.write_text(content, encoding="utf-8")
-    return SourceDocument(document_id=path.stem, path=path, declared_kind="plaintext")
+    return SourceDocument(document_id=path.stem, path=path)
 
 
-def echo_engine(engine, text, fail=False, sleep=0.0):
-    """Fake extraction engine built from shell primitives."""
-    if fail:
-        return EngineSpec(engine, "sh -c exit_1_{input}", timeout_s=5.0)
-    script = f"sleep {sleep}; printf '%s' '{text}'" if sleep else f"printf '%s' '{text}'"
-    return EngineSpec(engine, f"sh -c \"{script}\" ignored {{input}}", timeout_s=5.0)
-
-
-class TestEngineCascade:
+class TestExtractText:
     def test_plaintext_engine_reads_file(self, tmp_path):
         doc = make_doc(tmp_path, "case1.txt", GOOD_TEXT)
-        result = extract_text(doc, [EngineSpec("plaintext")])
+        result = extract_text(doc)
         assert result.engine_used == "plaintext"
         assert result.text == GOOD_TEXT
         assert result.char_count == len(GOOD_TEXT)
         assert result.quality_ok
 
-    def test_first_passing_engine_wins(self, tmp_path):
-        doc = make_doc(tmp_path, "case2.txt", "ignored")
-        log = EngineCallLog()
-        chain = [
-            echo_engine("layout", GOOD_TEXT),
-            echo_engine("basic", "should never run"),
-        ]
-        result = extract_text(doc, chain, call_log=log)
-        assert result.engine_used == "layout"
-        assert log.engines_for("case2") == ["layout"]
-
-    def test_cascade_falls_through_failures(self, tmp_path):
-        doc = make_doc(tmp_path, "case3.txt", "ignored")
-        log = EngineCallLog()
-        chain = [
-            echo_engine("layout", "", fail=True),
-            echo_engine("basic", GOOD_TEXT),
-        ]
-        result = extract_text(doc, chain, call_log=log)
-        assert result.engine_used == "basic"
-        outcomes = [(e["engine"], e["outcome"]) for e in log.entries()]
-        assert outcomes == [("layout", "error"), ("basic", "pass")]
-
-    def test_low_quality_falls_through_to_ocr(self, tmp_path):
-        doc = make_doc(tmp_path, "case4.txt", "ignored")
-        chain = [
-            echo_engine("layout", "..... ..... ....."),
-            echo_engine("ocr", GOOD_TEXT),
-        ]
-        result = extract_text(doc, chain)
-        assert result.engine_used == "ocr"
-        assert result.quality_ok
-
-    def test_best_effort_result_when_all_below_quality(self, tmp_path):
-        doc = make_doc(tmp_path, "case5.txt", "ignored")
-        chain = [
-            echo_engine("layout", "a b"),
-            echo_engine("basic", "slightly longer text"),
-        ]
-        result = extract_text(doc, chain)
+    def test_short_text_is_returned_below_quality(self, tmp_path):
+        doc = make_doc(tmp_path, "short.txt", "hello")
+        result = extract_text(doc)
+        assert result.text == "hello"
+        assert result.char_count == 5
+        assert result.alnum_ratio == 1.0
         assert not result.quality_ok
-        assert result.engine_used == "basic"
 
-    def test_all_engines_error_raises(self, tmp_path):
-        doc = make_doc(tmp_path, "case6.txt", "ignored")
-        chain = [
-            echo_engine("layout", "", fail=True),
-            echo_engine("basic", "", fail=True),
-        ]
+    def test_unreadable_path_raises(self, tmp_path):
+        (tmp_path / "broken.txt").mkdir()
+        doc = SourceDocument(document_id="broken", path=tmp_path / "broken.txt")
         with pytest.raises(ExtractionFailure) as excinfo:
-            extract_text(doc, chain)
-        assert set(excinfo.value.causes) == {"layout", "basic"}
-
-    def test_timeout_is_an_error_cause(self, tmp_path):
-        doc = make_doc(tmp_path, "case7.txt", "ignored")
-        spec = EngineSpec("layout", 'sh -c "sleep 30" ignored {input}', timeout_s=0.2)
-        log = EngineCallLog()
-        with pytest.raises(ExtractionFailure):
-            extract_text(doc, [spec], call_log=log)
-        assert log.entries()[0]["outcome"] == "timeout"
-
-    def test_output_placeholder(self, tmp_path):
-        doc = make_doc(tmp_path, "case8.txt", "ignored")
-        spec = EngineSpec(
-            "layout",
-            f'sh -c "printf %s \'{GOOD_TEXT}\' > $1" with_output {{output}} {{input}}',
-            timeout_s=5.0,
-        )
-        result = extract_text(doc, [spec])
-        assert result.text == GOOD_TEXT
-
-
-class TestChainValidation:
-    def test_ocr_must_be_last(self):
-        chain = [echo_engine("ocr", "x"), echo_engine("basic", "y")]
-        with pytest.raises(ConfigError):
-            validate_chain(chain)
-
-    def test_empty_chain_rejected(self):
-        with pytest.raises(ConfigError):
-            validate_chain([])
-
-    def test_command_needs_input_placeholder(self):
-        with pytest.raises(ConfigError):
-            EngineSpec("layout", "pdftotext -layout")
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigError):
-            EngineSpec("magic", "magic {input}")
+            extract_text(doc)
+        assert excinfo.value.document_id == "broken"
+        assert str(excinfo.value).startswith("all engines failed for broken: plaintext: ")
 
 
 class TestPrenormalize:

@@ -196,10 +196,9 @@ class TestCacheFile:
         cache.put("k1", (1.5, -2.5, "Somewhere"))
         cache.put("k2", None)
         again = GeocodeCache(tmp_path / "c.jsonl")
-        assert again.get("k1") == (1.5, -2.5, "Somewhere")
-        assert again.get("k2") is None
-        assert again.contains("k2")
-        assert not again.contains("k3")
+        assert again.lookup("k1") == (True, (1.5, -2.5, "Somewhere"))
+        assert again.lookup("k2") == (True, None)
+        assert again.lookup("k3") == (False, None)
 
     def test_replay_last_writer_wins(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -207,7 +206,7 @@ class TestCacheFile:
         cache.put("k", None)
         cache.put("k", (3.0, 4.0, "Later"))
         again = GeocodeCache(path)
-        assert again.get("k") == (3.0, 4.0, "Later")
+        assert again.lookup("k") == (True, (3.0, 4.0, "Later"))
 
     def test_hit_and_miss_counters(self, tmp_path):
         cache = GeocodeCache(tmp_path / "c.jsonl")

@@ -6,7 +6,6 @@ import pytest
 
 from casepipe.harmonize import (
     MappingTable,
-    build_identity_mappings,
     harmonize,
     identity_table,
     load_mapping_dir,
@@ -323,6 +322,6 @@ class TestMappingFiles:
         assert tables["some_source"].tz_default == "-05:00"
 
     def test_identity_mappings_cover_content_leaves(self):
-        table = build_identity_mappings(SCHEMA)
+        table = identity_table(SCHEMA)
         assert "demographic.name" in table.rows
         assert "provenance.source_label" not in table.rows
