@@ -139,15 +139,24 @@ class RunConfig:
             raise ConfigError(f"gold file does not exist: {self.gold_path}")
 
     def digest(self) -> str:
+        """A hash of what determines the run's records.
+
+        Bundled resources are recorded by name and explicit paths as given,
+        so one configuration digests alike in every checkout; where the
+        outputs go is not part of it.
+        """
+
+        def resource(given: Path | None, name: str) -> str:
+            return str(given) if given is not None else f"bundled:{name}"
+
         payload = {
             "input_dir": str(self.input_dir),
-            "output_dir": str(self.output_dir),
             "paths_enabled": self.paths_enabled,
-            "schema_path": str(self.resolved_schema_path()),
-            "signatures_path": str(self.resolved_signatures_path()),
-            "rulesets_dir": str(self.resolved_rulesets_dir()),
-            "mappings_dir": str(self.resolved_mappings_dir()),
-            "gazetteer_path": str(self.resolved_gazetteer_path()),
+            "schema_path": resource(self.schema_path, "schema.jsonl"),
+            "signatures_path": resource(self.signatures_path, "signatures.jsonl"),
+            "rulesets_dir": resource(self.rulesets_dir, "rulesets"),
+            "mappings_dir": resource(self.mappings_dir, "mappings"),
+            "gazetteer_path": resource(self.gazetteer_path, "gazetteer.jsonl"),
             "cache_path": str(self.cache_path) if self.cache_path else None,
             "backend": self.backend,
             "backend_params": dict(self.backend_params),

@@ -120,12 +120,32 @@ def flatten_record(record: Mapping[str, Any], schema: SchemaDefinition) -> dict[
 
 
 def _cells(record: Mapping[str, Any]) -> dict[str, str]:
-    """flatten_record's cells, in flattening order."""
-    cells = {}
-    for path, value in flatten_leaves(dict(record)).items():
-        if isinstance(value, (list, dict)) and not value:
-            continue
-        cells[path] = _format_cell(value)
+    """flatten_record's cells: the leaves of flatten_leaves, formatted.
+
+    Scalars directly inside a section are formatted in place; only nested
+    lists and dicts go through flatten_leaves. An empty list or dict has no
+    cell, and clears one that an earlier key flattened onto the same path.
+    """
+    cells: dict[str, str] = {}
+    for key, section in record.items():
+        prefix = str(key)
+        if isinstance(section, dict) and section and prefix:
+            fields = [(f"{prefix}.{name}", value) for name, value in section.items()]
+        else:
+            fields = [(prefix, section)]
+        for path, value in fields:
+            if value is None:
+                cells[path] = ""
+            elif value.__class__ is str:
+                cells[path] = value
+            elif not isinstance(value, (list, dict)):
+                cells[path] = _format_cell(value)
+            else:
+                for leaf_path, leaf in flatten_leaves(value, path).items():
+                    if isinstance(leaf, (list, dict)) and not leaf:
+                        cells.pop(leaf_path, None)
+                    else:
+                        cells[leaf_path] = _format_cell(leaf)
     return cells
 
 

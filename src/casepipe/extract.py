@@ -25,9 +25,7 @@ class ExtractionFailure(RuntimeError):
 
     def __init__(self, document_id: str, cause: str):
         self.document_id = document_id
-        super().__init__(
-            f"all engines failed for {document_id}: {ENGINE_PLAINTEXT}: {cause}"
-        )
+        super().__init__(f"could not read {document_id}: {cause}")
 
 
 @dataclass(frozen=True)

@@ -294,15 +294,17 @@ def _clean_section(
     obj: dict[str, Any], prefix: str, schema: SchemaDefinition, warn: WarnFn
 ) -> dict[str, Any]:
     out: dict[str, Any] = {}
+    # Keys come from parsed JSON, so they are strings.
+    below = schema.descendants[prefix]
     for key, value in obj.items():
-        path = f"{prefix}.{key}" if prefix else str(key)
-        entry = schema.entry(path)
+        entry = below.get(key)
         if entry is None:
+            path = f"{prefix}.{key}" if prefix else key
             warn("unknown_key_dropped", f"{path} is not in the schema")
             continue
         if entry.kind == KIND_SECTION:
             if entry.pattern is None and isinstance(value, dict):
-                out[key] = _clean_section(value, path, schema, warn)
+                out[key] = _clean_section(value, entry.field_path, schema, warn)
             else:
                 out[key] = value
         elif entry.kind == KIND_LIST:

@@ -12,7 +12,11 @@ field inside is null.
 
 Validation reports every violation it finds (it never stops at the first) and
 is pure: the candidate is not modified, and validating twice gives the same
-report.
+report. It walks a plan compiled once per schema, on the first validate: one
+check per field path with its pattern compiled, and for each section a map
+from every descendant's relative path to its check, so a dotted key is
+checked as the field it spells. assemble_record and the llm path's
+sanitizer likewise use steps and entry maps built once per schema.
 """
 
 from __future__ import annotations
@@ -22,8 +26,9 @@ import re
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from casepipe.config import ConfigError, read_jsonl, write_jsonl
 
@@ -87,6 +92,9 @@ _TZ_PATTERN = (
     r"[A-Za-z]+(?:[_-][A-Za-z]+)*(?:/[A-Za-z0-9_.+-]+)+)$"
 )
 _NONBLANK_PATTERN = r"^\S(?:.*\S)?$"
+
+# assemble_record's step kind for a section with a key pattern (an open map).
+_OPEN_MAP = "open_map"
 
 
 class PathSyntaxError(ValueError):
@@ -187,12 +195,6 @@ class SchemaDefinition:
                 )
         object.__setattr__(self, "entries", ordered)
         object.__setattr__(self, "_by_path", {e.field_path: e for e in ordered})
-        # Fixed for the schema's lifetime; validate and assemble_record use
-        # them. Creation order puts every section before its children.
-        required = tuple((e.field_path, e.field_path.split(".")) for e in ordered if e.required)
-        object.__setattr__(self, "_required", required)
-        creation = sorted(ordered, key=lambda e: (e.field_path.count("."), e.field_path))
-        object.__setattr__(self, "_creation_order", tuple(creation))
 
     # -- lookup helpers -----------------------------------------------------
 
@@ -244,6 +246,46 @@ class SchemaDefinition:
     def records_text(self) -> str:
         """The rows ``save`` writes, joined by newlines, rendered once."""
         return "\n".join(json.dumps(row, ensure_ascii=False) for row in self.to_records())
+
+    # -- compiled walks -----------------------------------------------------
+    # Built on first use, then fixed for the schema's lifetime, so a run that
+    # validates nothing compiles nothing. Two threads racing to build one
+    # build equal values, and either may be kept.
+
+    @cached_property
+    def descendants(self) -> dict[str, dict[str, SchemaEntry]]:
+        """The entries below each section, keyed by path relative to it.
+
+        The record root is the section ``""``. Dotted relative keys ("b.c"
+        under "a") are listed too, so looking a record's key up here finds
+        exactly the entry its joined full path names.
+        """
+        below: dict[str, dict[str, SchemaEntry]] = {"": dict(self._by_path)}  # type: ignore
+        for entry in self.entries:
+            if entry.kind == KIND_SECTION:
+                below[entry.field_path] = {}
+        for entry in self.entries:
+            parts = entry.field_path.split(".")
+            for i in range(1, len(parts)):
+                below[".".join(parts[:i])][".".join(parts[i:])] = entry
+        return below
+
+    @cached_property
+    def _creation_plan(self) -> tuple[tuple[str, str, str, str], ...]:
+        """assemble_record's steps, every section before its children:
+        (parent path, name, field path, kind or _OPEN_MAP)."""
+        steps = []
+        for entry in sorted(self.entries, key=lambda e: (e.field_path.count("."), e.field_path)):
+            parent, _, name = entry.field_path.rpartition(".")
+            open_map = entry.kind == KIND_SECTION and entry.pattern is not None
+            kind = _OPEN_MAP if open_map else entry.kind
+            steps.append((parent, name, entry.field_path, kind))
+        return tuple(steps)
+
+    @cached_property
+    def _validation_plan(self) -> tuple[dict[str, _Check], tuple[str, ...]]:
+        """validate's checks by full path, and the required paths."""
+        return _compile_checks(self), tuple(self.required_paths())
 
     @classmethod
     def from_records(cls, records: Iterable[Mapping[str, Any]]) -> "SchemaDefinition":
@@ -437,23 +479,18 @@ def assemble_record(values: Mapping[str, Any], schema: SchemaDefinition) -> dict
     come out as sorted dicts.
     """
     record: dict[str, Any] = {}
-    for entry in schema._creation_order:  # type: ignore[attr-defined]
-        parts = entry.field_path.split(".")
-        parent = record
-        for part in parts[:-1]:
-            parent = parent[part]
-        name = parts[-1]
-        if entry.kind == KIND_SECTION:
-            if entry.pattern is not None:
-                given = values.get(entry.field_path) or {}
-                parent[name] = {k: given[k] for k in sorted(given)}
-            else:
-                parent[name] = {}
-        elif entry.kind == KIND_LIST:
-            value = values.get(entry.field_path)
-            parent[name] = list(value) if value else []
+    sections: dict[str, dict[str, Any]] = {"": record}
+    for parent, name, path, kind in schema._creation_plan:
+        if kind == KIND_SECTION:
+            sections[path] = sections[parent][name] = {}
+        elif kind == _OPEN_MAP:
+            given = values.get(path) or {}
+            sections[path] = sections[parent][name] = {k: given[k] for k in sorted(given)}
+        elif kind == KIND_LIST:
+            value = values.get(path)
+            sections[parent][name] = list(value) if value else []
         else:
-            parent[name] = values.get(entry.field_path)
+            sections[parent][name] = values.get(path)
     return record
 
 
@@ -479,133 +516,212 @@ def parse_iso_timestamp(value: str) -> tuple[date | datetime, str] | None:
         return None
 
 
+_Check = Callable[[Any, list], None]
+_UNKNOWN_KEY_MESSAGE = "key is not defined by the schema"
+_NOT_AN_OBJECT = "section must be an object"
+_VALID = ValidationReport(True, ())
+_REPORT_ORDER = attrgetter("field_path", "code")
+
+
 def validate(candidate: Any, schema: SchemaDefinition) -> ValidationReport:
     """Check a candidate record against the schema, reporting all violations.
 
     The schema is strict: keys with no schema entry are unknown_key
     violations. Cross-field consistency rules (min/max pairs, lat/lon
     pairing, timestamp ordering, rule-path repair count) report out_of_range
-    at the offending path. Violations come back ordered by (field_path, code).
+    at the offending path. Violations come back ordered by (field_path, code);
+    ties keep the order they were found in: required fields, then keys in
+    dict order, then cross-field rules.
     """
-    violations: list[ValidationViolation] = []
-
-    def add(path: str, code: str, message: str) -> None:
-        violations.append(ValidationViolation(path, code, message))
-
     if not isinstance(candidate, dict):
-        add("", WRONG_TYPE, "record must be an object")
-        return ValidationReport(False, tuple(violations))
-
-    for path, segments in schema._required:  # type: ignore[attr-defined]
-        value = _resolve(candidate, segments)
-        if value is ABSENT or value is None:
-            add(path, MISSING_REQUIRED, "required field is missing or null")
-
-    for key, value in candidate.items():
-        if not schema.has_path(str(key)):
-            add(str(key), UNKNOWN_KEY, "key is not defined by the schema")
-        else:
-            _validate_node(str(key), value, schema, add)
-
-    _validate_cross_field(candidate, add)
-
-    ordered = tuple(sorted(violations, key=lambda v: (v.field_path, v.code)))
-    return ValidationReport(not ordered, ordered)
-
-
-def _validate_node(path: str, value: Any, schema: SchemaDefinition, add) -> None:
-    entry = schema.entry(path)
-    assert entry is not None
-    if entry.kind == KIND_SECTION:
-        if value is None:
-            # Required sections are reported by the missing-required pass.
-            return
-        if not isinstance(value, dict):
-            add(path, WRONG_TYPE, "section must be an object")
-            return
-        if entry.pattern is not None:
-            _validate_open_map(path, value, entry, schema, add)
-            return
-        for key, child_value in value.items():
-            child_path = f"{path}.{key}"
-            if not schema.has_path(child_path):
-                add(child_path, UNKNOWN_KEY, "key is not defined by the schema")
-            else:
-                _validate_node(child_path, child_value, schema, add)
-        return
-    _validate_leaf(path, value, entry, add)
-
-
-def _validate_open_map(path: str, value: dict, entry: SchemaEntry, schema, add) -> None:
-    key_re = re.compile(entry.pattern or "")
-    for key, item in value.items():
-        item_path = f"{path}.{key}"
-        if not isinstance(key, str) or not key_re.search(key):
-            add(item_path, BAD_PATTERN, "map key is not a well-formed field path")
-            continue
-        if not schema.has_path(key) or schema.entry(key).kind == KIND_SECTION:
-            add(item_path, UNKNOWN_KEY, "map key does not name a schema field")
-            continue
-        ok = (
-            isinstance(item, list)
-            and len(item) == 3
-            and all(type(v) is int and v >= 0 for v in item)
+        return ValidationReport(
+            False, (ValidationViolation("", WRONG_TYPE, "record must be an object"),)
         )
-        if not ok:
-            add(item_path, WRONG_TYPE, "origin must be [segment_index, char_start, char_end]")
+    checks, required = schema._validation_plan
+    out: list[ValidationViolation] = []
+    for path in required:
+        if _lookup(candidate, path) is None:
+            out.append(
+                ValidationViolation(path, MISSING_REQUIRED, "required field is missing or null")
+            )
+    for key, value in candidate.items():
+        path = key if key.__class__ is str else str(key)
+        check = checks.get(path)
+        if check is None:
+            out.append(ValidationViolation(path, UNKNOWN_KEY, _UNKNOWN_KEY_MESSAGE))
+        elif value is not None:
+            # Required sections are reported by the missing-required pass.
+            check(value, out)
+    _validate_cross_field(candidate, out)
+    if not out:
+        return _VALID
+    out.sort(key=_REPORT_ORDER)
+    return ValidationReport(False, tuple(out))
 
 
-def _validate_leaf(path: str, value: Any, entry: SchemaEntry, add) -> None:
-    if value is None:
-        return
-    kind = entry.kind
-    if kind == KIND_STRING:
-        if not isinstance(value, str):
-            add(path, WRONG_TYPE, f"expected string, got {type(value).__name__}")
-            return
-        if entry.pattern == ISO_TIMESTAMP:
-            if parse_iso_timestamp(value) is None:
-                add(path, BAD_TIMESTAMP, "not an ISO-8601 date or datetime")
+def _lookup(candidate: dict, path: str) -> Any:
+    """``resolve_path(candidate, path)`` for a literal path, None when absent.
+
+    One- and two-segment paths, which are all the default schema's required
+    and cross-field paths, are looked up directly: a present head hides a
+    dotted key spelling the whole path, as it does in _resolve.
+    """
+    head, dot, tail = path.partition(".")
+    if not dot:
+        return candidate.get(path)
+    if "." in tail:
+        value = _resolve(candidate, path.split("."))
+    elif head in candidate:
+        node = candidate[head]
+        if isinstance(node, dict):
+            return node.get(tail)
+        value = _resolve(node, [tail])
+    else:
+        return candidate.get(path)
+    return None if value is ABSENT else value
+
+
+def _compile_checks(schema: SchemaDefinition) -> dict[str, _Check]:
+    """One check per schema path; each takes a non-null value and appends the
+    violations it finds. A section's check resolves its keys through a map
+    of every descendant path relative to it, so a dotted key is checked as
+    the field its joined full path names."""
+    checks: dict[str, _Check] = {}
+    children_of: dict[str, dict[str, _Check]] = {}
+    leaves = frozenset(schema.leaf_paths())
+    for entry in schema.entries:
+        path = entry.field_path
+        if entry.kind != KIND_SECTION:
+            checks[path] = _leaf_check(entry)
         elif entry.pattern is not None:
-            if not re.search(entry.pattern, value):
-                add(path, BAD_PATTERN, "value does not match the field pattern")
-    elif kind == KIND_INTEGER:
-        if type(value) is not int:
-            add(path, WRONG_TYPE, f"expected integer, got {type(value).__name__}")
+            checks[path] = _open_map_check(path, re.compile(entry.pattern).search, leaves)
+        else:
+            children_of[path] = {}
+            checks[path] = _section_check(path, children_of[path], checks)
+    for section, children in children_of.items():
+        below = schema.descendants[section]
+        children.update((rel, checks[entry.field_path]) for rel, entry in below.items())
+    return checks
+
+
+def _section_check(path: str, children: dict[str, _Check], checks: dict[str, _Check]) -> _Check:
+    def check(value: Any, out: list) -> None:
+        if not isinstance(value, dict):
+            out.append(ValidationViolation(path, WRONG_TYPE, _NOT_AN_OBJECT))
             return
-        _check_range(path, value, entry, add)
-    elif kind == KIND_DECIMAL:
-        if type(value) not in (int, float):
-            add(path, WRONG_TYPE, f"expected number, got {type(value).__name__}")
+        for key, child in value.items():
+            if key.__class__ is str:
+                check_child = children.get(key)
+            else:
+                check_child = checks.get(f"{path}.{key}")
+            if check_child is None:
+                out.append(ValidationViolation(f"{path}.{key}", UNKNOWN_KEY, _UNKNOWN_KEY_MESSAGE))
+            elif child is not None:
+                check_child(child, out)
+
+    return check
+
+
+def _open_map_check(path: str, key_search, leaves: frozenset[str]) -> _Check:
+    def check(value: Any, out: list) -> None:
+        if not isinstance(value, dict):
+            out.append(ValidationViolation(path, WRONG_TYPE, _NOT_AN_OBJECT))
             return
-        _check_range(path, value, entry, add)
+        for key, item in value.items():
+            if not isinstance(key, str) or not key_search(key):
+                code, message = BAD_PATTERN, "map key is not a well-formed field path"
+            elif key not in leaves:
+                code, message = UNKNOWN_KEY, "map key does not name a schema field"
+            elif (
+                isinstance(item, list)
+                and len(item) == 3
+                and all(type(v) is int and v >= 0 for v in item)
+            ):
+                continue
+            else:
+                code, message = WRONG_TYPE, "origin must be [segment_index, char_start, char_end]"
+            out.append(ValidationViolation(f"{path}.{key}", code, message))
+
+    return check
+
+
+def _leaf_check(entry: SchemaEntry) -> _Check:
+    path, kind, pattern = entry.field_path, entry.kind, entry.pattern
+    lo, hi = entry.numeric_range or (None, None)
+
+    def flag(code: str, message: str, at: str = path) -> ValidationViolation:
+        return ValidationViolation(at, code, message)
+
+    def wrong_type(expected: str, value: Any) -> ValidationViolation:
+        return flag(WRONG_TYPE, f"expected {expected}, got {type(value).__name__}")
+
+    if kind == KIND_STRING:
+        if pattern == ISO_TIMESTAMP:
+
+            def check(value: Any, out: list) -> None:
+                if not isinstance(value, str):
+                    out.append(wrong_type("string", value))
+                elif parse_iso_timestamp(value) is None:
+                    out.append(flag(BAD_TIMESTAMP, "not an ISO-8601 date or datetime"))
+
+        elif pattern is not None:
+            search = re.compile(pattern).search
+
+            def check(value: Any, out: list) -> None:
+                if not isinstance(value, str):
+                    out.append(wrong_type("string", value))
+                elif not search(value):
+                    out.append(flag(BAD_PATTERN, "value does not match the field pattern"))
+
+        else:
+
+            def check(value: Any, out: list) -> None:
+                if not isinstance(value, str):
+                    out.append(wrong_type("string", value))
+
+    elif kind == KIND_INTEGER or kind == KIND_DECIMAL:
+        # type() rather than isinstance: a bool is not a number here.
+        if kind == KIND_INTEGER:
+            numeric, expected = (int,), "integer"
+        else:
+            numeric, expected = (int, float), "number"
+
+        def check(value: Any, out: list) -> None:
+            if type(value) not in numeric:
+                out.append(wrong_type(expected, value))
+            elif (lo is not None and value < lo) or (hi is not None and value > hi):
+                out.append(flag(OUT_OF_RANGE, f"value {value} outside [{lo}, {hi}]"))
+
     elif kind == KIND_BOOLEAN:
-        if type(value) is not bool:
-            add(path, WRONG_TYPE, f"expected boolean, got {type(value).__name__}")
+
+        def check(value: Any, out: list) -> None:
+            if type(value) is not bool:
+                out.append(wrong_type("boolean", value))
+
     elif kind == KIND_ENUM:
-        if not isinstance(value, str):
-            add(path, WRONG_TYPE, f"expected string, got {type(value).__name__}")
-        elif value not in (entry.enum_values or ()):
-            allowed = ", ".join(entry.enum_values or ())
-            add(path, BAD_ENUM, f"value {value!r} not one of: {allowed}")
-    elif kind == KIND_LIST:
-        if not isinstance(value, list):
-            add(path, WRONG_TYPE, f"expected list, got {type(value).__name__}")
-            return
-        for i, element in enumerate(value):
-            element_path = f"{path}.{i}"
-            if not isinstance(element, str):
-                add(element_path, WRONG_TYPE, "list entries must be strings")
-            elif entry.pattern and not re.search(entry.pattern, element):
-                add(element_path, BAD_PATTERN, "list entry is empty or untrimmed")
+        allowed = entry.enum_values or ()
+        listed = ", ".join(allowed)
 
+        def check(value: Any, out: list) -> None:
+            if not isinstance(value, str):
+                out.append(wrong_type("string", value))
+            elif value not in allowed:
+                out.append(flag(BAD_ENUM, f"value {value!r} not one of: {listed}"))
 
-def _check_range(path: str, value: float, entry: SchemaEntry, add) -> None:
-    if entry.numeric_range is None:
-        return
-    lo, hi = entry.numeric_range
-    if (lo is not None and value < lo) or (hi is not None and value > hi):
-        add(path, OUT_OF_RANGE, f"value {value} outside [{lo}, {hi}]")
+    else:  # KIND_LIST; an empty pattern checks nothing
+        element_search = re.compile(pattern).search if pattern else None
+
+        def check(value: Any, out: list) -> None:
+            if not isinstance(value, list):
+                out.append(wrong_type("list", value))
+                return
+            for i, element in enumerate(value):
+                if not isinstance(element, str):
+                    out.append(flag(WRONG_TYPE, "list entries must be strings", f"{path}.{i}"))
+                elif element_search is not None and not element_search(element):
+                    out.append(flag(BAD_PATTERN, "list entry is empty or untrimmed", f"{path}.{i}"))
+
+    return check
 
 
 _MINMAX_PAIRS = (
@@ -615,32 +731,26 @@ _MINMAX_PAIRS = (
 )
 
 
-def _validate_cross_field(candidate: dict, add) -> None:
-    def get(path: str) -> Any:
-        # Literal, well-formed paths: skip split_path's syntax check.
-        value = _resolve(candidate, path.split("."))
-        return None if value is ABSENT else value
+def _validate_cross_field(candidate: dict, out: list) -> None:
+    def add(path: str, message: str) -> None:
+        out.append(ValidationViolation(path, OUT_OF_RANGE, message))
 
     for min_path, max_path in _MINMAX_PAIRS:
-        lo, hi = get(min_path), get(max_path)
+        lo, hi = _lookup(candidate, min_path), _lookup(candidate, max_path)
         if type(lo) is int and type(hi) is int and lo > hi:
-            add(min_path, OUT_OF_RANGE, f"minimum {lo} exceeds maximum {hi}")
+            add(min_path, f"minimum {lo} exceeds maximum {hi}")
 
-    lat, lon = get("spatial.lat"), get("spatial.lon")
+    lat, lon = _lookup(candidate, "spatial.lat"), _lookup(candidate, "spatial.lon")
     if (lat is None) != (lon is None):
         path = "spatial.lat" if lat is None else "spatial.lon"
-        add(path, OUT_OF_RANGE, "lat and lon must both be set or both be null")
+        add(path, "lat and lon must both be set or both be null")
 
-    method = get("spatial.geocode_method")
+    method = _lookup(candidate, "spatial.geocode_method")
     if method == "none" and isinstance(lat, (int, float)) and not isinstance(lat, bool):
-        add(
-            "spatial.geocode_method",
-            OUT_OF_RANGE,
-            "geocode_method is none but coordinates are set",
-        )
+        add("spatial.geocode_method", "geocode_method is none but coordinates are set")
 
-    last_seen = get("temporal.last_seen_ts")
-    reported = get("temporal.reported_missing_ts")
+    last_seen = _lookup(candidate, "temporal.last_seen_ts")
+    reported = _lookup(candidate, "temporal.reported_missing_ts")
     if isinstance(last_seen, str) and isinstance(reported, str):
         a = parse_iso_timestamp(last_seen)
         b = parse_iso_timestamp(reported)
@@ -648,17 +758,9 @@ def _validate_cross_field(candidate: dict, add) -> None:
             da, db = a[0], b[0]
             comparable = (da.tzinfo is None) == (db.tzinfo is None)  # type: ignore[union-attr]
             if comparable and da > db:
-                add(
-                    "temporal.reported_missing_ts",
-                    OUT_OF_RANGE,
-                    "reported_missing_ts precedes last_seen_ts",
-                )
+                add("temporal.reported_missing_ts", "reported_missing_ts precedes last_seen_ts")
 
-    if get("provenance.extraction_path") == "rule":
-        repair_count = get("provenance.repair_count")
+    if _lookup(candidate, "provenance.extraction_path") == "rule":
+        repair_count = _lookup(candidate, "provenance.repair_count")
         if type(repair_count) is int and repair_count != 0:
-            add(
-                "provenance.repair_count",
-                OUT_OF_RANGE,
-                "rule-path records must have repair_count 0",
-            )
+            add("provenance.repair_count", "rule-path records must have repair_count 0")

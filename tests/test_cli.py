@@ -96,6 +96,21 @@ class TestRunConfig:
         assert a.digest() == b.digest()
         assert a.digest() != c.digest()
 
+    def test_digest_ignores_output_dir_and_bundled_location(self, tmp_path, monkeypatch):
+        a = RunConfig(input_dir=tmp_path, output_dir=tmp_path / "out")
+        b = RunConfig(input_dir=tmp_path, output_dir=tmp_path / "elsewhere")
+        digest = a.digest()
+        assert b.digest() == digest
+        monkeypatch.setattr(cli, "bundled_path", lambda *parts: tmp_path.joinpath("moved", *parts))
+        assert a.resolved_schema_path() == tmp_path / "moved" / "schema.jsonl"
+        assert a.digest() == digest
+        explicit = RunConfig(
+            input_dir=tmp_path, output_dir=tmp_path / "out", schema_path=tmp_path / "s.jsonl"
+        )
+        assert explicit.digest() != digest
+        rule_only = RunConfig(input_dir=tmp_path, output_dir=tmp_path / "out", paths_enabled="rule")
+        assert rule_only.digest() != digest
+
     def test_backend_param_parsing(self):
         assert cli._parse_params(["rate=0.1", "seed=7"]) == {"rate": "0.1", "seed": "7"}
         with pytest.raises(ConfigError, match="key=value"):
@@ -334,9 +349,7 @@ class TestExtractWarnings:
         assert by_doc["short"]["severity"] == "warning"
         assert by_doc["broken"]["code"] == "extraction_failed"
         assert by_doc["broken"]["severity"] == "error"
-        assert by_doc["broken"]["message"].startswith(
-            "all engines failed for broken: plaintext:"
-        )
+        assert by_doc["broken"]["message"].startswith("could not read broken: ")
 
 
 class TestColdStart:

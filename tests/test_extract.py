@@ -46,7 +46,7 @@ class TestExtractText:
         with pytest.raises(ExtractionFailure) as excinfo:
             extract_text(doc)
         assert excinfo.value.document_id == "broken"
-        assert str(excinfo.value).startswith("all engines failed for broken: plaintext: ")
+        assert str(excinfo.value).startswith("could not read broken: ")
 
 
 class TestPrenormalize:

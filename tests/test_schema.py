@@ -360,6 +360,23 @@ class TestValidate:
         assert isinstance(report.valid, bool)
 
 
+class TestCompiledPlan:
+    def test_plan_is_built_on_first_validate(self, tmp_path):
+        _SCHEMA.save(tmp_path / "schema.jsonl")
+        loaded = SchemaDefinition.load(tmp_path / "schema.jsonl")
+        assert "_validation_plan" not in loaded.__dict__
+        assert validate(minimal_valid_record(loaded), loaded).valid
+        assert "_validation_plan" in loaded.__dict__
+
+    def test_each_schema_uses_its_own_plan(self, schema):
+        narrow = schema.without_prefix("outcome")
+        record = minimal_valid_record(schema)
+        assert validate(record, schema).valid
+        assert validate(record, narrow).codes() == [("outcome", "unknown_key")]
+        assert validate(record, schema).valid
+        assert schema._validation_plan is not narrow._validation_plan
+
+
 class TestAssembleAndFlatten:
     def test_all_sections_present(self, schema):
         record = minimal_valid_record(schema)
