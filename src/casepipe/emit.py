@@ -27,7 +27,6 @@ from casepipe.schema import (
     KIND_SECTION,
     SchemaDefinition,
     assemble_record,
-    flatten_leaves,
 )
 
 STAGES = (
@@ -122,31 +121,57 @@ def flatten_record(record: Mapping[str, Any], schema: SchemaDefinition) -> dict[
 def _cells(record: Mapping[str, Any]) -> dict[str, str]:
     """flatten_record's cells: the leaves of flatten_leaves, formatted.
 
-    Scalars directly inside a section are formatted in place; only nested
-    lists and dicts go through flatten_leaves. An empty list or dict has no
-    cell, and clears one that an earlier key flattened onto the same path.
+    Strings, nulls and integers directly inside a section are formatted in
+    place, and so are those inside a list or map there (movement cues, field
+    origins and their triples); only other values and deeper nesting go
+    through _put_cells. An empty list or dict has no cell, and clears one
+    that an earlier key flattened onto the same path.
     """
     cells: dict[str, str] = {}
     for key, section in record.items():
         prefix = str(key)
         if isinstance(section, dict) and section and prefix:
-            fields = [(f"{prefix}.{name}", value) for name, value in section.items()]
+            for name, value in section.items():
+                path = f"{prefix}.{name}"
+                cls = value.__class__
+                if cls is str:
+                    cells[path] = value
+                elif value is None:
+                    cells[path] = ""
+                elif cls is int:
+                    cells[path] = str(value)
+                else:
+                    _put_cells(cells, path, value)
         else:
-            fields = [(prefix, section)]
-        for path, value in fields:
-            if value is None:
-                cells[path] = ""
-            elif value.__class__ is str:
-                cells[path] = value
-            elif not isinstance(value, (list, dict)):
-                cells[path] = _format_cell(value)
-            else:
-                for leaf_path, leaf in flatten_leaves(value, path).items():
-                    if isinstance(leaf, (list, dict)) and not leaf:
-                        cells.pop(leaf_path, None)
-                    else:
-                        cells[leaf_path] = _format_cell(leaf)
+            _put_cells(cells, prefix, section)
     return cells
+
+
+def _put_cells(cells: dict[str, str], path: str, value: Any) -> None:
+    """Write ``value``'s leaves under ``path``, named as flatten_leaves names
+    them (a child of the empty path is named by its key alone)."""
+    if not isinstance(value, (list, dict)):
+        cells[path] = _format_cell(value)
+        return
+    if not value:
+        cells.pop(path, None)
+        return
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for name, item in items:
+        item_path = f"{path}.{name}" if path else str(name)
+        cls = item.__class__
+        if cls is str:
+            cells[item_path] = item
+        elif cls is int:
+            cells[item_path] = str(item)
+        elif cls is list and item and item_path:
+            for index, leaf in enumerate(item):
+                if leaf.__class__ is int:
+                    cells[f"{item_path}.{index}"] = str(leaf)
+                else:
+                    _put_cells(cells, f"{item_path}.{index}", leaf)
+        else:
+            _put_cells(cells, item_path, item)
 
 
 def column_order(columns: Iterable[str], schema: SchemaDefinition) -> list[str]:

@@ -9,6 +9,12 @@ present. Missingness stays explicit: nothing here invents a fact, and a value
 that fails its transform becomes null with a warning rather than aborting the
 record.
 
+Each mapping table compiles a plan on first use, and again only when a call
+brings a different schema. For every source key it holds the target path,
+the transform function, the max-side sibling path and the integer or decimal
+kind a pass-through value is coerced to, so a call looks each key up once and
+builds no per-output dict.
+
 Unit conversions use exact integer arithmetic (half-up rounding) so results
 do not drift with float representation: inches x 2.54 -> whole centimeters,
 pounds x 0.45359237 -> whole kilograms.
@@ -83,6 +89,15 @@ class MappingTable:
     source_label: str
     rows: Mapping[str, tuple[str, str]]
     tz_default: str | None = None
+
+    def plan(self, schema: SchemaDefinition) -> dict[str, _Step]:
+        """Each row compiled against ``schema``; built on first use and kept
+        for the last schema given. Racing threads build equal plans."""
+        cached = self.__dict__.get("_plan")
+        if cached is None or cached[0] is not schema:
+            cached = (schema, _compile_plan(self, schema))
+            object.__setattr__(self, "_plan", cached)
+        return cached[1]
 
 
 @dataclass(frozen=True)
@@ -267,61 +282,100 @@ def _cue_values(raw: Any) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # Harmonization core
+#
+# Each transform takes (raw, target, sibling, tz_default, warn) and returns
+# its outputs as (path, value) pairs. ``sibling`` is the max-side path that
+# height and weight also fill; it is None when it would equal ``target``.
 
 
 def _sibling(path: str) -> str:
     return path.replace("_min_", "_max_")
 
 
-def _apply_transform(
-    transform: str,
-    raw: Any,
-    target: str,
-    tz_default: str | None,
-    warn: WarnFn,
-) -> dict[str, Any]:
-    if transform == TRANSFORM_TIMESTAMP:
-        result = normalize_timestamp(raw, tz_default) if isinstance(raw, str) else None
-        if result is None:
-            warn("unparseable_timestamp", f"{target}: cannot read {raw!r}")
-            return {target: None}
-        return {target: result[0]}
-    if transform == TRANSFORM_HEIGHT:
-        pair = normalize_height(raw)
+def _range_outputs(normalize: Callable[[Any], tuple[int, int] | None], code: str):
+    def outputs(raw, target, sibling, tz_default, warn):
+        pair = normalize(raw)
         if pair is None:
-            warn("unparseable_height", f"{target}: cannot read {raw!r}")
-            return {target: None, _sibling(target): None}
-        return {target: pair[0], _sibling(target): pair[1]}
-    if transform == TRANSFORM_WEIGHT:
-        pair = normalize_weight(raw)
-        if pair is None:
-            warn("unparseable_weight", f"{target}: cannot read {raw!r}")
-            return {target: None, _sibling(target): None}
-        return {target: pair[0], _sibling(target): pair[1]}
-    if transform == TRANSFORM_SEX:
-        value = _sex_value(raw) if isinstance(raw, str) else None
+            warn(code, f"{target}: cannot read {raw!r}")
+            pair = (None, None)
+        if sibling is None:
+            return ((target, pair[1]),)
+        return ((target, pair[0]), (sibling, pair[1]))
+
+    return outputs
+
+
+def _enum_outputs(read: Callable[[str], str | None]):
+    def outputs(raw, target, sibling, tz_default, warn):
+        value = read(raw) if isinstance(raw, str) else None
         if value is None:
             warn("bad_enum_value", f"{target}: cannot read {raw!r}")
-        return {target: value}
-    if transform == TRANSFORM_STATUS:
-        value = _status_value(raw) if isinstance(raw, str) else None
-        if value is None:
-            warn("bad_enum_value", f"{target}: cannot read {raw!r}")
-        return {target: value}
-    if transform == TRANSFORM_PLACE:
-        if not isinstance(raw, str) or not raw.strip():
-            return {}
-        city, state, postal = parse_place_parts(raw)
-        out: dict[str, Any] = {"spatial.last_seen_location": raw.strip()}
-        if city is not None:
-            out["spatial.city"] = city
-            out["spatial.state"] = state
-            if postal is not None:
-                out["spatial.postal_code"] = postal
-        return out
-    if transform == TRANSFORM_CUES:
-        return {target: _cue_values(raw)}
-    return {target: raw}
+        return ((target, value),)
+
+    return outputs
+
+
+def _timestamp_outputs(raw, target, sibling, tz_default, warn):
+    result = normalize_timestamp(raw, tz_default) if isinstance(raw, str) else None
+    if result is None:
+        warn("unparseable_timestamp", f"{target}: cannot read {raw!r}")
+        return ((target, None),)
+    return ((target, result[0]),)
+
+
+def _place_outputs(raw, target, sibling, tz_default, warn):
+    if not isinstance(raw, str) or not raw.strip():
+        return ()
+    city, state, postal = parse_place_parts(raw)
+    location = ("spatial.last_seen_location", raw.strip())
+    if city is None:
+        return (location,)
+    if postal is None:
+        return (location, ("spatial.city", city), ("spatial.state", state))
+    return (
+        location,
+        ("spatial.city", city),
+        ("spatial.state", state),
+        ("spatial.postal_code", postal),
+    )
+
+
+def _cue_outputs(raw, target, sibling, tz_default, warn):
+    return ((target, _cue_values(raw)),)
+
+
+# None marks "none", which the harmonize loop runs inline with its coercion.
+# A name not listed here, which only a hand-built table can carry, passes the
+# raw value through inline too, but uncoerced.
+_TRANSFORM_FNS: dict[str, Callable[..., tuple[tuple[str, Any], ...]] | None] = {
+    TRANSFORM_NONE: None,
+    TRANSFORM_TIMESTAMP: _timestamp_outputs,
+    TRANSFORM_HEIGHT: _range_outputs(normalize_height, "unparseable_height"),
+    TRANSFORM_WEIGHT: _range_outputs(normalize_weight, "unparseable_weight"),
+    TRANSFORM_SEX: _enum_outputs(_sex_value),
+    TRANSFORM_STATUS: _enum_outputs(_status_value),
+    TRANSFORM_PLACE: _place_outputs,
+    TRANSFORM_CUES: _cue_outputs,
+}
+
+# One mapping row, compiled: (target, transform name, transform function or
+# None, sibling path or None, integer/decimal kind to coerce to or None).
+_Step = tuple[str, str, Any, str | None, str | None]
+
+
+def _compile_plan(mappings: MappingTable, schema: SchemaDefinition) -> dict[str, _Step]:
+    plan: dict[str, _Step] = {}
+    for source_key, (target, transform) in mappings.rows.items():
+        sibling: str | None = _sibling(target)
+        if sibling == target:
+            sibling = None
+        coerce_kind = None
+        if transform == TRANSFORM_NONE:
+            entry = schema.entry(target)
+            if entry is not None and entry.kind in (KIND_INTEGER, KIND_DECIMAL):
+                coerce_kind = entry.kind
+        plan[source_key] = (target, transform, _TRANSFORM_FNS.get(transform), sibling, coerce_kind)
+    return plan
 
 
 def _coerce(value: Any, kind: str, path: str, warn: WarnFn) -> Any:
@@ -356,11 +410,14 @@ def _flatten_input(
         flat = {path: cand.raw_value for path, cand in source.candidates.items()}
     else:
         flat = flatten_leaves(dict(source))
-    # Group indexed keys (list elements) back into ordered lists.
+    # Group indexed keys (list elements) back into ordered lists. Only a key
+    # ending in a digit, or in a newline that ``$`` may stand before, can be
+    # one, so the pattern runs on those alone.
     grouped: dict[str, Any] = {}
     lists: dict[str, list[tuple[int, Any]]] = {}
     for key, value in flat.items():
-        m = _INDEXED_KEY_RE.match(key)
+        last = key[-1:]
+        m = _INDEXED_KEY_RE.match(key) if last.isdecimal() or last == "\n" else None
         if m is not None:
             lists.setdefault(m.group(1), []).append((int(m.group(2)), value))
         else:
@@ -385,6 +442,8 @@ def harmonize(
     and a source-key -> target-path trace so provenance can follow renames.
     """
     warn: WarnFn = on_warning if on_warning is not None else (lambda code, msg: None)
+    plan = mappings.plan(schema)
+    tz_default = mappings.tz_default
     flat = _flatten_input(source)
     values: dict[str, Any] = {}
     applied: list[tuple[str, str]] = []
@@ -393,25 +452,28 @@ def harmonize(
 
     for source_key in sorted(flat):
         raw = flat[source_key]
-        row = mappings.rows.get(source_key)
-        if row is None:
+        step = plan.get(source_key)
+        if step is None:
             if raw in (None, "", [], {}):
                 continue
             dropped.append((source_key, "unmapped_key"))
             warn("unmapped_key", f"no mapping for {source_key!r}; value dropped")
             continue
-        target, transform = row
+        target, transform, outputs_of, sibling, coerce_kind = step
         if raw is None:
             values.setdefault(target, None)
             continue
-        outputs = _apply_transform(transform, raw, target, mappings.tz_default, warn)
         applied.append((target, transform))
-        for out_path, out_value in outputs.items():
-            entry = schema.entry(out_path)
-            if entry is not None and transform in (TRANSFORM_NONE,):
-                out_value = _coerce(out_value, entry.kind, out_path, warn)
-            if out_path in values and values[out_path] is not None:
-                if out_value is not None and out_value != values[out_path]:
+        if outputs_of is None:
+            if coerce_kind is not None:
+                raw = _coerce(raw, coerce_kind, target, warn)
+            outputs: tuple[tuple[str, Any], ...] = ((target, raw),)
+        else:
+            outputs = outputs_of(raw, target, sibling, tz_default, warn)
+        for out_path, out_value in outputs:
+            current = values.get(out_path)
+            if current is not None:
+                if out_value is not None and out_value != current:
                     warn(
                         "duplicate_target",
                         f"{out_path}: already set; ignoring value from {source_key!r}",
@@ -420,7 +482,7 @@ def harmonize(
             values[out_path] = out_value
             trace.append((source_key, out_path))
 
-    _apply_defaults(values, mappings.tz_default)
+    _apply_defaults(values, tz_default)
     record = assemble_record(values, schema)
     return HarmonizedRecord(
         record=record,

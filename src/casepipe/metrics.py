@@ -100,8 +100,12 @@ def is_nullish(value: Any) -> bool:
 
 
 def get_path(record: Mapping[str, Any] | None, path: str) -> Any:
-    node: Any = record
-    for segment in path.split("."):
+    return _lookup(record, path.split("."))
+
+
+def _lookup(node: Any, segments: Sequence[str]) -> Any:
+    """get_path over a pre-split path."""
+    for segment in segments:
         # The exact-type test spares plain dicts typing's slow isinstance.
         if type(node) is not dict and not isinstance(node, abc.Mapping):
             return None
@@ -308,11 +312,18 @@ class _Tally:
     matches: int
 
 
-def _tally(alignment: AlignmentResult, plan: _ScoringPlan) -> _Tally:
-    """One walk over every gold-aligned slot, comparing each at most once."""
+def _tally(
+    alignment: AlignmentResult, plan: _ScoringPlan, coverage: _Coverage | None = None
+) -> _Tally:
+    """One walk over every gold-aligned slot, comparing each at most once.
+
+    With ``coverage``, the same walk also counts every parsed record into it.
+    """
     checks = plan.checks
     tp = fp = fn = slots = matches = 0
     for parsed_record, gold_record in alignment.pairs:
+        if coverage is not None:
+            coverage.add(parsed_record)
         for parsed_value, gold_value, (compare, weight) in zip(
             plan.values(parsed_record), plan.values(gold_record), checks
         ):
@@ -335,6 +346,8 @@ def _tally(alignment: AlignmentResult, plan: _ScoringPlan) -> _Tally:
                 fn += 1
                 slots += weight
     for parsed_record in alignment.unmatched_parsed:
+        if coverage is not None:
+            coverage.add(parsed_record)
         fp += sum(1 for value in plan.values(parsed_record) if value is not None)
     return _Tally(tp, fp, fn, slots, matches)
 
@@ -391,25 +404,81 @@ def structured_field_accuracy(
 # Coverage and rate metrics
 
 
+class _Coverage:
+    """Completeness and geocode counts, added up one parsed record at a time."""
+
+    __slots__ = (
+        "key_fields",
+        "key_paths",
+        "records",
+        "populated",
+        "needing",
+        "resolved",
+        "with_coords",
+        "plausible",
+    )
+
+    def __init__(self, key_fields: Sequence[str]) -> None:
+        self.key_fields = tuple(key_fields)
+        self.key_paths = [tuple(field.split(".")) for field in self.key_fields]
+        self.records = 0
+        self.populated = [0] * len(self.key_fields)
+        self.needing = self.resolved = self.with_coords = self.plausible = 0
+
+    def add(self, record: Mapping[str, Any]) -> None:
+        self.records += 1
+        populated = self.populated
+        for i, segments in enumerate(self.key_paths):
+            if not is_nullish(_lookup(record, segments)):
+                populated[i] += 1
+        # get_path(record, "spatial.<name>") for the four names, with the
+        # section looked up once.
+        spatial = _lookup(record, ("spatial",))
+        if type(spatial) is not dict and not isinstance(spatial, abc.Mapping):
+            spatial = {}
+        has_coords = spatial.get("lat") is not None and spatial.get("lon") is not None
+        if spatial.get("geocode_method") != "source_provided":
+            self.needing += 1
+            self.resolved += has_coords
+        if has_coords:
+            self.with_coords += 1
+            self.plausible += spatial.get("geocode_plausible") is True
+
+    def completeness(self, on_warning: WarnFn | None) -> tuple[float, dict[str, float]]:
+        count = self.records
+        if not count or not self.key_fields:
+            if on_warning is not None:
+                on_warning("degenerate_metric", "completeness over an empty sample")
+            return 0.0, {field: 0.0 for field in self.key_fields}
+        by_field = {field: n / count for field, n in zip(self.key_fields, self.populated)}
+        overall = sum(self.populated) / (count * len(self.key_fields))
+        return overall, by_field
+
+    def geocode_rates(self, on_warning: WarnFn | None) -> tuple[float, float]:
+        success = self.resolved / self.needing if self.needing else 1.0
+        if self.with_coords:
+            plausible = self.plausible / self.with_coords
+        else:
+            if on_warning is not None:
+                on_warning("degenerate_metric", "no records carry coordinates")
+            plausible = 0.0
+        return success, plausible
+
+
+def _coverage(records: Iterable[Mapping[str, Any]], key_fields: Sequence[str]) -> _Coverage:
+    coverage = _Coverage(key_fields)
+    for record in records:
+        coverage.add(record)
+    return coverage
+
+
 def completeness(
     records: Iterable[Mapping[str, Any]],
     key_fields: Sequence[str] = DEFAULT_KEY_FIELDS,
     on_warning: WarnFn | None = None,
 ) -> tuple[float, dict[str, float]]:
     """Fraction of (record, key field) slots that carry an answer."""
-    records = list(records)
-    if not records or not key_fields:
-        if on_warning is not None:
-            on_warning("degenerate_metric", "completeness over an empty sample")
-        return 0.0, {field: 0.0 for field in key_fields}
-    by_field = {}
-    populated_total = 0
-    for field in key_fields:
-        populated = sum(1 for r in records if not is_nullish(get_path(r, field)))
-        populated_total += populated
-        by_field[field] = populated / len(records)
-    overall = populated_total / (len(records) * len(key_fields))
-    return overall, by_field
+    return _coverage(records, key_fields).completeness(on_warning)
 
 
 def geocode_rates(
@@ -417,35 +486,7 @@ def geocode_rates(
     on_warning: WarnFn | None = None,
 ) -> tuple[float, float]:
     """(success among records needing geocoding, plausibility among coords)."""
-    records = list(records)
-    needing = [
-        r for r in records if get_path(r, "spatial.geocode_method") != "source_provided"
-    ]
-    having_coords = [
-        r
-        for r in records
-        if get_path(r, "spatial.lat") is not None
-        and get_path(r, "spatial.lon") is not None
-    ]
-    if needing:
-        resolved = sum(
-            1
-            for r in needing
-            if get_path(r, "spatial.lat") is not None
-            and get_path(r, "spatial.lon") is not None
-        )
-        success = resolved / len(needing)
-    else:
-        success = 1.0
-    if having_coords:
-        plausible = sum(
-            1 for r in having_coords if get_path(r, "spatial.geocode_plausible") is True
-        ) / len(having_coords)
-    else:
-        if on_warning is not None:
-            on_warning("degenerate_metric", "no records carry coordinates")
-        plausible = 0.0
-    return success, plausible
+    return _coverage(records, ()).geocode_rates(on_warning)
 
 
 def repair_stats(
@@ -544,17 +585,17 @@ def build_report(
     runtimes: Iterable[float] = (),
     on_warning: WarnFn | None = None,
 ) -> MetricsReport:
-    parsed = list(parsed)  # align copies each record; the coverage passes only read
     schema = schema if schema is not None else default_schema()
     if rules is None:
         rules = default_match_rules(schema)
     _require_rules(rules, scored_paths(schema))
     structured = structured_paths(schema)
-    tally = _tally(align(parsed, gold), _ScoringPlan(rules, structured))
+    coverage = _Coverage(key_fields)
+    tally = _tally(align(parsed, gold), _ScoringPlan(rules, structured), coverage)
     precision, recall, f1 = _prf(tally)
     accuracy = _accuracy(tally, on_warning)
-    overall, by_field = completeness(parsed, key_fields, on_warning)
-    success, plausible = geocode_rates(parsed, on_warning)
+    overall, by_field = coverage.completeness(on_warning)
+    success, plausible = coverage.geocode_rates(on_warning)
     pre, post, repaired = repair_stats(run_log, on_warning)
     runtime_values = list(runtimes)
     if runtime_values:
@@ -577,7 +618,7 @@ def build_report(
         repair_rate=repaired,
         runtime_mean_s=mean_s,
         runtime_p95_s=p95_s,
-        record_count=len(parsed),
+        record_count=coverage.records,
     )
 
 

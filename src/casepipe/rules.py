@@ -14,7 +14,9 @@ For a given field path the first match wins; later matches are dropped and
 reported through the warning callback. Every candidate keeps the character
 span of its capture within the segment so provenance can point back at the
 evidence verbatim. A trailing end-of-document sentinel (used by the synthetic
-corpus to park ground truth) is stripped before any pattern runs.
+corpus to park ground truth) is stripped before any pattern runs. Dispatch
+strips it and splits the lines once per segment; every line-scope rule and
+the movement-cue pass share that text.
 
 Narrative movement cues ("en route to Maryland or Delaware") are not label
 rules: a fixed cue pattern finds destination phrases in prose and fans the
@@ -144,19 +146,6 @@ def strip_sentinel(text: str) -> str:
     return text if index < 0 else text[:index]
 
 
-def _iter_matches(rule: LabelRule, text: str):
-    if rule.scope == SCOPE_LINE:
-        offset = 0
-        for line in text.split("\n"):
-            m = rule.compiled.search(line)
-            if m is not None:
-                yield m, offset
-            offset += len(line) + 1
-    else:
-        for m in rule.compiled.finditer(text):
-            yield m, 0
-
-
 def apply_rules(
     segment: CaseSegment,
     rules: Iterable[LabelRule],
@@ -165,14 +154,42 @@ def apply_rules(
 ) -> DraftRecord:
     """Run label rules over a segment; first match per field path wins."""
     text = strip_sentinel(segment.text)
-    draft = DraftRecord(source_label=source_label, segment_index=segment.segment_index)
+    return _apply(text, rules, source_label, segment.segment_index, on_warning)
+
+
+def _apply(
+    text: str,
+    rules: Iterable[LabelRule],
+    source_label: str,
+    segment_index: int,
+    on_warning: WarnFn | None,
+) -> DraftRecord:
+    """apply_rules on sentinel-free text, split into lines once for every
+    line-scope rule."""
+    lines = []
+    offset = 0
+    for line in text.split("\n"):
+        lines.append((line, offset))
+        offset += len(line) + 1
+    draft = DraftRecord(source_label=source_label, segment_index=segment_index)
+    candidates = draft.candidates
     for rule in rules:
-        for m, offset in _iter_matches(rule, text):
+        compiled = rule.compiled
+        if rule.scope == SCOPE_LINE:
+            search = compiled.search
+            matches = []
+            for line, offset in lines:
+                m = search(line)
+                if m is not None:
+                    matches.append((m, offset))
+        else:
+            matches = [(m, 0) for m in compiled.finditer(text)]
+        for m, offset in matches:
             raw = m.group(1)
             if raw is None or not raw.strip():
                 continue
             start, end = offset + m.start(1), offset + m.end(1)
-            existing = draft.candidates.get(rule.field_path)
+            existing = candidates.get(rule.field_path)
             if existing is not None:
                 if on_warning is not None:
                     on_warning(
@@ -181,7 +198,7 @@ def apply_rules(
                         f"offset {start}; keeping value from {existing.pattern_id}",
                     )
                 continue
-            draft.candidates[rule.field_path] = FieldCandidate(
+            candidates[rule.field_path] = FieldCandidate(
                 field_path=rule.field_path,
                 raw_value=raw.strip(),
                 pattern_id=rule.pattern_id,
@@ -249,8 +266,9 @@ def dispatch(
                 "registry rules",
             )
         rules = rulesets.get(FAMILY_REGISTRY, ())
-    draft = apply_rules(segment, rules, detection.source_label, on_warning)
+    text = strip_sentinel(segment.text)
+    draft = _apply(text, rules, detection.source_label, segment.segment_index, on_warning)
     if family == FAMILY_NARRATIVE:
-        for candidate in extract_movement_cues(strip_sentinel(segment.text)):
+        for candidate in extract_movement_cues(text):
             draft.candidates[candidate.field_path] = candidate
     return draft

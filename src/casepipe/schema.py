@@ -283,9 +283,15 @@ class SchemaDefinition:
         return tuple(steps)
 
     @cached_property
-    def _validation_plan(self) -> tuple[dict[str, _Check], tuple[str, ...]]:
-        """validate's checks by full path, and the required paths."""
-        return _compile_checks(self), tuple(self.required_paths())
+    def _validation_plan(self) -> tuple[dict[str, _Check], tuple[str, ...], tuple[_Check, ...]]:
+        """validate's checks by full path, the required paths, and the
+        cross-field rules whose paths this schema defines."""
+        cross_field = tuple(
+            rule
+            for paths, rule in _CROSS_FIELD_RULES
+            if all(path in self._by_path for path in paths)  # type: ignore[attr-defined]
+        )
+        return _compile_checks(self), tuple(self.required_paths()), cross_field
 
     @classmethod
     def from_records(cls, records: Iterable[Mapping[str, Any]]) -> "SchemaDefinition":
@@ -529,7 +535,8 @@ def validate(candidate: Any, schema: SchemaDefinition) -> ValidationReport:
     The schema is strict: keys with no schema entry are unknown_key
     violations. Cross-field consistency rules (min/max pairs, lat/lon
     pairing, timestamp ordering, rule-path repair count) report out_of_range
-    at the offending path. Violations come back ordered by (field_path, code);
+    at the offending path; a rule runs only where the schema defines every
+    path it reads. Violations come back ordered by (field_path, code);
     ties keep the order they were found in: required fields, then keys in
     dict order, then cross-field rules.
     """
@@ -537,7 +544,7 @@ def validate(candidate: Any, schema: SchemaDefinition) -> ValidationReport:
         return ValidationReport(
             False, (ValidationViolation("", WRONG_TYPE, "record must be an object"),)
         )
-    checks, required = schema._validation_plan
+    checks, required, cross_field = schema._validation_plan
     out: list[ValidationViolation] = []
     for path in required:
         if _lookup(candidate, path) is None:
@@ -552,7 +559,8 @@ def validate(candidate: Any, schema: SchemaDefinition) -> ValidationReport:
         elif value is not None:
             # Required sections are reported by the missing-required pass.
             check(value, out)
-    _validate_cross_field(candidate, out)
+    for rule in cross_field:
+        rule(candidate, out)
     if not out:
         return _VALID
     out.sort(key=_REPORT_ORDER)
@@ -724,31 +732,36 @@ def _leaf_check(entry: SchemaEntry) -> _Check:
     return check
 
 
-_MINMAX_PAIRS = (
-    ("demographic.age_min", "demographic.age_max"),
-    ("demographic.height_min_cm", "demographic.height_max_cm"),
-    ("demographic.weight_min_kg", "demographic.weight_max_kg"),
-)
+def _out_of_range(out: list, path: str, message: str) -> None:
+    out.append(ValidationViolation(path, OUT_OF_RANGE, message))
 
 
-def _validate_cross_field(candidate: dict, out: list) -> None:
-    def add(path: str, message: str) -> None:
-        out.append(ValidationViolation(path, OUT_OF_RANGE, message))
-
-    for min_path, max_path in _MINMAX_PAIRS:
+def _min_not_above_max(min_path: str, max_path: str) -> _Check:
+    def rule(candidate: dict, out: list) -> None:
         lo, hi = _lookup(candidate, min_path), _lookup(candidate, max_path)
         if type(lo) is int and type(hi) is int and lo > hi:
-            add(min_path, f"minimum {lo} exceeds maximum {hi}")
+            _out_of_range(out, min_path, f"minimum {lo} exceeds maximum {hi}")
 
+    return rule
+
+
+def _lat_lon_paired(candidate: dict, out: list) -> None:
     lat, lon = _lookup(candidate, "spatial.lat"), _lookup(candidate, "spatial.lon")
     if (lat is None) != (lon is None):
         path = "spatial.lat" if lat is None else "spatial.lon"
-        add(path, "lat and lon must both be set or both be null")
+        _out_of_range(out, path, "lat and lon must both be set or both be null")
 
-    method = _lookup(candidate, "spatial.geocode_method")
-    if method == "none" and isinstance(lat, (int, float)) and not isinstance(lat, bool):
-        add("spatial.geocode_method", "geocode_method is none but coordinates are set")
 
+def _no_coordinates_without_geocode(candidate: dict, out: list) -> None:
+    if _lookup(candidate, "spatial.geocode_method") == "none":
+        lat = _lookup(candidate, "spatial.lat")
+        if isinstance(lat, (int, float)) and not isinstance(lat, bool):
+            _out_of_range(
+                out, "spatial.geocode_method", "geocode_method is none but coordinates are set"
+            )
+
+
+def _reported_after_last_seen(candidate: dict, out: list) -> None:
     last_seen = _lookup(candidate, "temporal.last_seen_ts")
     reported = _lookup(candidate, "temporal.reported_missing_ts")
     if isinstance(last_seen, str) and isinstance(reported, str):
@@ -758,9 +771,33 @@ def _validate_cross_field(candidate: dict, out: list) -> None:
             da, db = a[0], b[0]
             comparable = (da.tzinfo is None) == (db.tzinfo is None)  # type: ignore[union-attr]
             if comparable and da > db:
-                add("temporal.reported_missing_ts", "reported_missing_ts precedes last_seen_ts")
+                _out_of_range(
+                    out, "temporal.reported_missing_ts", "reported_missing_ts precedes last_seen_ts"
+                )
 
+
+def _rule_path_unrepaired(candidate: dict, out: list) -> None:
     if _lookup(candidate, "provenance.extraction_path") == "rule":
         repair_count = _lookup(candidate, "provenance.repair_count")
         if type(repair_count) is int and repair_count != 0:
-            add("provenance.repair_count", "rule-path records must have repair_count 0")
+            _out_of_range(
+                out, "provenance.repair_count", "rule-path records must have repair_count 0"
+            )
+
+
+# Cross-field consistency rules, in the order validate runs them, each with
+# the paths it reads. A schema that lacks any of a rule's paths drops the rule.
+_CROSS_FIELD_RULES: tuple[tuple[tuple[str, ...], _Check], ...] = (
+    *(
+        ((lo, hi), _min_not_above_max(lo, hi))
+        for lo, hi in (
+            ("demographic.age_min", "demographic.age_max"),
+            ("demographic.height_min_cm", "demographic.height_max_cm"),
+            ("demographic.weight_min_kg", "demographic.weight_max_kg"),
+        )
+    ),
+    (("spatial.lat", "spatial.lon"), _lat_lon_paired),
+    (("spatial.geocode_method", "spatial.lat"), _no_coordinates_without_geocode),
+    (("temporal.last_seen_ts", "temporal.reported_missing_ts"), _reported_after_last_seen),
+    (("provenance.extraction_path", "provenance.repair_count"), _rule_path_unrepaired),
+)

@@ -6,6 +6,14 @@ highest distinct-marker count wins, with ties broken by lower priority value
 and then lexicographic label so detection is deterministic. No qualifying
 signature means the source is unknown; downstream routing decides what to do
 with that (model path when enabled, generic rules with a warning otherwise).
+
+Detection searches only while a signature can still win. Before a signature
+is searched, the score it needs is fixed: ``min_markers``, raised to the best
+score so far when its (priority, label) ranks ahead of the best on a tie, or
+to one more than that otherwise. The search stops at the first miss after
+which the markers left cannot reach that score. Any signature that could win
+is searched in full, so the result and its hits do not depend on the pruning
+or on the order of the signatures.
 """
 
 from __future__ import annotations
@@ -102,18 +110,32 @@ def load_signatures(path: str | Path) -> list[SourceSignature]:
 
 
 def detect_source(text: str, signatures: Iterable[SourceSignature]) -> DetectionResult:
-    """Pick the best-matching signature for a piece of document text."""
+    """Pick the best-matching signature for a piece of document text,
+    searching each only while it can still win (see the module docstring)."""
     best: tuple[int, int, str] | None = None
     best_result: DetectionResult | None = None
     for sig in signatures:
-        hits = sig.match(text)
-        score = len(hits)
-        if score < sig.min_markers:
+        patterns = sig._compiled  # type: ignore[attr-defined]
+        # The score needed to qualify and to rank ahead of the best so far;
+        # a tie on score goes to the lower (priority, label).
+        need = sig.min_markers
+        if best is not None:
+            beats_on_tie = (sig.priority, sig.source_label) < best[1:]
+            need = max(need, -best[0] if beats_on_tie else 1 - best[0])
+        left = len(patterns)
+        if left < need:
             continue
-        # Highest score first, then lowest priority value, then label.
-        rank = (-score, sig.priority, sig.source_label)
-        if best is None or rank < best:
-            best = rank
+        hits = []
+        for index, pattern in enumerate(patterns):
+            m = pattern.search(text)
+            left -= 1
+            if m is not None:
+                hits.append((index, m.start()))
+            elif len(hits) + left < need:
+                break
+        else:
+            score = len(hits)
+            best = (-score, sig.priority, sig.source_label)
             best_result = DetectionResult(
                 source_label=sig.source_label,
                 family=sig.family,
@@ -121,4 +143,3 @@ def detect_source(text: str, signatures: Iterable[SourceSignature]) -> Detection
                 score=score,
             )
     return best_result if best_result is not None else UNKNOWN_DETECTION
-

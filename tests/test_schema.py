@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from casepipe.config import ConfigError
+from casepipe.config import ConfigError, bundled_path
 from casepipe.schema import (
     ABSENT,
     PathSyntaxError,
@@ -375,6 +375,23 @@ class TestCompiledPlan:
         assert validate(record, narrow).codes() == [("outcome", "unknown_key")]
         assert validate(record, schema).valid
         assert schema._validation_plan is not narrow._validation_plan
+
+    def test_cross_field_rules_need_their_paths(self, schema):
+        # lat without lon breaks the pairing rule only where the schema
+        # defines both; elsewhere the dotted key is just unknown.
+        narrow = schema.without_prefix("spatial")
+        record = minimal_valid_record(narrow)
+        record["spatial.lat"] = 10.0
+        assert validate(record, narrow).codes() == [("spatial.lat", "unknown_key")]
+        record = minimal_valid_record(schema)
+        record["spatial"]["lat"] = 10.0
+        assert validate(record, schema).codes() == [("spatial.lon", "out_of_range")]
+
+
+def test_bundled_schema_file_equals_default_schema():
+    loaded = SchemaDefinition.load(bundled_path("schema.jsonl"))
+    assert loaded.entries == _SCHEMA.entries
+    assert loaded.records_text == _SCHEMA.records_text
 
 
 class TestAssembleAndFlatten:

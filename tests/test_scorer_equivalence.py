@@ -1,12 +1,13 @@
-"""Equivalence of the one-pass scorer with the two walks it replaces.
+"""Equivalence of the one-pass scorer with the walks it replaces.
 
 slot_counts and structured_field_accuracy once walked the gold-aligned slots
 separately, each looking every value up with get_path and comparing it with
-values_match. Those loops are kept here as the oracle. The one-pass tally
-must give the same counts, the same accuracy and the same report, warnings
-included, on record sets that also hold unmatched and anonymous records,
-sections that are not mappings, empty values, and rules for paths the schema
-does not have.
+values_match; completeness and geocode_rates walked the parsed records again,
+once per key field and per geocode test. Those loops are kept here as the
+oracle. The one-pass tally must give the same counts, the same accuracy, the
+same coverage rates and the same report, warnings included, on record sets
+that also hold unmatched and anonymous records, sections that are not
+mappings, empty values, and rules for paths the schema does not have.
 """
 
 import copy
@@ -136,15 +137,64 @@ def oracle_structured_field_accuracy(alignment, rules, paths, on_warning=None):
     return matches / slots
 
 
-def oracle_report(parsed, gold, rules, run_log, runtimes, on_warning):
+def oracle_completeness(records, key_fields, on_warning=None):
+    records = list(records)
+    if not records or not key_fields:
+        if on_warning is not None:
+            on_warning("degenerate_metric", "completeness over an empty sample")
+        return 0.0, {field: 0.0 for field in key_fields}
+    by_field = {}
+    populated_total = 0
+    for field in key_fields:
+        populated = sum(
+            1 for r in records if not _oracle_is_nullish(_oracle_get_path(r, field))
+        )
+        populated_total += populated
+        by_field[field] = populated / len(records)
+    overall = populated_total / (len(records) * len(key_fields))
+    return overall, by_field
+
+
+def oracle_geocode_rates(records, on_warning=None):
+    records = list(records)
+    get = _oracle_get_path
+    needing = [r for r in records if get(r, "spatial.geocode_method") != "source_provided"]
+    having_coords = [
+        r
+        for r in records
+        if get(r, "spatial.lat") is not None and get(r, "spatial.lon") is not None
+    ]
+    if needing:
+        resolved = sum(
+            1
+            for r in needing
+            if get(r, "spatial.lat") is not None and get(r, "spatial.lon") is not None
+        )
+        success = resolved / len(needing)
+    else:
+        success = 1.0
+    if having_coords:
+        plausible = sum(
+            1 for r in having_coords if get(r, "spatial.geocode_plausible") is True
+        ) / len(having_coords)
+    else:
+        if on_warning is not None:
+            on_warning("degenerate_metric", "no records carry coordinates")
+        plausible = 0.0
+    return success, plausible
+
+
+def oracle_report(
+    parsed, gold, rules, run_log, runtimes, on_warning, key_fields=DEFAULT_KEY_FIELDS
+):
     parsed = [dict(r) for r in parsed]
     alignment = align(parsed, gold)
     tp, fp, fn = oracle_slot_counts(alignment, rules)
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     accuracy = oracle_structured_field_accuracy(alignment, rules, STRUCTURED, on_warning)
-    overall, by_field = completeness(parsed, DEFAULT_KEY_FIELDS, on_warning)
-    success, plausible = geocode_rates(parsed, on_warning)
+    overall, by_field = oracle_completeness(parsed, key_fields, on_warning)
+    success, plausible = oracle_geocode_rates(parsed, on_warning)
     pre, post, repaired = repair_stats(run_log, on_warning)
     if runtimes:
         mean_s, p95_s = runtime_stats(runtimes)
@@ -320,14 +370,23 @@ _RUN_LOGS = st.lists(
 )
 
 
+# Key fields: defaults, paths the schema lacks, a path through a leaf, and
+# repeats, which count once per appearance in the overall rate.
+_KEY_FIELDS = st.just(DEFAULT_KEY_FIELDS) | st.lists(
+    st.sampled_from(DEFAULT_KEY_FIELDS + EXTRA_PATHS + ("spatial.lat", "case_id")),
+    max_size=5,
+)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     scoring_sets(),
     custom_rules(),
     _RUN_LOGS,
     st.lists(st.floats(0, 2), max_size=3),
+    _KEY_FIELDS,
 )
-def test_build_report_matches_the_oracle(sets, extra_rules, run_log, runtimes):
+def test_build_report_matches_the_oracle(sets, extra_rules, run_log, runtimes, key_fields):
     parsed, gold = sets
     # build_report needs a rule for every scored schema path; the drawn rules
     # add paths the schema lacks and may change the comparator of others.
@@ -338,6 +397,7 @@ def test_build_report_matches_the_oracle(sets, extra_rules, run_log, runtimes):
         gold,
         schema=SCHEMA,
         rules=rules,
+        key_fields=key_fields,
         run_log=run_log,
         runtimes=runtimes,
         on_warning=lambda c, m: warned.append((c, m)),
@@ -349,9 +409,45 @@ def test_build_report_matches_the_oracle(sets, extra_rules, run_log, runtimes):
         run_log,
         runtimes,
         lambda c, m: oracle_warned.append((c, m)),
+        key_fields,
     )
     assert json.dumps(report.as_dict(), sort_keys=True) == json.dumps(
         expected.as_dict(), sort_keys=True
+    )
+    assert warned == oracle_warned
+
+
+_GEO_VALUES = st.sampled_from((None, "", 0, 0.0, 39.1, True, False, "none", "source_provided"))
+
+
+@st.composite
+def geocoded_records(draw):
+    """Records whose spatial section is missing, not a mapping, or a mapping
+    holding any mix of the four fields geocode_rates reads."""
+    record = draw(messy_records())
+    if draw(st.booleans()):
+        record["spatial"] = draw(
+            _NOT_A_SECTION
+            | st.fixed_dictionaries(
+                {},
+                optional={
+                    name: _GEO_VALUES
+                    for name in ("lat", "lon", "geocode_method", "geocode_plausible")
+                },
+            )
+        )
+    return record
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(geocoded_records() | records(), max_size=6), _KEY_FIELDS)
+def test_coverage_matches_the_oracle(parsed, key_fields):
+    warned, oracle_warned = [], []
+    assert completeness(parsed, key_fields, lambda c, m: warned.append(m)) == (
+        oracle_completeness(parsed, key_fields, lambda c, m: oracle_warned.append(m))
+    )
+    assert geocode_rates(parsed, lambda c, m: warned.append(m)) == oracle_geocode_rates(
+        parsed, lambda c, m: oracle_warned.append(m)
     )
     assert warned == oracle_warned
 

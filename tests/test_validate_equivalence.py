@@ -102,7 +102,7 @@ def _oracle_validate(candidate, schema):
         else:
             _oracle_node(str(key), value, schema, add)
 
-    _oracle_cross_field(candidate, add)
+    _oracle_cross_field(candidate, add, schema)
 
     ordered = tuple(sorted(violations, key=lambda v: (v.field_path, v.code)))
     return ValidationReport(not ordered, ordered)
@@ -204,28 +204,43 @@ _MINMAX_PAIRS = (
 )
 
 
-def _oracle_cross_field(candidate, add):
+def _oracle_cross_field(candidate, add, schema):
+    """The hard-coded rules; a rule is skipped when the schema lacks one of
+    the paths it reads, which on the default schema skips none."""
+
     def get(path):
         value = _resolve(candidate, path.split("."))
         return None if value is ABSENT else value
 
+    def defined(*paths):
+        return all(schema.has_path(path) for path in paths)
+
     for min_path, max_path in _MINMAX_PAIRS:
         lo, hi = get(min_path), get(max_path)
-        if type(lo) is int and type(hi) is int and lo > hi:
+        if defined(min_path, max_path) and type(lo) is int and type(hi) is int and lo > hi:
             add(min_path, OUT_OF_RANGE, f"minimum {lo} exceeds maximum {hi}")
 
     lat, lon = get("spatial.lat"), get("spatial.lon")
-    if (lat is None) != (lon is None):
+    if defined("spatial.lat", "spatial.lon") and (lat is None) != (lon is None):
         path = "spatial.lat" if lat is None else "spatial.lon"
         add(path, OUT_OF_RANGE, "lat and lon must both be set or both be null")
 
     method = get("spatial.geocode_method")
-    if method == "none" and isinstance(lat, (int, float)) and not isinstance(lat, bool):
+    if (
+        defined("spatial.geocode_method", "spatial.lat")
+        and method == "none"
+        and isinstance(lat, (int, float))
+        and not isinstance(lat, bool)
+    ):
         add("spatial.geocode_method", OUT_OF_RANGE, "geocode_method is none but coordinates are set")
 
     last_seen = get("temporal.last_seen_ts")
     reported = get("temporal.reported_missing_ts")
-    if isinstance(last_seen, str) and isinstance(reported, str):
+    if (
+        defined("temporal.last_seen_ts", "temporal.reported_missing_ts")
+        and isinstance(last_seen, str)
+        and isinstance(reported, str)
+    ):
         a = parse_iso_timestamp(last_seen)
         b = parse_iso_timestamp(reported)
         if a and b and a[1] == "datetime" and b[1] == "datetime":
@@ -238,7 +253,10 @@ def _oracle_cross_field(candidate, add):
                     "reported_missing_ts precedes last_seen_ts",
                 )
 
-    if get("provenance.extraction_path") == "rule":
+    if (
+        defined("provenance.extraction_path", "provenance.repair_count")
+        and get("provenance.extraction_path") == "rule"
+    ):
         repair_count = get("provenance.repair_count")
         if type(repair_count) is int and repair_count != 0:
             add("provenance.repair_count", OUT_OF_RANGE, "rule-path records must have repair_count 0")
