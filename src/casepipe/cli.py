@@ -11,9 +11,18 @@ Outputs land in the run's output directory: cases_rule.jsonl/csv and
 cases_llm.jsonl/csv (per enabled path), warnings.jsonl, run_summary.json,
 and, when a gold file is given, metrics_<path>.json plus report.txt.
 
+Documents run one after another on the calling thread, every stage
+included. Only backend exchanges leave it, and only for a backend that waits
+on I/O (``wire``): at most --max-in-flight exchanges, repairs included, run
+on that many threads while the calling thread builds the next requests and
+finishes earlier records. The in-process test doubles are called inline, so
+with them, as on the rule path alone, a run starts no thread.
+
 Records are emitted sorted by case_id and the warning log is saved in a
-stable order, so a rule-path run is byte-reproducible for a fixed
---ingest-ts regardless of worker count.
+stable order, so for a fixed --ingest-ts a run is byte-reproducible at any
+--max-in-flight: the in-process doubles see their calls in document order
+every time, and over ``wire`` it holds whenever each answer depends only on
+its request.
 """
 
 from __future__ import annotations
@@ -22,11 +31,12 @@ import argparse
 import hashlib
 import json
 import sys
+from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 
 from casepipe import emit
 from casepipe.config import ConfigError, bundled_path, read_jsonl
@@ -47,6 +57,7 @@ from casepipe.llm import (
     TIER_EXTRACT,
     BackendError,
     BackendRequest,
+    BackendResponse,
     CandidateParseError,
     build_extraction_prompt,
     call_backend,
@@ -56,10 +67,15 @@ from casepipe.llm import (
 )
 from casepipe.rules import DraftRecord, dispatch, load_rulesets
 from casepipe.schema import SchemaDefinition, parse_iso_timestamp, validate
-from casepipe.sources import UNKNOWN_LABEL, detect_source, load_signatures
+from casepipe.sources import UNKNOWN_LABEL, DetectionResult, detect_source, load_signatures
 
 if TYPE_CHECKING:
     from casepipe import metrics
+
+    # A backend exchange's response, or the failure it ended in, and the
+    # seconds it took where it ran.
+    _Exchanged = tuple[BackendResponse | BackendError, float]
+    _Exchange = Callable[[BackendRequest], _Exchanged]
 
 PATH_CHOICES = ("rule", "llm", "both")
 BACKEND_CHOICES = ("wire", "oracle", "dropout_oracle", "invalid_then_fix", "never_fix")
@@ -210,6 +226,23 @@ class _DocumentResult:
     llm_log: list[dict] = field(default_factory=list)
     rule_runtimes: list[tuple[str, float]] = field(default_factory=list)
     llm_runtimes: list[tuple[str, float]] = field(default_factory=list)
+
+
+@dataclass
+class _LlmJob:
+    """One segment's llm-path record between its request and its finish."""
+
+    result: _DocumentResult
+    case_id: str
+    detection: DetectionResult
+    engine: str
+    request: BackendRequest
+    build_s: float
+
+
+# Extraction requests submitted ahead of the record being finished, per
+# backend slot: enough that a freed slot finds the next request queued.
+_LOOKAHEAD = 2
 
 
 class _Pipeline:
@@ -370,11 +403,9 @@ class _Pipeline:
         )
         result.rule_runtimes.append((case_id, perf_counter() - started))
 
-    def _run_llm_path(
+    def _llm_request(
         self, result: _DocumentResult, segment, detection, case_id: str, engine: str
-    ) -> None:
-        assert self.backend is not None
-        for_stage, warned = self._sink(result.document_id, case_id)
+    ) -> _LlmJob:
         started = perf_counter()
         prompt = build_extraction_prompt(
             segment.text, self.schema, budget_chars=self.config.budget_chars
@@ -385,22 +416,53 @@ class _Pipeline:
             timeout_s=DEFAULT_TIMEOUT_S,
             request_id=f"{case_id}:extract",
         )
+        return _LlmJob(
+            result, case_id, detection, engine, request, perf_counter() - started
+        )
+
+    def _finish_llm(
+        self, job: _LlmJob, extracted: _Exchanged, exchange: _Exchange
+    ) -> None:
+        """Finish a record from its extraction exchange, sending each repair
+        exchange through ``exchange``.
+
+        The record's runtime is its own stages plus its own exchanges; time
+        its exchanges spent queued behind other records' is not counted.
+        """
+        assert self.backend is not None
+        started = perf_counter()
+        response, spent = extracted
+        waited = 0.0
+        result, case_id = job.result, job.case_id
+        for_stage, warned = self._sink(result.document_id, case_id)
+
+        def repair_exchange(request: BackendRequest) -> BackendResponse:
+            nonlocal spent, waited
+            asked = perf_counter()
+            outcome, seconds = exchange(request)
+            waited += perf_counter() - asked
+            spent += seconds
+            if isinstance(outcome, BackendError):
+                raise outcome
+            return outcome
+
+        def done() -> None:
+            own = job.build_s + spent + perf_counter() - started - waited
+            result.llm_runtimes.append((case_id, own))
+
+        if isinstance(response, BackendError):
+            for_stage("parse", "error")("backend_error", str(response))
+            return done()
         try:
-            response = call_backend(request, self.backend)
             candidate = sanitize_candidate(
                 response.text, self.schema, on_warning=for_stage("sanitize")
             )
-        except BackendError as exc:
-            for_stage("parse", "error")("backend_error", str(exc))
-            result.llm_runtimes.append((case_id, perf_counter() - started))
-            return
         except CandidateParseError as exc:
             for_stage("sanitize", "error")("candidate_parse_error", str(exc))
-            result.llm_runtimes.append((case_id, perf_counter() - started))
-            return
+            return done()
         harmonized = harmonize(
             candidate,
-            self._identity_for(detection.source_label),
+            self._identity_for(job.detection.source_label),
             self.schema,
             on_warning=for_stage("harmonize"),
         )
@@ -408,8 +470,8 @@ class _Pipeline:
         self._stamp(
             record,
             case_id=case_id,
-            detection=detection,
-            engine_used=engine,
+            detection=job.detection,
+            engine_used=job.engine,
             document_id=result.document_id,
             extraction_path="llm",
             field_origins={},
@@ -423,6 +485,7 @@ class _Pipeline:
             max_attempts=self.config.max_repair_attempts,
             on_warning=for_stage("repair"),
             request_prefix=f"{case_id}:repair",
+            exchange=repair_exchange,
         )
         pre_valid = outcome.attempts == 0 and outcome.passed
         record = outcome.record
@@ -449,13 +512,19 @@ class _Pipeline:
             for_stage("emit", "error")(
                 "record_withheld", "record failed validation and was not emitted"
             )
-        result.llm_runtimes.append((case_id, perf_counter() - started))
+        done()
 
     # -- per-document ------------------------------------------------------
 
-    def process_document(self, path: Path) -> _DocumentResult:
+    def _document_jobs(
+        self, path: Path, results: list[_DocumentResult]
+    ) -> Iterator[_LlmJob]:
+        """Extract, split and detect one document and run each segment's
+        rule path, appending the document's result; yield each segment's
+        llm request."""
         document_id = path.stem
         result = _DocumentResult(document_id=document_id)
+        results.append(result)
         try:
             extracted = extract_text(SourceDocument(document_id=document_id, path=path))
         except ExtractionFailure as exc:
@@ -466,7 +535,7 @@ class _Pipeline:
                 code="extraction_failed",
                 message=str(exc),
             )
-            return result
+            return
         if not extracted.quality_ok:
             self.warning_log.log(
                 document_id=document_id,
@@ -498,10 +567,61 @@ class _Pipeline:
                     result, segment, detection, case_id, extracted.engine_used
                 )
             if self.llm_enabled:
-                self._run_llm_path(
+                yield self._llm_request(
                     result, segment, detection, case_id, extracted.engine_used
                 )
-        return result
+
+    def process(self, files: Sequence[Path]) -> list[_DocumentResult]:
+        """Run every document on the calling thread, in order.
+
+        Only backend exchanges leave it, and only for a backend that waits
+        on I/O: they go to ``max_in_flight`` threads, extraction requests up
+        to ``_LOOKAHEAD`` × ``max_in_flight`` segments ahead of the record
+        being finished, so the next requests are queued while earlier ones
+        wait. Any other backend is called inline, and an empty run starts
+        no thread.
+        """
+        results: list[_DocumentResult] = []
+        jobs = (job for path in files for job in self._document_jobs(path, results))
+        backend = self.backend
+        if backend is None or not backend.waits_on_io or not files:
+
+            def inline(request: BackendRequest) -> _Exchanged:
+                return _exchange(request, backend)
+
+            for job in jobs:
+                self._finish_llm(job, inline(job.request), inline)
+            return results
+
+        from concurrent.futures import ThreadPoolExecutor  # deferred: cold starts skip it
+
+        in_flight = self.config.max_in_flight
+        with ThreadPoolExecutor(max_workers=in_flight) as pool:
+
+            def pooled(request: BackendRequest) -> _Exchanged:
+                return pool.submit(_exchange, request, backend).result()
+
+            window: deque = deque()
+            for job in jobs:
+                window.append((job, pool.submit(_exchange, job.request, backend)))
+                if len(window) > _LOOKAHEAD * in_flight:
+                    job, future = window.popleft()
+                    self._finish_llm(job, future.result(), pooled)
+            while window:
+                job, future = window.popleft()
+                self._finish_llm(job, future.result(), pooled)
+        return results
+
+
+def _exchange(request: BackendRequest, backend) -> _Exchanged:
+    """One backend exchange and the seconds it took where it ran; a
+    failure is returned, for the calling thread to log."""
+    started = perf_counter()
+    try:
+        outcome: BackendResponse | BackendError = call_backend(request, backend)
+    except BackendError as exc:
+        outcome = exc
+    return outcome, perf_counter() - started
 
 
 def _runtime_block(samples: list[tuple[str, float]]) -> dict[str, Any]:
@@ -535,15 +655,7 @@ def run(config: RunConfig) -> RunSummary:
     """Process every document under the config and write all run artifacts."""
     pipeline = _Pipeline(config)
     files = sorted(config.input_dir.glob("*.txt"))
-    results: list[_DocumentResult] = []
-    if config.max_in_flight == 1 or len(files) <= 1:
-        for path in files:
-            results.append(pipeline.process_document(path))
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # deferred: cold starts skip it
-
-        with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
-            results = list(pool.map(pipeline.process_document, files))
+    results = pipeline.process(files)
 
     output_dir = config.output_dir
     output_dir.mkdir(parents=True, exist_ok=True)

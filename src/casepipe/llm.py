@@ -385,8 +385,13 @@ def repair_loop(
     sleep: Callable[[float], None] = time.sleep,
     request_prefix: str = "repair",
     timeout_s: float = DEFAULT_TIMEOUT_S,
+    exchange: Callable[[BackendRequest], BackendResponse] | None = None,
 ) -> RepairOutcome:
-    """Validator-guided, minimal-edit repair with a hard attempt bound."""
+    """Validator-guided, minimal-edit repair with a hard attempt bound.
+
+    Each attempt's backend exchange is ``call_backend`` unless ``exchange``
+    is given, which lets a caller send it wherever its other exchanges go.
+    """
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
     warn: WarnFn = on_warning if on_warning is not None else (lambda code, msg: None)
@@ -404,7 +409,10 @@ def repair_loop(
             request_id=f"{request_prefix}:{attempt}",
         )
         try:
-            response = call_backend(request, backend, sleep=sleep)
+            if exchange is None:
+                response = call_backend(request, backend, sleep=sleep)
+            else:
+                response = exchange(request)
             candidate = sanitize_candidate(response.text, schema, on_warning)
         except (BackendError, CandidateParseError) as exc:
             warn("repair_attempt_failed", f"attempt {attempt}: {exc}")
@@ -446,9 +454,15 @@ def read_gold_marker(text: str) -> dict[str, Any] | None:
 
 
 class _CountingBackend:
-    """Base backend with a thread-safe per-tier call counter."""
+    """Base backend with a thread-safe per-tier call counter.
+
+    ``waits_on_io`` says whether ``generate`` waits on something outside
+    the process; only then can exchanges overlap usefully, so only then
+    does a run send them to threads.
+    """
 
     label = "backend"
+    waits_on_io = False
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -529,7 +543,9 @@ class InvalidThenFixBackend(_CountingBackend):
 
     The corruption (age_years = 999) is schema-invalid but harmless, and the
     fix is the minimal legal edit, so pre/post pass rates and the repair rate
-    come out exact when calls are sequential.
+    come out exact. Which extractions are corrupted follows the order calls
+    arrive in; a run calls this in-process double inline, in document
+    order, so the choice is the same at any ``--max-in-flight``.
     """
 
     label = "invalid_then_fix"
@@ -585,6 +601,7 @@ class WireBackend(_CountingBackend):
     """
 
     label = "wire"
+    waits_on_io = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -615,6 +632,8 @@ class WireBackend(_CountingBackend):
         except TimeoutError as exc:
             raise BackendTimeout(str(exc)) from exc
         except (urllib.error.URLError, OSError, ValueError) as exc:
+            if isinstance(exc, urllib.error.HTTPError):
+                exc.close()  # it holds the error response and its socket
             raise BackendTransportError(str(exc)) from exc
         if not isinstance(body, dict) or "text" not in body:
             raise BackendTransportError("response body lacks a text field")
