@@ -66,7 +66,7 @@ from casepipe.llm import (
     sanitize_candidate,
 )
 from casepipe.rules import DraftRecord, dispatch, load_rulesets
-from casepipe.schema import SchemaDefinition, parse_iso_timestamp, validate
+from casepipe.schema import SchemaDefinition, default_schema, parse_iso_timestamp, validate
 from casepipe.sources import UNKNOWN_LABEL, DetectionResult, detect_source, load_signatures
 
 if TYPE_CHECKING:
@@ -245,13 +245,18 @@ class _LlmJob:
 _LOOKAHEAD = 2
 
 
+def _load_schema(path: Path | None) -> SchemaDefinition:
+    """The schema file at ``path``; without one, the shared bundled schema."""
+    return default_schema() if path is None else SchemaDefinition.load(path)
+
+
 class _Pipeline:
     """Loaded resources plus the per-document and per-segment steps."""
 
     def __init__(self, config: RunConfig):
         config.check_paths()
         self.config = config
-        self.schema = SchemaDefinition.load(config.resolved_schema_path())
+        self.schema = _load_schema(config.schema_path)
         self.signatures = load_signatures(config.resolved_signatures_path())
         self.rulesets = load_rulesets(config.resolved_rulesets_dir())
         self.mappings = load_mapping_dir(config.resolved_mappings_dir())
@@ -771,18 +776,17 @@ def evaluate_outputs(
 def evaluate(config: RunConfig) -> dict[str, metrics.MetricsReport]:
     if config.gold_path is None:
         raise ConfigError("evaluation needs a gold file (--gold)")
-    schema = SchemaDefinition.load(config.resolved_schema_path())
-
-    def _warn(code: str, message: str) -> None:
-        print(f"eval: {code}: {message}", file=sys.stderr)
-
     return evaluate_outputs(
         config.output_dir,
         config.gold_path,
-        schema,
+        _load_schema(config.schema_path),
         config_digest=config.digest(),
-        on_warning=_warn,
+        on_warning=_print_eval_warning,
     )
+
+
+def _print_eval_warning(code: str, message: str) -> None:
+    print(f"eval: {code}: {message}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -906,15 +910,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    schema_path = args.schema or bundled_path("schema.jsonl")
-    if not schema_path.is_file():
-        raise ConfigError(f"schema file does not exist: {schema_path}")
-    schema = SchemaDefinition.load(schema_path)
-
-    def _warn(code: str, message: str) -> None:
-        print(f"eval: {code}: {message}", file=sys.stderr)
-
-    evaluate_outputs(args.output, args.gold, schema, on_warning=_warn)
+    schema = _load_schema(args.schema)
+    evaluate_outputs(args.output, args.gold, schema, on_warning=_print_eval_warning)
     print((args.output / "report.txt").read_text(encoding="utf-8"))
     return 0
 

@@ -660,4 +660,9 @@ def make_backend(name: str, params: dict[str, Any] | None = None) -> _CountingBa
     if factory is None:
         known = ", ".join(sorted(_BACKENDS))
         raise ConfigError(f"unknown backend {name!r} (known: {known})")
-    return factory(params or {})
+    try:
+        return factory(params or {})
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"backend {name!r}: {exc}") from exc

@@ -114,15 +114,13 @@ def _lookup(node: Any, segments: Sequence[str]) -> Any:
 
 
 def scored_paths(schema: SchemaDefinition) -> tuple[str, ...]:
-    paths = []
-    for rec in schema.to_records():
-        path = rec["field_path"]
-        if rec["kind"] == KIND_SECTION:
-            continue
-        if path.startswith("provenance.") or path in _UNSCORED_PROSE:
-            continue
-        paths.append(path)
-    return tuple(paths)
+    return tuple(
+        entry.field_path
+        for entry in schema.entries
+        if entry.kind != KIND_SECTION
+        and not entry.field_path.startswith("provenance.")
+        and entry.field_path not in _UNSCORED_PROSE
+    )
 
 
 def structured_paths(schema: SchemaDefinition) -> tuple[str, ...]:
@@ -134,19 +132,18 @@ def structured_paths(schema: SchemaDefinition) -> tuple[str, ...]:
 def default_match_rules(schema: SchemaDefinition) -> dict[str, MatchRule]:
     scored = set(scored_paths(schema))
     rules = {}
-    for rec in schema.to_records():
-        path = rec["field_path"]
-        if path not in scored:
+    for entry in schema.entries:
+        if entry.field_path not in scored:
             continue
-        if rec.get("pattern") == ISO_TIMESTAMP:
+        if entry.pattern == ISO_TIMESTAMP:
             comparator = COMPARATOR_TIMESTAMP
-        elif rec["kind"] == KIND_LIST:
+        elif entry.kind == KIND_LIST:
             comparator = COMPARATOR_SET
-        elif rec["kind"] in (KIND_INTEGER, KIND_DECIMAL, KIND_BOOLEAN):
+        elif entry.kind in (KIND_INTEGER, KIND_DECIMAL, KIND_BOOLEAN):
             comparator = COMPARATOR_NUMERIC
         else:
             comparator = COMPARATOR_EXACT
-        rules[path] = MatchRule(path, comparator)
+        rules[entry.field_path] = MatchRule(entry.field_path, comparator)
     return rules
 
 

@@ -1,9 +1,12 @@
 """Case record schema: definition, path resolution, and validation.
 
-The schema is data, not code. ``default_schema()`` builds the canonical
-definition; the same definition ships as ``data/schema.jsonl`` and can be
-loaded from any file in that format, so deployments can evolve the record
-shape without touching the validator.
+The schema is data, not code. The record shape is defined once, in the
+bundled ``data/schema.jsonl``; ``default_schema()`` loads it on first use
+and shares it. Any file in that format can stand in for it, so deployments
+can evolve the record shape without touching the validator. Only the
+cross-field consistency rules live here in code, and each runs only where
+the schema defines every path it reads. This module alone knows the file's
+row format; everything else reads ``SchemaDefinition.entries``.
 
 A record is a nested dict of plain JSON types. Fields are addressed by dot
 paths ("demographic.name", "narrative_osint.movement_cues.0"). Missingness is
@@ -25,12 +28,12 @@ import json
 import re
 from dataclasses import dataclass, field
 from datetime import date, datetime
-from functools import cached_property
+from functools import cache, cached_property
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
 
-from casepipe.config import ConfigError, read_jsonl, write_jsonl
+from casepipe.config import ConfigError, bundled_path, read_jsonl, write_jsonl
 
 # Field kinds a schema entry may declare.
 KIND_STRING = "string"
@@ -72,26 +75,17 @@ VIOLATION_CODES = (
 # Timestamp fields get the bad_timestamp code instead of bad_pattern.
 ISO_TIMESTAMP = "<iso8601>"
 
-# Plausibility bounds shared with harmonization.
-AGE_RANGE = (0, 120)
+# Values other modules check against without a schema at hand. Each equals
+# its entry's enum_values or range in data/schema.jsonl; a test pins them.
 HEIGHT_RANGE_CM = (30, 250)
 WEIGHT_RANGE_KG = (1, 400)
 LAT_RANGE = (-90.0, 90.0)
 LON_RANGE = (-180.0, 180.0)
-
 SEX_VALUES = ("female", "male", "unknown")
 STATUS_VALUES = ("missing", "located", "deceased", "unknown")
-GEOCODE_METHODS = ("source_provided", "gazetteer", "none")
 SOURCE_FAMILIES = ("registry_form", "bulletin", "narrative_profile", "unknown")
-EXTRACTION_PATHS = ("rule", "llm")
-ENGINES = ("layout", "basic", "ocr", "plaintext")
 
 _PATH_RE = re.compile(r"^[^.\s]+(?:\.[^.\s]+)*$")
-_TZ_PATTERN = (
-    r"^(?:UTC|[+-](?:0\d|1[0-4]):[0-5]\d|"
-    r"[A-Za-z]+(?:[_-][A-Za-z]+)*(?:/[A-Za-z0-9_.+-]+)+)$"
-)
-_NONBLANK_PATTERN = r"^\S(?:.*\S)?$"
 
 # assemble_record's step kind for a section with a key pattern (an open map).
 _OPEN_MAP = "open_map"
@@ -327,60 +321,11 @@ def _parent_path(path: str) -> str | None:
     return path.rsplit(".", 1)[0]
 
 
+@cache
 def default_schema() -> SchemaDefinition:
-    """The canonical case record shape."""
-    e = SchemaEntry
-    entries = (
-        e("case_id", KIND_STRING, required=True, pattern=r"\S"),
-        e("demographic", KIND_SECTION, required=True),
-        e("demographic.name", KIND_STRING),
-        e("demographic.sex", KIND_ENUM, enum_values=SEX_VALUES),
-        e("demographic.age_years", KIND_INTEGER, numeric_range=AGE_RANGE),
-        e("demographic.age_min", KIND_INTEGER, numeric_range=AGE_RANGE),
-        e("demographic.age_max", KIND_INTEGER, numeric_range=AGE_RANGE),
-        e("demographic.height_min_cm", KIND_INTEGER, numeric_range=HEIGHT_RANGE_CM),
-        e("demographic.height_max_cm", KIND_INTEGER, numeric_range=HEIGHT_RANGE_CM),
-        e("demographic.weight_min_kg", KIND_INTEGER, numeric_range=WEIGHT_RANGE_KG),
-        e("demographic.weight_max_kg", KIND_INTEGER, numeric_range=WEIGHT_RANGE_KG),
-        e("demographic.race_ethnicity", KIND_STRING),
-        e("spatial", KIND_SECTION, required=True),
-        e("spatial.last_seen_location", KIND_STRING),
-        e("spatial.city", KIND_STRING),
-        e("spatial.county", KIND_STRING),
-        e("spatial.state", KIND_STRING),
-        e("spatial.postal_code", KIND_STRING, pattern=r"^\d{5}(?:-\d{4})?$"),
-        e("spatial.lat", KIND_DECIMAL, numeric_range=LAT_RANGE),
-        e("spatial.lon", KIND_DECIMAL, numeric_range=LON_RANGE),
-        e("spatial.geocode_method", KIND_ENUM, enum_values=GEOCODE_METHODS),
-        e("spatial.geocode_plausible", KIND_BOOLEAN),
-        e("temporal", KIND_SECTION, required=True),
-        e("temporal.last_seen_ts", KIND_STRING, pattern=ISO_TIMESTAMP),
-        e("temporal.reported_missing_ts", KIND_STRING, pattern=ISO_TIMESTAMP),
-        e("temporal.timezone", KIND_STRING, pattern=_TZ_PATTERN),
-        e("narrative_osint", KIND_SECTION, required=True),
-        e("narrative_osint.circumstances", KIND_STRING),
-        e("narrative_osint.clothing_description", KIND_STRING),
-        e("narrative_osint.distinctive_features", KIND_STRING),
-        e("narrative_osint.movement_cues", KIND_LIST, pattern=_NONBLANK_PATTERN),
-        e("outcome", KIND_SECTION, required=True),
-        e("outcome.status", KIND_ENUM, enum_values=STATUS_VALUES),
-        e("outcome.status_ts", KIND_STRING, pattern=ISO_TIMESTAMP),
-        e("provenance", KIND_SECTION, required=True),
-        e("provenance.source_label", KIND_STRING, required=True, pattern=r"\S"),
-        e("provenance.source_family", KIND_ENUM, enum_values=SOURCE_FAMILIES),
-        e("provenance.extraction_path", KIND_ENUM, required=True, enum_values=EXTRACTION_PATHS),
-        e("provenance.engine_used", KIND_ENUM, enum_values=ENGINES),
-        e("provenance.document_id", KIND_STRING),
-        e(
-            "provenance.field_origins",
-            KIND_SECTION,
-            pattern=r"^[A-Za-z0-9_]+(?:\.[A-Za-z0-9_]+)*$",
-        ),
-        e("provenance.ingest_ts", KIND_STRING, pattern=ISO_TIMESTAMP),
-        e("provenance.repair_count", KIND_INTEGER, numeric_range=(0, None)),
-        e("provenance.warnings_count", KIND_INTEGER, numeric_range=(0, None)),
-    )
-    return SchemaDefinition(entries)
+    """The canonical case record shape: the bundled ``data/schema.jsonl``,
+    loaded on the first call and shared by every later one."""
+    return SchemaDefinition.load(bundled_path("schema.jsonl"))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from datetime import date, datetime, timedelta, timezone
 from hypothesis import strategies as st
 
 from casepipe.schema import (
-    ENGINES,
     SEX_VALUES,
     SOURCE_FAMILIES,
     STATUS_VALUES,
@@ -20,6 +19,7 @@ from casepipe.schema import (
 )
 
 SCHEMA = default_schema()
+_ENGINES = SCHEMA.entry("provenance.engine_used").enum_values
 
 _NAME_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz '-"
 _PLACES = ("Culpeper", "Norfolk", "Richmond", "Baltimore", "Dover", "Fairfax")
@@ -120,7 +120,7 @@ def records(draw):
     path = draw(st.sampled_from(("rule", "llm")))
     v["provenance.extraction_path"] = path
     v["provenance.repair_count"] = 0 if path == "rule" else draw(st.integers(0, 2))
-    v["provenance.engine_used"] = draw(st.none() | st.sampled_from(ENGINES))
+    v["provenance.engine_used"] = draw(st.none() | st.sampled_from(_ENGINES))
     v["provenance.document_id"] = f"doc-{draw(st.integers(0, 999)):03d}"
     v["provenance.ingest_ts"] = "2025-01-15T09:30:00+00:00"
     v["provenance.warnings_count"] = draw(st.integers(0, 3))

@@ -477,3 +477,12 @@ class TestMainEntry:
         )
         assert code == 2
         assert "key=value" in capsys.readouterr().err
+
+    def test_bad_backend_param_value_exits_with_a_message(self, tmp_path, capsys):
+        (tmp_path / "docs").mkdir()
+        argv = ["run", "--input", str(tmp_path / "docs"), "--output", str(tmp_path / "o")]
+        code = cli.main(argv + ["--backend", "dropout_oracle", "--backend-param", "rate=abc"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("casepipe: backend 'dropout_oracle': ")
+        assert "Traceback" not in err

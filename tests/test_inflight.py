@@ -166,7 +166,10 @@ class TestInFlightBound:
 class _FaultHandler(BaseHTTPRequestHandler):
     """Answers by the document a request names: ``fail500-*`` gets a 500,
     ``notext-*`` a body without ``text``, ``emptytext-*`` an empty
-    ``text``, anything else the gold record from the prompt's marker."""
+    ``text``, ``truncjson-*`` a 200 whose JSON body is cut off halfway,
+    ``slow-*`` nothing until the fixture ends (past the client's timeout),
+    anything else the gold record from the prompt's marker. Every answer
+    comes after a 5 ms delay."""
 
     def do_POST(self) -> None:
         length = int(self.headers.get("Content-Length", "0"))
@@ -175,6 +178,9 @@ class _FaultHandler(BaseHTTPRequestHandler):
         with self.server.lock:
             self.server.seen[request_id] = self.server.seen.get(request_id, 0) + 1
         time.sleep(0.005)
+        if request_id.startswith("slow-"):
+            self.server.released.wait(10)
+            return
         if request_id.startswith("fail500-"):
             self.send_error(500)
             return
@@ -185,6 +191,8 @@ class _FaultHandler(BaseHTTPRequestHandler):
         else:
             body = {"text": json.dumps(read_gold_marker(payload["prompt_text"]))}
         data = json.dumps(body).encode("utf-8")
+        if request_id.startswith("truncjson-"):
+            data = data[: len(data) // 2]
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -201,6 +209,7 @@ def fault_server(monkeypatch):
     server.daemon_threads = True
     server.lock = threading.Lock()
     server.seen = {}
+    server.released = threading.Event()
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     monkeypatch.setenv("CASEPIPE_BACKEND_URL", f"http://127.0.0.1:{server.server_port}/")
@@ -209,6 +218,7 @@ def fault_server(monkeypatch):
     try:
         yield server
     finally:
+        server.released.set()
         server.shutdown()
         server.server_close()
         thread.join(timeout=10)
@@ -221,8 +231,10 @@ class TestWireFaultsThroughThePool:
     ):
         docs = tmp_path / "docs"
         docs.mkdir()
-        originals = sorted(small_docs.glob("*.txt"))[:5]
-        names = ["good-a", "fail500-b", "good-c", "notext-d", "emptytext-e"]
+        originals = sorted(small_docs.glob("*.txt"))[:7]
+        names = [
+            "good-a", "fail500-b", "good-c", "notext-d", "emptytext-e", "truncjson-f", "slow-g"
+        ]
         for source, name in zip(originals, names):
             (docs / f"{name}.txt").write_bytes(source.read_bytes())
 
@@ -234,6 +246,7 @@ class TestWireFaultsThroughThePool:
             return original_log(self, **fields)
 
         monkeypatch.setattr(emit.WarningLog, "log", log)
+        monkeypatch.setattr(cli, "DEFAULT_TIMEOUT_S", 0.5)
         runs = {}
         for in_flight in (1, 2):
             fault_server.seen.clear()
@@ -247,6 +260,8 @@ class TestWireFaultsThroughThePool:
         assert seen["fail500-b#s0:extract"] == 3
         assert seen["notext-d#s0:extract"] == 3
         assert seen["emptytext-e#s0:extract"] == 1
+        assert seen["truncjson-f#s0:extract"] == 3
+        assert seen["slow-g#s0:extract"] == 1  # a timeout is not retried
         assert seen["good-a#s0:extract"] == seen["good-c#s0:extract"] == 1
         assert sum(summary.backend_calls.values()) == sum(seen.values())
 
@@ -256,15 +271,18 @@ class TestWireFaultsThroughThePool:
             ("emptytext-e#s0", "backend_error", "error"),
             ("fail500-b#s0", "backend_error", "error"),
             ("notext-d#s0", "backend_error", "error"),
+            ("slow-g#s0", "backend_error", "error"),
+            ("truncjson-f#s0", "backend_error", "error"),
         ]
         by_case = {w["case_id"]: w["message"] for w in errors}
         assert "500" in by_case["fail500-b#s0"]
         assert by_case["notext-d#s0"] == "response body lacks a text field"
         assert by_case["emptytext-e#s0"].endswith("backend returned no text")
+        assert by_case["slow-g#s0"] == "timed out"
         withheld = sum(
             1 for w in errors if w["code"] in ("backend_error", "record_withheld")
         )
-        assert summary.records_out_llm + withheld == summary.segments == 5
+        assert summary.records_out_llm + withheld == summary.segments == 7
 
 
 class TestNoThreadsWhereNoneCanHelp:

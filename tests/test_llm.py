@@ -347,9 +347,23 @@ class TestMakeBackend:
         with pytest.raises(ConfigError):
             make_backend("gpt-x")
 
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("dropout_oracle", {"rate": "abc"}),
+            ("dropout_oracle", {"rate": "2"}),
+            ("dropout_oracle", {"seed": "x"}),
+            ("invalid_then_fix", {"inject_every": "0"}),
+            ("never_fix", {"inject_every": "many"}),
+        ],
+    )
+    def test_bad_params_are_config_errors_naming_the_backend(self, name, params):
+        with pytest.raises(ConfigError, match=f"backend {name!r}: "):
+            make_backend(name, params)
+
     def test_wire_requires_endpoint(self, monkeypatch):
         monkeypatch.delenv("CASEPIPE_BACKEND_URL", raising=False)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^wire backend needs CASEPIPE_BACKEND_URL$"):
             make_backend("wire")
 
     def test_wire_reads_env(self, monkeypatch):

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from casepipe import schema as schema_module
 from casepipe.config import ConfigError, bundled_path
 from casepipe.schema import (
     ABSENT,
+    ISO_TIMESTAMP,
     PathSyntaxError,
     SchemaDefinition,
     SchemaEntry,
@@ -388,10 +390,91 @@ class TestCompiledPlan:
         assert validate(record, schema).codes() == [("spatial.lon", "out_of_range")]
 
 
-def test_bundled_schema_file_equals_default_schema():
-    loaded = SchemaDefinition.load(bundled_path("schema.jsonl"))
-    assert loaded.entries == _SCHEMA.entries
-    assert loaded.records_text == _SCHEMA.records_text
+_AGE = (0, 120)
+_TZ = r"^(?:UTC|[+-](?:0\d|1[0-4]):[0-5]\d|[A-Za-z]+(?:[_-][A-Za-z]+)*(?:/[A-Za-z0-9_.+-]+)+)$"
+_E = SchemaEntry
+#: The record shape the bundled schema file must define, written out by hand.
+_EXPECTED_ENTRIES = (
+    _E("case_id", "string", required=True, pattern=r"\S"),
+    _E("demographic", "section", required=True),
+    _E("demographic.name", "string"),
+    _E("demographic.sex", "enum", enum_values=("female", "male", "unknown")),
+    _E("demographic.age_years", "integer", numeric_range=_AGE),
+    _E("demographic.age_min", "integer", numeric_range=_AGE),
+    _E("demographic.age_max", "integer", numeric_range=_AGE),
+    _E("demographic.height_min_cm", "integer", numeric_range=(30, 250)),
+    _E("demographic.height_max_cm", "integer", numeric_range=(30, 250)),
+    _E("demographic.weight_min_kg", "integer", numeric_range=(1, 400)),
+    _E("demographic.weight_max_kg", "integer", numeric_range=(1, 400)),
+    _E("demographic.race_ethnicity", "string"),
+    _E("spatial", "section", required=True),
+    _E("spatial.last_seen_location", "string"),
+    _E("spatial.city", "string"),
+    _E("spatial.county", "string"),
+    _E("spatial.state", "string"),
+    _E("spatial.postal_code", "string", pattern=r"^\d{5}(?:-\d{4})?$"),
+    _E("spatial.lat", "decimal", numeric_range=(-90.0, 90.0)),
+    _E("spatial.lon", "decimal", numeric_range=(-180.0, 180.0)),
+    _E("spatial.geocode_method", "enum", enum_values=("source_provided", "gazetteer", "none")),
+    _E("spatial.geocode_plausible", "boolean"),
+    _E("temporal", "section", required=True),
+    _E("temporal.last_seen_ts", "string", pattern=ISO_TIMESTAMP),
+    _E("temporal.reported_missing_ts", "string", pattern=ISO_TIMESTAMP),
+    _E("temporal.timezone", "string", pattern=_TZ),
+    _E("narrative_osint", "section", required=True),
+    _E("narrative_osint.circumstances", "string"),
+    _E("narrative_osint.clothing_description", "string"),
+    _E("narrative_osint.distinctive_features", "string"),
+    _E("narrative_osint.movement_cues", "list", pattern=r"^\S(?:.*\S)?$"),
+    _E("outcome", "section", required=True),
+    _E("outcome.status", "enum", enum_values=("missing", "located", "deceased", "unknown")),
+    _E("outcome.status_ts", "string", pattern=ISO_TIMESTAMP),
+    _E("provenance", "section", required=True),
+    _E("provenance.source_label", "string", required=True, pattern=r"\S"),
+    _E(
+        "provenance.source_family",
+        "enum",
+        enum_values=("registry_form", "bulletin", "narrative_profile", "unknown"),
+    ),
+    _E("provenance.extraction_path", "enum", required=True, enum_values=("rule", "llm")),
+    _E("provenance.engine_used", "enum", enum_values=("layout", "basic", "ocr", "plaintext")),
+    _E("provenance.document_id", "string"),
+    _E("provenance.field_origins", "section", pattern=r"^[A-Za-z0-9_]+(?:\.[A-Za-z0-9_]+)*$"),
+    _E("provenance.ingest_ts", "string", pattern=ISO_TIMESTAMP),
+    _E("provenance.repair_count", "integer", numeric_range=(0, None)),
+    _E("provenance.warnings_count", "integer", numeric_range=(0, None)),
+)
+
+
+class TestBundledSchema:
+    def test_file_defines_the_expected_entries(self):
+        expected = SchemaDefinition(_EXPECTED_ENTRIES)
+        loaded = SchemaDefinition.load(bundled_path("schema.jsonl"))
+        assert loaded.entries == expected.entries
+        assert loaded.records_text == expected.records_text
+        assert bundled_path("schema.jsonl").read_text(encoding="utf-8") == (
+            expected.records_text + "\n"
+        )
+
+    def test_default_schema_is_loaded_once_and_pins_the_module_constants(self):
+        schema = default_schema()
+        assert default_schema() is schema
+        assert schema == SchemaDefinition.load(bundled_path("schema.jsonl"))
+        entry = schema.entry
+        assert schema_module.SEX_VALUES == entry("demographic.sex").enum_values
+        assert schema_module.STATUS_VALUES == entry("outcome.status").enum_values
+        assert schema_module.SOURCE_FAMILIES == entry("provenance.source_family").enum_values
+        for bound in ("min", "max"):
+            assert (
+                schema_module.HEIGHT_RANGE_CM
+                == entry(f"demographic.height_{bound}_cm").numeric_range
+            )
+            assert (
+                schema_module.WEIGHT_RANGE_KG
+                == entry(f"demographic.weight_{bound}_kg").numeric_range
+            )
+        assert schema_module.LAT_RANGE == entry("spatial.lat").numeric_range
+        assert schema_module.LON_RANGE == entry("spatial.lon").numeric_range
 
 
 class TestAssembleAndFlatten:
