@@ -1,11 +1,14 @@
 """Command line front end: run the pipeline, build corpora, score outputs.
 
 ``casepipe run`` drives the full flow for a directory of plain-text case
-documents: extract, prenormalize, split, detect the source, then push each
-segment through the rule path and/or the model path, with shared
-harmonization, geocoding, validation, and emission. ``casepipe synth`` writes
-a synthetic corpus, and ``casepipe eval`` scores a finished run against a
-gold file.
+documents: extract, cut the trailer from the first end sentinel on and
+prenormalize the content, split, detect the source, then push each segment
+through the rule path and/or the model path, with shared harmonization,
+geocoding, validation, and emission. Only content reaches split, detection
+and the rules; the trailer, normalized, rides only in the last segment's
+llm prompt, where the test double backends read the gold marker.
+``casepipe synth`` writes a synthetic corpus, and ``casepipe eval`` scores a
+finished run against a gold file.
 
 Outputs land in the run's output directory: cases_rule.jsonl/csv and
 cases_llm.jsonl/csv (per enabled path), warnings.jsonl, run_summary.json,
@@ -44,6 +47,7 @@ from casepipe.extract import (
     DEFAULT_SPLIT_PATTERNS,
     ExtractionFailure,
     SourceDocument,
+    cut_trailer,
     extract_text,
     prenormalize,
     split_cases,
@@ -409,11 +413,11 @@ class _Pipeline:
         result.rule_runtimes.append((case_id, perf_counter() - started))
 
     def _llm_request(
-        self, result: _DocumentResult, segment, detection, case_id: str, engine: str
+        self, result: _DocumentResult, text: str, detection, case_id: str, engine: str
     ) -> _LlmJob:
         started = perf_counter()
         prompt = build_extraction_prompt(
-            segment.text, self.schema, budget_chars=self.config.budget_chars
+            text, self.schema, budget_chars=self.config.budget_chars
         )
         request = BackendRequest(
             prompt=prompt,
@@ -526,7 +530,11 @@ class _Pipeline:
     ) -> Iterator[_LlmJob]:
         """Extract, split and detect one document and run each segment's
         rule path, appending the document's result; yield each segment's
-        llm request."""
+        llm request.
+
+        Split and detection see the content only. The trailer is
+        normalized only for the llm path, and only the last segment's
+        prompt carries it."""
         document_id = path.stem
         result = _DocumentResult(document_id=document_id)
         results.append(result)
@@ -552,9 +560,14 @@ class _Pipeline:
                     f"alnum ratio {extracted.alnum_ratio:.2f}"
                 ),
             )
-        normalized = prenormalize(extracted.text)
-        segments = split_cases(normalized, DEFAULT_SPLIT_PATTERNS)
+        # ``prenormalize`` is passed by this module's name, which tracing
+        # patches.
+        content, trailer = cut_trailer(extracted.text, prenormalize)
+        segments = split_cases(content, DEFAULT_SPLIT_PATTERNS)
         result.segments = len(segments)
+        if self.llm_enabled and trailer:
+            trailer = prenormalize(trailer)
+        last = segments[-1]
         for segment in segments:
             detection = detect_source(segment.text, self.signatures)
             case_id = f"{document_id}#s{segment.segment_index}"
@@ -572,8 +585,9 @@ class _Pipeline:
                     result, segment, detection, case_id, extracted.engine_used
                 )
             if self.llm_enabled:
+                text = segment.text + trailer if segment is last else segment.text
                 yield self._llm_request(
-                    result, segment, detection, case_id, extracted.engine_used
+                    result, text, detection, case_id, extracted.engine_used
                 )
 
     def process(self, files: Sequence[Path]) -> list[_DocumentResult]:

@@ -1,9 +1,17 @@
-"""Document text acquisition: plain-text read, pre-normalization, case splitting.
+"""Document text acquisition: plain-text read, pre-normalization, trailer
+cut, case splitting.
 
 Documents are UTF-8 text files, read with undecodable bytes replaced. A read
 that yields too little text, or text that is mostly not alphanumeric, is
 still returned, with ``quality_ok=False`` so the caller can log a warning; a
-file that cannot be read at all raises ExtractionFailure.
+file that cannot be read at all raises ExtractionFailure. The quality score
+is taken on the text as read, trailer included.
+
+Everything from the first end sentinel on is a trailer, not document
+content (the synthetic corpus parks its ground truth there). ``cut_trailer``
+normalizes only the content, so the work of normalizing, splitting and
+detecting scales with the content; the trailer is handed back unnormalized
+for the one consumer that needs it, the llm prompt.
 """
 
 from __future__ import annotations
@@ -11,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from casepipe.config import ConfigError
 
@@ -18,6 +27,9 @@ ENGINE_PLAINTEXT = "plaintext"
 
 QUALITY_MIN_CHARS = 64
 QUALITY_MIN_ALNUM = 0.3
+
+# Everything from this marker on is not document content.
+END_SENTINEL = "----- END CASE DOCUMENT -----"
 
 
 class ExtractionFailure(RuntimeError):
@@ -123,6 +135,44 @@ def prenormalize(text: str) -> str:
     else:
         out.extend(pending)
     return "\n".join(out)
+
+
+def cut_trailer(
+    text: str, normalize: Callable[[str], str] = prenormalize
+) -> tuple[str, str]:
+    """Split raw text at its first end sentinel into (content, trailer).
+
+    ``content`` is ``prenormalize(text)`` up to its first ``END_SENTINEL``
+    (all of it when there is none), and ``content + prenormalize(trailer)``
+    is ``prenormalize(text)``. Only the lines above the sentinel's line and
+    that one line are normalized: normalization works line by line, and a
+    run of blank lines ends at the sentinel's line, which is not blank. The
+    trailer is that line from the sentinel on, plus the lines below it as
+    they were read.
+
+    A sentinel that only normalization reveals (tabs, doubled spaces or
+    control characters inside it) has no raw match; without one the whole
+    text is normalized and cut. A sentinel that turns up in the normalized
+    lines above the raw one is cut at too. ``normalize`` is the
+    prenormalize function to call, so a caller can pass the name it traces.
+    """
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    found = text.find(END_SENTINEL)
+    if found < 0:
+        normalized = normalize(text)
+        cut = normalized.find(END_SENTINEL)
+        return (normalized, "") if cut < 0 else (normalized[:cut], normalized[cut:])
+    line_start = text.rfind("\n", 0, found) + 1
+    head = normalize(text[: line_start - 1]) + "\n" if line_start else ""
+    cut = head.find(END_SENTINEL)
+    if cut >= 0:
+        return head[:cut], head[cut:] + text[line_start:]
+    line_end = text.find("\n", found)
+    if line_end < 0:
+        line_end = len(text)
+    line = normalize(text[line_start:line_end])
+    cut = line.find(END_SENTINEL)
+    return head + line[:cut], line[cut:] + text[line_end:]
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,25 @@ TRANSFORMS = (
 _TS_PATHS = ("temporal.last_seen_ts", "temporal.reported_missing_ts", "outcome.status_ts")
 _OFFSET_RE = re.compile(r"^[+-]\d{2}:\d{2}$")
 _US_DATE_RE = re.compile(r"^(\d{1,2})/(\d{1,2})/(\d{4})$")
+
+# Month numbers by lowercased name, as datetime.strptime's %B (full names)
+# and %b (abbreviations) read them in the C locale, the only one casepipe
+# runs in (it never calls setlocale).
+_MONTHS = (
+    "january", "february", "march", "april", "may", "june",
+    "july", "august", "september", "october", "november", "december",
+)
+_FULL_MONTHS = {name: number for number, name in enumerate(_MONTHS, 1)}
+_ANY_MONTHS = {name[:3]: number for name, number in _FULL_MONTHS.items()} | _FULL_MONTHS
+
+# The formats "%B %d, %Y", "%b %d, %Y" and "%B %d %Y" in one pass, spaced as
+# strptime spaces them (\s+ for each space), with its day forms, four digits
+# for the year and nothing left over. strptime's month is a name that the
+# text up to the first space equals but for case; that holds exactly when
+# the text lowercased is the name (a name matched only through case folding,
+# as "Auguſt" is, is not in strptime's table either).
+_LONG_DATE_RE = re.compile(r"(\S+)\s+(3[0-1]|[1-2]\d|0[1-9]|[1-9]| [1-9])(,?)\s+(\d\d\d\d)")
+
 _HEIGHT_TOKEN_RE = re.compile(r"(\d+)\s*'\s*(\d{1,2})\s*(?:\"|'')?")
 _WEIGHT_RE = re.compile(
     r"^(\d+)(?:\s*(?:-|to)\s*(\d+))?\s*(?:lbs?\.?|pounds)$", re.IGNORECASE
@@ -244,12 +263,18 @@ def normalize_timestamp(raw: str, tz_default: str | None = None) -> tuple[str, s
             return datetime(year, month, day).date().isoformat(), "date"
         except ValueError:
             return None
-    for fmt in ("%B %d, %Y", "%b %d, %Y", "%B %d %Y"):
-        try:
-            return datetime.strptime(text, fmt).date().isoformat(), "date"
-        except ValueError:
-            continue
-    return None
+    m = _LONG_DATE_RE.fullmatch(text)
+    if m is None:
+        return None
+    name, day, comma, year = m.groups()
+    # Only a full month name may go without the comma.
+    month = (_ANY_MONTHS if comma else _FULL_MONTHS).get(name.lower())
+    if month is None:
+        return None
+    try:
+        return datetime(int(year), month, int(day)).date().isoformat(), "date"
+    except ValueError:
+        return None
 
 
 def parse_place_parts(raw: str) -> tuple[str | None, str | None, str | None]:

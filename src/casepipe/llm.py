@@ -524,8 +524,8 @@ class DropoutOracleBackend(_CountingBackend):
         anchor = _marker_payload(text)
         if anchor is None:
             return "{}"
-        gold = read_gold_marker(text)
-        record = json.loads(json.dumps(gold))
+        # read_gold_marker parses afresh, so the record is this call's own.
+        record = read_gold_marker(text)
         for entry in self._schema.entries:
             path = entry.field_path
             if entry.kind == KIND_SECTION or path.startswith("provenance"):
@@ -566,8 +566,9 @@ class InvalidThenFixBackend(_CountingBackend):
     def _generate(self, request: BackendRequest) -> str:
         if request.tier == TIER_REPAIR:
             return self._repair(request)
+        # read_gold_marker parses afresh, so the record is this call's own.
         gold = read_gold_marker(request.prompt.document_text)
-        record = json.loads(json.dumps(gold)) if gold is not None else {}
+        record = gold if gold is not None else {}
         if self._corrupt_due():
             set_path(record, "demographic.age_years", 999)
         return canonical_json(record)
@@ -640,28 +641,49 @@ class WireBackend(_CountingBackend):
         return body["text"]
 
 
-_BACKENDS: dict[str, Callable[[dict[str, Any]], _CountingBackend]] = {
-    "oracle": lambda params: OracleBackend(),
-    "dropout_oracle": lambda params: DropoutOracleBackend(
-        rate=float(params.get("rate", 0.1)), seed=int(params.get("seed", 0))
+_Factory = Callable[[dict[str, Any]], _CountingBackend]
+
+# Each factory and the params it reads. Every backend also accepts ``seed``,
+# which a run always passes.
+_BACKENDS: dict[str, tuple[_Factory, tuple[str, ...]]] = {
+    "oracle": (lambda params: OracleBackend(), ()),
+    "dropout_oracle": (
+        lambda params: DropoutOracleBackend(
+            rate=float(params.get("rate", 0.1)), seed=int(params.get("seed", 0))
+        ),
+        ("rate",),
     ),
-    "invalid_then_fix": lambda params: InvalidThenFixBackend(
-        inject_every=int(params.get("inject_every", 5))
+    "invalid_then_fix": (
+        lambda params: InvalidThenFixBackend(
+            inject_every=int(params.get("inject_every", 5))
+        ),
+        ("inject_every",),
     ),
-    "never_fix": lambda params: NeverFixBackend(
-        inject_every=int(params.get("inject_every", 5))
+    "never_fix": (
+        lambda params: NeverFixBackend(inject_every=int(params.get("inject_every", 5))),
+        ("inject_every",),
     ),
-    "wire": lambda params: WireBackend(),
+    "wire": (lambda params: WireBackend(), ()),
 }
 
 
 def make_backend(name: str, params: dict[str, Any] | None = None) -> _CountingBackend:
-    factory = _BACKENDS.get(name)
-    if factory is None:
+    """Build a backend; a param it does not read is a ConfigError."""
+    entry = _BACKENDS.get(name)
+    if entry is None:
         known = ", ".join(sorted(_BACKENDS))
         raise ConfigError(f"unknown backend {name!r} (known: {known})")
+    factory, keys = entry
+    params = params or {}
+    known_keys = sorted({"seed", *keys})
+    for key in sorted(params):
+        if key not in known_keys:
+            raise ConfigError(
+                f"backend {name!r}: unknown param {key!r} "
+                f"(known: {', '.join(known_keys)})"
+            )
     try:
-        return factory(params or {})
+        return factory(params)
     except ConfigError:
         raise
     except ValueError as exc:

@@ -14,9 +14,16 @@ For a given field path the first match wins; later matches are dropped and
 reported through the warning callback. Every candidate keeps the character
 span of its capture within the segment so provenance can point back at the
 evidence verbatim. A trailing end-of-document sentinel (used by the synthetic
-corpus to park ground truth) is stripped before any pattern runs. Dispatch
-strips it and splits the lines once per segment; every line-scope rule and
-the movement-cue pass share that text.
+corpus to park ground truth) is stripped before any pattern runs; a run
+hands dispatch content the sentinel was already cut from. Dispatch splits
+the lines once per segment; every line-scope rule and the movement-cue pass
+share that text.
+
+A pattern that opens with ``^`` and has no ``|`` starts every match with a
+literal prefix read from its text (``LabelRule.prefix``). A line-scope
+rule with one searches only the lines that start with it, found through the
+segment's lines bucketed by first character, so the searches per segment
+follow the lines a rule can match, not rules times lines.
 
 Narrative movement cues ("en route to Maryland or Delaware") are not label
 rules: a fixed cue pattern finds destination phrases in prose and fans the
@@ -32,7 +39,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
 from casepipe.config import ConfigError, read_jsonl
-from casepipe.extract import CaseSegment
+from casepipe.extract import END_SENTINEL, CaseSegment
 from casepipe.sources import DetectionResult
 
 FAMILY_REGISTRY = "registry_form"
@@ -44,9 +51,6 @@ SCOPE_LINE = "line"
 SCOPE_SECTION = "section"
 SCOPE_DOCUMENT = "document"
 _SCOPES = (SCOPE_LINE, SCOPE_SECTION, SCOPE_DOCUMENT)
-
-# Everything from this line on is not document content.
-END_SENTINEL = "----- END CASE DOCUMENT -----"
 
 # Explicit movement cue phrasing. The capture extends across "or"/"and"
 # separated place names so one sentence can carry several destinations.
@@ -63,6 +67,32 @@ CUE_PATTERN = re.compile(
 _CUE_SPLIT_RE = re.compile(r",\s*|\s+or\s+|\s+and\s+")
 
 WarnFn = Callable[[str, str], None]
+
+_REGEX_META = frozenset(".^$*+?{}[]\\|()")
+_QUANTIFIERS = frozenset("*+?{")
+
+
+def _literal_prefix(pattern: str, flags: int) -> str:
+    """Literal text that every match of ``pattern`` starts with at a line
+    start, or ``""`` when none is read.
+
+    Only a pattern that opens with ``^`` and has no ``|`` has one: the
+    characters after the ``^`` up to the first regex metacharacter, less
+    the last of them when a quantifier follows. ``flags`` are the compiled
+    pattern's; under IGNORECASE or VERBOSE (which Python 3.10 still lets an
+    inline flag set mid-pattern) the text is not matched literally, so
+    there is none.
+    """
+    if not pattern.startswith("^") or "|" in pattern:
+        return ""
+    if flags & (re.IGNORECASE | re.VERBOSE):
+        return ""
+    end = 1
+    while end < len(pattern) and pattern[end] not in _REGEX_META:
+        end += 1
+    if end < len(pattern) and pattern[end] in _QUANTIFIERS:
+        end -= 1
+    return pattern[1:end]
 
 
 @dataclass(frozen=True)
@@ -87,10 +117,16 @@ class LabelRule:
                 f"{self.pattern_id}: pattern must have exactly one capture group"
             )
         object.__setattr__(self, "_compiled", compiled)
+        object.__setattr__(self, "_prefix", _literal_prefix(self.pattern, compiled.flags))
 
     @property
     def compiled(self) -> re.Pattern[str]:
         return self._compiled  # type: ignore[attr-defined]
+
+    @property
+    def prefix(self) -> str:
+        """Literal start of every match at a line start ("" for none)."""
+        return self._prefix  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)
@@ -165,11 +201,16 @@ def _apply(
     on_warning: WarnFn | None,
 ) -> DraftRecord:
     """apply_rules on sentinel-free text, split into lines once for every
-    line-scope rule."""
+    line-scope rule; a rule with a literal prefix searches only the lines
+    that start with it."""
     lines = []
+    by_first: dict[str, list[tuple[str, int]]] = {}
     offset = 0
     for line in text.split("\n"):
-        lines.append((line, offset))
+        entry = (line, offset)
+        lines.append(entry)
+        if line:
+            by_first.setdefault(line[0], []).append(entry)
         offset += len(line) + 1
     draft = DraftRecord(source_label=source_label, segment_index=segment_index)
     candidates = draft.candidates
@@ -177,11 +218,13 @@ def _apply(
         compiled = rule.compiled
         if rule.scope == SCOPE_LINE:
             search = compiled.search
+            prefix = rule.prefix
             matches = []
-            for line, offset in lines:
-                m = search(line)
-                if m is not None:
-                    matches.append((m, offset))
+            for line, offset in by_first.get(prefix[0], ()) if prefix else lines:
+                if line.startswith(prefix):
+                    m = search(line)
+                    if m is not None:
+                        matches.append((m, offset))
         else:
             matches = [(m, 0) for m in compiled.finditer(text)]
         for m, offset in matches:

@@ -17,6 +17,8 @@ import pytest
 from casepipe import cli
 from casepipe.cli import RunConfig, evaluate_outputs, run
 from casepipe.config import ConfigError
+from casepipe.extract import DEFAULT_SPLIT_PATTERNS, END_SENTINEL, prenormalize, split_cases
+from casepipe.llm import build_extraction_prompt
 from casepipe.schema import default_schema, validate
 from casepipe.synth import FAMILY_LABELS, SynthesisSpec, write_corpus
 
@@ -326,6 +328,99 @@ class TestUnknownSource:
         assert summary.segments == 0
 
 
+class TestTrailer:
+    """Everything from the first end sentinel on is a trailer: split,
+    detection and the rules never see it, and only the last segment's llm
+    prompt carries it, normalized."""
+
+    HEAD = (
+        "MISSING PERSONS REGISTRY\n"
+        "CASE #1\n"
+        "Full Name: Avery Quill\n"
+        "Filler sentences, so that the content alone meets the quality floor.\n"
+    )
+
+    @staticmethod
+    def _run(tmp_path: Path, text: str, paths: str) -> cli.RunSummary:
+        doc_dir = tmp_path / "docs"
+        doc_dir.mkdir()
+        (doc_dir / "doc.txt").write_text(text, encoding="utf-8")
+        return run(
+            RunConfig(
+                input_dir=doc_dir,
+                output_dir=tmp_path / "out",
+                paths_enabled=paths,
+                ingest_ts=INGEST,
+            )
+        )
+
+    @pytest.mark.parametrize("paths", ["rule", "llm"])
+    def test_a_case_header_after_the_sentinel_starts_no_segment(self, tmp_path, paths):
+        text = (
+            self.HEAD
+            + "Registry Case Number: R-1\n"
+            + END_SENTINEL
+            + "\nCASE #2\nFull Name: Bob Trailer\n"
+        )
+        summary = self._run(tmp_path, text, paths)
+        assert summary.segments == 1
+        assert summary.backend_calls["extract"] == (1 if paths == "llm" else 0)
+        out = tmp_path / "out"
+        records = _read_jsonl(out / f"cases_{paths}.jsonl")
+        assert [r["case_id"] for r in records] == ["doc#s0"] * len(records)
+        assert "Bob Trailer" not in (out / f"cases_{paths}.jsonl").read_text(encoding="utf-8")
+        if paths == "rule":
+            assert records[0]["demographic"]["name"] == "Avery Quill"
+            assert records[0]["provenance"]["source_label"] == "missing_persons_registry"
+            assert not (out / "warnings.jsonl").read_text(encoding="utf-8")
+
+    def test_a_marker_only_in_the_trailer_does_not_count(self, tmp_path):
+        # One registry marker in the content, a second only after the sentinel.
+        text = self.HEAD + END_SENTINEL + "\nRegistry Case Number: R-1\n"
+        self._run(tmp_path, text, "rule")
+        [record] = _read_jsonl(tmp_path / "out" / "cases_rule.jsonl")
+        assert record["provenance"]["source_label"] == "unknown"
+        codes = [w["code"] for w in _read_jsonl(tmp_path / "out" / "warnings.jsonl")]
+        assert codes.count("unknown_source") == 1
+
+    def test_the_rule_path_never_normalizes_the_trailer(self, tmp_path, monkeypatch):
+        seen = []
+
+        def recording(text):
+            seen.append(text)
+            return prenormalize(text)
+
+        monkeypatch.setattr(cli, "prenormalize", recording)
+        self._run(tmp_path, self.HEAD + END_SENTINEL + "\nafter the end\n", "rule")
+        assert seen and not any("after the end" in text for text in seen)
+
+    def test_the_last_prompt_is_its_segment_and_the_normalized_trailer(
+        self, tmp_path, monkeypatch
+    ):
+        raw = (
+            self.HEAD
+            + "CASE #2\r\nFull Name:\t\tRowan  Marsh\r\n\n\n\n\n"
+            + "  "
+            + END_SENTINEL
+            + "  \r\n\t%%CASE-GOLD:e30=%%\x01\n"
+        )
+        prompts = []
+
+        def recording(text, *args, **kwargs):
+            prompts.append(text)
+            return build_extraction_prompt(text, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_extraction_prompt", recording)
+        self._run(tmp_path, raw, "llm")
+        # What a run sent before the trailer was cut: each segment of the
+        # whole normalized text, the last one running to its end.
+        whole = split_cases(prenormalize(raw), DEFAULT_SPLIT_PATTERNS)
+        assert prompts == [segment.text for segment in whole]
+        assert len(prompts) == 2
+        assert END_SENTINEL not in prompts[0]
+        assert prompts[1].endswith(END_SENTINEL + "\n%%CASE-GOLD:e30=%%\n")
+
+
 class TestExtractWarnings:
     def test_short_and_unreadable_documents(self, mixed_corpus, tmp_path):
         doc_dir = tmp_path / "docs"
@@ -477,6 +572,15 @@ class TestMainEntry:
         )
         assert code == 2
         assert "key=value" in capsys.readouterr().err
+
+    def test_unknown_backend_param_exits_with_a_message(self, tmp_path, capsys):
+        (tmp_path / "docs").mkdir()
+        argv = ["run", "--input", str(tmp_path / "docs"), "--output", str(tmp_path / "o")]
+        code = cli.main(argv + ["--backend", "dropout_oracle", "--backend-param", "rte=0.5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("casepipe: backend 'dropout_oracle': unknown param 'rte'")
+        assert "Traceback" not in err
 
     def test_bad_backend_param_value_exits_with_a_message(self, tmp_path, capsys):
         (tmp_path / "docs").mkdir()

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casepipe.config import ConfigError
 from casepipe.extract import (
+    END_SENTINEL,
     CaseSegment,
     ExtractionFailure,
     SourceDocument,
+    cut_trailer,
     extract_text,
     prenormalize,
     split_cases,
@@ -117,3 +119,86 @@ class TestSplitCases:
         assert "".join(s.text for s in segments) == text
         indices = [s.segment_index for s in segments]
         assert indices == list(range(len(segments)))
+
+
+# Sentinels as they may arrive: exact, and mangled in ways that only
+# normalization repairs (so no raw match exists).
+_SENTINELS = (
+    END_SENTINEL,
+    "-----\tEND CASE DOCUMENT -----",
+    "----- END  CASE DOCUMENT\t-----",
+    "----- END CA\x00SE DOCUMENT -----",
+    "----- END CASE DOCUMENT \x1b-----",
+)
+_PIECES = (
+    "CASE #1", "Full Name: Jane Doe", "text", "  ", "\t", "\x00", "\x0c", "\x85",
+    "\u00a0", "\n", "\r", "\r\n", "\n\n\n", "\n\n\n\n", "-", "%%CASE-GOLD:e30=%%",
+)
+
+
+@st.composite
+def raw_documents(draw):
+    parts = draw(
+        st.lists(st.sampled_from(_PIECES + _SENTINELS + (END_SENTINEL,)), max_size=16)
+    )
+    return "".join(parts)
+
+
+def _expected_cut(text):
+    whole = prenormalize(text)
+    index = whole.find(END_SENTINEL)
+    return whole if index < 0 else whole[:index]
+
+
+class TestCutTrailer:
+    @settings(max_examples=1500, deadline=None)
+    @given(raw_documents())
+    def test_matches_cutting_the_normalized_text(self, text):
+        content, trailer = cut_trailer(text)
+        whole = prenormalize(text)
+        assert content == _expected_cut(text)
+        assert content + prenormalize(trailer) == whole
+
+    @given(st.text(alphabet=st.sampled_from("ab -\t\r\n\x00END#"), max_size=80))
+    def test_contract_on_arbitrary_text(self, text):
+        content, trailer = cut_trailer(text)
+        assert content == _expected_cut(text)
+        assert content + prenormalize(trailer) == prenormalize(text)
+
+    @pytest.mark.parametrize(
+        "text, content, trailer",
+        [
+            ("no sentinel\r\nhere ", "no sentinel\nhere", ""),
+            ("body\n" + END_SENTINEL + "\nmarker", "body\n", END_SENTINEL + "\nmarker"),
+            # Text before the sentinel on its line stays content.
+            ("a\nlead  in " + END_SENTINEL + " x\nb", "a\nlead in ", END_SENTINEL + " x\nb"),
+            # Three or more blank lines before the sentinel become one.
+            ("a\n\n\n\n" + END_SENTINEL, "a\n\n", END_SENTINEL),
+            (END_SENTINEL + "\n" + END_SENTINEL, "", END_SENTINEL + "\n" + END_SENTINEL),
+            # Mangled only: the whole text is normalized, then cut.
+            ("a\n-----\tEND CASE DOCUMENT -----\nz", "a\n", END_SENTINEL + "\nz"),
+            # A mangled sentinel above a literal one is the first.
+            (
+                "a\n----- END  CASE DOCUMENT -----\nb\n" + END_SENTINEL + "\nz",
+                "a\n",
+                END_SENTINEL + "\nb\n" + END_SENTINEL + "\nz",
+            ),
+        ],
+    )
+    def test_handpicked(self, text, content, trailer):
+        got_content, got_trailer = cut_trailer(text)
+        assert got_content == content
+        assert prenormalize(got_trailer) == trailer
+
+    def test_only_lines_up_to_the_sentinel_are_normalized(self):
+        seen = []
+
+        def recording(text):
+            seen.append(text)
+            return prenormalize(text)
+
+        below = "\n%%CASE-GOLD:" + "QUJD" * 50 + "%%\n"
+        content, trailer = cut_trailer("Full Name: A\t B\r\n" + END_SENTINEL + below, recording)
+        assert content == "Full Name: A B\n"
+        assert seen == ["Full Name: A\t B", END_SENTINEL]
+        assert trailer == END_SENTINEL + below

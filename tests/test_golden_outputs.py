@@ -1,0 +1,174 @@
+"""Output bytes pinned for a fixed corpus under the benchmark's three configs.
+
+The corpus is ``casepipe synth --seed 1 --count 20 --dropout 0.5`` (60
+documents). It runs as the benchmark's ``rule_labeled`` (rule path),
+``dual_repair`` (both paths, ``invalid_then_fix`` corrupting every
+extraction) and ``wire_inflight`` (llm path over HTTP to a loopback backend
+that answers like ``oracle``, 2 in flight) configurations, and the sha256 of
+every ``cases_*`` file and of ``warnings.jsonl`` is compared with the values
+below. A change meant to keep outputs byte-identical leaves them alone; one
+that changes outputs on purpose updates them and says why.
+
+The file needs no pytest, so the same bytes can be checked on interpreters
+that lack it::
+
+    PYTHONPATH=src python tests/test_golden_outputs.py
+"""
+
+from __future__ import annotations
+
+import base64
+import hashlib
+import json
+import os
+import re
+import sys
+import tempfile
+import threading
+from contextlib import contextmanager, redirect_stdout
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from io import StringIO
+from pathlib import Path
+from typing import Iterator
+
+from casepipe import cli
+
+INGEST = "2025-01-15T09:30:00+00:00"
+SEED = 1
+
+CONFIGS = {
+    "rule_labeled": {"paths_enabled": "rule", "backend": "oracle"},
+    "dual_repair": {
+        "paths_enabled": "both",
+        "backend": "invalid_then_fix",
+        "backend_params": {"inject_every": "1"},
+    },
+    "wire_inflight": {"paths_enabled": "llm", "backend": "wire", "max_in_flight": 2},
+}
+
+# This corpus logs no warnings under any of the three configs.
+_EMPTY = hashlib.sha256(b"").hexdigest()
+GOLDEN = {
+    "rule_labeled": {
+        "cases_rule.csv": "f5344c89fa7d41807fe9eb38a6f8ac38d193ea2075bcd8dfcb608fd789d09d3a",
+        "cases_rule.jsonl": "532684a664062fdde7f618405de10c1cbddedea5857ce16d8f8d9f0b7b95b57a",
+        "warnings.jsonl": _EMPTY,
+    },
+    "dual_repair": {
+        "cases_llm.csv": "89385a3dfdcaae83093b59044997c2dff170ad497173e96c5e70773ee4f9718d",
+        "cases_llm.jsonl": "4385f72c7e02fa39eec703272e9adfea7a7291a786fa9808126a67b3bd8f72a9",
+        "cases_rule.csv": "f5344c89fa7d41807fe9eb38a6f8ac38d193ea2075bcd8dfcb608fd789d09d3a",
+        "cases_rule.jsonl": "532684a664062fdde7f618405de10c1cbddedea5857ce16d8f8d9f0b7b95b57a",
+        "warnings.jsonl": _EMPTY,
+    },
+    "wire_inflight": {
+        "cases_llm.csv": "0fe03c25b34f542c564c72e0701dc5c0919189e3f23ff8c5dae9c3d2e32f5af7",
+        "cases_llm.jsonl": "e60e4a20e66bed2052f74eee49b581ed3f590c7c481d967bb425842cff0f5779",
+        "warnings.jsonl": _EMPTY,
+    },
+}
+
+_GOLD_MARKER_RE = re.compile(r"%%CASE-GOLD:([A-Za-z0-9+/=]+)%%")
+_RECORD_RE = re.compile(r"\n## RECORD\n(.*)\n\n## OUTPUT\n", re.DOTALL)
+
+
+class _OracleHandler(BaseHTTPRequestHandler):
+    """Answers an extraction with the document's gold record and a repair
+    with the record it was sent, as the benchmark's loopback server does."""
+
+    def do_POST(self) -> None:
+        length = int(self.headers.get("Content-Length", "0"))
+        payload = json.loads(self.rfile.read(length).decode("utf-8"))
+        prompt = payload["prompt_text"]
+        if payload["tier"] == "repair":
+            match = _RECORD_RE.search(prompt)
+            text = match.group(1) if match else "{}"
+        else:
+            match = _GOLD_MARKER_RE.search(prompt)
+            text = base64.b64decode(match.group(1)).decode("utf-8") if match else "{}"
+        body = json.dumps({"text": text}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, format: str, *args) -> None:
+        pass
+
+
+@contextmanager
+def _oracle_server() -> Iterator[None]:
+    """A loopback oracle, with the ``wire`` backend pointed at it."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _OracleHandler)
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    names = ("CASEPIPE_BACKEND_URL", "NO_PROXY", "no_proxy")
+    saved = {name: os.environ.get(name) for name in names}
+    os.environ["CASEPIPE_BACKEND_URL"] = f"http://127.0.0.1:{server.server_port}/"
+    os.environ["NO_PROXY"] = os.environ["no_proxy"] = "127.0.0.1,localhost"
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
+def output_hashes(name: str) -> dict[str, str]:
+    """sha256 of each ``cases_*`` file and ``warnings.jsonl`` of one config."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        argv = ["synth", "--seed", str(SEED), "--count", "20", "--dropout", "0.5"]
+        with redirect_stdout(StringIO()):
+            assert cli.main([*argv, "--out", str(root / "corpus")]) == 0
+        config = cli.RunConfig(
+            input_dir=root / "corpus" / "docs",
+            output_dir=root / "out",
+            seed=SEED,
+            ingest_ts=INGEST,
+            **CONFIGS[name],
+        )
+        if config.backend == "wire":
+            with _oracle_server():
+                cli.run(config)
+        else:
+            cli.run(config)
+        files = sorted(config.output_dir.glob("cases_*")) + [
+            config.output_dir / "warnings.jsonl"
+        ]
+        return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in files}
+
+
+def test_rule_labeled_bytes() -> None:
+    assert output_hashes("rule_labeled") == GOLDEN["rule_labeled"]
+
+
+def test_dual_repair_bytes() -> None:
+    assert output_hashes("dual_repair") == GOLDEN["dual_repair"]
+
+
+def test_wire_inflight_bytes() -> None:
+    assert output_hashes("wire_inflight") == GOLDEN["wire_inflight"]
+
+
+def main() -> int:
+    failed = 0
+    for name in CONFIGS:
+        got = output_hashes(name)
+        for file_name in sorted(set(got) | set(GOLDEN[name])):
+            want = GOLDEN[name].get(file_name)
+            ok = got.get(file_name) == want
+            failed += not ok
+            print(f"{'ok  ' if ok else 'FAIL'} {name} {file_name} {got.get(file_name)}")
+    print(f"python {sys.version.split()[0]}: {'all match' if not failed else f'{failed} differ'}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+from datetime import datetime
 from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casepipe.harmonize import (
     MappingTable,
@@ -96,6 +99,45 @@ class TestWeightOracle:
         assert normalize_weight(raw) is None
 
 
+def _strptime_oracle(raw):
+    """The month-name branch of normalize_timestamp as it was: strptime in
+    the C locale, three formats in turn."""
+    text = raw.strip()
+    for fmt in ("%B %d, %Y", "%b %d, %Y", "%B %d %Y"):
+        try:
+            return datetime.strptime(text, fmt).date().isoformat(), "date"
+        except ValueError:
+            continue
+    return None
+
+
+_MONTH_TOKENS = (
+    "January", "jan", "MAY", "may", "June", "JUN", "july", "Aug", "AUGUST",
+    "Sept", "sep", "September", "Oct", "december", "DEC", "feb", "February",
+    "Auguſt", "ſep", "Aprİl", "ApRiL", "ıan", "Nov.", "Mar ch",
+)
+_SPACES = (" ", " ", " ", " ", "", "  ", "\t", "\u00a0", "\u2003", "\x1c", "\n", " \t ")
+_DAYS = ("1", "5", "05", "09", "10", "19", "29", "30", "31", "32", "0", "00", " 5",
+         "1\u0663", "\u0663", "123", "3 ")
+_YEARS = ("2023", "2024", "1900", "0000", "0001", "9999", "\u0662\u0660\u0662\u0664",
+          "202", "20231", "23")
+
+
+@st.composite
+def _month_dates(draw):
+    parts = [
+        draw(st.sampled_from(("", "", " "))),
+        draw(st.sampled_from(_MONTH_TOKENS) | st.text("abcdejmnoprsuyJMAS", max_size=9)),
+        draw(st.sampled_from(_SPACES)),
+        draw(st.sampled_from(_DAYS)),
+        draw(st.sampled_from(("", ",", ",", ",,", " ,"))),
+        draw(st.sampled_from(_SPACES)),
+        draw(st.sampled_from(_YEARS)),
+        draw(st.sampled_from(("", "", "", "x", " ", ".", "1"))),
+    ]
+    return "".join(parts)
+
+
 class TestTimestamps:
     def test_us_date(self):
         assert normalize_timestamp("07/01/2023") == ("2023-07-01", "date")
@@ -130,6 +172,30 @@ class TestTimestamps:
 
     def test_invalid_calendar_date(self):
         assert normalize_timestamp("02/30/2023") is None
+
+    @pytest.mark.parametrize(
+        "raw, iso",
+        [
+            ("Sep 5, 2023", "2023-09-05"),
+            ("SEPTEMBER  05 2023", "2023-09-05"),
+            ("may\t 31, 2023", "2023-05-31"),
+            ("February 29, 2024", "2024-02-29"),
+            ("February 29, 2023", None),
+            ("Sep 5 2023", None),  # the comma is optional after full names only
+            ("Sept 5, 2023", None),
+            ("July 1, 20231", None),
+            ("July 1, 0000", None),
+            ("Aug\u00a01, \u0662\u0660\u0662\u0663", "2023-08-01"),
+            ("Auguſt 1, 2023", None),  # matches only through case folding
+        ],
+    )
+    def test_month_name_forms(self, raw, iso):
+        assert normalize_timestamp(raw) == (None if iso is None else (iso, "date"))
+
+    @settings(max_examples=1500, deadline=None)
+    @given(_month_dates())
+    def test_month_names_read_as_strptime_reads_them(self, raw):
+        assert normalize_timestamp(raw) == _strptime_oracle(raw)
 
 
 class TestPlaceParts:

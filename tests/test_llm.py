@@ -361,6 +361,34 @@ class TestMakeBackend:
         with pytest.raises(ConfigError, match=f"backend {name!r}: "):
             make_backend(name, params)
 
+    @pytest.mark.parametrize(
+        "name, params, known",
+        [
+            ("dropout_oracle", {"rte": "0.5"}, "rate, seed"),
+            ("oracle", {"rate": "0.5"}, "seed"),
+            ("invalid_then_fix", {"inject_every": "2", "every": "2"}, "inject_every, seed"),
+            ("never_fix", {"rate": "1"}, "inject_every, seed"),
+            ("wire", {"url": "http://localhost/"}, "seed"),
+        ],
+    )
+    def test_unknown_params_are_config_errors(self, name, params, known):
+        [unknown] = [key for key in params if key not in known.split(", ")]
+        message = f"^backend {name!r}: unknown param {unknown!r} \\(known: {known}\\)$"
+        with pytest.raises(ConfigError, match=message):
+            make_backend(name, params)
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("oracle", {"seed": 7}),
+            ("dropout_oracle", {"rate": "0.5", "seed": "7"}),
+            ("invalid_then_fix", {"inject_every": "1", "seed": 7}),
+            ("never_fix", {"inject_every": "3", "seed": 7}),
+        ],
+    )
+    def test_declared_params_and_seed_are_accepted(self, name, params):
+        assert make_backend(name, params).label == name
+
     def test_wire_requires_endpoint(self, monkeypatch):
         monkeypatch.delenv("CASEPIPE_BACKEND_URL", raising=False)
         with pytest.raises(ConfigError, match="^wire backend needs CASEPIPE_BACKEND_URL$"):

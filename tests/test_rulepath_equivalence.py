@@ -3,8 +3,10 @@ per-call forms they replace.
 
 ``detect_source`` stops searching a signature's markers once it can no
 longer qualify or win; ``dispatch`` strips the end sentinel and splits the
-lines once per segment; ``harmonize`` runs a plan compiled once per mapping
-table; the CSV cell flattener writes lists and maps of scalars in place.
+lines once per segment, and a line rule with a literal prefix searches only
+the lines that start with it; ``harmonize`` runs a plan compiled once per
+mapping table; the CSV cell flattener writes lists and maps of scalars in
+place.
 Each must give exactly what the plain walk gives: the same detection, the
 same draft candidates in the same order, the same harmonized record, trace
 and warnings in order, the same cells. The plain versions are kept in this
@@ -21,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casepipe import emit
+from casepipe import rules as rules_module
 from casepipe.config import ConfigError, bundled_path
 from casepipe.extract import CaseSegment
 from casepipe.harmonize import (
@@ -376,6 +379,105 @@ def test_apply_rules_matches_per_rule_split(text, family, extra):
     assert _draft_state(("ok", new)) == _draft_state(("ok", old))
     assert warned == oracle_warned
     assert apply_rules(segment, rules, "label").candidates == old.candidates
+
+
+def _parent_apply(text, rules, source_label, segment_index, on_warning):
+    """``rules._apply`` before line rules were indexed by literal prefix:
+    every line-scope rule searches every line."""
+    lines = []
+    offset = 0
+    for line in text.split("\n"):
+        lines.append((line, offset))
+        offset += len(line) + 1
+    draft = DraftRecord(source_label=source_label, segment_index=segment_index)
+    candidates = draft.candidates
+    for rule in rules:
+        compiled = rule.compiled
+        if rule.scope == SCOPE_LINE:
+            search = compiled.search
+            matches = []
+            for line, offset in lines:
+                m = search(line)
+                if m is not None:
+                    matches.append((m, offset))
+        else:
+            matches = [(m, 0) for m in compiled.finditer(text)]
+        for m, offset in matches:
+            raw = m.group(1)
+            if raw is None or not raw.strip():
+                continue
+            start, end = offset + m.start(1), offset + m.end(1)
+            existing = candidates.get(rule.field_path)
+            if existing is not None:
+                if on_warning is not None:
+                    on_warning(
+                        "duplicate_field_match",
+                        f"{rule.field_path}: rule {rule.pattern_id} matched again at "
+                        f"offset {start}; keeping value from {existing.pattern_id}",
+                    )
+                continue
+            candidates[rule.field_path] = FieldCandidate(
+                field_path=rule.field_path,
+                raw_value=raw.strip(),
+                pattern_id=rule.pattern_id,
+                char_start=start,
+                char_end=end,
+            )
+    return draft
+
+
+# Line rules over the prefix reader's edge cases, with the prefix each one
+# gets; two share a field path so duplicate_field_match fires.
+_PREFIX_RULES = [
+    (LabelRule("p_plain", "p.one", r"^ab(.*)"), "ab"),
+    (LabelRule("p_alt", "p.alt", r"^ab(.)|c"), ""),
+    (LabelRule("p_star", "p.one", r"^ab*(.*)"), "a"),
+    (LabelRule("p_count", "p.count", r"^ab{2}(.*)"), "a"),
+    (LabelRule("p_opt", "p.opt", r"^ab?(c.*)"), "a"),
+    (LabelRule("p_plus", "p.plus", r"^Ab+(.)"), "A"),
+    (LabelRule("p_escape", "p.escape", r"^a\.b(.*)"), "a"),
+    (LabelRule("p_class", "p.class", r"^[ab]b(.*)"), ""),
+    (LabelRule("p_digit", "p.digit", r"^\d(.+)"), ""),
+    (LabelRule("p_nocase", "p.nocase", r"(?i)^ab(.*)"), ""),
+    (LabelRule("p_empty", "p.empty", r"^(.+)$"), ""),
+    (LabelRule("p_loose", "p.loose", r"b\.(.)"), ""),
+    (LabelRule("p_space", "p.space", r"^a b:\s*(\S+)"), "a b:"),
+    (LabelRule("p_dot", "p.dot", r"^A.(.)"), "A"),
+]
+
+
+def test_literal_prefixes():
+    assert [rule.prefix for rule, _ in _PREFIX_RULES] == [want for _, want in _PREFIX_RULES]
+
+
+def test_every_bundled_line_rule_but_nar_circ_has_a_prefix():
+    lacking = [
+        rule.pattern_id
+        for rules in RULESETS.values()
+        for rule in rules
+        if rule.scope == SCOPE_LINE and not rule.prefix
+    ]
+    assert lacking == ["nar_circ"]
+
+
+_PREFIX_LINES = st.text(alphabet=st.sampled_from("abAB.c1 :x"), max_size=8)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(_PREFIX_LINES, max_size=10),
+    st.lists(st.sampled_from([rule for rule, _ in _PREFIX_RULES]), max_size=8),
+    st.booleans(),
+)
+def test_apply_matches_searching_every_line(lines, rules, bundled):
+    text = "\n".join(lines)
+    if bundled:
+        rules = RULESETS[FAMILY_REGISTRY] + rules
+    warned, oracle_warned = [], []
+    new = rules_module._apply(text, rules, "label", 2, lambda c, m: warned.append((c, m)))
+    old = _parent_apply(text, rules, "label", 2, lambda c, m: oracle_warned.append((c, m)))
+    assert _draft_state(("ok", new)) == _draft_state(("ok", old))
+    assert warned == oracle_warned
 
 
 # ---------------------------------------------------------------------------
