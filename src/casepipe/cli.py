@@ -12,7 +12,10 @@ finished run against a gold file.
 
 Outputs land in the run's output directory: cases_rule.jsonl/csv and
 cases_llm.jsonl/csv (per enabled path), warnings.jsonl, run_summary.json,
-and, when a gold file is given, metrics_<path>.json plus report.txt.
+and, when a gold file is given, metrics_<path>.json plus report.txt. Until
+they are written, a run's records, repair-log rows and runtime samples
+accumulate per path on the pipeline, in its ``outputs``, with the segment
+count beside them; ``run`` sorts each by case_id as it writes it.
 
 Documents run one after another on the calling thread, every stage
 included. Only backend exchanges leave it, and only for a backend that waits
@@ -37,6 +40,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from operator import itemgetter
 from pathlib import Path
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
@@ -86,6 +90,8 @@ BACKEND_CHOICES = ("wire", "oracle", "dropout_oracle", "invalid_then_fix", "neve
 
 RULE_CASES_NAME = "cases_rule"
 LLM_CASES_NAME = "cases_llm"
+# Each extraction path and the stem of its cases_* files.
+_PATHS = (("rule", RULE_CASES_NAME), ("llm", LLM_CASES_NAME))
 
 
 @dataclass(frozen=True)
@@ -205,38 +211,23 @@ class RunSummary:
     config_digest: str
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "documents_in": self.documents_in,
-            "segments": self.segments,
-            "records_out_rule": self.records_out_rule,
-            "records_out_llm": self.records_out_llm,
-            "warnings_by_severity": self.warnings_by_severity,
-            "runtime": self.runtime,
-            "repair_log": self.repair_log,
-            "backend_calls": self.backend_calls,
-            "geocode_cache": self.geocode_cache,
-            "gazetteer_lookups": self.gazetteer_lookups,
-            "config_digest": self.config_digest,
-        }
+        return dict(vars(self))
 
 
 @dataclass
-class _DocumentResult:
-    document_id: str
-    segments: int = 0
-    rule_records: list[dict] = field(default_factory=list)
-    llm_records: list[dict] = field(default_factory=list)
-    rule_log: list[dict] = field(default_factory=list)
-    llm_log: list[dict] = field(default_factory=list)
-    rule_runtimes: list[tuple[str, float]] = field(default_factory=list)
-    llm_runtimes: list[tuple[str, float]] = field(default_factory=list)
+class _PathOutput:
+    """What one path produced over a run, in no particular order."""
+
+    records: list[dict] = field(default_factory=list)
+    log: list[dict] = field(default_factory=list)
+    runtimes: list[tuple[str, float]] = field(default_factory=list)
 
 
 @dataclass
 class _LlmJob:
     """One segment's llm-path record between its request and its finish."""
 
-    result: _DocumentResult
+    document_id: str
     case_id: str
     detection: DetectionResult
     engine: str
@@ -275,19 +266,25 @@ class _Pipeline:
                 )
         self.gazetteer = Gazetteer.load(config.resolved_gazetteer_path())
         self.cache = GeocodeCache(config.cache_path)
-        self.rule_enabled = config.paths_enabled in ("rule", "both")
-        self.llm_enabled = config.paths_enabled in ("llm", "both")
+        self.enabled = {
+            label for label, _ in _PATHS if config.paths_enabled in (label, "both")
+        }
         self.backend = None
-        if self.llm_enabled:
+        if "llm" in self.enabled:
             params = dict(config.backend_params)
             if config.seed is not None:
                 params.setdefault("seed", config.seed)
             self.backend = make_backend(config.backend, params)
-        self.ingest_ts = config.ingest_ts or datetime.now(timezone.utc).isoformat(
+        ingest_ts = config.ingest_ts or datetime.now(timezone.utc).isoformat(
             timespec="seconds"
         )
-        self.warning_log = emit.WarningLog(clock=lambda: self.ingest_ts)
+        self.ingest_ts = ingest_ts
+        # A clock reading ``self`` would keep a finished pipeline alive in a
+        # reference cycle until the collector ran.
+        self.warning_log = emit.WarningLog(clock=lambda: ingest_ts)
         self._identity_tables: dict[str | None, MappingTable] = {}
+        self.segments = 0
+        self.outputs = {label: _PathOutput() for label, _ in _PATHS}
 
     # -- helpers ----------------------------------------------------------
 
@@ -359,9 +356,9 @@ class _Pipeline:
     # -- per-segment paths -------------------------------------------------
 
     def _run_rule_path(
-        self, result: _DocumentResult, segment, detection, case_id: str, engine: str
+        self, document_id: str, segment, detection, case_id: str, engine: str
     ) -> None:
-        for_stage, warned = self._sink(result.document_id, case_id)
+        for_stage, warned = self._sink(document_id, case_id)
         started = perf_counter()
         draft: DraftRecord = dispatch(
             detection, segment, self.rulesets, on_warning=for_stage("parse")
@@ -387,7 +384,7 @@ class _Pipeline:
             case_id=case_id,
             detection=detection,
             engine_used=engine,
-            document_id=result.document_id,
+            document_id=document_id,
             extraction_path="rule",
             field_origins=origins,
         )
@@ -401,8 +398,9 @@ class _Pipeline:
                     "validation_violation",
                     f"{violation.field_path}: {violation.code}: {violation.message}",
                 )
-        result.rule_records.append(record)
-        result.rule_log.append(
+        output = self.outputs["rule"]
+        output.records.append(record)
+        output.log.append(
             {
                 "case_id": case_id,
                 "pre_valid": report.valid,
@@ -410,10 +408,10 @@ class _Pipeline:
                 "attempts": 0,
             }
         )
-        result.rule_runtimes.append((case_id, perf_counter() - started))
+        output.runtimes.append((case_id, perf_counter() - started))
 
     def _llm_request(
-        self, result: _DocumentResult, text: str, detection, case_id: str, engine: str
+        self, document_id: str, text: str, detection, case_id: str, engine: str
     ) -> _LlmJob:
         started = perf_counter()
         prompt = build_extraction_prompt(
@@ -426,7 +424,7 @@ class _Pipeline:
             request_id=f"{case_id}:extract",
         )
         return _LlmJob(
-            result, case_id, detection, engine, request, perf_counter() - started
+            document_id, case_id, detection, engine, request, perf_counter() - started
         )
 
     def _finish_llm(
@@ -438,12 +436,11 @@ class _Pipeline:
         The record's runtime is its own stages plus its own exchanges; time
         its exchanges spent queued behind other records' is not counted.
         """
-        assert self.backend is not None
         started = perf_counter()
         response, spent = extracted
         waited = 0.0
-        result, case_id = job.result, job.case_id
-        for_stage, warned = self._sink(result.document_id, case_id)
+        case_id, output = job.case_id, self.outputs["llm"]
+        for_stage, warned = self._sink(job.document_id, case_id)
 
         def repair_exchange(request: BackendRequest) -> BackendResponse:
             nonlocal spent, waited
@@ -457,7 +454,7 @@ class _Pipeline:
 
         def done() -> None:
             own = job.build_s + spent + perf_counter() - started - waited
-            result.llm_runtimes.append((case_id, own))
+            output.runtimes.append((case_id, own))
 
         if isinstance(response, BackendError):
             for_stage("parse", "error")("backend_error", str(response))
@@ -481,7 +478,7 @@ class _Pipeline:
             case_id=case_id,
             detection=job.detection,
             engine_used=job.engine,
-            document_id=result.document_id,
+            document_id=job.document_id,
             extraction_path="llm",
             field_origins={},
         )
@@ -490,11 +487,10 @@ class _Pipeline:
         outcome = repair_loop(
             record,
             self.schema,
-            self.backend,
+            repair_exchange,
             max_attempts=self.config.max_repair_attempts,
             on_warning=for_stage("repair"),
             request_prefix=f"{case_id}:repair",
-            exchange=repair_exchange,
         )
         pre_valid = outcome.attempts == 0 and outcome.passed
         record = outcome.record
@@ -502,7 +498,7 @@ class _Pipeline:
         # repair_count on an llm-path record, so it needs no second pass.
         record["provenance"]["repair_count"] = outcome.attempts
         post_valid = outcome.passed
-        result.llm_log.append(
+        output.log.append(
             {
                 "case_id": case_id,
                 "pre_valid": pre_valid,
@@ -511,7 +507,7 @@ class _Pipeline:
             }
         )
         if post_valid:
-            result.llm_records.append(record)
+            output.records.append(record)
         else:
             if outcome.attempts > 0:
                 for_stage("repair", "error")(
@@ -525,19 +521,14 @@ class _Pipeline:
 
     # -- per-document ------------------------------------------------------
 
-    def _document_jobs(
-        self, path: Path, results: list[_DocumentResult]
-    ) -> Iterator[_LlmJob]:
+    def _document_jobs(self, path: Path) -> Iterator[_LlmJob]:
         """Extract, split and detect one document and run each segment's
-        rule path, appending the document's result; yield each segment's
-        llm request.
+        rule path; yield each segment's llm request.
 
         Split and detection see the content only. The trailer is
         normalized only for the llm path, and only the last segment's
         prompt carries it."""
         document_id = path.stem
-        result = _DocumentResult(document_id=document_id)
-        results.append(result)
         try:
             extracted = extract_text(SourceDocument(document_id=document_id, path=path))
         except ExtractionFailure as exc:
@@ -564,8 +555,8 @@ class _Pipeline:
         # patches.
         content, trailer = cut_trailer(extracted.text, prenormalize)
         segments = split_cases(content, DEFAULT_SPLIT_PATTERNS)
-        result.segments = len(segments)
-        if self.llm_enabled and trailer:
+        self.segments += len(segments)
+        if "llm" in self.enabled and trailer:
             trailer = prenormalize(trailer)
         last = segments[-1]
         for segment in segments:
@@ -580,18 +571,20 @@ class _Pipeline:
                     code="unknown_source",
                     message="no signature reached its marker threshold",
                 )
-            if self.rule_enabled:
+            if "rule" in self.enabled:
                 self._run_rule_path(
-                    result, segment, detection, case_id, extracted.engine_used
+                    document_id, segment, detection, case_id, extracted.engine_used
                 )
-            if self.llm_enabled:
+            if "llm" in self.enabled:
                 text = segment.text + trailer if segment is last else segment.text
                 yield self._llm_request(
-                    result, text, detection, case_id, extracted.engine_used
+                    document_id, text, detection, case_id, extracted.engine_used
                 )
 
-    def process(self, files: Sequence[Path]) -> list[_DocumentResult]:
-        """Run every document on the calling thread, in order.
+    def process(self, files: Sequence[Path]) -> None:
+        """Run every document on the calling thread, in order, adding what
+        each path produces to its entry in ``outputs`` and each document's
+        segments to ``segments``.
 
         Only backend exchanges leave it, and only for a backend that waits
         on I/O: they go to ``max_in_flight`` threads, extraction requests up
@@ -600,8 +593,7 @@ class _Pipeline:
         wait. Any other backend is called inline, and an empty run starts
         no thread.
         """
-        results: list[_DocumentResult] = []
-        jobs = (job for path in files for job in self._document_jobs(path, results))
+        jobs = (job for path in files for job in self._document_jobs(path))
         backend = self.backend
         if backend is None or not backend.waits_on_io or not files:
 
@@ -610,7 +602,7 @@ class _Pipeline:
 
             for job in jobs:
                 self._finish_llm(job, inline(job.request), inline)
-            return results
+            return
 
         from concurrent.futures import ThreadPoolExecutor  # deferred: cold starts skip it
 
@@ -629,7 +621,6 @@ class _Pipeline:
             while window:
                 job, future = window.popleft()
                 self._finish_llm(job, future.result(), pooled)
-        return results
 
 
 def _exchange(request: BackendRequest, backend) -> _Exchanged:
@@ -658,65 +649,34 @@ def _runtime_block(samples: list[tuple[str, float]]) -> dict[str, Any]:
     return block
 
 
-def _write_path_outputs(
-    output_dir: Path,
-    stem: str,
-    records: list[dict],
-    schema: SchemaDefinition,
-) -> int:
-    records = sorted(records, key=lambda r: r["case_id"])
-    written = emit.write_records_jsonl(output_dir / f"{stem}.jsonl", records)
-    emit.write_records_csv(output_dir / f"{stem}.csv", records, schema)
-    return written
-
-
 def run(config: RunConfig) -> RunSummary:
     """Process every document under the config and write all run artifacts."""
     pipeline = _Pipeline(config)
     files = sorted(config.input_dir.glob("*.txt"))
-    results = pipeline.process(files)
+    pipeline.process(files)
 
     output_dir = config.output_dir
     output_dir.mkdir(parents=True, exist_ok=True)
-    rule_records = [r for result in results for r in result.rule_records]
-    llm_records = [r for result in results for r in result.llm_records]
-    records_out_rule = records_out_llm = 0
-    if pipeline.rule_enabled:
-        records_out_rule = _write_path_outputs(
-            output_dir, RULE_CASES_NAME, rule_records, pipeline.schema
-        )
-    if pipeline.llm_enabled:
-        records_out_llm = _write_path_outputs(
-            output_dir, LLM_CASES_NAME, llm_records, pipeline.schema
-        )
+    outputs, by_case_id = pipeline.outputs, itemgetter("case_id")
+    records_out = dict.fromkeys(outputs, 0)
+    for label, stem in _PATHS:
+        if label in pipeline.enabled:
+            records = sorted(outputs[label].records, key=by_case_id)
+            records_out[label] = emit.write_records_jsonl(
+                output_dir / f"{stem}.jsonl", records
+            )
+            emit.write_records_csv(output_dir / f"{stem}.csv", records, pipeline.schema)
     pipeline.warning_log.save(output_dir / "warnings.jsonl")
 
-    repair_log = {
-        "rule": sorted(
-            (row for result in results for row in result.rule_log),
-            key=lambda row: row["case_id"],
-        ),
-        "llm": sorted(
-            (row for result in results for row in result.llm_log),
-            key=lambda row: row["case_id"],
-        ),
-    }
     backend = pipeline.backend
     summary = RunSummary(
         documents_in=len(files),
-        segments=sum(result.segments for result in results),
-        records_out_rule=records_out_rule,
-        records_out_llm=records_out_llm,
+        segments=pipeline.segments,
+        records_out_rule=records_out["rule"],
+        records_out_llm=records_out["llm"],
         warnings_by_severity=pipeline.warning_log.counts_by_severity(),
-        runtime={
-            "rule": _runtime_block(
-                [s for result in results for s in result.rule_runtimes]
-            ),
-            "llm": _runtime_block(
-                [s for result in results for s in result.llm_runtimes]
-            ),
-        },
-        repair_log=repair_log,
+        runtime={label: _runtime_block(out.runtimes) for label, out in outputs.items()},
+        repair_log={label: sorted(out.log, key=by_case_id) for label, out in outputs.items()},
         backend_calls={
             "extract": backend.call_count("extract") if backend else 0,
             "repair": backend.call_count("repair") if backend else 0,
@@ -760,7 +720,7 @@ def evaluate_outputs(
         summary = json.loads(summary_path.read_text(encoding="utf-8"))
         config_digest = summary.get("config_digest", config_digest)
     reports: dict[str, metrics.MetricsReport] = {}
-    for label, stem in (("rule", RULE_CASES_NAME), ("llm", LLM_CASES_NAME)):
+    for label, stem in _PATHS:
         cases_path = output_dir / f"{stem}.jsonl"
         if not cases_path.is_file():
             continue

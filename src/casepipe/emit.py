@@ -319,15 +319,7 @@ class WarningLogEntry:
     ts: str
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "document_id": self.document_id,
-            "case_id": self.case_id,
-            "stage": self.stage,
-            "severity": self.severity,
-            "code": self.code,
-            "message": self.message,
-            "ts": self.ts,
-        }
+        return dict(vars(self))
 
 
 def _utc_now() -> str:

@@ -379,18 +379,16 @@ def _merge_minimal(
 def repair_loop(
     record: dict[str, Any],
     schema: SchemaDefinition,
-    backend: Any,
+    exchange: Callable[[BackendRequest], BackendResponse],
     max_attempts: int = DEFAULT_MAX_REPAIR_ATTEMPTS,
     on_warning: WarnFn | None = None,
-    sleep: Callable[[float], None] = time.sleep,
     request_prefix: str = "repair",
-    timeout_s: float = DEFAULT_TIMEOUT_S,
-    exchange: Callable[[BackendRequest], BackendResponse] | None = None,
 ) -> RepairOutcome:
     """Validator-guided, minimal-edit repair with a hard attempt bound.
 
-    Each attempt's backend exchange is ``call_backend`` unless ``exchange``
-    is given, which lets a caller send it wherever its other exchanges go.
+    ``exchange`` is the only route to a backend: each attempt's request goes
+    through it, so a caller sends repairs wherever its other exchanges go.
+    A ``BackendError`` it raises fails that attempt.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
@@ -405,14 +403,11 @@ def repair_loop(
         request = BackendRequest(
             prompt=prompt,
             tier=TIER_REPAIR,
-            timeout_s=timeout_s,
+            timeout_s=DEFAULT_TIMEOUT_S,
             request_id=f"{request_prefix}:{attempt}",
         )
         try:
-            if exchange is None:
-                response = call_backend(request, backend, sleep=sleep)
-            else:
-                response = exchange(request)
+            response = exchange(request)
             candidate = sanitize_candidate(response.text, schema, on_warning)
         except (BackendError, CandidateParseError) as exc:
             warn("repair_attempt_failed", f"attempt {attempt}: {exc}")

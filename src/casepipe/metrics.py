@@ -553,22 +553,9 @@ class MetricsReport:
             raise ValueError("f1 does not match its precision/recall")
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "structured_field_accuracy": self.structured_field_accuracy,
-            "completeness_overall": self.completeness_overall,
-            "completeness_by_field": dict(self.completeness_by_field),
-            "geocode_success_rate": self.geocode_success_rate,
-            "geocode_plausible_rate": self.geocode_plausible_rate,
-            "pre_pass_rate": self.pre_pass_rate,
-            "post_pass_rate": self.post_pass_rate,
-            "repair_rate": self.repair_rate,
-            "runtime_mean_s": self.runtime_mean_s,
-            "runtime_p95_s": self.runtime_p95_s,
-            "record_count": self.record_count,
-        }
+        fields = dict(vars(self))
+        fields["completeness_by_field"] = dict(self.completeness_by_field)
+        return fields
 
 
 def build_report(

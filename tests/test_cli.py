@@ -5,11 +5,13 @@ test double is the backend, which is one of the deterministic built-ins.
 A fixed --ingest-ts pins every emitted timestamp so byte comparisons work.
 """
 
+import gc
 import json
 import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -467,6 +469,26 @@ class TestColdStart:
             check=True,
         ).stdout
         assert loaded.strip() == "[]"
+
+
+class TestPipelineLifetime:
+    def test_a_finished_run_frees_its_pipeline_without_the_collector(
+        self, mixed_corpus, tmp_path, monkeypatch
+    ):
+        pipelines = weakref.WeakSet()
+        init = cli._Pipeline.__init__
+
+        def tracked_init(self, config):
+            init(self, config)
+            pipelines.add(self)
+
+        monkeypatch.setattr(cli._Pipeline, "__init__", tracked_init)
+        gc.disable()
+        try:
+            run(_config(mixed_corpus, tmp_path))
+            assert len(pipelines) == 0
+        finally:
+            gc.enable()
 
 
 class TestEvaluation:

@@ -4,10 +4,16 @@ The corpus is ``casepipe synth --seed 1 --count 20 --dropout 0.5`` (60
 documents). It runs as the benchmark's ``rule_labeled`` (rule path),
 ``dual_repair`` (both paths, ``invalid_then_fix`` corrupting every
 extraction) and ``wire_inflight`` (llm path over HTTP to a loopback backend
-that answers like ``oracle``, 2 in flight) configurations, and the sha256 of
-every ``cases_*`` file and of ``warnings.jsonl`` is compared with the values
-below. A change meant to keep outputs byte-identical leaves them alone; one
-that changes outputs on purpose updates them and says why.
+that answers like ``oracle``, 2 in flight) configurations, and as
+``never_fix`` (both paths, every third extraction corrupted and never
+repaired), the one that logs warnings. The sha256 of every ``cases_*`` file,
+of ``warnings.jsonl`` and of ``run_summary.json`` is compared with the values
+below. The summary is hashed without what varies from run to run: the
+timings in each ``runtime`` block (``samples``, ``mean_s``, ``p95_s``) and
+``config_digest``, which hashes the temporary input directory's path; the
+file must still be the canonical dump of what is left. A change meant to
+keep outputs byte-identical leaves the values alone; one that changes
+outputs on purpose updates them and says why.
 
 The file needs no pytest, so the same bytes can be checked on interpreters
 that lack it::
@@ -44,15 +50,21 @@ CONFIGS = {
         "backend_params": {"inject_every": "1"},
     },
     "wire_inflight": {"paths_enabled": "llm", "backend": "wire", "max_in_flight": 2},
+    "never_fix": {
+        "paths_enabled": "both",
+        "backend": "never_fix",
+        "backend_params": {"inject_every": "3"},
+    },
 }
 
-# This corpus logs no warnings under any of the three configs.
+# This corpus logs no warnings under the three benchmark configs.
 _EMPTY = hashlib.sha256(b"").hexdigest()
 GOLDEN = {
     "rule_labeled": {
         "cases_rule.csv": "f5344c89fa7d41807fe9eb38a6f8ac38d193ea2075bcd8dfcb608fd789d09d3a",
         "cases_rule.jsonl": "532684a664062fdde7f618405de10c1cbddedea5857ce16d8f8d9f0b7b95b57a",
         "warnings.jsonl": _EMPTY,
+        "run_summary.json": "11e9d8be42f5050cc75b9776d8c4ce8631616c5485ae7c7bc139507ee795a1fb",
     },
     "dual_repair": {
         "cases_llm.csv": "89385a3dfdcaae83093b59044997c2dff170ad497173e96c5e70773ee4f9718d",
@@ -60,11 +72,23 @@ GOLDEN = {
         "cases_rule.csv": "f5344c89fa7d41807fe9eb38a6f8ac38d193ea2075bcd8dfcb608fd789d09d3a",
         "cases_rule.jsonl": "532684a664062fdde7f618405de10c1cbddedea5857ce16d8f8d9f0b7b95b57a",
         "warnings.jsonl": _EMPTY,
+        "run_summary.json": "7759ff0c03715ff3b0d7d88b0cc329c347b3b60483f06415f7c6b4bc76a7bf73",
     },
     "wire_inflight": {
         "cases_llm.csv": "0fe03c25b34f542c564c72e0701dc5c0919189e3f23ff8c5dae9c3d2e32f5af7",
         "cases_llm.jsonl": "e60e4a20e66bed2052f74eee49b581ed3f590c7c481d967bb425842cff0f5779",
         "warnings.jsonl": _EMPTY,
+        "run_summary.json": "14b67b37c6a26d2e958ef64dd42136ba407f124773f412486415c9b0abb8ebd1",
+    },
+    # 40 warnings: repair_exhausted and record_withheld for each of the 20
+    # corrupted extractions.
+    "never_fix": {
+        "cases_llm.csv": "b21dbec6adffe70c472d4535287d041816dfe86f122c8fe2d8a9affeab6e4c3b",
+        "cases_llm.jsonl": "c2513cca00cf146395f6cb43cac620d26172a4b3a9a575b9a3f1681551efe9f5",
+        "cases_rule.csv": "f5344c89fa7d41807fe9eb38a6f8ac38d193ea2075bcd8dfcb608fd789d09d3a",
+        "cases_rule.jsonl": "532684a664062fdde7f618405de10c1cbddedea5857ce16d8f8d9f0b7b95b57a",
+        "warnings.jsonl": "e410f1e5db2ab373e242b31534d0629bb8cdaa84ef49eeb010778265a60c2745",
+        "run_summary.json": "721de85e9449556969047964d498081444a12932ec83e20487b786b241821c9c",
     },
 }
 
@@ -120,8 +144,26 @@ def _oracle_server() -> Iterator[None]:
         thread.join()
 
 
+SUMMARY_NAME = "run_summary.json"
+_RUNTIME_STATS = ("samples", "mean_s", "p95_s")
+
+
+def summary_hash(path: Path) -> str:
+    """sha256 of a run summary without its timings and config digest."""
+    text = path.read_text(encoding="utf-8")
+    summary = json.loads(text)
+    assert text == json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    del summary["config_digest"]
+    for block in summary["runtime"].values():
+        for key in _RUNTIME_STATS:
+            del block[key]
+    pinned = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    return hashlib.sha256(pinned.encode("utf-8")).hexdigest()
+
+
 def output_hashes(name: str) -> dict[str, str]:
-    """sha256 of each ``cases_*`` file and ``warnings.jsonl`` of one config."""
+    """sha256 of each ``cases_*`` file, ``warnings.jsonl`` and the pinned
+    part of ``run_summary.json`` of one config."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         argv = ["synth", "--seed", str(SEED), "--count", "20", "--dropout", "0.5"]
@@ -142,7 +184,11 @@ def output_hashes(name: str) -> dict[str, str]:
         files = sorted(config.output_dir.glob("cases_*")) + [
             config.output_dir / "warnings.jsonl"
         ]
-        return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in files}
+        hashes = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in files
+        }
+        hashes[SUMMARY_NAME] = summary_hash(config.output_dir / SUMMARY_NAME)
+        return hashes
 
 
 def test_rule_labeled_bytes() -> None:
@@ -155,6 +201,10 @@ def test_dual_repair_bytes() -> None:
 
 def test_wire_inflight_bytes() -> None:
     assert output_hashes("wire_inflight") == GOLDEN["wire_inflight"]
+
+
+def test_never_fix_bytes() -> None:
+    assert output_hashes("never_fix") == GOLDEN["never_fix"]
 
 
 def main() -> int:

@@ -399,17 +399,24 @@ class TestMakeBackend:
         assert make_backend("wire").label == "wire"
 
 
+def exchange_with(backend):
+    """``repair_loop``'s exchange for one backend, retrying without waiting."""
+    return lambda request: call_backend(request, backend, sleep=lambda s: None)
+
+
 class TestRepairLoop:
     def test_valid_record_passes_untouched(self):
         record = make_record()
-        outcome = repair_loop(record, SCHEMA, OracleBackend(), max_attempts=2)
+        outcome = repair_loop(record, SCHEMA, exchange_with(OracleBackend()), max_attempts=2)
         assert outcome.passed is True
         assert outcome.attempts == 0
         assert outcome.record == record
 
     def test_single_attempt_fix(self):
         record = make_record(**{"demographic.age_years": 999})
-        outcome = repair_loop(record, SCHEMA, InvalidThenFixBackend(), max_attempts=2)
+        outcome = repair_loop(
+            record, SCHEMA, exchange_with(InvalidThenFixBackend()), max_attempts=2
+        )
         assert outcome.passed is True
         assert outcome.attempts == 1
         assert resolve_path(outcome.record, "demographic.age_years") is None
@@ -419,7 +426,7 @@ class TestRepairLoop:
         seen, warn = collect_warnings()
         record = make_record(**{"demographic.age_years": 999})
         outcome = repair_loop(
-            record, SCHEMA, NeverFixBackend(), max_attempts=2, on_warning=warn
+            record, SCHEMA, exchange_with(NeverFixBackend()), max_attempts=2, on_warning=warn
         )
         assert outcome.passed is False
         assert outcome.attempts == 2
@@ -436,7 +443,9 @@ class TestRepairLoop:
             return canonical_json(current)
 
         backend = ScriptedBackend([sneaky_fix])
-        outcome = repair_loop(record, SCHEMA, backend, max_attempts=1, on_warning=warn)
+        outcome = repair_loop(
+            record, SCHEMA, exchange_with(backend), max_attempts=1, on_warning=warn
+        )
         assert outcome.passed is True
         assert resolve_path(outcome.record, "demographic.name") == "Avery Quill"
         assert "non_minimal_edit_reverted" in seen
@@ -451,7 +460,7 @@ class TestRepairLoop:
             return canonical_json(current)
 
         backend = ScriptedBackend([insert_outcome])
-        outcome = repair_loop(record, SCHEMA, backend, max_attempts=2)
+        outcome = repair_loop(record, SCHEMA, exchange_with(backend), max_attempts=2)
         assert outcome.passed is True
         assert outcome.attempts == 1
         assert resolve_path(outcome.record, "outcome.status") == "unknown"
@@ -464,7 +473,7 @@ class TestRepairLoop:
             [BackendTransportError("down")] * 6  # 3 transport tries per attempt
         )
         outcome = repair_loop(
-            record, SCHEMA, backend, max_attempts=2, on_warning=warn, sleep=lambda s: None
+            record, SCHEMA, exchange_with(backend), max_attempts=2, on_warning=warn
         )
         assert outcome.passed is False
         assert outcome.attempts == 2
