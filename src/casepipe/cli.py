@@ -540,6 +540,16 @@ class _Pipeline:
                 message=str(exc),
             )
             return
+        if extracted.fallback_offset is not None:
+            self.warning_log.log(
+                document_id=document_id,
+                stage="extract",
+                severity="warning",
+                code="encoding_fallback",
+                message=(
+                    f"not UTF-8 at byte {extracted.fallback_offset}; decoded as cp1252"
+                ),
+            )
         if not extracted.quality_ok:
             self.warning_log.log(
                 document_id=document_id,
@@ -708,12 +718,18 @@ def evaluate_outputs(
     config_digest: str = "unrecorded",
     on_warning: metrics.WarnFn | None = None,
 ) -> dict[str, metrics.MetricsReport]:
-    """Score each path's emitted JSONL against gold; write reports + table."""
+    """Score each path's emitted JSONL against gold; write reports + table.
+
+    ``gold.jsonl`` is read once, and every path's ``metrics.build_report``
+    call gets the same ``metrics.GoldSide`` of it, so each gold record's
+    values are extracted once for all paths. A path whose ``cases_*.jsonl``
+    is missing is not scored; with none at all this is a ConfigError.
+    """
     from casepipe import metrics  # deferred: cold starts skip the scorer
 
     if not gold_path.is_file():
         raise ConfigError(f"gold file does not exist: {gold_path}")
-    gold = read_jsonl(gold_path)
+    gold = metrics.GoldSide(read_jsonl(gold_path))
     summary: dict[str, Any] = {}
     summary_path = output_dir / "run_summary.json"
     if summary_path.is_file():

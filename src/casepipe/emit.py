@@ -47,7 +47,8 @@ SEVERITIES = ("info", "warning", "error")
 # fragmenting the log vocabulary.
 WARNING_CODES = {
     "low_quality_text": "document text is below the quality floor; used as read",
-    "extraction_failed": "the document could not be read; it was skipped",
+    "extraction_failed": "the document could not be read or is binary; it was skipped",
+    "encoding_fallback": "the document is not UTF-8; it was decoded as cp1252",
     "unknown_source": "no source signature reached the marker threshold",
     "unknown_source_fallback": "unknown source routed to the fallback rule set",
     "duplicate_field_match": "a later rule match for an already-filled field was ignored",

@@ -1,11 +1,15 @@
 """Document text acquisition: plain-text read, pre-normalization, trailer
 cut, case splitting.
 
-Documents are UTF-8 text files, read with undecodable bytes replaced. A read
-that yields too little text, or text that is mostly not alphanumeric, is
-still returned, with ``quality_ok=False`` so the caller can log a warning; a
-file that cannot be read at all raises ExtractionFailure. The quality score
-is taken on the text as read, trailer included.
+Documents are text files, decoded as strict UTF-8 or, when that fails, as
+cp1252 (only its five undefined bytes become U+FFFD); ``fallback_offset``
+then names the first byte UTF-8 could not decode, so the caller can log it.
+Line endings become LF, as a text-mode read makes them. A file holding a NUL
+byte is binary, not text, and raises ExtractionFailure, as a file that
+cannot be read at all does. A read that yields too little text, or text
+that is mostly not alphanumeric, is still returned, with
+``quality_ok=False`` so the caller can log a warning. The quality score is
+taken on the text as read, trailer included.
 
 Everything from the first end sentinel on is a trailer, not document
 content (the synthetic corpus parks its ground truth there). ``cut_trailer``
@@ -54,6 +58,8 @@ class ExtractedText:
     char_count: int
     alnum_ratio: float
     quality_ok: bool
+    # Offset of the first byte that is not UTF-8, when decoded as cp1252.
+    fallback_offset: int | None = None
 
 
 @dataclass(frozen=True)
@@ -82,9 +88,20 @@ def _text_quality(text: str) -> tuple[int, float]:
 def extract_text(doc: SourceDocument) -> ExtractedText:
     """Read the document as text and score it against the quality floor."""
     try:
-        text = doc.path.read_text(encoding="utf-8", errors="replace")
+        raw = doc.path.read_bytes()
     except OSError as exc:
         raise ExtractionFailure(doc.document_id, str(exc)) from exc
+    nul = raw.find(b"\0")
+    if nul >= 0:
+        raise ExtractionFailure(doc.document_id, f"binary file, NUL byte at {nul}")
+    fallback_offset = None
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        fallback_offset = exc.start
+        text = raw.decode("cp1252", errors="replace")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     chars, ratio = _text_quality(text)
     return ExtractedText(
         document_id=doc.document_id,
@@ -93,6 +110,7 @@ def extract_text(doc: SourceDocument) -> ExtractedText:
         char_count=chars,
         alnum_ratio=ratio,
         quality_ok=chars >= QUALITY_MIN_CHARS and ratio >= QUALITY_MIN_ALNUM,
+        fallback_offset=fallback_offset,
     )
 
 

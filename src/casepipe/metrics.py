@@ -11,6 +11,10 @@ collapsed, numerics numerically, timestamps at the coarser of the two stated
 precisions, and movement cues as order-insensitive sets. A value mismatch on
 a slot where both sides are populated counts as a false positive and a false
 negative at once.
+
+An evaluation scores every path against one ``GoldSide``: the gold records'
+values are extracted once, by the first report, and each path's records are
+then scored in one pass against them.
 """
 
 from __future__ import annotations
@@ -167,6 +171,9 @@ def _as_date(value: date | datetime) -> date:
 
 
 def _timestamps_equal(a: Any, b: Any) -> bool:
+    # Two equal plain strings parse alike, or fall back to equal text.
+    if a.__class__ is str and b.__class__ is str and a == b:
+        return True
     parsed_a = parse_iso_timestamp(str(a).strip())
     parsed_b = parse_iso_timestamp(str(b).strip())
     if parsed_a is None or parsed_b is None:
@@ -187,6 +194,8 @@ def _sets_equal(a: Any, b: Any) -> bool:
 
 
 def _texts_equal(a: Any, b: Any) -> bool:
+    if a.__class__ is str and b.__class__ is str and a == b:
+        return True
     return _canonical_text(a) == _canonical_text(b)
 
 
@@ -260,9 +269,11 @@ class _ScoringPlan:
 
     Paths are grouped by their first segment, so a record's section is looked
     up once for all the fields under it; ``checks`` follows the order in which
-    ``values`` yields them. A check's weight counts how often its path appears
-    among the structured paths, so one walk over the slots yields both the
-    field counts and the structured accuracy.
+    ``values`` yields them. A group whose paths all end one segment below the
+    section also keeps those leaf names, read in one ``map`` when the section
+    is a plain dict. A check's weight counts how often its path appears among
+    the structured paths, so one walk over the slots yields both the field
+    counts and the structured accuracy.
     """
 
     __slots__ = ("groups", "checks")
@@ -276,53 +287,65 @@ class _ScoringPlan:
             head, *tail = path.split(".")
             check = (_COMPARATOR_FNS[rule.comparator], weights[path])
             groups.setdefault(head, []).append((tuple(tail), check))
-        self.groups = [
-            (head, [tail for tail, _ in leaves]) for head, leaves in groups.items()
-        ]
+        self.groups = []
+        for head, leaves in groups.items():
+            tails = [tail for tail, _ in leaves]
+            names = [tail[0] for tail in tails if len(tail) == 1]
+            if len(names) < len(tails):
+                names = None
+            self.groups.append((head, tails, names))
         self.checks = [check for leaves in groups.values() for _, check in leaves]
 
-    def values(self, record: dict[str, Any]) -> list[Any]:
+    def values(self, record: Mapping[str, Any]) -> list[Any]:
         """The record's value at each path, None wherever it is nullish."""
-        row = []
-        for head, tails in self.groups:
+        row: list[Any] = []
+        for head, tails, names in self.groups:
             section = record.get(head)
+            if names is not None and type(section) is dict:
+                row += map(section.get, names)
+                continue
             for tail in tails:
-                # get_path and is_nullish, inlined: this loop visits every slot.
+                # get_path, inlined: this loop visits every slot.
                 node = section
                 for segment in tail:
                     if type(node) is not dict and not isinstance(node, abc.Mapping):
                         node = None
                         break
                     node = node.get(segment)
-                if node == "" or (isinstance(node, (list, dict)) and not node):
-                    node = None
                 row.append(node)
-        return row
+        # is_nullish; of JSON values, only a falsy one can be nullish.
+        return [
+            None
+            if not value and (value == "" or isinstance(value, (list, dict)))
+            else value
+            for value in row
+        ]
 
 
-@dataclass(frozen=True)
 class _Tally:
-    tp: int
-    fp: int
-    fn: int
-    slots: int
-    matches: int
+    """Slot counts, added up one parsed record at a time.
 
-
-def _tally(
-    alignment: AlignmentResult, plan: _ScoringPlan, coverage: _Coverage | None = None
-) -> _Tally:
-    """One walk over every gold-aligned slot, comparing each at most once.
-
-    With ``coverage``, the same walk also counts every parsed record into it.
+    A record is counted against its gold row (see ``_ScoringPlan.values``),
+    or against none when no gold record has its id; a gold row that no
+    record matched is counted on its own. Each slot populated on both sides
+    is compared once, and the plan's weights turn the same walk into the
+    structured accuracy.
     """
-    checks = plan.checks
-    tp = fp = fn = slots = matches = 0
-    for parsed_record, gold_record in alignment.pairs:
-        if coverage is not None:
-            coverage.add(parsed_record)
+
+    __slots__ = ("plan", "tp", "fp", "fn", "slots", "matches")
+
+    def __init__(self, plan: _ScoringPlan) -> None:
+        self.plan = plan
+        self.tp = self.fp = self.fn = self.slots = self.matches = 0
+
+    def add(self, parsed_record: Mapping[str, Any], gold_row: list[Any] | None) -> None:
+        parsed_row = self.plan.values(parsed_record)
+        if gold_row is None:
+            self.fp += sum(1 for value in parsed_row if value is not None)
+            return
+        tp = fp = fn = slots = matches = 0
         for parsed_value, gold_value, (compare, weight) in zip(
-            plan.values(parsed_record), plan.values(gold_record), checks
+            parsed_row, gold_row, self.plan.checks
         ):
             if gold_value is None:
                 if parsed_value is not None:
@@ -337,23 +360,37 @@ def _tally(
             else:
                 fp += 1
                 fn += 1
-    for gold_record in alignment.unmatched_gold:
-        for gold_value, (_, weight) in zip(plan.values(gold_record), checks):
+        self.tp += tp
+        self.fp += fp
+        self.fn += fn
+        self.slots += slots
+        self.matches += matches
+
+    def miss(self, gold_row: list[Any]) -> None:
+        for gold_value, (_, weight) in zip(gold_row, self.plan.checks):
             if gold_value is not None:
-                fn += 1
-                slots += weight
+                self.fn += 1
+                self.slots += weight
+
+
+def _tally_alignment(alignment: AlignmentResult, plan: _ScoringPlan) -> _Tally:
+    """Each aligned pair, then unmatched gold and parsed records, into one
+    ``_Tally``."""
+    tally = _Tally(plan)
+    for parsed_record, gold_record in alignment.pairs:
+        tally.add(parsed_record, plan.values(gold_record))
+    for gold_record in alignment.unmatched_gold:
+        tally.miss(plan.values(gold_record))
     for parsed_record in alignment.unmatched_parsed:
-        if coverage is not None:
-            coverage.add(parsed_record)
-        fp += sum(1 for value in plan.values(parsed_record) if value is not None)
-    return _Tally(tp, fp, fn, slots, matches)
+        tally.add(parsed_record, None)
+    return tally
 
 
 def slot_counts(
     alignment: AlignmentResult, rules: Mapping[str, MatchRule]
 ) -> tuple[int, int, int]:
     """(true positives, false positives, false negatives) over all slots."""
-    tally = _tally(alignment, _ScoringPlan(rules))
+    tally = _tally_alignment(alignment, _ScoringPlan(rules))
     return tally.tp, tally.fp, tally.fn
 
 
@@ -382,7 +419,7 @@ def field_prf(
     alignment: AlignmentResult, rules: Mapping[str, MatchRule]
 ) -> tuple[float, float, float]:
     """Micro-averaged precision, recall, and F1 over every scored slot."""
-    return _prf(_tally(alignment, _ScoringPlan(rules)))
+    return _prf(_tally_alignment(alignment, _ScoringPlan(rules)))
 
 
 def structured_field_accuracy(
@@ -394,7 +431,7 @@ def structured_field_accuracy(
     """Share of gold-populated structured slots the parsed side got right."""
     _require_rules(rules, paths)
     plan = _ScoringPlan({path: rules[path] for path in paths}, paths)
-    return _accuracy(_tally(alignment, plan), on_warning)
+    return _accuracy(_tally_alignment(alignment, plan), on_warning)
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +595,54 @@ class MetricsReport:
         return fields
 
 
+class GoldSide:
+    """The gold records of one evaluation, prepared once for every path.
+
+    The first ``build_report`` call that gets it extracts each gold record's
+    value row under that call's scoring plan, keyed by ``case_id``, plus
+    the rows of the records that have no id, and then lets the records go.
+    Later calls reuse the rows and the plan; they must score with the same
+    rules and structured paths, or they raise ValueError.
+    """
+
+    __slots__ = ("_records", "_key", "plan", "rows", "anonymous")
+
+    def __init__(self, records: Iterable[Mapping[str, Any]]) -> None:
+        self._records: Iterable[Mapping[str, Any]] | None = records
+        self._key: tuple[dict[str, MatchRule], tuple[str, ...]] | None = None
+        self.plan: _ScoringPlan | None = None
+        self.rows: dict[Any, list[Any]] = {}
+        self.anonymous: list[list[Any]] = []
+
+    def prepare(
+        self, rules: Mapping[str, MatchRule], structured: Sequence[str]
+    ) -> _ScoringPlan:
+        key = (dict(rules), tuple(structured))
+        if self._records is None:
+            if key != self._key:
+                raise ValueError(
+                    "gold side was prepared with other rules or structured paths"
+                )
+            return self.plan
+        plan = _ScoringPlan(rules, structured)
+        rows: dict[Any, list[Any]] = {}
+        anonymous = []
+        for record in self._records:
+            case_id = record.get("case_id")
+            if case_id is None:
+                anonymous.append(plan.values(record))
+                continue
+            if case_id in rows:
+                raise ValueError(f"duplicate case_id {case_id!r} in gold records")
+            rows[case_id] = plan.values(record)
+        self.plan, self.rows, self.anonymous, self._key = plan, rows, anonymous, key
+        self._records = None
+        return plan
+
+
 def build_report(
     parsed: Iterable[Mapping[str, Any]],
-    gold: Iterable[Mapping[str, Any]],
+    gold: Iterable[Mapping[str, Any]] | GoldSide,
     *,
     schema: SchemaDefinition | None = None,
     rules: Mapping[str, MatchRule] | None = None,
@@ -569,13 +651,41 @@ def build_report(
     runtimes: Iterable[float] = (),
     on_warning: WarnFn | None = None,
 ) -> MetricsReport:
+    """Score one path's parsed records against gold.
+
+    ``gold`` is the gold records or a ``GoldSide`` of them; pass one
+    ``GoldSide`` to every path of an evaluation, so the gold side is
+    prepared once. The parsed records are walked once, in order and
+    without copies: each is counted into coverage, checked for a repeated
+    ``case_id`` (ValueError, as a repeated gold id is) and tallied against
+    the gold row of its id, or as unmatched when there is none. Gold rows
+    that no record matched count as missed.
+    """
     schema = schema if schema is not None else default_schema()
     if rules is None:
         rules = default_match_rules(schema)
     _require_rules(rules, scored_paths(schema))
-    structured = structured_paths(schema)
+    if not isinstance(gold, GoldSide):
+        gold = GoldSide(gold)
+    tally = _Tally(gold.prepare(rules, structured_paths(schema)))
     coverage = _Coverage(key_fields)
-    tally = _tally(align(parsed, gold), _ScoringPlan(rules, structured), coverage)
+    rows = gold.rows
+    seen = set()
+    for record in parsed:
+        coverage.add(record)
+        case_id = record.get("case_id")
+        if case_id is None:
+            tally.add(record, None)
+            continue
+        if case_id in seen:
+            raise ValueError(f"duplicate case_id {case_id!r} in parsed records")
+        seen.add(case_id)
+        tally.add(record, rows.get(case_id))
+    for case_id, row in rows.items():
+        if case_id not in seen:
+            tally.miss(row)
+    for row in gold.anonymous:
+        tally.miss(row)
     precision, recall, f1 = _prf(tally)
     accuracy = _accuracy(tally, on_warning)
     overall, by_field = coverage.completeness(on_warning)

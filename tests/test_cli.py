@@ -449,6 +449,62 @@ class TestExtractWarnings:
         assert by_doc["broken"]["message"].startswith("could not read broken: ")
 
 
+class TestHostileInput:
+    MEMO = (
+        "Internal memo about an unrelated administrative matter.\n"
+        "Full Name: José\n"
+        "Several more sentences of filler so the quality floor is met.\n"
+    )
+
+    def _run(self, tmp_path, files: dict[str, bytes], paths_enabled: str):
+        doc_dir = tmp_path / "docs"
+        doc_dir.mkdir()
+        for name, data in files.items():
+            (doc_dir / name).write_bytes(data)
+        out = tmp_path / "out"
+        summary = run(_config(tmp_path, out, paths_enabled=paths_enabled))
+        return summary, out, _read_jsonl(out / "warnings.jsonl")
+
+    def test_a_binary_file_is_skipped_on_both_paths(self, tmp_path):
+        summary, out, warnings = self._run(
+            tmp_path, {"blob.txt": b"Full Name: Jo\x00hn\n" * 8}, "both"
+        )
+        assert summary.documents_in == 1
+        assert summary.segments == 0
+        assert summary.records_out_rule == summary.records_out_llm == 0
+        assert sum(summary.backend_calls.values()) == 0
+        assert (out / "cases_rule.jsonl").read_bytes() == b""
+        assert (out / "cases_llm.jsonl").read_bytes() == b""
+        [warning] = warnings
+        assert (warning["code"], warning["stage"], warning["severity"]) == (
+            "extraction_failed",
+            "extract",
+            "error",
+        )
+        assert warning["message"] == "could not read blob: binary file, NUL byte at 13"
+
+    def test_a_cp1252_document_is_decoded_as_cp1252(self, tmp_path):
+        summary, out, warnings = self._run(
+            tmp_path, {"memo.txt": self.MEMO.encode("cp1252")}, "rule"
+        )
+        [record] = _read_jsonl(out / "cases_rule.jsonl")
+        assert record["demographic"]["name"] == "José"
+        fallbacks = [w for w in warnings if w["code"] == "encoding_fallback"]
+        offset = self.MEMO.encode("cp1252").index(b"\xe9")
+        assert [(w["document_id"], w["stage"], w["severity"]) for w in fallbacks] == [
+            ("memo", "extract", "warning")
+        ]
+        assert f"byte {offset}" in fallbacks[0]["message"]
+
+    def test_a_utf8_document_logs_no_fallback(self, tmp_path):
+        summary, out, warnings = self._run(
+            tmp_path, {"memo.txt": self.MEMO.encode("utf-8")}, "rule"
+        )
+        [record] = _read_jsonl(out / "cases_rule.jsonl")
+        assert record["demographic"]["name"] == "José"
+        assert not [w for w in warnings if w["code"] == "encoding_fallback"]
+
+
 class TestColdStart:
     def test_empty_run_does_not_load_the_scorer(self, tmp_path):
         (tmp_path / "docs").mkdir()

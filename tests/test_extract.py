@@ -51,6 +51,52 @@ class TestExtractText:
         assert str(excinfo.value).startswith("could not read broken: ")
 
 
+class TestDecoding:
+    """Input is strict UTF-8, else cp1252; a NUL byte means a binary file."""
+
+    def _doc(self, tmp_path, data: bytes):
+        path = tmp_path / "doc.txt"
+        path.write_bytes(data)
+        return SourceDocument(document_id="doc", path=path)
+
+    def test_utf8_is_read_as_utf8(self, tmp_path):
+        result = extract_text(self._doc(tmp_path, "Full Name: José".encode("utf-8")))
+        assert result.text == "Full Name: José"
+        assert result.fallback_offset is None
+
+    def test_cp1252_falls_back_at_the_first_undecodable_byte(self, tmp_path):
+        result = extract_text(self._doc(tmp_path, "Full Name: José".encode("cp1252")))
+        assert result.text == "Full Name: José"
+        assert "\ufffd" not in result.text
+        assert result.fallback_offset == len("Full Name: Jos")
+
+    def test_only_the_undefined_cp1252_bytes_are_replaced(self, tmp_path):
+        result = extract_text(self._doc(tmp_path, b"caf\xe9 \x81\x8d\x8f\x90\x9d \x93q\x94"))
+        assert result.text == "café \ufffd\ufffd\ufffd\ufffd\ufffd \u201cq\u201d"
+        assert result.fallback_offset == 3
+
+    def test_line_endings_become_lf(self, tmp_path):
+        assert extract_text(self._doc(tmp_path, b"a\r\nb\rc\n")).text == "a\nb\nc\n"
+        assert extract_text(self._doc(tmp_path, b"a\r\nb\rc\xe9")).text == "a\nb\nc\xe9"
+        crlf = extract_text(self._doc(tmp_path, GOOD_TEXT.replace(". ", ".\r\n").encode()))
+        lf = extract_text(self._doc(tmp_path, GOOD_TEXT.replace(". ", ".\n").encode()))
+        assert (crlf.text, crlf.char_count, crlf.alnum_ratio) == (
+            lf.text,
+            lf.char_count,
+            lf.alnum_ratio,
+        )
+
+    @pytest.mark.parametrize(
+        "data", [b"\x00", b"Full Name: Jo\x00hn\n", b"\x89PNG\r\n\x1a\n\x00\x00\x00\rIHDR"]
+    )
+    def test_a_nul_byte_is_a_binary_file(self, tmp_path, data):
+        with pytest.raises(ExtractionFailure) as excinfo:
+            extract_text(self._doc(tmp_path, data))
+        assert excinfo.value.document_id == "doc"
+        offset = data.index(b"\x00")
+        assert str(excinfo.value) == f"could not read doc: binary file, NUL byte at {offset}"
+
+
 class TestPrenormalize:
     def test_tabs_and_crlf(self):
         assert prenormalize("a\t\tb\r\nc") == "a b\nc"

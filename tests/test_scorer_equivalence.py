@@ -8,11 +8,21 @@ oracle. The one-pass tally must give the same counts, the same accuracy, the
 same coverage rates and the same report, warnings included, on record sets
 that also hold unmatched and anonymous records, sections that are not
 mappings, empty values, and rules for paths the schema does not have.
+
+build_report prepares the gold side once (``metrics.GoldSide``) and scores
+each path's records in one pass against it, and the text and timestamp
+comparators answer equal plain strings at once. One prepared side scored
+against two parsed sets must still equal two fresh oracle reports; equal
+strings, ``"nan"`` in a numeric slot and str subclasses must compare as the
+slow path does; repeated ids must raise as ``align`` does.
 """
 
 import copy
 import json
+import weakref
 from collections import abc
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -289,6 +299,20 @@ def _unique_ids(side):
 @st.composite
 def scoring_sets(draw):
     gold = _unique_ids(draw(st.lists(records() | messy_records(), max_size=5)))
+    return _parsed_for(draw, gold), gold
+
+
+@st.composite
+def two_parsed_sets(draw):
+    """One gold set and two parsed sets drawn against it, as an evaluation
+    scores the rule and llm paths against one gold file."""
+    parsed, gold = draw(scoring_sets())
+    return parsed, _parsed_for(draw, gold), gold
+
+
+def _parsed_for(draw, gold):
+    """Parsed records drawn against ``gold``: copies, perturbed copies,
+    messy records under a gold id, dropped ids and strays."""
     parsed = []
     for gold_record in gold:
         fate = draw(st.sampled_from(("copy", "perturb", "messy", "drop")))
@@ -303,7 +327,7 @@ def scoring_sets(draw):
                 _set_deep(candidate, path, draw(_LEAF))
         parsed.append(candidate)
     parsed += draw(st.lists(messy_records(), max_size=2))
-    return _unique_ids(parsed), gold
+    return _unique_ids(parsed)
 
 
 @st.composite
@@ -490,3 +514,153 @@ def test_every_slot_is_compared_at_most_once(monkeypatch):
     )
     assert (report.precision, report.recall) == (2 / 3, 2 / 4)
     assert report.structured_field_accuracy == 2 / 4
+
+
+# ---------------------------------------------------------------------------
+# One gold side for several paths
+
+
+@settings(max_examples=100, deadline=None)
+@given(two_parsed_sets(), custom_rules())
+def test_one_gold_side_scores_like_fresh_oracle_reports(sets, extra_rules):
+    first, second, gold = sets
+    rules = {**RULES, **extra_rules}
+    side = metrics.GoldSide(gold)
+    for parsed in (first, second):
+        warned, oracle_warned = [], []
+        report = build_report(
+            parsed,
+            side,
+            schema=SCHEMA,
+            rules=rules,
+            runtimes=[0.1],
+            on_warning=lambda c, m: warned.append((c, m)),
+        )
+        expected = oracle_report(
+            parsed, gold, rules, (), [0.1], lambda c, m: oracle_warned.append((c, m))
+        )
+        assert json.dumps(report.as_dict(), sort_keys=True) == json.dumps(
+            expected.as_dict(), sort_keys=True
+        )
+        assert warned == oracle_warned
+
+
+class _Record(dict):
+    """A dict that a weak reference can point at."""
+
+
+def test_a_prepared_gold_side_holds_no_gold_record():
+    gold = [_Record(case_id="A", demographic={"name": "Avery"}), _Record(spatial={})]
+    refs = [weakref.ref(record) for record in gold]
+    side = metrics.GoldSide(gold)
+    del gold
+    first = build_report([{"case_id": "A", "demographic": {"name": "avery"}}], side)
+    assert [ref() for ref in refs] == [None, None]
+    second = build_report([{"case_id": "A"}], side)
+    assert (first.precision, first.recall) == (1.0, 1.0)
+    assert (second.precision, second.recall) == (1.0, 0.5)
+
+
+def test_a_prepared_gold_side_rejects_other_rules_or_paths():
+    side = metrics.GoldSide([{"case_id": "A"}])
+    build_report([], side, schema=SCHEMA)
+    build_report([], side, schema=SCHEMA, rules=dict(reversed(RULES.items())))
+    other = {**RULES, "spatial.city": MatchRule("spatial.city", COMPARATOR_SET)}
+    with pytest.raises(ValueError, match="other rules"):
+        build_report([], side, schema=SCHEMA, rules=other)
+    narrower = SCHEMA.without_prefix("narrative_osint")
+    with pytest.raises(ValueError, match="other rules"):
+        build_report([], side, schema=narrower, rules=RULES)
+
+
+# ---------------------------------------------------------------------------
+# Equal strings
+
+
+class _Alias(str):
+    """A str whose str() is other text: the comparators read str(value)."""
+
+    def __str__(self):
+        return "alias"
+
+
+_TEXTS = st.text(alphabet="aA \t-:0123456789TZ+", max_size=25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TEXTS | _TIMESTAMPS)
+def test_equal_plain_strings_compare_as_the_slow_path_does(text):
+    # A str subclass skips the early return and takes the slow path.
+    slow = type("Slow", (str,), {})
+    for compare in (metrics._texts_equal, metrics._timestamps_equal):
+        assert compare(text, text) is True
+        assert compare(slow(text), slow(text)) is True
+    assert metrics._sets_equal([text, text], [text]) is True
+
+
+def test_equal_strings_in_text_timestamp_and_set_slots_count_as_matches():
+    record = {
+        "case_id": "A",
+        "demographic": {"name": "Avery  Stone"},
+        "outcome": {"status_ts": "2023-06-14T10:00:00"},
+        "temporal": {"last_seen_ts": "June 14", "reported_missing_ts": "2023-06-14"},
+        "narrative_osint": {"movement_cues": ["bus", "Bus", "train"]},
+    }
+    report = build_report([record], [copy.deepcopy(record)], runtimes=[0.1])
+    expected = oracle_report([record], [record], RULES, (), [0.1], lambda c, m: None)
+    assert report.as_dict() == expected.as_dict()
+    assert (report.precision, report.recall) == (1.0, 1.0)
+
+
+def test_equal_nan_strings_in_a_numeric_slot_still_mismatch():
+    assert metrics._numbers_equal("nan", "nan") is False
+    assert metrics._numbers_equal("NaN", "NaN") is False
+    gold = [{"case_id": "A", "demographic": {"age_years": "nan", "age_min": "NaN"}}]
+    parsed = copy.deepcopy(gold)
+    report = build_report(parsed, gold, runtimes=[0.1])
+    expected = oracle_report(parsed, gold, RULES, (), [0.1], lambda c, m: None)
+    assert report.as_dict() == expected.as_dict()
+    # case_id matches; both ages are a false positive and a false negative.
+    assert (report.precision, report.recall) == (1 / 3, 1 / 3)
+
+
+def test_a_str_subclass_takes_the_slow_path():
+    # Equal as str, but str() of the alias is other text.
+    assert _Alias("x") == "x"
+    assert metrics._texts_equal(_Alias("x"), "x") is False
+    assert metrics._texts_equal("x", _Alias("x")) is False
+    assert metrics._timestamps_equal(_Alias("2023-06-14"), "2023-06-14") is False
+    assert metrics._texts_equal(_Alias("x"), _Alias("y")) is True
+    gold = [{"case_id": "A", "demographic": {"name": "x"}}]
+    parsed = [{"case_id": "A", "demographic": {"name": _Alias("x")}}]
+    report = build_report(parsed, gold, runtimes=[0.1])
+    expected = oracle_report(parsed, gold, RULES, (), [0.1], lambda c, m: None)
+    assert report.as_dict() == expected.as_dict()
+    assert report.precision == 1 / 2
+
+
+# ---------------------------------------------------------------------------
+# Repeated ids
+
+
+def _raised(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("case_id", ["A", 7, ""])
+def test_a_repeated_id_raises_as_align_does(case_id):
+    twice = [{"case_id": case_id}, {"case_id": case_id}]
+    once = [{"case_id": case_id}]
+    parsed_error = _raised(align, twice, once)
+    assert parsed_error == f"duplicate case_id {case_id!r} in parsed records"
+    assert _raised(build_report, twice, once) == parsed_error
+    assert _raised(build_report, twice, metrics.GoldSide(once)) == parsed_error
+    gold_error = _raised(align, once, twice)
+    assert gold_error == f"duplicate case_id {case_id!r} in gold records"
+    assert _raised(build_report, once, twice) == gold_error
+    side = metrics.GoldSide(twice)
+    assert _raised(build_report, once, side) == gold_error
+    # An unprepared side raises again on the next path.
+    assert _raised(build_report, [], side) == gold_error
