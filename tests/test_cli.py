@@ -484,7 +484,7 @@ class TestHostileInput:
         assert warning["message"] == "could not read blob: binary file, NUL byte at 13"
 
     def test_a_cp1252_document_is_decoded_as_cp1252(self, tmp_path):
-        summary, out, warnings = self._run(
+        _, out, warnings = self._run(
             tmp_path, {"memo.txt": self.MEMO.encode("cp1252")}, "rule"
         )
         [record] = _read_jsonl(out / "cases_rule.jsonl")
@@ -497,7 +497,7 @@ class TestHostileInput:
         assert f"byte {offset}" in fallbacks[0]["message"]
 
     def test_a_utf8_document_logs_no_fallback(self, tmp_path):
-        summary, out, warnings = self._run(
+        _, out, warnings = self._run(
             tmp_path, {"memo.txt": self.MEMO.encode("utf-8")}, "rule"
         )
         [record] = _read_jsonl(out / "cases_rule.jsonl")
