@@ -48,7 +48,6 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 from casepipe import emit
 from casepipe.config import ConfigError, bundled_path, read_jsonl
 from casepipe.extract import (
-    DEFAULT_SPLIT_PATTERNS,
     ExtractionFailure,
     SourceDocument,
     cut_trailer,
@@ -65,7 +64,6 @@ from casepipe.llm import (
     TIER_EXTRACT,
     BackendError,
     BackendRequest,
-    BackendResponse,
     CandidateParseError,
     build_extraction_prompt,
     call_backend,
@@ -80,9 +78,9 @@ from casepipe.sources import UNKNOWN_LABEL, DetectionResult, detect_source, load
 if TYPE_CHECKING:
     from casepipe import metrics
 
-    # A backend exchange's response, or the failure it ended in, and the
-    # seconds it took where it ran.
-    _Exchanged = tuple[BackendResponse | BackendError, float]
+    # A backend exchange's response text, or the failure it ended in, and
+    # the seconds it took where it ran.
+    _Exchanged = tuple[str | BackendError, float]
     _Exchange = Callable[[BackendRequest], _Exchanged]
 
 PATH_CHOICES = ("rule", "llm", "both")
@@ -275,13 +273,10 @@ class _Pipeline:
             if config.seed is not None:
                 params.setdefault("seed", config.seed)
             self.backend = make_backend(config.backend, params)
-        ingest_ts = config.ingest_ts or datetime.now(timezone.utc).isoformat(
+        self.ingest_ts = config.ingest_ts or datetime.now(timezone.utc).isoformat(
             timespec="seconds"
         )
-        self.ingest_ts = ingest_ts
-        # A clock reading ``self`` would keep a finished pipeline alive in a
-        # reference cycle until the collector ran.
-        self.warning_log = emit.WarningLog(clock=lambda: ingest_ts)
+        self.warning_log = emit.WarningLog(self.ingest_ts)
         self._identity_tables: dict[str | None, MappingTable] = {}
         self.segments = 0
         self.outputs = {label: _PathOutput() for label, _ in _PATHS}
@@ -442,7 +437,7 @@ class _Pipeline:
         case_id, output = job.case_id, self.outputs["llm"]
         for_stage, warned = self._sink(job.document_id, case_id)
 
-        def repair_exchange(request: BackendRequest) -> BackendResponse:
+        def repair_exchange(request: BackendRequest) -> str:
             nonlocal spent, waited
             asked = perf_counter()
             outcome, seconds = exchange(request)
@@ -461,7 +456,7 @@ class _Pipeline:
             return done()
         try:
             candidate = sanitize_candidate(
-                response.text, self.schema, on_warning=for_stage("sanitize")
+                response, self.schema, on_warning=for_stage("sanitize")
             )
         except CandidateParseError as exc:
             for_stage("sanitize", "error")("candidate_parse_error", str(exc))
@@ -564,7 +559,7 @@ class _Pipeline:
         # ``prenormalize`` is passed by this module's name, which tracing
         # patches.
         content, trailer = cut_trailer(extracted.text, prenormalize)
-        segments = split_cases(content, DEFAULT_SPLIT_PATTERNS)
+        segments = split_cases(content)
         self.segments += len(segments)
         if "llm" in self.enabled and trailer:
             trailer = prenormalize(trailer)
@@ -634,11 +629,11 @@ class _Pipeline:
 
 
 def _exchange(request: BackendRequest, backend) -> _Exchanged:
-    """One backend exchange and the seconds it took where it ran; a
-    failure is returned, for the calling thread to log."""
+    """One backend exchange's response text and the seconds it took where it
+    ran; a failure is returned, for the calling thread to log."""
     started = perf_counter()
     try:
-        outcome: BackendResponse | BackendError = call_backend(request, backend)
+        outcome: str | BackendError = call_backend(request, backend)
     except BackendError as exc:
         outcome = exc
     return outcome, perf_counter() - started
@@ -720,33 +715,34 @@ def evaluate_outputs(
 ) -> dict[str, metrics.MetricsReport]:
     """Score each path's emitted JSONL against gold; write reports + table.
 
-    ``gold.jsonl`` is read once, and every path's ``metrics.build_report``
-    call gets the same ``metrics.GoldSide`` of it, so each gold record's
-    values are extracted once for all paths. A path whose ``cases_*.jsonl``
-    is missing is not scored; with none at all this is a ConfigError.
+    A path whose ``cases_*.jsonl`` is missing is not scored; with none at
+    all this is a ConfigError, raised before the gold file is parsed. The
+    gold file is then read once into one ``metrics.GoldSide``, which every
+    path's ``metrics.build_report`` call gets, so each gold record's values
+    are extracted once, before any path is scored.
     """
     from casepipe import metrics  # deferred: cold starts skip the scorer
 
     if not gold_path.is_file():
         raise ConfigError(f"gold file does not exist: {gold_path}")
-    gold = metrics.GoldSide(read_jsonl(gold_path))
+    found = [(label, output_dir / f"{stem}.jsonl") for label, stem in _PATHS]
+    found = [(label, path) for label, path in found if path.is_file()]
+    if not found:
+        raise ConfigError(f"no cases_*.jsonl files to evaluate in {output_dir}")
+    gold = metrics.GoldSide(read_jsonl(gold_path), schema)
     summary: dict[str, Any] = {}
     summary_path = output_dir / "run_summary.json"
     if summary_path.is_file():
         summary = json.loads(summary_path.read_text(encoding="utf-8"))
         config_digest = summary.get("config_digest", config_digest)
     reports: dict[str, metrics.MetricsReport] = {}
-    for label, stem in _PATHS:
-        cases_path = output_dir / f"{stem}.jsonl"
-        if not cases_path.is_file():
-            continue
+    for label, cases_path in found:
         parsed = read_jsonl(cases_path)
         run_log = summary.get("repair_log", {}).get(label, [])
         runtimes = summary.get("runtime", {}).get(label, {}).get("samples", [])
         report = metrics.build_report(
             parsed,
             gold,
-            schema=schema,
             run_log=run_log,
             runtimes=runtimes,
             on_warning=on_warning,
@@ -756,8 +752,6 @@ def evaluate_outputs(
             json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
-    if not reports:
-        raise ConfigError(f"no cases_*.jsonl files to evaluate in {output_dir}")
     table = metrics.format_report(reports, config_digest)
     (output_dir / "report.txt").write_text(table, encoding="utf-8")
     return reports

@@ -8,7 +8,8 @@ order at every nesting level.
 
 Warnings never interrupt a run. Every call appends exactly one entry (no
 deduplication) and its code must come from the WARNING_CODES registry below;
-the log is held in memory and written once, in a stable order, at the end.
+every entry carries the run's one timestamp, the log's ``ts``. The log is
+held in memory and written once, in a stable order, at the end.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ import csv
 import json
 import threading
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from casepipe.schema import (
     KIND_INTEGER,
@@ -323,19 +323,12 @@ class WarningLogEntry:
         return dict(vars(self))
 
 
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
 class WarningLog:
-    """Append-only, thread-safe warning collector.
+    """Append-only, thread-safe warning collector; every entry is stamped
+    with ``ts``, the run's timestamp."""
 
-    ``clock`` exists so runs that must be byte-reproducible can pin the
-    timestamp; the default is wall-clock UTC.
-    """
-
-    def __init__(self, clock: Callable[[], str] = _utc_now):
-        self._clock = clock
+    def __init__(self, ts: str):
+        self.ts = ts
         self._entries: list[WarningLogEntry] = []
         self._lock = threading.Lock()
 
@@ -352,7 +345,6 @@ class WarningLog:
         code: str,
         message: str,
         case_id: str | None = None,
-        ts: str | None = None,
     ) -> WarningLogEntry:
         if stage not in STAGES:
             raise ValueError(f"unknown warning stage: {stage!r}")
@@ -367,7 +359,7 @@ class WarningLog:
             severity=severity,
             code=code,
             message=message,
-            ts=ts if ts is not None else self._clock(),
+            ts=self.ts,
         )
         with self._lock:
             self._entries.append(entry)
@@ -384,14 +376,7 @@ class WarningLog:
         concurrent runs produce identical files."""
         ordered = sorted(
             self._entries,
-            key=lambda e: (
-                e.document_id,
-                e.case_id or "",
-                e.stage,
-                e.code,
-                e.message,
-                e.ts,
-            ),
+            key=lambda e: (e.document_id, e.case_id or "", e.stage, e.code, e.message),
         )
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)

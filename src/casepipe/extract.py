@@ -1,9 +1,10 @@
 """Document text acquisition: plain-text read, pre-normalization, trailer
 cut, case splitting.
 
-Documents are text files, decoded as strict UTF-8 or, when that fails, as
-cp1252 (only its five undefined bytes become U+FFFD); ``fallback_offset``
-then names the first byte UTF-8 could not decode, so the caller can log it.
+Documents are text files, decoded as strict UTF-8, less a leading
+byte-order mark, or, when that fails, as cp1252 (only its five undefined
+bytes become U+FFFD); ``fallback_offset`` then names the first byte UTF-8
+could not decode, so the caller can log it.
 Line endings become LF, as a text-mode read makes them. A file holding a NUL
 byte is binary, not text, and raises ExtractionFailure, as a file that
 cannot be read at all does. A read that yields too little text, or text
@@ -24,8 +25,6 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
-
-from casepipe.config import ConfigError
 
 ENGINE_PLAINTEXT = "plaintext"
 
@@ -96,7 +95,7 @@ def extract_text(doc: SourceDocument) -> ExtractedText:
         raise ExtractionFailure(doc.document_id, f"binary file, NUL byte at {nul}")
     fallback_offset = None
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         fallback_offset = exc.start
         text = raw.decode("cp1252", errors="replace")
@@ -196,33 +195,20 @@ def cut_trailer(
 # ---------------------------------------------------------------------------
 # Case splitting
 
-DEFAULT_SPLIT_PATTERNS = (r"(?m)^CASE\s*#\s*\d+",)
+_CASE_HEADER_RE = re.compile(r"^CASE\s*#\s*\d+", re.MULTILINE)
 
 
-def split_cases(text: str, header_patterns: list[str] | tuple[str, ...]) -> list[CaseSegment]:
-    """Split document text into per-case segments at header matches.
+def split_cases(text: str) -> list[CaseSegment]:
+    """Split document text into per-case segments at ``CASE #<n>`` headers.
 
     A new segment starts at each header match; any preamble before the first
     match is folded into the first segment. Segments are non-overlapping, in
     document order, and jointly cover the text exactly. Text with no matches
     (or empty text) yields a single segment spanning the whole input.
     """
-    compiled = []
-    for pattern in header_patterns:
-        try:
-            compiled.append(re.compile(pattern, re.MULTILINE))
-        except re.error as exc:
-            raise ConfigError(f"bad split pattern {pattern!r}: {exc}") from exc
-    offsets: set[int] = set()
-    for pattern in compiled:
-        for match in pattern.finditer(text):
-            offsets.add(match.start())
-    boundaries = sorted(offsets)
-    if not boundaries:
-        starts = [0]
-    else:
-        # The preamble belongs with the first case.
-        starts = [0] + boundaries[1:]
+    boundaries = [match.start() for match in _CASE_HEADER_RE.finditer(text)]
+    # The preamble belongs with the first case.
+    starts = [0] + boundaries[1:]
     segments = []
     for index, start in enumerate(starts):
         end = starts[index + 1] if index + 1 < len(starts) else len(text)

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from casepipe.config import ConfigError, read_jsonl
-from casepipe.schema import LAT_RANGE, LON_RANGE, resolve_path
+from casepipe.schema import LAT_RANGE, LON_RANGE
 
 WarnFn = Callable[[str, str], None]
 
@@ -138,26 +138,22 @@ class Gazetteer:
     def lookup_count(self) -> int:
         return self._lookups
 
-    def region_boxes(self, margin: float = DEFAULT_BOX_MARGIN) -> dict[str, tuple[float, float, float, float]]:
-        """Bounding box per region key: (lat_min, lat_max, lon_min, lon_max)."""
+    def region_boxes(self) -> dict[str, tuple[float, float, float, float]]:
+        """Bounding box per region key: (lat_min, lat_max, lon_min, lon_max),
+        the extent of the region's entries widened by ``DEFAULT_BOX_MARGIN``."""
+        margin = DEFAULT_BOX_MARGIN
+        inf = float("inf")
+        empty = (inf, -inf, inf, -inf)
         boxes: dict[str, tuple[float, float, float, float]] = {}
         for entry in self.entries:
             key = normalize_place(entry.region)
-            if key in boxes:
-                lat_min, lat_max, lon_min, lon_max = boxes[key]
-                boxes[key] = (
-                    min(lat_min, entry.lat - margin),
-                    max(lat_max, entry.lat + margin),
-                    min(lon_min, entry.lon - margin),
-                    max(lon_max, entry.lon + margin),
-                )
-            else:
-                boxes[key] = (
-                    entry.lat - margin,
-                    entry.lat + margin,
-                    entry.lon - margin,
-                    entry.lon + margin,
-                )
+            lat_min, lat_max, lon_min, lon_max = boxes.get(key, empty)
+            boxes[key] = (
+                min(lat_min, entry.lat - margin),
+                max(lat_max, entry.lat + margin),
+                min(lon_min, entry.lon - margin),
+                max(lon_max, entry.lon + margin),
+            )
         return boxes
 
     def resolve(
@@ -343,14 +339,10 @@ def apply_geocode(
             spatial["geocode_method"] = "source_provided"
         return
 
-    state = resolve_path(record, "spatial.state")
-    raw_place = resolve_path(record, "spatial.last_seen_location")
+    state = spatial.get("state")
+    raw_place = spatial.get("last_seen_location")
     if raw_place is None:
-        parts = [
-            resolve_path(record, "spatial.city"),
-            state,
-            resolve_path(record, "spatial.postal_code"),
-        ]
+        parts = (spatial.get("city"), state, spatial.get("postal_code"))
         raw_place = " ".join(p for p in parts if p)
     if not raw_place or not _TOKEN_RE.search(raw_place.casefold()):
         return

@@ -22,7 +22,6 @@ import re
 import threading
 import time
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Any, Callable, Sequence
 
 from casepipe.config import ConfigError
@@ -47,7 +46,10 @@ WarnFn = Callable[[str, str], None]
 DEFAULT_BUDGET_CHARS = 24000
 DEFAULT_MAX_REPAIR_ATTEMPTS = 2
 DEFAULT_TIMEOUT_S = 60.0
-DEFAULT_PRIORITY_HEADERS = ("Circumstances",)
+# Lines under these headers survive budget truncation first.
+PRIORITY_HEADERS = ("Circumstances",)
+# The output size every extraction prompt asks for.
+MAX_OUTPUT_HINT = 4096
 
 TIER_EXTRACT = "extract"
 TIER_REPAIR = "repair"
@@ -94,15 +96,16 @@ class CandidateParseError(ValueError):
 
 @dataclass(frozen=True)
 class ExtractionPrompt:
-    instruction: str
+    """Every extraction prompt carries the same instruction and output hint;
+    only the schema and the document text vary."""
+
     schema_text: str
     document_text: str
-    max_output_hint: int
 
     def render(self) -> str:
         return (
-            f"{self.instruction}\n"
-            f"Keep the output under {self.max_output_hint} characters.\n\n"
+            f"{EXTRACT_INSTRUCTION}\n"
+            f"Keep the output under {MAX_OUTPUT_HINT} characters.\n\n"
             f"## SCHEMA\n{self.schema_text}\n\n"
             f"## DOCUMENT\n{self.document_text}\n\n"
             "## OUTPUT\n"
@@ -111,9 +114,10 @@ class ExtractionPrompt:
 
 @dataclass(frozen=True)
 class RepairPrompt:
+    """Every repair prompt carries the same instruction."""
+
     current_record_text: str
     violation_messages: tuple[str, ...]
-    instruction: str = REPAIR_INSTRUCTION
 
     def __post_init__(self) -> None:
         if not self.violation_messages:
@@ -122,7 +126,7 @@ class RepairPrompt:
     def render(self) -> str:
         listed = "\n".join(f"- {m}" for m in self.violation_messages)
         return (
-            f"{self.instruction}\n\n"
+            f"{REPAIR_INSTRUCTION}\n\n"
             f"## VIOLATIONS\n{listed}\n\n"
             f"## RECORD\n{self.current_record_text}\n\n"
             "## OUTPUT\n"
@@ -141,17 +145,6 @@ class BackendRequest:
             raise ValueError(f"unknown backend tier: {self.tier!r}")
         if self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
-
-
-@dataclass(frozen=True)
-class BackendResponse:
-    text: str
-    latency_ms: int
-    backend_label: str
-
-    def __post_init__(self) -> None:
-        if self.latency_ms < 0:
-            raise ValueError("latency_ms must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -210,14 +203,10 @@ def build_extraction_prompt(
     text: str,
     schema: SchemaDefinition,
     budget_chars: int = DEFAULT_BUDGET_CHARS,
-    priority_headers: Sequence[str] = DEFAULT_PRIORITY_HEADERS,
-    max_output_hint: int = 4096,
 ) -> ExtractionPrompt:
     return ExtractionPrompt(
-        instruction=EXTRACT_INSTRUCTION,
         schema_text=schema.records_text,
-        document_text=truncate_for_budget(text, budget_chars, priority_headers),
-        max_output_hint=max_output_hint,
+        document_text=truncate_for_budget(text, budget_chars, PRIORITY_HEADERS),
     )
 
 
@@ -238,9 +227,9 @@ def call_backend(
     request: BackendRequest,
     backend: Any,
     sleep: Callable[[float], None] = time.sleep,
-) -> BackendResponse:
-    """One backend exchange with bounded retries on transport failures."""
-    start = perf_counter()
+) -> str:
+    """One backend exchange with bounded retries on transport failures; the
+    response text. The caller times the exchange."""
     for attempt in range(3):
         try:
             text = backend.generate(request)
@@ -251,11 +240,7 @@ def call_backend(
             continue
         if not text or not text.strip():
             raise EmptyResponseError(f"{request.request_id}: backend returned no text")
-        return BackendResponse(
-            text=text,
-            latency_ms=int((perf_counter() - start) * 1000),
-            backend_label=getattr(backend, "label", "backend"),
-        )
+        return text
     raise BackendTransportError(f"{request.request_id}: retries exhausted")
 
 
@@ -379,7 +364,7 @@ def _merge_minimal(
 def repair_loop(
     record: dict[str, Any],
     schema: SchemaDefinition,
-    exchange: Callable[[BackendRequest], BackendResponse],
+    exchange: Callable[[BackendRequest], str],
     max_attempts: int = DEFAULT_MAX_REPAIR_ATTEMPTS,
     on_warning: WarnFn | None = None,
     request_prefix: str = "repair",
@@ -387,8 +372,9 @@ def repair_loop(
     """Validator-guided, minimal-edit repair with a hard attempt bound.
 
     ``exchange`` is the only route to a backend: each attempt's request goes
-    through it, so a caller sends repairs wherever its other exchanges go.
-    A ``BackendError`` it raises fails that attempt.
+    through it and it returns the response text, so a caller sends repairs
+    wherever its other exchanges go. A ``BackendError`` it raises fails that
+    attempt.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
@@ -407,8 +393,7 @@ def repair_loop(
             request_id=f"{request_prefix}:{attempt}",
         )
         try:
-            response = exchange(request)
-            candidate = sanitize_candidate(response.text, schema, on_warning)
+            candidate = sanitize_candidate(exchange(request), schema, on_warning)
         except (BackendError, CandidateParseError) as exc:
             warn("repair_attempt_failed", f"attempt {attempt}: {exc}")
             continue

@@ -13,8 +13,9 @@ a slot where both sides are populated counts as a false positive and a false
 negative at once.
 
 An evaluation scores every path against one ``GoldSide``: the gold records'
-values are extracted once, by the first report, and each path's records are
-then scored in one pass against them.
+values are extracted once, when the side is built, under the schema's default
+match rules, and each path's records are then scored in one pass against them
+(``build_report``, whose completeness counts ``DEFAULT_KEY_FIELDS``).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from casepipe.schema import (
     KIND_LIST,
     KIND_SECTION,
     SchemaDefinition,
-    default_schema,
     parse_iso_timestamp,
 )
 
@@ -598,77 +598,48 @@ class MetricsReport:
 class GoldSide:
     """The gold records of one evaluation, prepared once for every path.
 
-    The first ``build_report`` call that gets it extracts each gold record's
-    value row under that call's scoring plan, keyed by ``case_id``, plus
-    the rows of the records that have no id, and then lets the records go.
-    Later calls reuse the rows and the plan; they must score with the same
-    rules and structured paths, or they raise ValueError.
+    Built from the records and the schema: each gold record's value row
+    under the schema's default match rules, keyed by ``case_id``, plus the
+    rows of the records that have no id. A repeated id is a ValueError.
+    The side keeps the rows, not the records.
     """
 
-    __slots__ = ("_records", "_key", "plan", "rows", "anonymous")
+    __slots__ = ("plan", "rows", "anonymous")
 
-    def __init__(self, records: Iterable[Mapping[str, Any]]) -> None:
-        self._records: Iterable[Mapping[str, Any]] | None = records
-        self._key: tuple[dict[str, MatchRule], tuple[str, ...]] | None = None
-        self.plan: _ScoringPlan | None = None
+    def __init__(
+        self, records: Iterable[Mapping[str, Any]], schema: SchemaDefinition
+    ) -> None:
+        self.plan = _ScoringPlan(default_match_rules(schema), structured_paths(schema))
         self.rows: dict[Any, list[Any]] = {}
         self.anonymous: list[list[Any]] = []
-
-    def prepare(
-        self, rules: Mapping[str, MatchRule], structured: Sequence[str]
-    ) -> _ScoringPlan:
-        key = (dict(rules), tuple(structured))
-        if self._records is None:
-            if key != self._key:
-                raise ValueError(
-                    "gold side was prepared with other rules or structured paths"
-                )
-            return self.plan
-        plan = _ScoringPlan(rules, structured)
-        rows: dict[Any, list[Any]] = {}
-        anonymous = []
-        for record in self._records:
+        for record in records:
             case_id = record.get("case_id")
             if case_id is None:
-                anonymous.append(plan.values(record))
-                continue
-            if case_id in rows:
+                self.anonymous.append(self.plan.values(record))
+            elif case_id in self.rows:
                 raise ValueError(f"duplicate case_id {case_id!r} in gold records")
-            rows[case_id] = plan.values(record)
-        self.plan, self.rows, self.anonymous, self._key = plan, rows, anonymous, key
-        self._records = None
-        return plan
+            else:
+                self.rows[case_id] = self.plan.values(record)
 
 
 def build_report(
     parsed: Iterable[Mapping[str, Any]],
-    gold: Iterable[Mapping[str, Any]] | GoldSide,
+    gold: GoldSide,
     *,
-    schema: SchemaDefinition | None = None,
-    rules: Mapping[str, MatchRule] | None = None,
-    key_fields: Sequence[str] = DEFAULT_KEY_FIELDS,
     run_log: Iterable[Mapping[str, Any]] = (),
     runtimes: Iterable[float] = (),
     on_warning: WarnFn | None = None,
 ) -> MetricsReport:
-    """Score one path's parsed records against gold.
+    """Score one path's parsed records against the gold side.
 
-    ``gold`` is the gold records or a ``GoldSide`` of them; pass one
-    ``GoldSide`` to every path of an evaluation, so the gold side is
-    prepared once. The parsed records are walked once, in order and
-    without copies: each is counted into coverage, checked for a repeated
-    ``case_id`` (ValueError, as a repeated gold id is) and tallied against
-    the gold row of its id, or as unmatched when there is none. Gold rows
-    that no record matched count as missed.
+    The parsed records are walked once, in order and without copies: each
+    is counted into coverage, checked for a repeated ``case_id``
+    (ValueError, as a repeated gold id is) and tallied against the gold row
+    of its id, or as unmatched when there is none. Gold rows that no record
+    matched count as missed.
     """
-    schema = schema if schema is not None else default_schema()
-    if rules is None:
-        rules = default_match_rules(schema)
-    _require_rules(rules, scored_paths(schema))
-    if not isinstance(gold, GoldSide):
-        gold = GoldSide(gold)
-    tally = _Tally(gold.prepare(rules, structured_paths(schema)))
-    coverage = _Coverage(key_fields)
+    tally = _Tally(gold.plan)
+    coverage = _Coverage(DEFAULT_KEY_FIELDS)
     rows = gold.rows
     seen = set()
     for record in parsed:

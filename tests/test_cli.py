@@ -19,7 +19,7 @@ import pytest
 from casepipe import cli
 from casepipe.cli import RunConfig, evaluate_outputs, run
 from casepipe.config import ConfigError
-from casepipe.extract import DEFAULT_SPLIT_PATTERNS, END_SENTINEL, prenormalize, split_cases
+from casepipe.extract import END_SENTINEL, prenormalize, split_cases
 from casepipe.llm import build_extraction_prompt
 from casepipe.schema import default_schema, validate
 from casepipe.synth import FAMILY_LABELS, SynthesisSpec, write_corpus
@@ -416,7 +416,7 @@ class TestTrailer:
         self._run(tmp_path, raw, "llm")
         # What a run sent before the trailer was cut: each segment of the
         # whole normalized text, the last one running to its end.
-        whole = split_cases(prenormalize(raw), DEFAULT_SPLIT_PATTERNS)
+        whole = split_cases(prenormalize(raw))
         assert prompts == [segment.text for segment in whole]
         assert len(prompts) == 2
         assert END_SENTINEL not in prompts[0]
@@ -503,6 +503,22 @@ class TestHostileInput:
         [record] = _read_jsonl(out / "cases_rule.jsonl")
         assert record["demographic"]["name"] == "José"
         assert not [w for w in warnings if w["code"] == "encoding_fallback"]
+
+    def test_a_byte_order_mark_does_not_hide_the_first_label(self, tmp_path):
+        registry = (
+            "Full Name: Avery Quill\n"
+            "MISSING PERSONS REGISTRY\n"
+            "Registry Case Number: R-1\n"
+            "Filler sentences, so that the content alone meets the quality floor.\n"
+        ).encode("utf-8")
+        files = {"plain.txt": registry, "bom.txt": b"\xef\xbb\xbf" + registry}
+        _, out, warnings = self._run(tmp_path, files, "rule")
+        names = {
+            r["case_id"]: r["demographic"]["name"]
+            for r in _read_jsonl(out / "cases_rule.jsonl")
+        }
+        assert names == {"bom#s0": "Avery Quill", "plain#s0": "Avery Quill"}
+        assert not warnings
 
 
 class TestColdStart:
@@ -591,6 +607,20 @@ class TestEvaluation:
         gold.write_text('{"case_id": "x"}\n', encoding="utf-8")
         with pytest.raises(ConfigError, match="cases_"):
             evaluate_outputs(tmp_path, gold, SCHEMA)
+
+    def test_missing_cases_files_are_reported_before_the_gold_is_parsed(self, tmp_path):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text('{"case_id": "x"}\n{"case_id": "x"}\n', encoding="utf-8")
+        with pytest.raises(ConfigError, match="cases_"):
+            evaluate_outputs(tmp_path, gold, SCHEMA)
+
+    def test_a_repeated_gold_id_fails_once_cases_are_found(self, tmp_path):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text('{"case_id": "x"}\n{"case_id": "x"}\n', encoding="utf-8")
+        (tmp_path / "cases_rule.jsonl").write_text('{"case_id": "x"}\n', encoding="utf-8")
+        with pytest.raises(ValueError, match="^duplicate case_id 'x' in gold records$"):
+            evaluate_outputs(tmp_path, gold, SCHEMA)
+        assert not (tmp_path / "report.txt").exists()
 
 
 class TestMainEntry:

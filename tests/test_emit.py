@@ -242,9 +242,12 @@ class TestWriteCsv:
         assert jsonl_ids == csv_ids
 
 
+TS = "2025-01-15T09:30:00+00:00"
+
+
 class TestWarningLog:
     def test_entry_count_matches_calls(self):
-        log = WarningLog()
+        log = WarningLog(TS)
         for _ in range(4):
             log.log(
                 document_id="doc-001",
@@ -256,14 +259,14 @@ class TestWarningLog:
         assert len(log.entries) == 4
 
     def test_rejects_unknown_code(self):
-        log = WarningLog()
+        log = WarningLog(TS)
         with pytest.raises(ValueError):
             log.log(
                 document_id="d", stage="parse", severity="warning", code="nope", message="x"
             )
 
     def test_rejects_unknown_stage_and_severity(self):
-        log = WarningLog()
+        log = WarningLog(TS)
         with pytest.raises(ValueError):
             log.log(
                 document_id="d",
@@ -281,23 +284,24 @@ class TestWarningLog:
                 message="x",
             )
 
-    def test_clock_injection(self):
-        log = WarningLog(clock=lambda: "2025-01-15T09:30:00+00:00")
-        log.log(
-            document_id="doc-002",
-            case_id="CASE-7",
-            stage="geocode",
-            severity="warning",
-            code="ambiguous_place",
-            message="two regions",
-        )
-        [entry] = log.entries
-        assert entry.ts == "2025-01-15T09:30:00+00:00"
+    def test_every_entry_carries_the_log_ts(self):
+        log = WarningLog(TS)
+        for document_id in ("doc-002", "doc-003"):
+            log.log(
+                document_id=document_id,
+                case_id="CASE-7",
+                stage="geocode",
+                severity="warning",
+                code="ambiguous_place",
+                message="two regions",
+            )
+        assert [entry.ts for entry in log.entries] == [TS, TS]
+        entry = log.entries[0]
         assert entry.case_id == "CASE-7"
         assert entry.stage == "geocode"
 
     def test_save_is_sorted_and_complete(self, tmp_path):
-        log = WarningLog(clock=lambda: "2025-01-15T09:30:00+00:00")
+        log = WarningLog(TS)
         log.log(document_id="doc-b", stage="parse", severity="warning",
                 code="duplicate_field_match", message="later doc")
         log.log(document_id="doc-a", stage="validate", severity="warning",
@@ -308,7 +312,7 @@ class TestWarningLog:
         assert [r["document_id"] for r in rows] == ["doc-a", "doc-b"]
 
     def test_counts_by_severity(self):
-        log = WarningLog()
+        log = WarningLog(TS)
         log.log(document_id="d", stage="repair", severity="error",
                 code="repair_exhausted", message="x")
         log.log(document_id="d", stage="parse", severity="warning",

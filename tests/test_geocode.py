@@ -304,3 +304,40 @@ class TestBundledGazetteer:
         assert regions == {"Virginia", "Maryland", "Delaware"}
         ambiguous = [e for e in gaz.entries if e.place == "Ashford"]
         assert len(ambiguous) == 2
+
+
+class TestPartialSpatialSection:
+    """A spatial section may lack keys; apply_geocode reads a missing one
+    as null."""
+
+    @pytest.fixture
+    def bundled(self):
+        from casepipe.config import bundled_path
+
+        return Gazetteer.load(bundled_path("gazetteer.jsonl"))
+
+    @pytest.mark.parametrize(
+        "spatial",
+        [
+            {"city": "Richmond", "state": "Virginia"},
+            {"last_seen_location": "Richmond, Virginia"},
+            {"city": "Richmond"},
+        ],
+    )
+    def test_a_partial_section_geocodes(self, bundled, spatial):
+        record = {"spatial": dict(spatial)}
+        apply_geocode(record, bundled, GeocodeCache())
+        assert (record["spatial"]["lat"], record["spatial"]["lon"]) == (37.541, -77.436)
+        assert record["spatial"]["geocode_method"] == "gazetteer"
+        assert record["spatial"]["geocode_plausible"] is True
+
+    @pytest.mark.parametrize(
+        "spatial",
+        [{"city": "Richmond", "state": "VA"}, {"last_seen_location": "Richmond, VA"}],
+    )
+    def test_a_partial_section_with_a_state_code_is_read(self, bundled, spatial):
+        # The gazetteer names regions in full, so "VA" is no region and
+        # "Richmond VA" no place: the record is read and left as it was.
+        record = {"spatial": dict(spatial)}
+        apply_geocode(record, bundled, GeocodeCache())
+        assert record == {"spatial": spatial}

@@ -6,11 +6,12 @@ import json
 
 import pytest
 
+from casepipe import cli
 from casepipe.config import ConfigError
 from casepipe.emit import canonical_json
 from casepipe.llm import (
+    BackendError,
     BackendRequest,
-    BackendResponse,
     BackendTimeout,
     BackendTransportError,
     CandidateParseError,
@@ -60,8 +61,6 @@ def collect_warnings():
 
 class ScriptedBackend:
     """Replays a fixed list of outputs; an Exception instance raises."""
-
-    label = "scripted"
 
     def __init__(self, outputs):
         self.outputs = list(outputs)
@@ -118,10 +117,6 @@ class TestPrompts:
         with pytest.raises(ValueError):
             RepairPrompt(current_record_text="{}", violation_messages=())
 
-    def test_response_rejects_negative_latency(self):
-        with pytest.raises(ValueError):
-            BackendResponse(text="x", latency_ms=-1, backend_label="b")
-
 
 class TestCallBackend:
     def request(self, prompt_text="doc"):
@@ -134,31 +129,35 @@ class TestCallBackend:
 
     def test_success(self):
         backend = ScriptedBackend(['{"case_id": "X"}'])
-        response = call_backend(self.request(), backend)
-        assert response.text == '{"case_id": "X"}'
-        assert response.backend_label == "scripted"
-        assert response.latency_ms >= 0
+        assert call_backend(self.request(), backend) == '{"case_id": "X"}'
 
     def test_latency_reflects_backend_time(self):
+        # A run times each exchange in ``cli._exchange``, the one clock
+        # around a backend call.
         import time
 
         class Slow:
-            label = "slow"
-
             def generate(self, request):
                 time.sleep(0.05)
                 return "{}"
 
-        response = call_backend(self.request(), Slow())
-        assert 30 <= response.latency_ms <= 2000
+        text, seconds = cli._exchange(self.request(), Slow())
+        assert text == "{}"
+        assert 0.03 <= seconds <= 2.0
+
+    def test_exchange_returns_a_backend_failure_as_a_value(self):
+        backend = ScriptedBackend([BackendTimeout("too slow")])
+        outcome, seconds = cli._exchange(self.request(), backend)
+        assert isinstance(outcome, BackendError)
+        assert str(outcome) == "too slow"
+        assert seconds >= 0
 
     def test_transport_retries_then_succeeds(self):
         delays = []
         backend = ScriptedBackend(
             [BackendTransportError("down"), BackendTransportError("down"), "{}"]
         )
-        response = call_backend(self.request(), backend, sleep=delays.append)
-        assert response.text == "{}"
+        assert call_backend(self.request(), backend, sleep=delays.append) == "{}"
         assert len(backend.requests) == 3
         assert len(delays) == 2
         assert delays[1] > delays[0]

@@ -20,6 +20,7 @@ from casepipe.config import ConfigError
 from casepipe.metrics import (
     DEFAULT_KEY_FIELDS,
     AlignmentResult,
+    GoldSide,
     MatchRule,
     MetricsReport,
     align,
@@ -638,7 +639,7 @@ class TestBuildReport:
     def test_report_fields(self):
         parsed, gold, log = self._inputs()
         report = build_report(
-            parsed, gold, run_log=log, runtimes=[0.2, 0.4, 0.3, 0.1]
+            parsed, GoldSide(gold, SCHEMA), run_log=log, runtimes=[0.2, 0.4, 0.3, 0.1]
         )
         assert report.record_count == 2
         # Gold slots: "a" has 9 populated scored fields (case_id, name, city,
@@ -662,14 +663,17 @@ class TestBuildReport:
     def test_inputs_are_not_mutated(self):
         parsed, gold, log = self._inputs()
         snapshot = copy.deepcopy((parsed, gold, log))
-        build_report(parsed, gold, run_log=log, runtimes=[0.1])
+        build_report(parsed, GoldSide(gold, SCHEMA), run_log=log, runtimes=[0.1])
         assert (parsed, gold, log) == snapshot
 
     def test_missing_runtimes_warn_and_zero(self):
         parsed, gold, log = self._inputs()
         codes = []
         report = build_report(
-            parsed, gold, run_log=log, on_warning=lambda c, m: codes.append(c)
+            parsed,
+            GoldSide(gold, SCHEMA),
+            run_log=log,
+            on_warning=lambda c, m: codes.append(c),
         )
         assert report.runtime_mean_s == 0.0
         assert report.runtime_p95_s == 0.0
@@ -677,7 +681,7 @@ class TestBuildReport:
 
     def test_as_dict_round_trip_keys(self):
         parsed, gold, log = self._inputs()
-        report = build_report(parsed, gold, run_log=log, runtimes=[0.1])
+        report = build_report(parsed, GoldSide(gold, SCHEMA), run_log=log, runtimes=[0.1])
         data = report.as_dict()
         assert data["f1"] == report.f1
         assert data["completeness_by_field"]["demographic.name"] == 0.5
@@ -726,7 +730,7 @@ class TestFormatReport:
     def test_table_contains_both_columns_and_digest(self):
         parsed = [{"case_id": "a", "demographic": {"name": "A"}}]
         gold = [{"case_id": "a", "demographic": {"name": "A"}}]
-        report = build_report(parsed, gold, runtimes=[0.1])
+        report = build_report(parsed, GoldSide(gold, SCHEMA), runtimes=[0.1])
         text = format_report({"rule": report, "llm": report}, "beefcafe")
         assert "run config digest: beefcafe" in text
         lines = text.splitlines()
@@ -739,7 +743,7 @@ class TestFormatReport:
 
     def test_every_scalar_metric_appears(self):
         parsed = [{"case_id": "a"}]
-        report = build_report(parsed, parsed, runtimes=[0.1])
+        report = build_report(parsed, GoldSide(parsed, SCHEMA), runtimes=[0.1])
         text = format_report({"only": report}, "00")
         for name in (
             "precision",

@@ -9,9 +9,9 @@ same coverage rates and the same report, warnings included, on record sets
 that also hold unmatched and anonymous records, sections that are not
 mappings, empty values, and rules for paths the schema does not have.
 
-build_report prepares the gold side once (``metrics.GoldSide``) and scores
-each path's records in one pass against it, and the text and timestamp
-comparators answer equal plain strings at once. One prepared side scored
+The gold side is prepared once, when its ``metrics.GoldSide`` is built, and
+build_report scores each path's records in one pass against it; the text and
+timestamp comparators answer equal plain strings at once. One side scored
 against two parsed sets must still equal two fresh oracle reports; equal
 strings, ``"nan"`` in a numeric slot and str subclasses must compare as the
 slow path does; repeated ids must raise as ``align`` does.
@@ -34,6 +34,7 @@ from casepipe.metrics import (
     COMPARATOR_TIMESTAMP,
     COMPARATORS,
     DEFAULT_KEY_FIELDS,
+    GoldSide,
     MatchRule,
     MetricsReport,
     align,
@@ -403,37 +404,22 @@ _KEY_FIELDS = st.just(DEFAULT_KEY_FIELDS) | st.lists(
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    scoring_sets(),
-    custom_rules(),
-    _RUN_LOGS,
-    st.lists(st.floats(0, 2), max_size=3),
-    _KEY_FIELDS,
-)
-def test_build_report_matches_the_oracle(sets, extra_rules, run_log, runtimes, key_fields):
+@given(scoring_sets(), _RUN_LOGS, st.lists(st.floats(0, 2), max_size=3))
+def test_build_report_matches_the_oracle(sets, run_log, runtimes):
+    # build_report scores with the schema's default rules and key fields;
+    # other rules are checked on slot_counts and structured_field_accuracy,
+    # other key fields on completeness.
     parsed, gold = sets
-    # build_report needs a rule for every scored schema path; the drawn rules
-    # add paths the schema lacks and may change the comparator of others.
-    rules = {**RULES, **extra_rules}
     warned, oracle_warned = [], []
     report = build_report(
         parsed,
-        gold,
-        schema=SCHEMA,
-        rules=rules,
-        key_fields=key_fields,
+        GoldSide(gold, SCHEMA),
         run_log=run_log,
         runtimes=runtimes,
         on_warning=lambda c, m: warned.append((c, m)),
     )
     expected = oracle_report(
-        parsed,
-        gold,
-        rules,
-        run_log,
-        runtimes,
-        lambda c, m: oracle_warned.append((c, m)),
-        key_fields,
+        parsed, gold, RULES, run_log, runtimes, lambda c, m: oracle_warned.append((c, m))
     )
     assert json.dumps(report.as_dict(), sort_keys=True) == json.dumps(
         expected.as_dict(), sort_keys=True
@@ -480,7 +466,7 @@ def test_coverage_matches_the_oracle(parsed, key_fields):
 @given(scoring_sets())
 def test_default_rules_report_matches_the_oracle(sets):
     parsed, gold = sets
-    report = build_report(parsed, gold, runtimes=[0.1])
+    report = build_report(parsed, GoldSide(gold, SCHEMA), runtimes=[0.1])
     expected = oracle_report(parsed, gold, RULES, (), [0.1], lambda c, m: None)
     assert report.as_dict() == expected.as_dict()
 
@@ -506,7 +492,7 @@ def test_every_slot_is_compared_at_most_once(monkeypatch):
         for name, fn in metrics._COMPARATOR_FNS.items()
     }
     monkeypatch.setattr(metrics, "_COMPARATOR_FNS", comparators)
-    report = build_report(parsed, gold)
+    report = build_report(parsed, GoldSide(gold, SCHEMA))
     # case_id, name and age are populated on both sides: three comparisons,
     # though each slot is scored for both F1 and structured accuracy.
     assert sorted(calls, key=repr) == sorted(
@@ -521,23 +507,20 @@ def test_every_slot_is_compared_at_most_once(monkeypatch):
 
 
 @settings(max_examples=100, deadline=None)
-@given(two_parsed_sets(), custom_rules())
-def test_one_gold_side_scores_like_fresh_oracle_reports(sets, extra_rules):
+@given(two_parsed_sets())
+def test_one_gold_side_scores_like_fresh_oracle_reports(sets):
     first, second, gold = sets
-    rules = {**RULES, **extra_rules}
-    side = metrics.GoldSide(gold)
+    side = GoldSide(gold, SCHEMA)
     for parsed in (first, second):
         warned, oracle_warned = [], []
         report = build_report(
             parsed,
             side,
-            schema=SCHEMA,
-            rules=rules,
             runtimes=[0.1],
             on_warning=lambda c, m: warned.append((c, m)),
         )
         expected = oracle_report(
-            parsed, gold, rules, (), [0.1], lambda c, m: oracle_warned.append((c, m))
+            parsed, gold, RULES, (), [0.1], lambda c, m: oracle_warned.append((c, m))
         )
         assert json.dumps(report.as_dict(), sort_keys=True) == json.dumps(
             expected.as_dict(), sort_keys=True
@@ -552,25 +535,25 @@ class _Record(dict):
 def test_a_prepared_gold_side_holds_no_gold_record():
     gold = [_Record(case_id="A", demographic={"name": "Avery"}), _Record(spatial={})]
     refs = [weakref.ref(record) for record in gold]
-    side = metrics.GoldSide(gold)
+    side = GoldSide(gold, SCHEMA)
     del gold
-    first = build_report([{"case_id": "A", "demographic": {"name": "avery"}}], side)
+    # The side keeps only the value rows it built from the records.
     assert [ref() for ref in refs] == [None, None]
+    first = build_report([{"case_id": "A", "demographic": {"name": "avery"}}], side)
     second = build_report([{"case_id": "A"}], side)
     assert (first.precision, first.recall) == (1.0, 1.0)
     assert (second.precision, second.recall) == (1.0, 0.5)
 
 
-def test_a_prepared_gold_side_rejects_other_rules_or_paths():
-    side = metrics.GoldSide([{"case_id": "A"}])
-    build_report([], side, schema=SCHEMA)
-    build_report([], side, schema=SCHEMA, rules=dict(reversed(RULES.items())))
-    other = {**RULES, "spatial.city": MatchRule("spatial.city", COMPARATOR_SET)}
-    with pytest.raises(ValueError, match="other rules"):
-        build_report([], side, schema=SCHEMA, rules=other)
+def test_a_gold_side_scores_the_paths_of_its_schema():
+    gold = [{"case_id": "A", "narrative_osint": {"circumstances": "left on foot"}}]
+    parsed = [{"case_id": "A", "narrative_osint": {"circumstances": "took a bus"}}]
+    full = build_report(parsed, GoldSide(gold, SCHEMA), runtimes=[0.1])
     narrower = SCHEMA.without_prefix("narrative_osint")
-    with pytest.raises(ValueError, match="other rules"):
-        build_report([], side, schema=narrower, rules=RULES)
+    narrow = build_report(parsed, GoldSide(gold, narrower), runtimes=[0.1])
+    # The circumstances mismatch counts only where the schema scores it.
+    assert (full.precision, full.recall) == (0.5, 0.5)
+    assert (narrow.precision, narrow.recall) == (1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +589,7 @@ def test_equal_strings_in_text_timestamp_and_set_slots_count_as_matches():
         "temporal": {"last_seen_ts": "June 14", "reported_missing_ts": "2023-06-14"},
         "narrative_osint": {"movement_cues": ["bus", "Bus", "train"]},
     }
-    report = build_report([record], [copy.deepcopy(record)], runtimes=[0.1])
+    report = build_report([record], GoldSide([copy.deepcopy(record)], SCHEMA), runtimes=[0.1])
     expected = oracle_report([record], [record], RULES, (), [0.1], lambda c, m: None)
     assert report.as_dict() == expected.as_dict()
     assert (report.precision, report.recall) == (1.0, 1.0)
@@ -617,7 +600,7 @@ def test_equal_nan_strings_in_a_numeric_slot_still_mismatch():
     assert metrics._numbers_equal("NaN", "NaN") is False
     gold = [{"case_id": "A", "demographic": {"age_years": "nan", "age_min": "NaN"}}]
     parsed = copy.deepcopy(gold)
-    report = build_report(parsed, gold, runtimes=[0.1])
+    report = build_report(parsed, GoldSide(gold, SCHEMA), runtimes=[0.1])
     expected = oracle_report(parsed, gold, RULES, (), [0.1], lambda c, m: None)
     assert report.as_dict() == expected.as_dict()
     # case_id matches; both ages are a false positive and a false negative.
@@ -633,7 +616,7 @@ def test_a_str_subclass_takes_the_slow_path():
     assert metrics._texts_equal(_Alias("x"), _Alias("y")) is True
     gold = [{"case_id": "A", "demographic": {"name": "x"}}]
     parsed = [{"case_id": "A", "demographic": {"name": _Alias("x")}}]
-    report = build_report(parsed, gold, runtimes=[0.1])
+    report = build_report(parsed, GoldSide(gold, SCHEMA), runtimes=[0.1])
     expected = oracle_report(parsed, gold, RULES, (), [0.1], lambda c, m: None)
     assert report.as_dict() == expected.as_dict()
     assert report.precision == 1 / 2
@@ -655,12 +638,8 @@ def test_a_repeated_id_raises_as_align_does(case_id):
     once = [{"case_id": case_id}]
     parsed_error = _raised(align, twice, once)
     assert parsed_error == f"duplicate case_id {case_id!r} in parsed records"
-    assert _raised(build_report, twice, once) == parsed_error
-    assert _raised(build_report, twice, metrics.GoldSide(once)) == parsed_error
+    assert _raised(build_report, twice, GoldSide(once, SCHEMA)) == parsed_error
     gold_error = _raised(align, once, twice)
     assert gold_error == f"duplicate case_id {case_id!r} in gold records"
-    assert _raised(build_report, once, twice) == gold_error
-    side = metrics.GoldSide(twice)
-    assert _raised(build_report, once, side) == gold_error
-    # An unprepared side raises again on the next path.
-    assert _raised(build_report, [], side) == gold_error
+    # A repeated gold id fails when the side is built, before any report.
+    assert _raised(GoldSide, twice, SCHEMA) == gold_error
