@@ -33,17 +33,15 @@ its request.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import sys
 from collections import deque
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from operator import itemgetter
 from pathlib import Path
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from casepipe import emit
 from casepipe.config import ConfigError, bundled_path, read_jsonl
@@ -76,6 +74,8 @@ from casepipe.schema import SchemaDefinition, default_schema, parse_iso_timestam
 from casepipe.sources import UNKNOWN_LABEL, DetectionResult, detect_source, load_signatures
 
 if TYPE_CHECKING:
+    import argparse
+
     from casepipe import metrics
 
     # A backend exchange's response text, or the failure it ended in, and
@@ -92,10 +92,7 @@ LLM_CASES_NAME = "cases_llm"
 _PATHS = (("rule", RULE_CASES_NAME), ("llm", LLM_CASES_NAME))
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one pipeline run needs, resolved and checkable up front."""
-
+class _ConfigFields(NamedTuple):
     input_dir: Path
     output_dir: Path
     paths_enabled: str = "both"
@@ -106,7 +103,7 @@ class RunConfig:
     gazetteer_path: Path | None = None
     cache_path: Path | None = None
     backend: str = "oracle"
-    backend_params: Mapping[str, Any] = field(default_factory=dict)
+    backend_params: Mapping[str, Any] | None = None
     budget_chars: int = DEFAULT_BUDGET_CHARS
     max_repair_attempts: int = DEFAULT_MAX_REPAIR_ATTEMPTS
     max_in_flight: int = 1
@@ -114,7 +111,14 @@ class RunConfig:
     seed: int | None = None
     ingest_ts: str | None = None
 
-    def __post_init__(self) -> None:
+
+class RunConfig(_ConfigFields):
+    """Everything one pipeline run needs, resolved and checkable up front."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> RunConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.paths_enabled not in PATH_CHOICES:
             raise ConfigError(f"paths_enabled must be one of {PATH_CHOICES}")
         if self.backend not in BACKEND_CHOICES:
@@ -127,6 +131,7 @@ class RunConfig:
             raise ConfigError("max_in_flight must be at least 1")
         if self.ingest_ts is not None and parse_iso_timestamp(self.ingest_ts) is None:
             raise ConfigError(f"ingest_ts is not an ISO timestamp: {self.ingest_ts!r}")
+        return self
 
     def resolved_schema_path(self) -> Path:
         return self.schema_path or bundled_path("schema.jsonl")
@@ -183,7 +188,7 @@ class RunConfig:
             "gazetteer_path": resource(self.gazetteer_path, "gazetteer.jsonl"),
             "cache_path": str(self.cache_path) if self.cache_path else None,
             "backend": self.backend,
-            "backend_params": dict(self.backend_params),
+            "backend_params": dict(self.backend_params or {}),
             "budget_chars": self.budget_chars,
             "max_repair_attempts": self.max_repair_attempts,
             "max_in_flight": self.max_in_flight,
@@ -194,8 +199,7 @@ class RunConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-@dataclass
-class RunSummary:
+class RunSummary(NamedTuple):
     documents_in: int
     segments: int
     records_out_rule: int
@@ -208,21 +212,16 @@ class RunSummary:
     gazetteer_lookups: int
     config_digest: str
 
-    def as_dict(self) -> dict[str, Any]:
-        return dict(vars(self))
 
-
-@dataclass
-class _PathOutput:
+class _PathOutput(NamedTuple):
     """What one path produced over a run, in no particular order."""
 
-    records: list[dict] = field(default_factory=list)
-    log: list[dict] = field(default_factory=list)
-    runtimes: list[tuple[str, float]] = field(default_factory=list)
+    records: list[dict]
+    log: list[dict]
+    runtimes: list[tuple[str, float]]
 
 
-@dataclass
-class _LlmJob:
+class _LlmJob(NamedTuple):
     """One segment's llm-path record between its request and its finish."""
 
     document_id: str
@@ -249,9 +248,15 @@ class _Pipeline:
     def __init__(self, config: RunConfig):
         config.check_paths()
         self.config = config
+        self.enabled = {
+            label for label, _ in _PATHS if config.paths_enabled in (label, "both")
+        }
         self.schema = _load_schema(config.schema_path)
         self.signatures = load_signatures(config.resolved_signatures_path())
-        self.rulesets = load_rulesets(config.resolved_rulesets_dir())
+        # Only the rule path reads rules; check_paths has checked the directory.
+        self.rulesets = (
+            load_rulesets(config.resolved_rulesets_dir()) if "rule" in self.enabled else {}
+        )
         self.mappings = load_mapping_dir(config.resolved_mappings_dir())
         if UNKNOWN_LABEL not in self.mappings:
             raise ConfigError(
@@ -264,12 +269,9 @@ class _Pipeline:
                 )
         self.gazetteer = Gazetteer.load(config.resolved_gazetteer_path())
         self.cache = GeocodeCache(config.cache_path)
-        self.enabled = {
-            label for label, _ in _PATHS if config.paths_enabled in (label, "both")
-        }
         self.backend = None
         if "llm" in self.enabled:
-            params = dict(config.backend_params)
+            params = dict(config.backend_params or {})
             if config.seed is not None:
                 params.setdefault("seed", config.seed)
             self.backend = make_backend(config.backend, params)
@@ -279,7 +281,7 @@ class _Pipeline:
         self.warning_log = emit.WarningLog(self.ingest_ts)
         self._identity_tables: dict[str | None, MappingTable] = {}
         self.segments = 0
-        self.outputs = {label: _PathOutput() for label, _ in _PATHS}
+        self.outputs = {label: _PathOutput([], [], []) for label, _ in _PATHS}
 
     # -- helpers ----------------------------------------------------------
 
@@ -696,7 +698,7 @@ def run(config: RunConfig) -> RunSummary:
     )
     summary_path = output_dir / "run_summary.json"
     summary_path.write_text(
-        json.dumps(summary.as_dict(), indent=2, sort_keys=True) + "\n",
+        json.dumps(summary._asdict(), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
     return summary
@@ -749,7 +751,7 @@ def evaluate_outputs(
         )
         reports[label] = report
         (output_dir / f"metrics_{label}.json").write_text(
-            json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n",
+            json.dumps(report._asdict(), indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
     table = metrics.format_report(reports, config_digest)
@@ -788,6 +790,8 @@ def _parse_params(pairs: Sequence[str]) -> dict[str, str]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse  # deferred: a library run never parses arguments
+
     parser = argparse.ArgumentParser(
         prog="casepipe",
         description="Dual-path case document extraction pipeline.",

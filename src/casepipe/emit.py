@@ -17,9 +17,8 @@ from __future__ import annotations
 import csv
 import json
 import threading
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from casepipe.schema import (
     KIND_INTEGER,
@@ -309,8 +308,7 @@ def write_records_csv(
 # Warning log
 
 
-@dataclass(frozen=True)
-class WarningLogEntry:
+class WarningLogEntry(NamedTuple):
     document_id: str
     case_id: str | None
     stage: str
@@ -318,9 +316,6 @@ class WarningLogEntry:
     code: str
     message: str
     ts: str
-
-    def as_dict(self) -> dict[str, Any]:
-        return dict(vars(self))
 
 
 class WarningLog:
@@ -382,6 +377,6 @@ class WarningLog:
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w", encoding="utf-8", newline="\n") as fh:
             for entry in ordered:
-                fh.write(json.dumps(entry.as_dict(), ensure_ascii=False))
+                fh.write(json.dumps(entry._asdict(), ensure_ascii=False))
                 fh.write("\n")
         return len(ordered)

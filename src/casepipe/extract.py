@@ -22,9 +22,8 @@ for the one consumer that needs it, the llm prompt.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 ENGINE_PLAINTEXT = "plaintext"
 
@@ -43,14 +42,12 @@ class ExtractionFailure(RuntimeError):
         super().__init__(f"could not read {document_id}: {cause}")
 
 
-@dataclass(frozen=True)
-class SourceDocument:
+class SourceDocument(NamedTuple):
     document_id: str
     path: Path
 
 
-@dataclass(frozen=True)
-class ExtractedText:
+class ExtractedText(NamedTuple):
     document_id: str
     engine_used: str
     text: str
@@ -61,8 +58,7 @@ class ExtractedText:
     fallback_offset: int | None = None
 
 
-@dataclass(frozen=True)
-class CaseSegment:
+class CaseSegment(NamedTuple):
     segment_index: int
     text: str
     char_start: int

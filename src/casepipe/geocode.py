@@ -17,9 +17,8 @@ from __future__ import annotations
 import json
 import re
 import threading
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 from casepipe.config import ConfigError, read_jsonl
 from casepipe.schema import LAT_RANGE, LON_RANGE
@@ -42,45 +41,62 @@ def normalize_place(raw: str) -> str:
     return "|".join(tokens)
 
 
-@dataclass(frozen=True)
-class GazetteerEntry:
+class _GazetteerFields(NamedTuple):
     place: str
     region: str
     postal_codes: tuple[str, ...]
     lat: float
     lon: float
+    # The region's short code ("VA"), read as the region wherever one is.
+    region_code: str | None = None
 
-    def __post_init__(self) -> None:
+
+class GazetteerEntry(_GazetteerFields):
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> GazetteerEntry:
+        self = super().__new__(cls, *args, **kwargs)
         if not (LAT_RANGE[0] <= self.lat <= LAT_RANGE[1]):
             raise ValueError(f"latitude out of range for {self.place!r}: {self.lat}")
         if not (LON_RANGE[0] <= self.lon <= LON_RANGE[1]):
             raise ValueError(f"longitude out of range for {self.place!r}: {self.lon}")
+        return self
 
 
-@dataclass(frozen=True)
-class GeocodeQuery:
+class _QueryFields(NamedTuple):
     normalized_key: str
     bias_region: str | None = None
 
-    def __post_init__(self) -> None:
+
+class GeocodeQuery(_QueryFields):
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> GeocodeQuery:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.normalized_key:
             raise ValueError("normalized_key must be non-empty")
+        return self
 
 
-@dataclass(frozen=True)
-class GeocodeResult:
+class _ResultFields(NamedTuple):
     lat: float | None
     lon: float | None
     matched_place: str | None
     cache_hit: bool
     plausible: bool | None
 
-    def __post_init__(self) -> None:
+
+class GeocodeResult(_ResultFields):
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> GeocodeResult:
+        self = super().__new__(cls, *args, **kwargs)
         coords = [self.lat is None, self.lon is None, self.matched_place is None]
         if len(set(coords)) != 1:
             raise ValueError("lat, lon, and matched_place must be null together")
         if (self.plausible is None) != (self.lat is None):
             raise ValueError("plausible must be set exactly when coordinates are")
+        return self
 
     @property
     def matched(self) -> bool:
@@ -103,17 +119,26 @@ class Gazetteer:
         self._by_place: dict[str, list[GazetteerEntry]] = {}
         self._lock = threading.Lock()
         self._lookups = 0
+        # Each region code's key -> its region's key.
+        self._code_regions: dict[str, str] = {}
         for entry in entries:
             place_key = normalize_place(entry.place)
             region_key = normalize_place(entry.region)
-            pr = (place_key, region_key)
-            if pr in self._by_place_region:
-                raise ConfigError(f"duplicate gazetteer entry: {entry.place}, {entry.region}")
-            self._by_place_region[pr] = entry
+            keys = {region_key}
+            if entry.region_code:
+                code_key = normalize_place(entry.region_code)
+                if self._code_regions.setdefault(code_key, region_key) != region_key:
+                    raise ConfigError(f"region code {entry.region_code!r} names two regions")
+                keys.add(code_key)
+            for key in keys:
+                if (place_key, key) in self._by_place_region:
+                    raise ConfigError(f"duplicate gazetteer entry: {entry.place}, {entry.region}")
+                self._by_place_region[place_key, key] = entry
             self._by_place.setdefault(place_key, []).append(entry)
             for code in entry.postal_codes:
                 self._by_postal.setdefault(code, []).append(entry)
-        # Keyed by every region, so it is also the region set _split_region needs.
+        # Keyed by every region and region code, so it is also the region
+        # set _split_region needs.
         self.default_boxes = self.region_boxes()
 
     @classmethod
@@ -128,6 +153,7 @@ class Gazetteer:
                         postal_codes=tuple(row.get("postal_codes", [])),
                         lat=float(row["lat"]),
                         lon=float(row["lon"]),
+                        region_code=row.get("region_code"),
                     )
                 )
             except KeyError as exc:
@@ -140,7 +166,8 @@ class Gazetteer:
 
     def region_boxes(self) -> dict[str, tuple[float, float, float, float]]:
         """Bounding box per region key: (lat_min, lat_max, lon_min, lon_max),
-        the extent of the region's entries widened by ``DEFAULT_BOX_MARGIN``."""
+        the extent of the region's entries widened by ``DEFAULT_BOX_MARGIN``.
+        A region code's key has its region's box."""
         margin = DEFAULT_BOX_MARGIN
         inf = float("inf")
         empty = (inf, -inf, inf, -inf)
@@ -154,6 +181,8 @@ class Gazetteer:
                 min(lon_min, entry.lon - margin),
                 max(lon_max, entry.lon + margin),
             )
+        for code_key, region_key in self._code_regions.items():
+            boxes[code_key] = boxes[region_key]
         return boxes
 
     def resolve(
@@ -162,7 +191,8 @@ class Gazetteer:
         bias_region: str | None,
         on_warning: WarnFn | None = None,
     ) -> GazetteerEntry | None:
-        """Match order: postal code, place+in-string region, bias region, unique place."""
+        """Match order: postal code, place+in-string region, bias region, unique
+        place. A region may be named by its code."""
         with self._lock:
             self._lookups += 1
         warn = on_warning if on_warning is not None else (lambda code, msg: None)

@@ -23,10 +23,9 @@ pounds x 0.45359237 -> whole kilograms.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 from casepipe.config import ConfigError, read_jsonl
 from casepipe.rules import DraftRecord
@@ -101,26 +100,30 @@ _INDEXED_KEY_RE = re.compile(r"^(.+)\.(\d+)$")
 _SEX_ALIASES = {"f": "female", "m": "male", "u": "unknown"}
 
 
-@dataclass(frozen=True)
 class MappingTable:
     """Key mappings for one source: draft key -> (target path, transform)."""
 
-    source_label: str
-    rows: Mapping[str, tuple[str, str]]
-    tz_default: str | None = None
+    def __init__(
+        self,
+        source_label: str,
+        rows: Mapping[str, tuple[str, str]],
+        tz_default: str | None = None,
+    ) -> None:
+        self.source_label = source_label
+        self.rows = rows
+        self.tz_default = tz_default
+        self._plan: tuple[SchemaDefinition, dict[str, _Step]] | None = None
 
     def plan(self, schema: SchemaDefinition) -> dict[str, _Step]:
         """Each row compiled against ``schema``; built on first use and kept
         for the last schema given. Racing threads build equal plans."""
-        cached = self.__dict__.get("_plan")
+        cached = self._plan
         if cached is None or cached[0] is not schema:
-            cached = (schema, _compile_plan(self, schema))
-            object.__setattr__(self, "_plan", cached)
+            cached = self._plan = (schema, _compile_plan(self, schema))
         return cached[1]
 
 
-@dataclass(frozen=True)
-class HarmonizedRecord:
+class HarmonizedRecord(NamedTuple):
     record: dict[str, Any]
     applied_transforms: tuple[tuple[str, str], ...]
     dropped_fields: tuple[tuple[str, str], ...]

@@ -21,8 +21,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from casepipe.config import ConfigError
 from casepipe.emit import canonical_json
@@ -94,8 +93,7 @@ class CandidateParseError(ValueError):
 # Prompts
 
 
-@dataclass(frozen=True)
-class ExtractionPrompt:
+class ExtractionPrompt(NamedTuple):
     """Every extraction prompt carries the same instruction and output hint;
     only the schema and the document text vary."""
 
@@ -112,16 +110,21 @@ class ExtractionPrompt:
         )
 
 
-@dataclass(frozen=True)
-class RepairPrompt:
-    """Every repair prompt carries the same instruction."""
-
+class _RepairFields(NamedTuple):
     current_record_text: str
     violation_messages: tuple[str, ...]
 
-    def __post_init__(self) -> None:
+
+class RepairPrompt(_RepairFields):
+    """Every repair prompt carries the same instruction."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> RepairPrompt:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.violation_messages:
             raise ValueError("a repair prompt needs at least one violation")
+        return self
 
     def render(self) -> str:
         listed = "\n".join(f"- {m}" for m in self.violation_messages)
@@ -133,22 +136,26 @@ class RepairPrompt:
         )
 
 
-@dataclass(frozen=True)
-class BackendRequest:
+class _RequestFields(NamedTuple):
     prompt: ExtractionPrompt | RepairPrompt
     tier: str
     timeout_s: float
     request_id: str
 
-    def __post_init__(self) -> None:
+
+class BackendRequest(_RequestFields):
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> BackendRequest:
+        self = super().__new__(cls, *args, **kwargs)
         if self.tier not in _TIERS:
             raise ValueError(f"unknown backend tier: {self.tier!r}")
         if self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
+        return self
 
 
-@dataclass(frozen=True)
-class RepairOutcome:
+class RepairOutcome(NamedTuple):
     record: dict[str, Any]
     attempts: int
     passed: bool
@@ -336,6 +343,9 @@ def _merge_minimal(
     old: Any, new: Any, cited: Sequence[str], warn: WarnFn, prefix: str = ""
 ) -> Any:
     if isinstance(old, dict) and isinstance(new, dict):
+        if old == new:
+            # Nothing below differs, so nothing is logged or reverted.
+            return new
         out: dict[str, Any] = {}
         keys = list(old.keys()) + [k for k in new.keys() if k not in old]
         for key in keys:
@@ -441,7 +451,6 @@ class _CountingBackend:
     does a run send them to threads.
     """
 
-    label = "backend"
     waits_on_io = False
 
     def __init__(self) -> None:
@@ -466,8 +475,6 @@ class _CountingBackend:
 class OracleBackend(_CountingBackend):
     """Returns the embedded gold record verbatim; repairs are no-ops."""
 
-    label = "oracle"
-
     def _generate(self, request: BackendRequest) -> str:
         if request.tier == TIER_REPAIR:
             return request.prompt.current_record_text
@@ -482,8 +489,6 @@ class DropoutOracleBackend(_CountingBackend):
     path), so a corpus run is reproducible while different documents lose
     different fields.
     """
-
-    label = "dropout_oracle"
 
     def __init__(self, rate: float, seed: int):
         super().__init__()
@@ -528,8 +533,6 @@ class InvalidThenFixBackend(_CountingBackend):
     order, so the choice is the same at any ``--max-in-flight``.
     """
 
-    label = "invalid_then_fix"
-
     def __init__(self, inject_every: int = 5):
         super().__init__()
         if inject_every < 1:
@@ -567,8 +570,6 @@ class InvalidThenFixBackend(_CountingBackend):
 class NeverFixBackend(InvalidThenFixBackend):
     """Same corruption pattern, but repair responses change nothing."""
 
-    label = "never_fix"
-
     def _repair(self, request: BackendRequest) -> str:
         return request.prompt.current_record_text
 
@@ -581,7 +582,6 @@ class WireBackend(_CountingBackend):
     {request_id, tier, prompt_text} answered by {"text": ...}.
     """
 
-    label = "wire"
     waits_on_io = True
 
     def __init__(self) -> None:

@@ -23,9 +23,8 @@ from __future__ import annotations
 import math
 import statistics
 from collections import Counter, abc
-from dataclasses import dataclass
 from datetime import date, datetime
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from casepipe.config import ConfigError
 from casepipe.schema import (
@@ -67,20 +66,24 @@ DEFAULT_KEY_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class MatchRule:
+class _RuleFields(NamedTuple):
     field_path: str
     comparator: str
 
-    def __post_init__(self) -> None:
+
+class MatchRule(_RuleFields):
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> MatchRule:
+        self = super().__new__(cls, *args, **kwargs)
         if self.comparator not in COMPARATORS:
             raise ConfigError(
                 f"{self.field_path}: unknown comparator {self.comparator!r}"
             )
+        return self
 
 
-@dataclass(frozen=True)
-class AlignmentResult:
+class AlignmentResult(NamedTuple):
     """Case-id join of parsed records against gold records."""
 
     pairs: tuple[tuple[dict, dict], ...]
@@ -553,8 +556,7 @@ def runtime_stats(per_record_seconds: Iterable[float]) -> tuple[float, float]:
 # Report assembly
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class _ReportFields(NamedTuple):
     precision: float
     recall: float
     f1: float
@@ -570,7 +572,12 @@ class MetricsReport:
     runtime_p95_s: float
     record_count: int
 
-    def __post_init__(self) -> None:
+
+class MetricsReport(_ReportFields):
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> MetricsReport:
+        self = super().__new__(cls, *args, **kwargs)
         for name in (
             "precision",
             "recall",
@@ -588,11 +595,7 @@ class MetricsReport:
                 raise ValueError(f"{name} out of range: {value}")
         if self.f1 != f1_score(self.precision, self.recall):
             raise ValueError("f1 does not match its precision/recall")
-
-    def as_dict(self) -> dict[str, Any]:
-        fields = dict(vars(self))
-        fields["completeness_by_field"] = dict(self.completeness_by_field)
-        return fields
+        return self
 
 
 class GoldSide:

@@ -34,9 +34,8 @@ nothing is inferred.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from casepipe.config import ConfigError, read_jsonl
 from casepipe.extract import END_SENTINEL, CaseSegment
@@ -95,42 +94,32 @@ def _literal_prefix(pattern: str, flags: int) -> str:
     return pattern[1:end]
 
 
-@dataclass(frozen=True)
 class LabelRule:
-    pattern_id: str
-    field_path: str
-    pattern: str
-    scope: str = SCOPE_LINE
+    """One capture pattern for one field, compiled and checked at
+    construction; ``prefix`` is the literal start of every match at a line
+    start ("" for none)."""
 
-    def __post_init__(self) -> None:
-        if self.scope not in _SCOPES:
-            raise ConfigError(f"{self.pattern_id}: unknown scope {self.scope!r}")
-        flags = re.MULTILINE
-        if self.scope == SCOPE_SECTION:
-            flags |= re.DOTALL
+    def __init__(
+        self, pattern_id: str, field_path: str, pattern: str, scope: str = SCOPE_LINE
+    ) -> None:
+        if scope not in _SCOPES:
+            raise ConfigError(f"{pattern_id}: unknown scope {scope!r}")
+        flags = re.MULTILINE | (re.DOTALL if scope == SCOPE_SECTION else 0)
         try:
-            compiled = re.compile(self.pattern, flags)
+            compiled = re.compile(pattern, flags)
         except re.error as exc:
-            raise ConfigError(f"{self.pattern_id}: bad pattern: {exc}") from exc
+            raise ConfigError(f"{pattern_id}: bad pattern: {exc}") from exc
         if compiled.groups != 1:
-            raise ConfigError(
-                f"{self.pattern_id}: pattern must have exactly one capture group"
-            )
-        object.__setattr__(self, "_compiled", compiled)
-        object.__setattr__(self, "_prefix", _literal_prefix(self.pattern, compiled.flags))
-
-    @property
-    def compiled(self) -> re.Pattern[str]:
-        return self._compiled  # type: ignore[attr-defined]
-
-    @property
-    def prefix(self) -> str:
-        """Literal start of every match at a line start ("" for none)."""
-        return self._prefix  # type: ignore[attr-defined]
+            raise ConfigError(f"{pattern_id}: pattern must have exactly one capture group")
+        self.pattern_id = pattern_id
+        self.field_path = field_path
+        self.pattern = pattern
+        self.scope = scope
+        self.compiled = compiled
+        self.prefix = _literal_prefix(pattern, compiled.flags)
 
 
-@dataclass(frozen=True)
-class FieldCandidate:
+class FieldCandidate(NamedTuple):
     field_path: str
     raw_value: str
     pattern_id: str
@@ -138,11 +127,18 @@ class FieldCandidate:
     char_end: int
 
 
-@dataclass
 class DraftRecord:
-    source_label: str
-    segment_index: int
-    candidates: dict[str, FieldCandidate] = field(default_factory=dict)
+    """The candidates one segment's rules produced, keyed by field path."""
+
+    def __init__(
+        self,
+        source_label: str,
+        segment_index: int,
+        candidates: dict[str, FieldCandidate] | None = None,
+    ) -> None:
+        self.source_label = source_label
+        self.segment_index = segment_index
+        self.candidates = {} if candidates is None else candidates
 
 
 def load_ruleset(path: str | Path) -> list[LabelRule]:

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from datetime import date, datetime
 from functools import cache, cached_property
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from casepipe.config import ConfigError, bundled_path, read_jsonl, write_jsonl
 
@@ -107,8 +106,16 @@ class _Absent:
 ABSENT = _Absent()
 
 
-@dataclass(frozen=True)
-class SchemaEntry:
+class _EntryFields(NamedTuple):
+    field_path: str
+    kind: str
+    required: bool = False
+    enum_values: tuple[str, ...] | None = None
+    numeric_range: tuple[float | None, float | None] | None = None
+    pattern: str | None = None
+
+
+class SchemaEntry(_EntryFields):
     """One field (or section) of the record shape.
 
     pattern semantics: a regular expression applied with re.search to string
@@ -119,14 +126,10 @@ class SchemaEntry:
     (segment_index, char_start, char_end).
     """
 
-    field_path: str
-    kind: str
-    required: bool = False
-    enum_values: tuple[str, ...] | None = None
-    numeric_range: tuple[float | None, float | None] | None = None
-    pattern: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args: Any, **kwargs: Any) -> SchemaEntry:
+        self = super().__new__(cls, *args, **kwargs)
         if not _PATH_RE.match(self.field_path):
             raise ConfigError(f"bad field path: {self.field_path!r}")
         if self.kind not in _KINDS:
@@ -142,17 +145,16 @@ class SchemaEntry:
                 re.compile(self.pattern)
             except re.error as exc:
                 raise ConfigError(f"{self.field_path}: bad pattern: {exc}") from exc
+        return self
 
 
-@dataclass(frozen=True)
-class ValidationViolation:
+class ValidationViolation(NamedTuple):
     field_path: str
     code: str
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     valid: bool
     violations: tuple[ValidationViolation, ...]
 
@@ -160,43 +162,49 @@ class ValidationReport:
         return [(v.field_path, v.code) for v in self.violations]
 
 
-@dataclass(frozen=True)
 class SchemaDefinition:
     """An ordered, immutable set of schema entries.
 
     Entries are normalized to lexicographic field-path order; that same order
     is the canonical key order for every serialization of records built
-    against the schema, and the byte order of the schema file itself.
+    against the schema, and the byte order of the schema file itself. Two
+    definitions with equal entries are equal.
     """
 
-    entries: tuple[SchemaEntry, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.entries, key=lambda e: e.field_path))
-        seen: set[str] = set()
+    def __init__(self, entries: Iterable[SchemaEntry] = ()) -> None:
+        ordered = tuple(sorted(entries, key=attrgetter("field_path")))
+        by_path: dict[str, SchemaEntry] = {}
         for entry in ordered:
-            if entry.field_path in seen:
+            if entry.field_path in by_path:
                 raise ConfigError(f"duplicate schema entry: {entry.field_path}")
-            seen.add(entry.field_path)
+            by_path[entry.field_path] = entry
         for entry in ordered:
             parent = _parent_path(entry.field_path)
             if parent is None:
                 continue
-            parent_entry = next((e for e in ordered if e.field_path == parent), None)
+            parent_entry = by_path.get(parent)
             if parent_entry is None or parent_entry.kind != KIND_SECTION:
                 raise ConfigError(
                     f"{entry.field_path}: parent {parent!r} is not a section"
                 )
-        object.__setattr__(self, "entries", ordered)
-        object.__setattr__(self, "_by_path", {e.field_path: e for e in ordered})
+        self.entries = ordered
+        self._by_path = by_path
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SchemaDefinition):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
 
     # -- lookup helpers -----------------------------------------------------
 
     def entry(self, path: str) -> SchemaEntry | None:
-        return self._by_path.get(path)  # type: ignore[attr-defined]
+        return self._by_path.get(path)
 
     def has_path(self, path: str) -> bool:
-        return path in self._by_path  # type: ignore[attr-defined]
+        return path in self._by_path
 
     def leaf_paths(self) -> list[str]:
         return [e.field_path for e in self.entries if e.kind != KIND_SECTION]
@@ -254,7 +262,7 @@ class SchemaDefinition:
         under "a") are listed too, so looking a record's key up here finds
         exactly the entry its joined full path names.
         """
-        below: dict[str, dict[str, SchemaEntry]] = {"": dict(self._by_path)}  # type: ignore
+        below: dict[str, dict[str, SchemaEntry]] = {"": dict(self._by_path)}
         for entry in self.entries:
             if entry.kind == KIND_SECTION:
                 below[entry.field_path] = {}
@@ -283,7 +291,7 @@ class SchemaDefinition:
         cross_field = tuple(
             rule
             for paths, rule in _CROSS_FIELD_RULES
-            if all(path in self._by_path for path in paths)  # type: ignore[attr-defined]
+            if all(path in self._by_path for path in paths)
         )
         return _compile_checks(self), tuple(self.required_paths()), cross_field
 

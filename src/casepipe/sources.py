@@ -19,9 +19,8 @@ or on the order of the signatures.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from casepipe.config import ConfigError, read_jsonl
 from casepipe.schema import SOURCE_FAMILIES
@@ -32,49 +31,52 @@ UNKNOWN_FAMILY = "unknown"
 DEFAULT_MIN_MARKERS = 2
 
 
-@dataclass(frozen=True)
 class SourceSignature:
-    source_label: str
-    family: str
-    markers: tuple[str, ...]
-    min_markers: int = DEFAULT_MIN_MARKERS
-    priority: int = 100
-    case_sensitive: bool = False
+    """A labeled bag of marker regexes, compiled and checked at construction."""
 
-    def __post_init__(self) -> None:
-        if not self.source_label or self.source_label == UNKNOWN_LABEL:
-            raise ConfigError(f"bad signature label {self.source_label!r}")
-        if self.family not in SOURCE_FAMILIES or self.family == UNKNOWN_FAMILY:
-            raise ConfigError(f"{self.source_label}: bad family {self.family!r}")
-        if not self.markers:
-            raise ConfigError(f"{self.source_label}: signature has no markers")
-        if not 1 <= self.min_markers <= len(self.markers):
-            raise ConfigError(
-                f"{self.source_label}: min_markers must be in 1..{len(self.markers)}"
-            )
-        flags = 0 if self.case_sensitive else re.IGNORECASE
+    def __init__(
+        self,
+        source_label: str,
+        family: str,
+        markers: tuple[str, ...],
+        min_markers: int = DEFAULT_MIN_MARKERS,
+        priority: int = 100,
+        case_sensitive: bool = False,
+    ) -> None:
+        if not source_label or source_label == UNKNOWN_LABEL:
+            raise ConfigError(f"bad signature label {source_label!r}")
+        if family not in SOURCE_FAMILIES or family == UNKNOWN_FAMILY:
+            raise ConfigError(f"{source_label}: bad family {family!r}")
+        if not markers:
+            raise ConfigError(f"{source_label}: signature has no markers")
+        if not 1 <= min_markers <= len(markers):
+            raise ConfigError(f"{source_label}: min_markers must be in 1..{len(markers)}")
+        flags = (0 if case_sensitive else re.IGNORECASE) | re.MULTILINE
         compiled = []
-        for marker in self.markers:
+        for marker in markers:
             try:
-                compiled.append(re.compile(marker, flags | re.MULTILINE))
+                compiled.append(re.compile(marker, flags))
             except re.error as exc:
-                raise ConfigError(
-                    f"{self.source_label}: bad marker {marker!r}: {exc}"
-                ) from exc
-        object.__setattr__(self, "_compiled", tuple(compiled))
+                raise ConfigError(f"{source_label}: bad marker {marker!r}: {exc}") from exc
+        self.source_label = source_label
+        self.family = family
+        self.markers = markers
+        self.min_markers = min_markers
+        self.priority = priority
+        self.case_sensitive = case_sensitive
+        self._compiled = tuple(compiled)
 
     def match(self, text: str) -> list[tuple[int, int]]:
         """Distinct markers that hit: (marker index, offset of first hit)."""
         hits = []
-        for index, pattern in enumerate(self._compiled):  # type: ignore[attr-defined]
+        for index, pattern in enumerate(self._compiled):
             m = pattern.search(text)
             if m is not None:
                 hits.append((index, m.start()))
         return hits
 
 
-@dataclass(frozen=True)
-class DetectionResult:
+class DetectionResult(NamedTuple):
     source_label: str
     family: str
     matched_markers: tuple[tuple[int, int], ...]
@@ -115,7 +117,7 @@ def detect_source(text: str, signatures: Iterable[SourceSignature]) -> Detection
     best: tuple[int, int, str] | None = None
     best_result: DetectionResult | None = None
     for sig in signatures:
-        patterns = sig._compiled  # type: ignore[attr-defined]
+        patterns = sig._compiled
         # The score needed to qualify and to rank ahead of the best so far;
         # a tie on score goes to the lower (priority, label).
         need = sig.min_markers

@@ -8,6 +8,7 @@ A fixed --ingest-ts pins every emitted timestamp so byte comparisons work.
 import gc
 import json
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -115,6 +116,26 @@ class TestRunConfig:
         rule_only = RunConfig(input_dir=tmp_path, output_dir=tmp_path / "out", paths_enabled="rule")
         assert rule_only.digest() != digest
 
+    def test_a_pickled_config_keeps_its_digest(self, tmp_path):
+        # Configs are sent to worker processes as pickles.
+        config = RunConfig(
+            input_dir=tmp_path,
+            output_dir=tmp_path / "out",
+            paths_enabled="llm",
+            backend="invalid_then_fix",
+            backend_params={"inject_every": "2"},
+            max_in_flight=2,
+            seed=7,
+            ingest_ts=INGEST,
+        )
+        copy = pickle.loads(pickle.dumps(config))
+        assert type(copy) is RunConfig
+        assert copy == config
+        assert copy.digest() == config.digest()
+        plain = RunConfig(input_dir=tmp_path, output_dir=tmp_path / "out")
+        assert pickle.loads(pickle.dumps(plain)).digest() == plain.digest()
+        assert RunConfig(tmp_path, tmp_path / "out", backend_params={}).digest() == plain.digest()
+
     def test_backend_param_parsing(self):
         assert cli._parse_params(["rate=0.1", "seed=7"]) == {"rate": "0.1", "seed": "7"}
         with pytest.raises(ConfigError, match="key=value"):
@@ -177,7 +198,7 @@ class TestRunOutputs:
     def test_summary_file_round_trips(self, finished):
         out, summary = finished
         on_disk = json.loads((out / "run_summary.json").read_text(encoding="utf-8"))
-        assert on_disk == summary.as_dict()
+        assert on_disk == summary._asdict()
         assert on_disk["backend_calls"]["extract"] == 6
 
     def test_runtime_blocks_have_stats(self, finished):
@@ -541,6 +562,60 @@ class TestColdStart:
             check=True,
         ).stdout
         assert loaded.strip() == "[]"
+
+
+    def test_run_and_eval_load_no_generated_code_or_parser(self, tmp_path):
+        corpus = _write_corpus(tmp_path / "corpus", seed=3, count=1, families=["registry_form"])
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from casepipe import cli\n"
+            "corpus, out = Path(sys.argv[1]), Path(sys.argv[2])\n"
+            "cli.run(cli.RunConfig(input_dir=corpus / 'docs', output_dir=out,\n"
+            "    backend='invalid_then_fix', backend_params={'inject_every': '1'}))\n"
+            "cli.evaluate_outputs(out, corpus / 'gold.jsonl', cli.default_schema())\n"
+            "assert (out / 'metrics_rule.json').is_file() and (out / 'metrics_llm.json').is_file()\n"
+            "print([m for m in ('dataclasses', 'inspect', 'argparse') if m in sys.modules])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        loaded = subprocess.run(
+            [sys.executable, "-c", script, str(corpus), str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+            check=True,
+        ).stdout
+        assert loaded.strip() == "[]"
+
+
+class TestRulesets:
+    """Only the rule path reads rules, so only it loads them."""
+
+    @pytest.mark.parametrize("paths, loaded", [("llm", False), ("rule", True), ("both", True)])
+    def test_rulesets_load_only_for_the_rule_path(self, tmp_path, monkeypatch, paths, loaded):
+        class Loaded(Exception):
+            pass
+
+        def refuse(directory):
+            raise Loaded(directory)
+
+        monkeypatch.setattr(cli, "load_rulesets", refuse)
+        (tmp_path / "docs").mkdir()
+        config = _config(tmp_path, tmp_path / "out", paths_enabled=paths)
+        if loaded:
+            with pytest.raises(Loaded):
+                run(config)
+        else:
+            assert run(config).documents_in == 0
+
+    def test_an_llm_run_still_checks_the_rulesets_directory(self, tmp_path):
+        (tmp_path / "docs").mkdir()
+        config = _config(
+            tmp_path, tmp_path / "out", paths_enabled="llm", rulesets_dir=tmp_path / "absent"
+        )
+        with pytest.raises(ConfigError, match="rulesets directory does not exist"):
+            run(config)
 
 
 class TestPipelineLifetime:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from casepipe.config import write_jsonl
+from casepipe.config import ConfigError, write_jsonl
 from casepipe.geocode import (
     DEFAULT_BOX_MARGIN,
     Gazetteer,
@@ -70,6 +70,13 @@ class TestGazetteer:
         path = tmp_path / "bad.jsonl"
         write_jsonl(path, [{"place": "X", "region": "Y", "postal_codes": [], "lat": 95.0, "lon": 0.0}])
         with pytest.raises(ValueError):
+            Gazetteer.load(path)
+
+    def test_a_region_code_naming_two_regions_is_rejected(self, tmp_path):
+        path = tmp_path / "codes.jsonl"
+        rows = [dict(GAZETTEER_ROWS[0], region_code="VA"), dict(GAZETTEER_ROWS[3], region_code="VA")]
+        write_jsonl(path, rows)
+        with pytest.raises(ConfigError, match="region code 'VA' names two regions"):
             Gazetteer.load(path)
 
     def test_region_boxes_use_margin(self, gazetteer):
@@ -336,8 +343,11 @@ class TestPartialSpatialSection:
         [{"city": "Richmond", "state": "VA"}, {"last_seen_location": "Richmond, VA"}],
     )
     def test_a_partial_section_with_a_state_code_is_read(self, bundled, spatial):
-        # The gazetteer names regions in full, so "VA" is no region and
-        # "Richmond VA" no place: the record is read and left as it was.
+        # Each gazetteer row carries its region's code, so "VA" names
+        # Virginia as a trailing region token, as a bias region, and as the
+        # region whose box the coordinates must fall in.
         record = {"spatial": dict(spatial)}
         apply_geocode(record, bundled, GeocodeCache())
-        assert record == {"spatial": spatial}
+        assert (record["spatial"]["lat"], record["spatial"]["lon"]) == (37.541, -77.436)
+        assert record["spatial"]["geocode_method"] == "gazetteer"
+        assert record["spatial"]["geocode_plausible"] is True

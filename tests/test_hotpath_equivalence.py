@@ -2,9 +2,10 @@
 
 Each fast path here must give exactly what the plain version gives: the same
 alphanumeric count, the same first object, the same CSV bytes, the same leaf
-order. The plain versions are kept in this file as oracles. The last test
-covers the llm path, which trusts repair_loop's final validation instead of
-validating each record again before emitting it.
+order, the same repair merge and warnings. The plain versions are kept in
+this file as oracles. The last test covers the llm path, which trusts
+repair_loop's final validation instead of validating each record again
+before emitting it.
 """
 
 import csv
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from casepipe.cli import RunConfig, run
 from casepipe.emit import column_order, flatten_record, write_records_csv
 from casepipe.extract import _text_quality
-from casepipe.llm import CandidateParseError, _first_object
+from casepipe.llm import CandidateParseError, _edit_allowed, _first_object, _merge_minimal
 from casepipe.schema import default_schema, flatten_leaves, validate
 from casepipe.synth import FAMILY_LABELS, SynthesisSpec, write_corpus
 from recordgen import records
@@ -201,6 +202,81 @@ def test_flatten_leaves_order_unchanged(candidate):
     assert list(flatten_leaves(candidate).items()) == list(
         _merging_flatten(candidate).items()
     )
+
+
+# ---------------------------------------------------------------------------
+# Repair merge
+
+
+def _walking_merge(old, new, cited, warn, prefix=""):
+    """The merge that walks equal dicts too, key by key."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        out = {}
+        keys = list(old.keys()) + [k for k in new.keys() if k not in old]
+        for key in keys:
+            path = f"{prefix}.{key}" if prefix else str(key)
+            if key in old and key in new:
+                out[key] = _walking_merge(old[key], new[key], cited, warn, path)
+            elif key in old:
+                if _edit_allowed(path, cited):
+                    continue
+                warn("non_minimal_edit_reverted", f"{path}: removal reverted")
+                out[key] = old[key]
+            else:
+                if _edit_allowed(path, cited):
+                    out[key] = new[key]
+                else:
+                    warn("non_minimal_edit_reverted", f"{path}: addition dropped")
+        return out
+    if old == new:
+        return new
+    if _edit_allowed(prefix, cited):
+        return new
+    warn("non_minimal_edit_reverted", f"{prefix}: unrelated change reverted")
+    return old
+
+
+_MERGE_KEYS = ["a", "b", "c", "a.b"]
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 2)
+    | st.floats(-2, 2, allow_nan=False)
+    | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.sampled_from(_MERGE_KEYS), inner, max_size=3),
+    max_leaves=10,
+)
+_json_dicts = st.dictionaries(st.sampled_from(_MERGE_KEYS), _json_values, max_size=3)
+
+
+@st.composite
+def _edited(draw, value):
+    """``value`` re-parsed, with some of its dict entries changed, removed
+    or added, so many subtrees stay equal but are not the same objects."""
+    if not isinstance(value, dict):
+        return draw(st.just(value) | _json_values)
+    out = {}
+    for key, item in value.items():
+        choice = draw(st.sampled_from(["keep", "keep", "edit", "drop"]))
+        if choice != "drop":
+            out[key] = draw(_edited(item)) if choice == "edit" else item
+    for key in draw(st.lists(st.sampled_from(_MERGE_KEYS), max_size=1)):
+        out.setdefault(key, draw(_json_values))
+    return json.loads(json.dumps(out))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_merge_minimal_matches_the_walking_merge(data):
+    old = data.draw(_json_dicts)
+    new = data.draw(_edited(old) | _json_dicts)
+    cited = data.draw(st.lists(st.sampled_from(["a", "b", "a.b", "c.a", "b.c.a"]), max_size=2))
+    warned, oracle_warned = [], []
+    merged = _merge_minimal(old, new, cited, lambda c, m: warned.append((c, m)))
+    expected = _walking_merge(old, new, cited, lambda c, m: oracle_warned.append((c, m)))
+    assert warned == oracle_warned
+    assert merged == expected
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from casepipe.llm import (
     NeverFixBackend,
     OracleBackend,
     RepairPrompt,
+    WireBackend,
     build_extraction_prompt,
     build_repair_prompt,
     call_backend,
@@ -337,10 +338,11 @@ class TestInvalidThenFix:
 
 class TestMakeBackend:
     def test_known_names(self):
-        assert make_backend("oracle").label == "oracle"
-        assert make_backend("dropout_oracle", {"rate": 0.1, "seed": 3}).label == "dropout_oracle"
-        assert make_backend("invalid_then_fix").label == "invalid_then_fix"
-        assert make_backend("never_fix").label == "never_fix"
+        # Exact types: NeverFixBackend subclasses InvalidThenFixBackend.
+        assert type(make_backend("oracle")) is OracleBackend
+        assert type(make_backend("dropout_oracle", {"rate": 0.1, "seed": 3})) is DropoutOracleBackend
+        assert type(make_backend("invalid_then_fix")) is InvalidThenFixBackend
+        assert type(make_backend("never_fix")) is NeverFixBackend
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigError):
@@ -386,7 +388,13 @@ class TestMakeBackend:
         ],
     )
     def test_declared_params_and_seed_are_accepted(self, name, params):
-        assert make_backend(name, params).label == name
+        kinds = {
+            "oracle": OracleBackend,
+            "dropout_oracle": DropoutOracleBackend,
+            "invalid_then_fix": InvalidThenFixBackend,
+            "never_fix": NeverFixBackend,
+        }
+        assert type(make_backend(name, params)) is kinds[name]
 
     def test_wire_requires_endpoint(self, monkeypatch):
         monkeypatch.delenv("CASEPIPE_BACKEND_URL", raising=False)
@@ -395,7 +403,7 @@ class TestMakeBackend:
 
     def test_wire_reads_env(self, monkeypatch):
         monkeypatch.setenv("CASEPIPE_BACKEND_URL", "http://localhost:9999/generate")
-        assert make_backend("wire").label == "wire"
+        assert type(make_backend("wire")) is WireBackend
 
 
 def exchange_with(backend):

@@ -682,7 +682,7 @@ class TestBuildReport:
     def test_as_dict_round_trip_keys(self):
         parsed, gold, log = self._inputs()
         report = build_report(parsed, GoldSide(gold, SCHEMA), run_log=log, runtimes=[0.1])
-        data = report.as_dict()
+        data = report._asdict()
         assert data["f1"] == report.f1
         assert data["completeness_by_field"]["demographic.name"] == 0.5
         assert data["record_count"] == 2

@@ -421,8 +421,8 @@ def test_build_report_matches_the_oracle(sets, run_log, runtimes):
     expected = oracle_report(
         parsed, gold, RULES, run_log, runtimes, lambda c, m: oracle_warned.append((c, m))
     )
-    assert json.dumps(report.as_dict(), sort_keys=True) == json.dumps(
-        expected.as_dict(), sort_keys=True
+    assert json.dumps(report._asdict(), sort_keys=True) == json.dumps(
+        expected._asdict(), sort_keys=True
     )
     assert warned == oracle_warned
 
@@ -468,7 +468,7 @@ def test_default_rules_report_matches_the_oracle(sets):
     parsed, gold = sets
     report = build_report(parsed, GoldSide(gold, SCHEMA), runtimes=[0.1])
     expected = oracle_report(parsed, gold, RULES, (), [0.1], lambda c, m: None)
-    assert report.as_dict() == expected.as_dict()
+    assert report._asdict() == expected._asdict()
 
 
 def test_every_slot_is_compared_at_most_once(monkeypatch):
@@ -522,8 +522,8 @@ def test_one_gold_side_scores_like_fresh_oracle_reports(sets):
         expected = oracle_report(
             parsed, gold, RULES, (), [0.1], lambda c, m: oracle_warned.append((c, m))
         )
-        assert json.dumps(report.as_dict(), sort_keys=True) == json.dumps(
-            expected.as_dict(), sort_keys=True
+        assert json.dumps(report._asdict(), sort_keys=True) == json.dumps(
+            expected._asdict(), sort_keys=True
         )
         assert warned == oracle_warned
 
@@ -591,7 +591,7 @@ def test_equal_strings_in_text_timestamp_and_set_slots_count_as_matches():
     }
     report = build_report([record], GoldSide([copy.deepcopy(record)], SCHEMA), runtimes=[0.1])
     expected = oracle_report([record], [record], RULES, (), [0.1], lambda c, m: None)
-    assert report.as_dict() == expected.as_dict()
+    assert report._asdict() == expected._asdict()
     assert (report.precision, report.recall) == (1.0, 1.0)
 
 
@@ -602,7 +602,7 @@ def test_equal_nan_strings_in_a_numeric_slot_still_mismatch():
     parsed = copy.deepcopy(gold)
     report = build_report(parsed, GoldSide(gold, SCHEMA), runtimes=[0.1])
     expected = oracle_report(parsed, gold, RULES, (), [0.1], lambda c, m: None)
-    assert report.as_dict() == expected.as_dict()
+    assert report._asdict() == expected._asdict()
     # case_id matches; both ages are a false positive and a false negative.
     assert (report.precision, report.recall) == (1 / 3, 1 / 3)
 
@@ -618,7 +618,7 @@ def test_a_str_subclass_takes_the_slow_path():
     parsed = [{"case_id": "A", "demographic": {"name": _Alias("x")}}]
     report = build_report(parsed, GoldSide(gold, SCHEMA), runtimes=[0.1])
     expected = oracle_report(parsed, gold, RULES, (), [0.1], lambda c, m: None)
-    assert report.as_dict() == expected.as_dict()
+    assert report._asdict() == expected._asdict()
     assert report.precision == 1 / 2
 
 
