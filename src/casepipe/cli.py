@@ -15,7 +15,9 @@ cases_llm.jsonl/csv (per enabled path), warnings.jsonl, run_summary.json,
 and, when a gold file is given, metrics_<path>.json plus report.txt. Until
 they are written, a run's records, repair-log rows and runtime samples
 accumulate per path on the pipeline, in its ``outputs``, with the segment
-count beside them; ``run`` sorts each by case_id as it writes it.
+count beside them; ``run`` sorts each by case_id as it writes it. Each
+record is encoded into its path's ``emit.RecordBuffer`` when it is finished,
+so a run holds every record as its output text, not as a dict.
 
 Documents run one after another on the calling thread, every stage
 included. Only backend exchanges leave it, and only for a backend that waits
@@ -44,7 +46,7 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from casepipe import emit
-from casepipe.config import ConfigError, bundled_path, read_jsonl
+from casepipe.config import ConfigError, bundled_path, iter_jsonl
 from casepipe.extract import (
     ExtractionFailure,
     SourceDocument,
@@ -216,7 +218,7 @@ class RunSummary(NamedTuple):
 class _PathOutput(NamedTuple):
     """What one path produced over a run, in no particular order."""
 
-    records: list[dict]
+    records: emit.RecordBuffer
     log: list[dict]
     runtimes: list[tuple[str, float]]
 
@@ -281,7 +283,9 @@ class _Pipeline:
         self.warning_log = emit.WarningLog(self.ingest_ts)
         self._identity_tables: dict[str | None, MappingTable] = {}
         self.segments = 0
-        self.outputs = {label: _PathOutput([], [], []) for label, _ in _PATHS}
+        self.outputs = {
+            label: _PathOutput(emit.RecordBuffer(), [], []) for label, _ in _PATHS
+        }
 
     # -- helpers ----------------------------------------------------------
 
@@ -396,7 +400,7 @@ class _Pipeline:
                     f"{violation.field_path}: {violation.code}: {violation.message}",
                 )
         output = self.outputs["rule"]
-        output.records.append(record)
+        output.records.add(record)
         output.log.append(
             {
                 "case_id": case_id,
@@ -504,7 +508,7 @@ class _Pipeline:
             }
         )
         if post_valid:
-            output.records.append(record)
+            output.records.add(record)
         else:
             if outcome.attempts > 0:
                 for_stage("repair", "error")(
@@ -668,7 +672,8 @@ def run(config: RunConfig) -> RunSummary:
     records_out = dict.fromkeys(outputs, 0)
     for label, stem in _PATHS:
         if label in pipeline.enabled:
-            records = sorted(outputs[label].records, key=by_case_id)
+            records = outputs[label].records
+            records.sort()
             records_out[label] = emit.write_records_jsonl(
                 output_dir / f"{stem}.jsonl", records
             )
@@ -721,7 +726,8 @@ def evaluate_outputs(
     all this is a ConfigError, raised before the gold file is parsed. The
     gold file is then read once into one ``metrics.GoldSide``, which every
     path's ``metrics.build_report`` call gets, so each gold record's values
-    are extracted once, before any path is scored.
+    are extracted once, before any path is scored. Both files stream: each
+    line is parsed as it is scored, and no list of records is built.
     """
     from casepipe import metrics  # deferred: cold starts skip the scorer
 
@@ -731,7 +737,7 @@ def evaluate_outputs(
     found = [(label, path) for label, path in found if path.is_file()]
     if not found:
         raise ConfigError(f"no cases_*.jsonl files to evaluate in {output_dir}")
-    gold = metrics.GoldSide(read_jsonl(gold_path), schema)
+    gold = metrics.GoldSide(iter_jsonl(gold_path), schema)
     summary: dict[str, Any] = {}
     summary_path = output_dir / "run_summary.json"
     if summary_path.is_file():
@@ -739,11 +745,10 @@ def evaluate_outputs(
         config_digest = summary.get("config_digest", config_digest)
     reports: dict[str, metrics.MetricsReport] = {}
     for label, cases_path in found:
-        parsed = read_jsonl(cases_path)
         run_log = summary.get("repair_log", {}).get(label, [])
         runtimes = summary.get("runtime", {}).get(label, {}).get("samples", [])
         report = metrics.build_report(
-            parsed,
+            iter_jsonl(cases_path),
             gold,
             run_log=run_log,
             runtimes=runtimes,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 
 class ConfigError(ValueError):
@@ -26,13 +26,13 @@ def bundled_path(*parts: str) -> Path:
     return Path(str(root))
 
 
-def read_jsonl(path: str | Path) -> list[dict[str, Any]]:
-    """Read one JSON object per line. Blank lines are ignored."""
+def iter_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
+    """Yield one JSON object per line, reading as it goes. Blank lines are
+    ignored, and so is a byte-order mark at the start of the file."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    records = []
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -43,8 +43,12 @@ def read_jsonl(path: str | Path) -> list[dict[str, Any]]:
                 raise ConfigError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise ConfigError(f"{path}:{lineno}: expected a JSON object")
-            records.append(obj)
-    return records
+            yield obj
+
+
+def read_jsonl(path: str | Path) -> list[dict[str, Any]]:
+    """Every object ``iter_jsonl`` yields, read at once."""
+    return list(iter_jsonl(path))
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict[str, Any]]) -> int:

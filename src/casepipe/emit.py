@@ -4,7 +4,8 @@ Both files produced by a run carry the same records in the same order; the
 CSV is a lossless flattening of the JSONL under the schema (dot-path columns,
 lists indexed numerically, empty string for null). Key order in JSON output
 is the schema's canonical order, which by construction is plain lexicographic
-order at every nesting level.
+order at every nesting level. A run hands each record to a RecordBuffer as
+it finishes: the buffer keeps the record's output text, not the record.
 
 Warnings never interrupt a run. Every call appends exactly one entry (no
 deduplication) and its code must come from the WARNING_CODES registry below;
@@ -17,6 +18,8 @@ from __future__ import annotations
 import csv
 import json
 import threading
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple
 
@@ -79,17 +82,56 @@ def canonical_json(record: Mapping[str, Any]) -> str:
     return json.dumps(record, ensure_ascii=False, sort_keys=True)
 
 
-def write_records_jsonl(path: str | Path, records: Iterable[Mapping[str, Any]]) -> int:
+class RecordBuffer:
+    """Finished records held as their output text, in the order added.
+
+    ``add`` encodes a record at once into one row: its ``case_id``, its
+    canonical JSON line, and its CSV cells (``_cells``) as one flat tuple of
+    column, text pairs. Column names and texts are shared through one table
+    each per buffer, so the buffer holds each distinct one, such as a column
+    name or a field-origin offset, once. The record itself is not kept.
+    """
+
+    __slots__ = ("rows", "columns", "_texts")
+
+    def __init__(self, records: Iterable[Mapping[str, Any]] = ()) -> None:
+        self.rows: list[tuple[Any, str, tuple[str, ...]]] = []
+        # Every column any row has.
+        self.columns: dict[str, str] = {}
+        self._texts: dict[str, str] = {}
+        for record in records:
+            self.add(record)
+
+    def add(self, record: Mapping[str, Any]) -> None:
+        cells = _cells(record)
+        texts = cells.values()
+        columns = map(self.columns.setdefault, cells, cells)
+        pairs = zip(columns, map(self._texts.setdefault, texts, texts))
+        self.rows.append(
+            (record.get("case_id"), canonical_json(record), tuple(chain.from_iterable(pairs)))
+        )
+
+    def sort(self) -> None:
+        """Order the rows by case_id."""
+        self.rows.sort(key=itemgetter(0))
+
+
+def _buffered(records: RecordBuffer | Iterable[Mapping[str, Any]]) -> RecordBuffer:
+    return records if isinstance(records, RecordBuffer) else RecordBuffer(records)
+
+
+def write_records_jsonl(
+    path: str | Path, records: RecordBuffer | Iterable[Mapping[str, Any]]
+) -> int:
     """One canonical JSON object per line, UTF-8, LF. Returns the line count."""
+    rows = _buffered(records).rows
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    count = 0
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for record in records:
-            fh.write(canonical_json(record))
+        for _, line, _ in rows:
+            fh.write(line)
             fh.write("\n")
-            count += 1
-    return count
+    return len(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -285,23 +327,26 @@ def _graft(record: dict, segments: list[str], value: str) -> None:
 
 def write_records_csv(
     path: str | Path,
-    records: Iterable[Mapping[str, Any]],
+    records: RecordBuffer | Iterable[Mapping[str, Any]],
     schema: SchemaDefinition,
 ) -> int:
     """All records as one CSV with union columns in canonical order."""
-    flat_rows = [_cells(record) for record in records]
-    columns: set[str] = set()
-    for row in flat_rows:
-        columns.update(row)
-    ordered = column_order(columns, schema)
+    buffer = _buffered(records)
+    ordered = column_order(buffer.columns, schema)
+    position = {column: index for index, column in enumerate(ordered)}
+    blank = [""] * len(ordered)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(ordered)
-        for row in flat_rows:
-            writer.writerow([row.get(column, "") for column in ordered])
-    return len(flat_rows)
+        for _, _, cells in buffer.rows:
+            line = blank.copy()
+            pairs = iter(cells)
+            for column, text in zip(pairs, pairs):
+                line[position[column]] = text
+            writer.writerow(line)
+    return len(buffer.rows)
 
 
 # ---------------------------------------------------------------------------

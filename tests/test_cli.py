@@ -9,6 +9,7 @@ import gc
 import json
 import os
 import pickle
+import re
 import shutil
 import subprocess
 import sys
@@ -19,7 +20,7 @@ import pytest
 
 from casepipe import cli
 from casepipe.cli import RunConfig, evaluate_outputs, run
-from casepipe.config import ConfigError
+from casepipe.config import ConfigError, read_jsonl
 from casepipe.extract import END_SENTINEL, prenormalize, split_cases
 from casepipe.llm import build_extraction_prompt
 from casepipe.schema import default_schema, validate
@@ -696,6 +697,34 @@ class TestEvaluation:
         with pytest.raises(ValueError, match="^duplicate case_id 'x' in gold records$"):
             evaluate_outputs(tmp_path, gold, SCHEMA)
         assert not (tmp_path / "report.txt").exists()
+
+    def test_a_repeated_parsed_id_fails_as_a_repeated_gold_id_does(self, tmp_path):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text('{"case_id": "x"}\n', encoding="utf-8")
+        (tmp_path / "cases_rule.jsonl").write_text(
+            '{"case_id": "x"}\n{"case_id": "x"}\n{"case_id": "y"}\n', encoding="utf-8"
+        )
+        with pytest.raises(ValueError, match="^duplicate case_id 'x' in parsed records$"):
+            evaluate_outputs(tmp_path, gold, SCHEMA)
+        assert not (tmp_path / "report.txt").exists()
+
+    def test_a_malformed_cases_line_names_its_file_and_line(self, tmp_path):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text('{"case_id": "x"}\n', encoding="utf-8")
+        (tmp_path / "cases_rule.jsonl").write_text('{"case_id": "x"}\n', encoding="utf-8")
+        cases = tmp_path / "cases_llm.jsonl"
+        cases.write_text('{"case_id": "x"}\n\n{"case_id": \n', encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(cases))}:3: not valid JSON"):
+            evaluate_outputs(tmp_path, gold, SCHEMA)
+        assert not (tmp_path / "report.txt").exists()
+
+    def test_files_that_start_with_a_byte_order_mark_are_read(self, tmp_path):
+        bom = b"\xef\xbb\xbf"
+        (tmp_path / "gold.jsonl").write_bytes(bom + b'{"case_id": "a"}\n')
+        (tmp_path / "cases_rule.jsonl").write_bytes(bom + b'{"case_id": "a"}\n')
+        reports = evaluate_outputs(tmp_path, tmp_path / "gold.jsonl", SCHEMA)
+        assert reports["rule"].record_count == 1
+        assert read_jsonl(tmp_path / "gold.jsonl") == [{"case_id": "a"}]
 
 
 class TestMainEntry:

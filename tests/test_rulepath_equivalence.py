@@ -6,20 +6,23 @@ longer qualify or win; ``dispatch`` strips the end sentinel and splits the
 lines once per segment, and a line rule with a literal prefix searches only
 the lines that start with it; ``harmonize`` runs a plan compiled once per
 mapping table; the CSV cell flattener writes lists and maps of scalars in
-place.
+place; the JSONL and CSV writers write the text a RecordBuffer encoded when
+each record was added.
 Each must give exactly what the plain walk gives: the same detection, the
 same draft candidates in the same order, the same harmonized record, trace
-and warnings in order, the same cells. The plain versions are kept in this
-file as oracles.
+and warnings in order, the same cells, the same bytes. The plain versions
+are kept in this file as oracles.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import re
+from operator import itemgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casepipe import emit
@@ -75,6 +78,7 @@ from casepipe.sources import (
     detect_source,
     load_signatures,
 )
+from recordgen import records
 
 SCHEMA = default_schema()
 NO_DEMOGRAPHIC = SCHEMA.without_prefix("demographic")
@@ -876,3 +880,91 @@ def test_cells_match_flatten_leaves_per_value(record):
 def test_cells_handpicked(record):
     assert emit._cells(record) == _oracle_cells(record)
     assert list(emit._cells(record)) == list(_oracle_cells(record))
+
+
+# ---------------------------------------------------------------------------
+# Buffered writers
+
+
+def _oracle_write_jsonl(path, records):
+    """write_records_jsonl over a list of record dicts, as it was."""
+    count = 0
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        for record in records:
+            fh.write(emit.canonical_json(record))
+            fh.write("\n")
+            count += 1
+    return count
+
+
+def _oracle_write_csv(path, records, schema):
+    """write_records_csv over a list of record dicts, as it was."""
+    flat_rows = [emit._cells(record) for record in records]
+    columns = set()
+    for row in flat_rows:
+        columns.update(row)
+    ordered = emit.column_order(columns, schema)
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(ordered)
+        for row in flat_rows:
+            writer.writerow([row.get(column, "") for column in ordered])
+    return len(flat_rows)
+
+
+_JSON_KEYS = st.sampled_from(("a", "b", "a.b", "", "0", "1", "né"))
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3000),
+    st.floats(),
+    st.sampled_from(("", "x", " pad ", "a,b", 'say "hi"\nbye', "Zoë", "東京")),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_JSON_KEYS, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _emitted_record(draw):
+    """A schema-valid record or a bare one, with odd keys and values on top
+    and a case_id whose segment numbers sort as text."""
+    record = draw(records()) if draw(st.booleans()) else {}
+    record.update(draw(st.dictionaries(_JSON_KEYS, _JSON_VALUES, max_size=3)))
+    if record.get("provenance") and draw(st.booleans()):
+        record["provenance"]["field_origins"] = draw(
+            st.dictionaries(_JSON_KEYS, st.lists(st.integers(0, 999), max_size=3), max_size=3)
+        )
+    record["case_id"] = draw(st.sampled_from(("x#s10", "x#s2", "x#s1", "y#s0", "é#s3")))
+    return record
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_emitted_record(), max_size=6))
+@example(
+    [
+        {"case_id": "x#s2", "narrative_osint": {"movement_cues": []},
+         "narrative_osint.movement_cues": ["x"]},
+        {"case_id": "x#s10", "narrative_osint.movement_cues.0": "y",
+         "narrative_osint": {"movement_cues": []}},
+        {"case_id": "x#s1", "s": {"m": {"k": [[], {}, [None, True, 1.0]], "2": {}}},
+         "provenance": {"field_origins": {"demographic.name": [0, 3, 9]}, "x": []}},
+    ]
+)
+def test_buffered_writers_match_the_dict_list_writers(tmp_path_factory, rows):
+    tmp = tmp_path_factory.mktemp("emit")
+    ordered = sorted(rows, key=itemgetter("case_id"))
+    assert _oracle_write_jsonl(tmp / "old.jsonl", ordered) == len(rows)
+    assert _oracle_write_csv(tmp / "old.csv", ordered, SCHEMA) == len(rows)
+    buffer = emit.RecordBuffer()
+    for record in rows:
+        buffer.add(record)
+        # The buffer keeps the record's text, not the record.
+        record.clear()
+    buffer.sort()
+    assert emit.write_records_jsonl(tmp / "new.jsonl", buffer) == len(rows)
+    assert emit.write_records_csv(tmp / "new.csv", buffer, SCHEMA) == len(rows)
+    assert (tmp / "new.jsonl").read_bytes() == (tmp / "old.jsonl").read_bytes()
+    assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
