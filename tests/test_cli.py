@@ -408,6 +408,8 @@ class TestTrailer:
         assert codes.count("unknown_source") == 1
 
     def test_the_rule_path_never_normalizes_the_trailer(self, tmp_path, monkeypatch):
+        # Read in-process, so that the recording sees the reader's calls.
+        monkeypatch.setattr(cli, "_reads_ahead", lambda files: False)
         seen = []
 
         def recording(text):

@@ -15,6 +15,7 @@ import tracemalloc
 
 import pytest
 
+from casepipe import cli
 from casepipe.cli import RunConfig, evaluate_outputs, run
 from casepipe.config import read_jsonl
 from casepipe.schema import default_schema
@@ -73,14 +74,18 @@ def _measure(root, out, paths, backend, params):
     return records, len(read_jsonl(gold)), run_growth, eval_growth
 
 
+@pytest.mark.parametrize("forked", [True, False], ids=["forked", "in-process"])
 @pytest.mark.parametrize(
     "paths, backend, params",
     [("rule", "oracle", {}), ("both", "invalid_then_fix", {"inject_every": "1"})],
     ids=["rule", "both-repair"],
 )
 def test_memory_grows_by_a_few_kilobytes_per_record(
-    corpora, tmp_path, paths, backend, params
+    corpora, tmp_path, monkeypatch, paths, backend, params, forked
 ):
+    # Read in a forked child, the parent holds only what it receives; read
+    # in-process, the bound covers the reader's allocations as well.
+    monkeypatch.setattr(cli, "_reads_ahead", lambda files: forked and bool(files))
     small, large = corpora
     _measure(small, tmp_path / "warm", paths, backend, params)
     records_s, gold_s, run_s, eval_s = _measure(small, tmp_path / "s", paths, backend, params)
