@@ -21,12 +21,16 @@ so a run holds every record as its output text, not as a dict.
 
 Each document has a read half (extract, cut, split, detect and the rule
 path's draft), which returns plain data, and a finish half that runs in
-document order on the calling thread: warnings, stamp, geocode, validate,
-the record buffers and every backend call, of which only the exchanges of a
-backend that waits on I/O (``wire``) leave it, at most --max-in-flight at
-once, repairs included. Where ``_reads_ahead`` allows, a forked child reads
-the documents ahead of the calling thread, with the same bytes out. The
-in-process test doubles are called inline, so with them, as on the rule
+document order on the calling thread: warnings, the record buffers, the
+geocode cache's counts and file, and every backend call, of which only the
+exchanges of a backend that waits on I/O (``wire``) leave it, at most
+--max-in-flight at once, repairs included. Where ``_reads_ahead`` allows, a
+forked child reads the documents ahead of the calling thread, with the same
+bytes out. A rule record's pure half (stamp, geocode, validate, encode) runs
+in that child when both paths run, against the child's copy of the geocode
+cache, whose lookups the calling thread replays in document order; in every
+other run it runs on the calling thread, which always accepts the result.
+The in-process test doubles are called inline, so with them, as on the rule
 path alone, a run starts no thread.
 
 Records are emitted sorted by case_id and the warning log is saved in a
@@ -61,7 +65,7 @@ from casepipe.extract import (
     prenormalize,
     split_cases,
 )
-from casepipe.geocode import Gazetteer, GeocodeCache, apply_geocode
+from casepipe.geocode import Gazetteer, GeocodeCache, apply_geocode, replay_lookup
 from casepipe.harmonize import MappingTable, harmonize, identity_table, load_mapping_dir
 from casepipe.llm import (
     DEFAULT_BUDGET_CHARS,
@@ -349,12 +353,20 @@ class _Pipeline:
         prov["field_origins"] = field_origins
 
     def _geocode_and_count(self, record: dict, warn_geocode) -> None:
-        apply_geocode(record, self.gazetteer, self.cache, on_warning=warn_geocode)
+        # apply_geocode warns only of an ambiguous place, which was found, in
+        # several regions, so it is not also unmatched.
+        warned: list[str] = []
+
+        def warn(code: str, message: str) -> None:
+            warned.append(code)
+            warn_geocode(code, message)
+
+        apply_geocode(record, self.gazetteer, self.cache, on_warning=warn)
         spatial = record.get("spatial", {})
         has_place_text = any(
             spatial.get(k) for k in ("last_seen_location", "city", "postal_code")
         )
-        if spatial.get("geocode_method") == "none" and has_place_text:
+        if spatial.get("geocode_method") == "none" and has_place_text and not warned:
             warn_geocode(
                 "geocode_no_match",
                 "no gazetteer match for the record's place text",
@@ -394,12 +406,15 @@ class _Pipeline:
 
     def _finish_rule(
         self, document_id: str, case_id: str, detection, engine: str, draft: tuple
-    ) -> None:
+    ) -> tuple:
+        """The pure half of a rule record after its draft: stamp, geocode,
+        validate and encode it. Returns plain data ``marshal`` carries, for
+        ``_accept_rule``: ``(row, warnings, log row, seconds, lookups)``, the
+        row as ``emit.encode_row`` gives it, each warning as ``(stage, code,
+        message)``, and the lookups as the cache journaled them (``(key,
+        value)`` pairs), which it does only in the reader's child."""
         started = perf_counter()
         record, origins, warnings, drafted_s = draft
-        for_stage, warned = self._sink(document_id, case_id)
-        for stage, code, message in warnings:
-            for_stage(stage)(code, message)
         self._stamp(
             record,
             case_id=case_id,
@@ -409,27 +424,47 @@ class _Pipeline:
             extraction_path="rule",
             field_origins=origins,
         )
-        self._geocode_and_count(record, for_stage("geocode"))
-        record["provenance"]["warnings_count"] = warned()
-        report = validate(record, self.schema)
-        if not report.valid:
-            warn = for_stage("validate")
-            for violation in report.violations:
-                warn(
-                    "validation_violation",
-                    f"{violation.field_path}: {violation.code}: {violation.message}",
-                )
-        output = self.outputs["rule"]
-        output.records.add(record)
-        output.log.append(
-            {
-                "case_id": case_id,
-                "pre_valid": report.valid,
-                "post_valid": report.valid,
-                "attempts": 0,
-            }
+        self._geocode_and_count(
+            record, lambda code, message: warnings.append(("geocode", code, message))
         )
-        output.runtimes.append((case_id, drafted_s + perf_counter() - started))
+        record["provenance"]["warnings_count"] = len(warnings)
+        report = validate(record, self.schema)
+        for violation in report.violations:
+            message = f"{violation.field_path}: {violation.code}: {violation.message}"
+            warnings.append(("validate", "validation_violation", message))
+        row = emit.encode_row(record)
+        journal, lookups = self.cache.journal, ()
+        if journal:
+            lookups = tuple(journal)
+            journal.clear()
+        log = {
+            "case_id": case_id,
+            "pre_valid": report.valid,
+            "post_valid": report.valid,
+            "attempts": 0,
+        }
+        return row, warnings, log, drafted_s + perf_counter() - started, lookups
+
+    def _accept_rule(self, document_id: str, case_id: str, finished: tuple) -> None:
+        """The accept half of a rule record, on the calling thread: log the
+        warnings of ``_finish_rule``'s result, replay its lookups into the
+        cache, and keep its row, log row and runtime."""
+        row, warnings, log, seconds, lookups = finished
+        for stage, code, message in warnings:
+            self.warning_log.log(
+                document_id=document_id,
+                case_id=case_id,
+                stage=stage,
+                severity="warning",
+                code=code,
+                message=message,
+            )
+        for key, value in lookups:
+            replay_lookup(key, value, self.gazetteer, self.cache)
+        output = self.outputs["rule"]
+        output.records.append(row)
+        output.log.append(log)
+        output.runtimes.append((case_id, seconds))
 
     def _llm_request(
         self, document_id: str, text: str, detection, case_id: str, engine: str
@@ -546,9 +581,11 @@ class _Pipeline:
         """The read half of one document, as plain data ``marshal`` carries:
         ``(document_id, engine_used, warnings, segments)``. Each warning is
         an extract stage ``(severity, code, message)``; each segment is
-        ``(case_id, detection tuple, _draft_rule's draft or None, llm text or
-        None)``. Split and detection see the content only; the trailer is
-        normalized only for the llm path, and only the last text carries it."""
+        ``(case_id, detection tuple, _draft_rule's draft or None, None, llm
+        text or None)``, the fourth slot being where ``_read_finishing_rules``
+        puts the finished rule record. Split and detection see the content
+        only; the trailer is normalized only for the llm path, and only the
+        last text carries it."""
         document_id = path.stem
         try:
             extracted = extract_text(SourceDocument(document_id=document_id, path=path))
@@ -577,12 +614,30 @@ class _Pipeline:
             if llm:
                 text = segment.text + trailer if segment is last else segment.text
             case_id = f"{document_id}#s{segment.segment_index}"
-            read.append((case_id, tuple(detection), draft, text))
+            read.append((case_id, tuple(detection), draft, None, text))
         return document_id, extracted.engine_used, warnings, read
+
+    def _read_finishing_rules(self, path: Path) -> tuple:
+        """``_read`` as the reader's child runs it on a both-path run, with
+        each segment's draft replaced by its finished rule record. Run only
+        in the child: there the cache is this process's copy, which writes
+        no file and journals every lookup, for the caller to replay."""
+        cache = self.cache
+        if cache.journal is None:
+            cache.path, cache.journal = None, []
+        document_id, engine, warnings, segments = self._read(path)
+        finished = []
+        for case_id, detection, draft, _, text in segments:
+            rule = self._finish_rule(
+                document_id, case_id, DetectionResult(*detection), engine, draft
+            )
+            finished.append((case_id, detection, None, rule, text))
+        return document_id, engine, warnings, finished
 
     def _finish_document(self, read: tuple) -> Iterator[_LlmJob]:
         """The finish half of a document ``_read`` read: log its warnings,
-        finish each rule record, and yield each segment's llm request."""
+        finish each rule record (its pure half unless the child did it) and
+        accept it, and yield each segment's llm request."""
         document_id, engine, warnings, segments = read
         for severity, code, message in warnings:
             self.warning_log.log(
@@ -593,7 +648,7 @@ class _Pipeline:
                 message=message,
             )
         self.segments += len(segments)
-        for case_id, detection, draft, text in segments:
+        for case_id, detection, draft, finished, text in segments:
             detection = DetectionResult(*detection)
             if detection.source_label == UNKNOWN_LABEL:
                 self.warning_log.log(
@@ -605,7 +660,9 @@ class _Pipeline:
                     message="no signature reached its marker threshold",
                 )
             if draft is not None:
-                self._finish_rule(document_id, case_id, detection, engine, draft)
+                finished = self._finish_rule(document_id, case_id, detection, engine, draft)
+            if finished is not None:
+                self._accept_rule(document_id, case_id, finished)
             if text is not None:
                 yield self._llm_request(document_id, text, detection, case_id, engine)
 
@@ -619,14 +676,18 @@ class _Pipeline:
         on I/O: they go to ``max_in_flight`` threads, extraction requests up
         to ``_LOOKAHEAD`` × ``max_in_flight`` segments ahead of the record
         being finished. Any other backend is called inline, and then a
-        forked child may read the documents (``_read_in_child``); it is
-        reaped before this returns or raises. An empty run starts no thread
-        and no process.
+        forked child may read the documents (``_read_in_child``), finishing
+        the rule records too when both paths run; it is reaped before this
+        returns or raises. An empty run starts no thread and no process.
         """
         backend = self.backend
         pooled = bool(files) and backend is not None and backend.waits_on_io
         if not pooled and _reads_ahead(files):
-            reads = _read_in_child(self._read, files)
+            # With both paths the child also finishes the rule records, so
+            # the caller keeps only the llm path's; with the rule path alone
+            # that would leave the caller waiting on the child.
+            both = len(self.enabled) == 2
+            reads = _read_in_child(self._read_finishing_rules if both else self._read, files)
         else:
             reads = (self._read(path) for path in files)
         jobs = (job for read in reads for job in self._finish_document(read))

@@ -82,34 +82,44 @@ def canonical_json(record: Mapping[str, Any]) -> str:
     return json.dumps(record, ensure_ascii=False, sort_keys=True)
 
 
+def encode_row(record: Mapping[str, Any]) -> tuple[Any, str, tuple[str, ...]]:
+    """A record's row, as a ``RecordBuffer`` keeps it: its ``case_id``, its
+    canonical JSON line, and its CSV cells (``_cells``) as one flat tuple of
+    column, text pairs. It is plain data, which ``marshal`` carries."""
+    cells = tuple(chain.from_iterable(_cells(record).items()))
+    return record.get("case_id"), canonical_json(record), cells
+
+
 class RecordBuffer:
     """Finished records held as their output text, in the order added.
 
-    ``add`` encodes a record at once into one row: its ``case_id``, its
-    canonical JSON line, and its CSV cells (``_cells``) as one flat tuple of
-    column, text pairs. Column names and texts are shared through one table
-    each per buffer, so the buffer holds each distinct one, such as a column
-    name or a field-origin offset, once. The record itself is not kept.
+    ``add`` encodes a record at once into its row (``encode_row``), and
+    ``append`` keeps a row encoded elsewhere, such as in a forked child.
+    Column names and texts are shared through one table per buffer, so the
+    buffer holds each distinct one, such as a column name or a field-origin
+    offset, once. The record itself is not kept.
     """
 
-    __slots__ = ("rows", "columns", "_texts")
+    __slots__ = ("rows", "_strings")
 
     def __init__(self, records: Iterable[Mapping[str, Any]] = ()) -> None:
         self.rows: list[tuple[Any, str, tuple[str, ...]]] = []
-        # Every column any row has.
-        self.columns: dict[str, str] = {}
-        self._texts: dict[str, str] = {}
+        self._strings: dict[str, str] = {}
         for record in records:
             self.add(record)
 
     def add(self, record: Mapping[str, Any]) -> None:
-        cells = _cells(record)
-        texts = cells.values()
-        columns = map(self.columns.setdefault, cells, cells)
-        pairs = zip(columns, map(self._texts.setdefault, texts, texts))
-        self.rows.append(
-            (record.get("case_id"), canonical_json(record), tuple(chain.from_iterable(pairs)))
-        )
+        self.append(encode_row(record))
+
+    def append(self, row: tuple[Any, str, tuple[str, ...]]) -> None:
+        case_id, line, cells = row
+        shared = tuple(map(self._strings.setdefault, cells, cells))
+        self.rows.append((case_id, line, shared))
+
+    @property
+    def columns(self) -> dict[str, None]:
+        """Every column any row has."""
+        return dict.fromkeys(chain.from_iterable(cells[::2] for _, _, cells in self.rows))
 
     def sort(self) -> None:
         """Order the rows by case_id."""

@@ -31,6 +31,9 @@ _TOKEN_RE = re.compile(r"[0-9a-z]+")
 _POSTAL_TOKEN_RE = re.compile(r"^\d{5}$")
 
 RegionBoxes = Mapping[str, tuple[float, float, float, float]]
+# A cached outcome: a match's (lat, lon, matched_place), or for a miss the
+# ambiguous_place message, or None.
+CacheValue = tuple[float, float, str] | str | None
 
 
 def normalize_place(raw: str) -> str:
@@ -242,30 +245,37 @@ class Gazetteer:
 class GeocodeCache:
     """Persistent key -> (lat, lon, matched_place) map with negative entries.
 
-    The file is append-only JSONL; reloading replays it in order so the last
-    write for a key wins. Missing files mean an empty cache.
+    A negative entry is ``None``, or the message of the ``ambiguous_place``
+    warning when the place is in several regions, so a hit warns as the
+    miss did. The file is append-only JSONL; reloading replays it in order so
+    the last write for a key wins, and a negative row without ``ambiguous``
+    reads as a plain negative. Missing files mean an empty cache.
+
+    Where ``journal`` is a list, each lookup ``geocode`` makes appends its
+    key and value there, for ``replay_lookup`` in another process.
     """
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
-        self._data: dict[str, tuple[float, float, str] | None] = {}
+        self._data: dict[str, CacheValue] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
+        self.journal: list[tuple[str, CacheValue]] | None = None
         if self.path is not None and self.path.is_file():
             for row in read_jsonl(self.path):
                 key = row.get("key")
                 if key is None:
                     raise ConfigError(f"{self.path}: cache row without key")
                 if row.get("lat") is None:
-                    self._data[key] = None
+                    self._data[key] = row.get("ambiguous")
                 else:
                     self._data[key] = (row["lat"], row["lon"], row["matched_place"])
 
     def __len__(self) -> int:
         return len(self._data)
 
-    def lookup(self, key: str) -> tuple[bool, tuple[float, float, str] | None]:
+    def lookup(self, key: str) -> tuple[bool, CacheValue]:
         """(present, value) for a key; counts the hit or miss."""
         with self._lock:
             if key in self._data:
@@ -274,15 +284,17 @@ class GeocodeCache:
             self.misses += 1
             return False, None
 
-    def put(self, key: str, value: tuple[float, float, str] | None) -> None:
+    def put(self, key: str, value: CacheValue) -> None:
         with self._lock:
             self._data[key] = value
             if self.path is None:
                 return
-            if value is None:
-                row: dict[str, Any] = {"key": key, "lat": None, "lon": None, "matched_place": None}
-            else:
+            if isinstance(value, tuple):
                 row = {"key": key, "lat": value[0], "lon": value[1], "matched_place": value[2]}
+            else:
+                row = {"key": key, "lat": None, "lon": None, "matched_place": None}
+                if value is not None:
+                    row["ambiguous"] = value
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("a", encoding="utf-8", newline="\n") as fh:
                 fh.write(json.dumps(row, ensure_ascii=False))
@@ -321,32 +333,35 @@ def geocode(
 ) -> GeocodeResult:
     """Resolve one query, consulting and feeding the cache."""
     key = _cache_key(query)
-    present, cached = cache.lookup(key)
-    boxes = gazetteer.default_boxes
-    if present:
-        if cached is None:
-            return GeocodeResult(None, None, None, cache_hit=True, plausible=None)
-        lat, lon, place = cached
-        return GeocodeResult(
-            lat,
-            lon,
-            place,
-            cache_hit=True,
-            plausible=plausible_coords(lat, lon, query.bias_region, boxes),
+    present, value = cache.lookup(key)
+    if not present:
+        notes: list[str] = []
+        entry = gazetteer.resolve(
+            query.normalized_key, query.bias_region, lambda code, message: notes.append(message)
         )
+        value = (entry.lat, entry.lon, entry.place) if entry else (notes[0] if notes else None)
+        cache.put(key, value)
+    if cache.journal is not None:
+        cache.journal.append((key, value))
+    if isinstance(value, tuple):
+        lat, lon, place = value
+        plausible = plausible_coords(lat, lon, query.bias_region, gazetteer.default_boxes)
+        return GeocodeResult(lat, lon, place, cache_hit=present, plausible=plausible)
+    if value is not None and on_warning is not None:
+        on_warning("ambiguous_place", value)
+    return GeocodeResult(None, None, None, cache_hit=present, plausible=None)
 
-    entry = gazetteer.resolve(query.normalized_key, query.bias_region, on_warning)
-    if entry is None:
-        cache.put(key, None)
-        return GeocodeResult(None, None, None, cache_hit=False, plausible=None)
-    cache.put(key, (entry.lat, entry.lon, entry.place))
-    return GeocodeResult(
-        entry.lat,
-        entry.lon,
-        entry.place,
-        cache_hit=False,
-        plausible=plausible_coords(entry.lat, entry.lon, query.bias_region, boxes),
-    )
+
+def replay_lookup(
+    key: str, value: CacheValue, gazetteer: Gazetteer, cache: GeocodeCache
+) -> None:
+    """Count a lookup of ``key`` that resolved to ``value`` against another
+    process's copy of ``cache`` as ``geocode`` counts one here: a hit if the
+    key is cached, else a miss, a gazetteer lookup and a put of ``value``."""
+    if not cache.lookup(key)[0]:
+        with gazetteer._lock:
+            gazetteer._lookups += 1
+        cache.put(key, value)
 
 
 def apply_geocode(
@@ -398,4 +413,5 @@ __all__ = [
     "geocode",
     "normalize_place",
     "plausible_coords",
+    "replay_lookup",
 ]

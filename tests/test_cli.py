@@ -312,6 +312,46 @@ class TestGeocodeCacheAcrossRuns:
         for name in ("cases_rule.jsonl", "cases_llm.jsonl", "warnings.jsonl"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
+    def test_an_ambiguous_place_warns_on_every_record_cold_or_warm(self, tmp_path):
+        # The bundled gazetteer has an Ashford in Virginia and in Maryland.
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        for index in (1, 2):
+            (docs / f"b-{index}.txt").write_text(
+                "MISSING PERSON BULLETIN\n"
+                f"Bulletin No: PB-2023-000{index}\n\n"
+                "MISSING: Avery Quill (F, 30)\n"
+                "LAST SEEN: 03/07/2023 near Ashford\n"
+                "WEARING: a green coat\n",
+                encoding="utf-8",
+            )
+        cache = tmp_path / "c.jsonl"
+        for name in ("cold", "warm"):
+            out = tmp_path / name
+            summary = run(
+                RunConfig(
+                    input_dir=docs,
+                    output_dir=out,
+                    paths_enabled="rule",
+                    cache_path=cache,
+                    ingest_ts=INGEST,
+                )
+            )
+            assert summary.gazetteer_lookups == (name == "cold")
+            geocode = [
+                (row["case_id"], row["code"])
+                for row in _read_jsonl(out / "warnings.jsonl")
+                if row["stage"] == "geocode"
+            ]
+            # The place was found, in several regions, so it is ambiguous and
+            # not also unmatched.
+            assert geocode == [("b-1#s0", "ambiguous_place"), ("b-2#s0", "ambiguous_place")]
+            for record in _read_jsonl(out / "cases_rule.jsonl"):
+                assert record["provenance"]["warnings_count"] == 1
+        assert (tmp_path / "cold" / "warnings.jsonl").read_bytes() == (
+            tmp_path / "warm" / "warnings.jsonl"
+        ).read_bytes()
+
 
 class TestUnknownSource:
     def test_unlabeled_document_falls_back(self, tmp_path):

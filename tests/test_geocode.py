@@ -215,6 +215,33 @@ class TestCacheFile:
         again = GeocodeCache(path)
         assert again.lookup("k") == (True, (3.0, 4.0, "Later"))
 
+    def test_an_ambiguity_is_kept_with_its_negative_entry(self, tmp_path, gazetteer):
+        path = tmp_path / "c.jsonl"
+        cold_seen, cold_warn = collect_warnings()
+        geocode(GeocodeQuery("ashford"), gazetteer, GeocodeCache(path), on_warning=cold_warn)
+        assert cold_seen == ["ambiguous_place"]
+        assert gazetteer.lookup_count == 1
+        row = json.loads(path.read_text(encoding="utf-8"))
+        assert row["lat"] is None and "several regions" in row["ambiguous"]
+        for cache in (GeocodeCache(path), GeocodeCache(path)):
+            seen, warn = collect_warnings()
+            for _ in range(2):
+                result = geocode(GeocodeQuery("ashford"), gazetteer, cache, on_warning=warn)
+                assert result.cache_hit is True and result.lat is None
+            assert seen == ["ambiguous_place", "ambiguous_place"]
+        assert gazetteer.lookup_count == 1
+
+    def test_a_negative_row_without_an_ambiguity_is_a_plain_negative(self, tmp_path, gazetteer):
+        path = tmp_path / "c.jsonl"
+        path.write_text(
+            '{"key": "ashford", "lat": null, "lon": null, "matched_place": null}\n',
+            encoding="utf-8",
+        )
+        seen, warn = collect_warnings()
+        result = geocode(GeocodeQuery("ashford"), gazetteer, GeocodeCache(path), on_warning=warn)
+        assert result.cache_hit is True and result.lat is None
+        assert seen == []
+
     def test_hit_and_miss_counters(self, tmp_path):
         cache = GeocodeCache(tmp_path / "c.jsonl")
         cache.put("k", (1.0, 2.0, "P"))

@@ -2,14 +2,17 @@
 
 ``cli._Pipeline.process`` reads documents (extract, split, detect and the
 rule path's draft and harmonize) either on the calling thread or in a forked
-child one document ahead, which ``cli._reads_ahead`` decides. The tests here
-force each placement and compare the bytes, and check that the child never
-outlives the run, whether it ends, fails in the child or fails in the
-parent.
+child one document ahead, which ``cli._reads_ahead`` decides. On a both-path
+run the child also finishes each rule record against its own copy of the
+geocode cache, and the caller replays the child's lookups in document order.
+The tests here force each placement and compare the bytes, the geocode
+cache's file and counters included, and check that the child never outlives
+the run, whether it ends, fails in the child or fails in the parent.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 import warnings
@@ -17,13 +20,31 @@ from pathlib import Path
 
 import pytest
 
-from casepipe import cli
+from casepipe import cli, geocode
 from casepipe.config import ConfigError
+from casepipe.extract import END_SENTINEL
+from casepipe.llm import encode_gold_marker
 from casepipe.synth import FAMILY_LABELS, SynthesisSpec, write_corpus
 from test_golden_outputs import CONFIGS, GOLDEN, output_hashes, summary_hash
 
 INGEST = "2025-01-15T09:30:00+00:00"
 PLACEMENTS = {"forked": lambda files: bool(files), "in_process": lambda files: False}
+
+
+def _bulletin(number: int, last_seen: str | None, gold: dict | None = None) -> bytes:
+    lines = [
+        "MISSING PERSON BULLETIN",
+        f"Bulletin No: PB-2024-{number:04d}",
+        "",
+        "MISSING: Avery Quill (F, 30)",
+    ]
+    if last_seen is not None:
+        lines.append(f"LAST SEEN: 03/07/2023 near {last_seen}")
+    lines.append("WEARING: a green coat")
+    if gold is not None:
+        lines += [END_SENTINEL, encode_gold_marker(gold)]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
 
 HOSTILE = {
     "empty.txt": b"",
@@ -47,6 +68,27 @@ HOSTILE = {
         "Minutes of the parish council, spring session. The hall roof is to "
         "be repaired before the summer fair, and the budget was approved.\n"
     ).encode("utf-8"),
+    # One ambiguous place (an Ashford in Virginia and in Maryland) in two
+    # documents: the child resolves it once, then finds it in its cache.
+    "ashford_1.txt": _bulletin(1, "Ashford"),
+    "ashford_2.txt": _bulletin(2, "Ashford"),
+    # The first one's rule record geocodes Dover and its llm record then
+    # Ashford, Maryland, from the marker, which the rule parser misses; so
+    # the cache file pins the order of the two. The second's rule record
+    # finds Ashford, Maryland in the caller's cache but not in the child's.
+    "ashford_md_1.txt": _bulletin(
+        3,
+        "Dover",
+        {
+            "demographic": {"name": "Avery Quill"},
+            "spatial": {
+                "city": "Ashford",
+                "last_seen_location": "Ashford, Maryland",
+                "state": "Maryland",
+            },
+        },
+    ),
+    "ashford_md_2.txt": _bulletin(4, "Ashford, Maryland"),
 }
 
 
@@ -128,6 +170,56 @@ def test_both_placements_write_the_same_bytes(
         b"unknown_source_fallback",
     ):
         assert code in forked["warnings.jsonl"], code
+
+
+def _forbid_cache_writes_in_a_child(monkeypatch) -> None:
+    """Make a put that would append to a cache file fail in any process but
+    this one; in the reader's child the failure reaches the caller."""
+    parent, put = os.getpid(), geocode.GeocodeCache.put
+
+    def guarded(self, key, value):
+        if self.path is not None and os.getpid() != parent:
+            raise AssertionError(f"the child appended {key!r} to the cache file")
+        put(self, key, value)
+
+    monkeypatch.setattr(geocode.GeocodeCache, "put", guarded)
+
+
+@pytest.mark.parametrize("backend", ["invalid_then_fix", "dropout_oracle"])
+def test_both_placements_keep_the_cache_file_alike_cold_and_warm(
+    corpus, tmp_path, monkeypatch, backend
+):
+    _forbid_cache_writes_in_a_child(monkeypatch)
+    params = {} if backend == "dropout_oracle" else {"inject_every": "2"}
+    outputs, caches = {}, {}
+    for placement in PLACEMENTS:
+        forks = _place(monkeypatch, placement)
+        cache = tmp_path / placement / "geocode.jsonl"
+        for run in ("cold", "warm"):
+            out = tmp_path / placement / run
+            config = _config(
+                corpus, out, backend=backend, backend_params=params, cache_path=cache
+            )
+            summary = cli.run(config)
+            outputs[placement, run] = _output_bytes(out)
+            caches[placement, run] = cache.read_bytes()
+            _assert_no_child()
+            if run == "warm":
+                assert summary.geocode_cache["misses"] == summary.gazetteer_lookups == 0
+        assert len(forks) == 2 * (placement == "forked")
+        # A warm run finds every place in the cache, so it appends nothing.
+        assert caches[placement, "warm"] == caches[placement, "cold"]
+    for run in ("cold", "warm"):
+        assert caches["forked", run] == caches["in_process", run], run
+        forked, in_process = outputs["forked", run], outputs["in_process", run]
+        assert forked.keys() == in_process.keys()
+        for name in forked:
+            assert forked[name] == in_process[name], (run, name)
+    cold = outputs["forked", "cold"]
+    assert cold["warnings.jsonl"].count(b'"ambiguous_place"') == 2
+    lines = caches["forked", "cold"].splitlines()
+    first = [json.loads(line)["key"] for line in lines].index
+    assert first("dover") + 1 == first("ashford|maryland@maryland")
 
 
 @pytest.mark.parametrize("placement", PLACEMENTS)
