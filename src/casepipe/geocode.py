@@ -161,6 +161,8 @@ class Gazetteer:
                 )
             except KeyError as exc:
                 raise ConfigError(f"{path}: gazetteer row missing {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{path}: bad gazetteer row: {exc}") from exc
         return cls(entries)
 
     @property

@@ -135,12 +135,17 @@ def load_mapping_table(path: str | Path, source_label: str) -> MappingTable:
     tz_default = None
     for rec in read_jsonl(path):
         if "meta" in rec:
-            tz_default = rec["meta"].get("tz_default")
+            meta = rec["meta"]
+            if not isinstance(meta, dict):
+                raise ConfigError(f"{path}: meta must be an object, not {meta!r}")
+            tz_default = meta.get("tz_default")
+            if not isinstance(tz_default, (str, type(None))):
+                raise ConfigError(f"{path}: tz_default must be a string, not {tz_default!r}")
             continue
         source_key = rec.get("source_key")
         target_path = rec.get("target_path")
         transform = rec.get("transform", TRANSFORM_NONE)
-        if not source_key or not target_path:
+        if not all(isinstance(key, str) and key for key in (source_key, target_path)):
             raise ConfigError(f"{path}: mapping row needs source_key and target_path")
         if transform not in TRANSFORMS:
             raise ConfigError(f"{path}: unknown transform {transform!r}")

@@ -145,12 +145,15 @@ def load_ruleset(path: str | Path) -> list[LabelRule]:
     rules = []
     ids = set()
     for rec in read_jsonl(path):
-        rule = LabelRule(
-            pattern_id=rec.get("pattern_id", ""),
-            field_path=rec.get("field_path", ""),
-            pattern=rec.get("pattern", ""),
-            scope=rec.get("scope", SCOPE_LINE),
-        )
+        try:
+            rule = LabelRule(
+                pattern_id=rec.get("pattern_id", ""),
+                field_path=rec.get("field_path", ""),
+                pattern=rec.get("pattern", ""),
+                scope=rec.get("scope", SCOPE_LINE),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: bad rule row: {exc}") from exc
         if rule.pattern_id in ids:
             raise ConfigError(f"duplicate pattern_id {rule.pattern_id!r} in {path}")
         ids.add(rule.pattern_id)

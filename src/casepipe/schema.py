@@ -320,7 +320,11 @@ class SchemaDefinition:
 
     @classmethod
     def load(cls, path: str | Path) -> "SchemaDefinition":
-        return cls.from_records(read_jsonl(path))
+        records = read_jsonl(path)
+        try:
+            return cls.from_records(records)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: bad schema row: {exc}") from exc
 
 
 def _parent_path(path: str) -> str | None:

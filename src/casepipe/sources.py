@@ -94,14 +94,17 @@ def load_signatures(path: str | Path) -> list[SourceSignature]:
     signatures = []
     labels = set()
     for rec in read_jsonl(path):
-        sig = SourceSignature(
-            source_label=rec.get("source_label", ""),
-            family=rec.get("family", ""),
-            markers=tuple(rec.get("markers", ())),
-            min_markers=int(rec.get("min_markers", DEFAULT_MIN_MARKERS)),
-            priority=int(rec.get("priority", 100)),
-            case_sensitive=bool(rec.get("case_sensitive", False)),
-        )
+        try:
+            sig = SourceSignature(
+                source_label=rec.get("source_label", ""),
+                family=rec.get("family", ""),
+                markers=tuple(rec.get("markers", ())),
+                min_markers=int(rec.get("min_markers", DEFAULT_MIN_MARKERS)),
+                priority=int(rec.get("priority", 100)),
+                case_sensitive=bool(rec.get("case_sensitive", False)),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: bad signature row: {exc}") from exc
         if sig.source_label in labels:
             raise ConfigError(f"duplicate signature label {sig.source_label!r}")
         labels.add(sig.source_label)

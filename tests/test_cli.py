@@ -20,9 +20,9 @@ import pytest
 
 from casepipe import cli
 from casepipe.cli import RunConfig, evaluate_outputs, run
-from casepipe.config import ConfigError, read_jsonl
+from casepipe.config import ConfigError, bundled_path, read_jsonl
 from casepipe.extract import END_SENTINEL, prenormalize, split_cases
-from casepipe.llm import build_extraction_prompt
+from casepipe.llm import build_extraction_prompt, encode_gold_marker
 from casepipe.schema import default_schema, validate
 from casepipe.synth import FAMILY_LABELS, SynthesisSpec, write_corpus
 
@@ -275,6 +275,42 @@ class TestLlmFailureHandling:
         for record in repaired:
             assert record["demographic"]["age_years"] is None
             assert record["demographic"]["name"] is not None
+
+    def test_warnings_count_holds_the_sanitize_harmonize_and_geocode_warnings(
+        self, tmp_path
+    ):
+        gold = {
+            "case_id": "b-1#s0",
+            "demographic": {"name": "Avery Quill", "nickname": "Ave"},
+            "temporal": {"last_seen_ts": "sometime last spring"},
+            "spatial": {"city": "Nowhereville"},
+        }
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        (docs / "b-1.txt").write_text(
+            "MISSING PERSON BULLETIN\n"
+            "MISSING: Avery Quill (F, 30)\n"
+            "WEARING: a green coat\n"
+            "Filler so the quality floor is met by this text.\n"
+            f"{END_SENTINEL}\n{encode_gold_marker(gold)}\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        argv = ["run", "--input", str(docs), "--output", str(out), "--ingest-ts", INGEST]
+        assert cli.main(argv + ["--paths", "llm", "--backend", "oracle"]) == 0
+        [record] = _read_jsonl(out / "cases_llm.jsonl")
+        # Detection's unknown_source is logged but not counted.
+        assert record["provenance"]["warnings_count"] == 3
+        logged = [
+            (row["case_id"], row["stage"], row["severity"], row["code"])
+            for row in _read_jsonl(out / "warnings.jsonl")
+        ]
+        assert sorted(logged) == [
+            ("b-1#s0", "detect", "warning", "unknown_source"),
+            ("b-1#s0", "geocode", "warning", "geocode_no_match"),
+            ("b-1#s0", "harmonize", "warning", "unparseable_timestamp"),
+            ("b-1#s0", "sanitize", "warning", "unknown_key_dropped"),
+        ]
 
 
 class TestDeterminism:
@@ -769,6 +805,35 @@ class TestEvaluation:
         assert read_jsonl(tmp_path / "gold.jsonl") == [{"case_id": "a"}]
 
 
+# A row each loader cannot convert: the flag, the bundled resource it
+# replaces, the file inside it that gets the row (None: the resource is the
+# file), and the row.
+MALFORMED_CONFIG_ROWS = {
+    "gazetteer_lat_range": (
+        "--gazetteer", "gazetteer.jsonl", None,
+        {"place": "Farview", "region": "Virginia", "lat": 95.0, "lon": -77.0},
+    ),
+    "gazetteer_lat_text": (
+        "--gazetteer", "gazetteer.jsonl", None,
+        {"place": "Farview", "region": "Virginia", "lat": "north", "lon": -77.0},
+    ),
+    "signatures_min_markers": (
+        "--signatures", "signatures.jsonl", None,
+        {"source_label": "extra_site", "family": "bulletin", "markers": ["^A", "^B"],
+         "min_markers": "two"},
+    ),
+    "mappings_meta": ("--mappings", "mappings", "police_bulletin.jsonl", {"meta": "EST"}),
+    "rulesets_pattern": (
+        "--rulesets", "rulesets", "bulletin.jsonl",
+        {"pattern_id": "bul_extra", "field_path": "person.extra", "pattern": 5},
+    ),
+    "schema_range": (
+        "--schema", "schema.jsonl", None,
+        {"field_path": "demographic.shoe_size", "kind": "integer", "range": 5},
+    ),
+}
+
+
 class TestMainEntry:
     def test_full_command_line_flow(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
@@ -810,6 +875,31 @@ class TestMainEntry:
         )
         assert code == 2
         assert "input_dir" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, resource, member, row",
+        MALFORMED_CONFIG_ROWS.values(),
+        ids=MALFORMED_CONFIG_ROWS.keys(),
+    )
+    def test_a_malformed_config_row_exits_naming_its_file(
+        self, tmp_path, capsys, flag, resource, member, row
+    ):
+        given = tmp_path / resource
+        if member is None:
+            shutil.copy(bundled_path(resource), given)
+            edited = given
+        else:
+            shutil.copytree(bundled_path(resource), given)
+            edited = given / member
+        with edited.open("a", encoding="utf-8") as fh:
+            # The leading newline keeps the row off a last line with no LF.
+            fh.write("\n" + json.dumps(row) + "\n")
+        (tmp_path / "docs").mkdir()
+        argv = ["run", "--input", str(tmp_path / "docs"), "--output", str(tmp_path / "o")]
+        assert cli.main(argv + [flag, str(given)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("casepipe: ")
+        assert str(edited) in err
 
     def test_bad_backend_param_exits_nonzero(self, tmp_path, capsys):
         (tmp_path / "docs").mkdir()
