@@ -29,7 +29,12 @@ forked child reads the documents ahead of the calling thread, with the same
 bytes out. A rule record's pure half (stamp, geocode, validate, encode) runs
 in that child when both paths run, against the child's copy of the geocode
 cache, whose lookups the calling thread replays in document order; in every
-other run it runs on the calling thread, which always accepts the result.
+other run it runs on the calling thread. Both paths' records reach one
+accept step (``_accept``) on the calling thread, as the same plain data:
+the encoded row, the record's warnings, its repair-log row, its runtime and
+its geocode lookups. Every warning is ``(stage, severity, code, message)``
+from the stage that raised it to the log, and is logged when its record,
+or for extract and detect warnings its document, is finished there.
 The in-process test doubles are called inline, so with them, as on the rule
 path alone, a run starts no thread.
 
@@ -244,6 +249,19 @@ class _LlmJob(NamedTuple):
     build_s: float
 
 
+# A warning from any stage, as it goes to the log: (stage, severity, code,
+# message).
+_Warning = tuple[str, str, str, str]
+_UNKNOWN_SOURCE: tuple[_Warning] = (
+    ("detect", "warning", "unknown_source", "no signature reached its marker threshold"),
+)
+
+
+def _collect(warnings: list[_Warning], stage: str) -> Callable[[str, str], None]:
+    """An ``on_warning`` callback that adds each warning to ``warnings``."""
+    return lambda code, message: warnings.append((stage, "warning", code, message))
+
+
 # Extraction requests submitted ahead of the record being finished, per
 # backend slot: enough that a freed slot finds the next request queued.
 _LOOKAHEAD = 2
@@ -308,31 +326,21 @@ class _Pipeline:
             self._identity_tables[tz_default] = table
         return table
 
-    def _sink(
-        self, document_id: str, case_id: str | None
-    ) -> tuple[Callable[[str], Callable[[str, str], None]], Callable[[], int]]:
-        """Per-case warning adapter that also counts what it forwarded."""
-        count = [0]
-
-        def for_stage(stage: str, severity: str = "warning"):
-            def _warn(code: str, message: str) -> None:
-                count[0] += 1
-                self.warning_log.log(
-                    document_id=document_id,
-                    case_id=case_id,
-                    stage=stage,
-                    severity=severity,
-                    code=code,
-                    message=message,
-                )
-
-            return _warn
-
-        return for_stage, lambda: count[0]
+    def _log(self, document_id: str, case_id: str | None, warnings: Sequence[_Warning]) -> None:
+        for stage, severity, code, message in warnings:
+            self.warning_log.log(
+                document_id=document_id,
+                case_id=case_id,
+                stage=stage,
+                severity=severity,
+                code=code,
+                message=message,
+            )
 
     def _stamp(
         self,
         record: dict,
+        warnings: list[_Warning],
         *,
         case_id: str,
         detection,
@@ -341,6 +349,9 @@ class _Pipeline:
         extraction_path: str,
         field_origins: dict[str, list[int]],
     ) -> None:
+        """Stamp the record's case_id and provenance, geocode it, adding any
+        geocode warning to ``warnings``, and set its warnings_count to the
+        number of ``warnings`` then."""
         record["case_id"] = case_id
         prov = record.setdefault("provenance", {})
         prov["source_label"] = detection.source_label
@@ -351,47 +362,36 @@ class _Pipeline:
         prov["ingest_ts"] = self.ingest_ts
         prov["repair_count"] = 0
         prov["field_origins"] = field_origins
-
-    def _geocode_and_count(self, record: dict, warn_geocode) -> None:
+        before = len(warnings)
+        apply_geocode(record, self.gazetteer, self.cache, on_warning=_collect(warnings, "geocode"))
         # apply_geocode warns only of an ambiguous place, which was found, in
         # several regions, so it is not also unmatched.
-        warned: list[str] = []
-
-        def warn(code: str, message: str) -> None:
-            warned.append(code)
-            warn_geocode(code, message)
-
-        apply_geocode(record, self.gazetteer, self.cache, on_warning=warn)
         spatial = record.get("spatial", {})
-        has_place_text = any(
-            spatial.get(k) for k in ("last_seen_location", "city", "postal_code")
-        )
-        if spatial.get("geocode_method") == "none" and has_place_text and not warned:
-            warn_geocode(
-                "geocode_no_match",
-                "no gazetteer match for the record's place text",
-            )
+        if (
+            len(warnings) == before
+            and spatial.get("geocode_method") == "none"
+            and any(spatial.get(k) for k in ("last_seen_location", "city", "postal_code"))
+        ):
+            message = "no gazetteer match for the record's place text"
+            warnings.append(("geocode", "warning", "geocode_no_match", message))
+        prov["warnings_count"] = len(warnings)
 
     # -- per-segment paths -------------------------------------------------
 
     def _draft_rule(self, segment, detection) -> tuple:
         """The read half of a segment's rule path: the harmonized record, its
-        field origins, its parse and harmonize warnings as ``(stage, code,
-        message)``, and the seconds taken."""
+        field origins, its parse and harmonize warnings, and the seconds
+        taken."""
         started = perf_counter()
-        warnings: list[tuple[str, str, str]] = []
-
-        def for_stage(stage: str) -> Callable[[str, str], None]:
-            return lambda code, message: warnings.append((stage, code, message))
-
+        warnings: list[_Warning] = []
         draft: DraftRecord = dispatch(
-            detection, segment, self.rulesets, on_warning=for_stage("parse")
+            detection, segment, self.rulesets, on_warning=_collect(warnings, "parse")
         )
         harmonized = harmonize(
             draft,
             self.mappings.get(detection.source_label) or self.mappings[UNKNOWN_LABEL],
             self.schema,
-            on_warning=for_stage("harmonize"),
+            on_warning=_collect(warnings, "harmonize"),
         )
         origins: dict[str, list[int]] = {}
         for source_key, target_path in harmonized.key_trace:
@@ -409,14 +409,15 @@ class _Pipeline:
     ) -> tuple:
         """The pure half of a rule record after its draft: stamp, geocode,
         validate and encode it. Returns plain data ``marshal`` carries, for
-        ``_accept_rule``: ``(row, warnings, log row, seconds, lookups)``, the
-        row as ``emit.encode_row`` gives it, each warning as ``(stage, code,
-        message)``, and the lookups as the cache journaled them (``(key,
-        value)`` pairs), which it does only in the reader's child."""
+        ``_accept``: ``(row, warnings, log row, seconds, lookups)``, the row
+        as ``emit.encode_row`` gives it and the lookups as the cache
+        journaled them (``(key, value)`` pairs), which it does only in the
+        reader's child."""
         started = perf_counter()
         record, origins, warnings, drafted_s = draft
         self._stamp(
             record,
+            warnings,
             case_id=case_id,
             detection=detection,
             engine_used=engine,
@@ -424,14 +425,10 @@ class _Pipeline:
             extraction_path="rule",
             field_origins=origins,
         )
-        self._geocode_and_count(
-            record, lambda code, message: warnings.append(("geocode", code, message))
-        )
-        record["provenance"]["warnings_count"] = len(warnings)
         report = validate(record, self.schema)
         for violation in report.violations:
             message = f"{violation.field_path}: {violation.code}: {violation.message}"
-            warnings.append(("validate", "validation_violation", message))
+            warnings.append(("validate", "warning", "validation_violation", message))
         row = emit.encode_row(record)
         journal, lookups = self.cache.journal, ()
         if journal:
@@ -445,25 +442,21 @@ class _Pipeline:
         }
         return row, warnings, log, drafted_s + perf_counter() - started, lookups
 
-    def _accept_rule(self, document_id: str, case_id: str, finished: tuple) -> None:
-        """The accept half of a rule record, on the calling thread: log the
-        warnings of ``_finish_rule``'s result, replay its lookups into the
-        cache, and keep its row, log row and runtime."""
+    def _accept(self, label: str, document_id: str, case_id: str, finished: tuple) -> None:
+        """The accept half of either path's record, on the calling thread:
+        log the warnings of a finished ``(row, warnings, log row, seconds,
+        lookups)``, replay its lookups into the cache, and keep its row
+        (``None`` for a withheld record), its log row (``None`` when no
+        record was parsed) and its runtime."""
         row, warnings, log, seconds, lookups = finished
-        for stage, code, message in warnings:
-            self.warning_log.log(
-                document_id=document_id,
-                case_id=case_id,
-                stage=stage,
-                severity="warning",
-                code=code,
-                message=message,
-            )
+        self._log(document_id, case_id, warnings)
         for key, value in lookups:
             replay_lookup(key, value, self.gazetteer, self.cache)
-        output = self.outputs["rule"]
-        output.records.append(row)
-        output.log.append(log)
+        output = self.outputs[label]
+        if row is not None:
+            output.records.append(row)
+        if log is not None:
+            output.log.append(log)
         output.runtimes.append((case_id, seconds))
 
     def _llm_request(
@@ -487,7 +480,7 @@ class _Pipeline:
         self, job: _LlmJob, extracted: _Exchanged, exchange: _Exchange
     ) -> None:
         """Finish a record from its extraction exchange, sending each repair
-        exchange through ``exchange``.
+        exchange through ``exchange``, and accept it.
 
         The record's runtime is its own stages plus its own exchanges; time
         its exchanges spent queued behind other records' is not counted.
@@ -495,8 +488,8 @@ class _Pipeline:
         started = perf_counter()
         response, spent = extracted
         waited = 0.0
-        case_id, output = job.case_id, self.outputs["llm"]
-        for_stage, warned = self._sink(job.document_id, case_id)
+        case_id = job.case_id
+        warnings: list[_Warning] = []
 
         def repair_exchange(request: BackendRequest) -> str:
             nonlocal spent, waited
@@ -508,29 +501,30 @@ class _Pipeline:
                 raise outcome
             return outcome
 
-        def done() -> None:
+        def accept(row: tuple | None = None, log: dict | None = None) -> None:
             own = job.build_s + spent + perf_counter() - started - waited
-            output.runtimes.append((case_id, own))
+            self._accept("llm", job.document_id, case_id, (row, warnings, log, own, ()))
 
         if isinstance(response, BackendError):
-            for_stage("parse", "error")("backend_error", str(response))
-            return done()
+            warnings.append(("parse", "error", "backend_error", str(response)))
+            return accept()
         try:
             candidate = sanitize_candidate(
-                response, self.schema, on_warning=for_stage("sanitize")
+                response, self.schema, on_warning=_collect(warnings, "sanitize")
             )
         except CandidateParseError as exc:
-            for_stage("sanitize", "error")("candidate_parse_error", str(exc))
-            return done()
+            warnings.append(("sanitize", "error", "candidate_parse_error", str(exc)))
+            return accept()
         harmonized = harmonize(
             candidate,
             self._identity_for(job.detection.source_label),
             self.schema,
-            on_warning=for_stage("harmonize"),
+            on_warning=_collect(warnings, "harmonize"),
         )
         record = harmonized.record
         self._stamp(
             record,
+            warnings,
             case_id=case_id,
             detection=job.detection,
             engine_used=job.engine,
@@ -538,49 +532,39 @@ class _Pipeline:
             extraction_path="llm",
             field_origins={},
         )
-        self._geocode_and_count(record, for_stage("geocode"))
-        record["provenance"]["warnings_count"] = warned()
         outcome = repair_loop(
             record,
             self.schema,
             repair_exchange,
             max_attempts=self.config.max_repair_attempts,
-            on_warning=for_stage("repair"),
+            on_warning=_collect(warnings, "repair"),
             request_prefix=f"{case_id}:repair",
         )
-        pre_valid = outcome.attempts == 0 and outcome.passed
         record = outcome.record
         # repair_loop validated the record; no rule rejects a non-negative
         # repair_count on an llm-path record, so it needs no second pass.
         record["provenance"]["repair_count"] = outcome.attempts
-        post_valid = outcome.passed
-        output.log.append(
-            {
-                "case_id": case_id,
-                "pre_valid": pre_valid,
-                "post_valid": post_valid,
-                "attempts": outcome.attempts,
-            }
-        )
-        if post_valid:
-            output.records.add(record)
-        else:
-            if outcome.attempts > 0:
-                for_stage("repair", "error")(
-                    "repair_exhausted",
-                    f"still invalid after {outcome.attempts} repair attempts",
-                )
-            for_stage("emit", "error")(
-                "record_withheld", "record failed validation and was not emitted"
-            )
-        done()
+        log = {
+            "case_id": case_id,
+            "pre_valid": outcome.attempts == 0 and outcome.passed,
+            "post_valid": outcome.passed,
+            "attempts": outcome.attempts,
+        }
+        if outcome.passed:
+            return accept(emit.encode_row(record), log)
+        if outcome.attempts > 0:
+            message = f"still invalid after {outcome.attempts} repair attempts"
+            warnings.append(("repair", "error", "repair_exhausted", message))
+        message = "record failed validation and was not emitted"
+        warnings.append(("emit", "error", "record_withheld", message))
+        accept(None, log)
 
     # -- per-document ------------------------------------------------------
 
     def _read(self, path: Path) -> tuple:
         """The read half of one document, as plain data ``marshal`` carries:
-        ``(document_id, engine_used, warnings, segments)``. Each warning is
-        an extract stage ``(severity, code, message)``; each segment is
+        ``(document_id, engine_used, warnings, segments)``, the warnings
+        being the extract stage's; each segment is
         ``(case_id, detection tuple, _draft_rule's draft or None, None, llm
         text or None)``, the fourth slot being where ``_read_finishing_rules``
         puts the finished rule record. Split and detection see the content
@@ -590,14 +574,15 @@ class _Pipeline:
         try:
             extracted = extract_text(SourceDocument(document_id=document_id, path=path))
         except ExtractionFailure as exc:
-            return document_id, "", (("error", "extraction_failed", str(exc)),), ()
+            return document_id, "", (("extract", "error", "extraction_failed", str(exc)),), ()
         warnings = []
         if extracted.fallback_offset is not None:
             message = f"not UTF-8 at byte {extracted.fallback_offset}; decoded as cp1252"
-            warnings.append(("warning", "encoding_fallback", message))
+            warnings.append(("extract", "warning", "encoding_fallback", message))
         if not extracted.quality_ok:
             quality = f"{extracted.char_count} chars, alnum ratio {extracted.alnum_ratio:.2f}"
-            warnings.append(("warning", "low_quality_text", f"best effort text: {quality}"))
+            message = f"best effort text: {quality}"
+            warnings.append(("extract", "warning", "low_quality_text", message))
         # ``prenormalize`` is passed by this module's name, which tracing
         # patches.
         content, trailer = cut_trailer(extracted.text, prenormalize)
@@ -639,30 +624,16 @@ class _Pipeline:
         finish each rule record (its pure half unless the child did it) and
         accept it, and yield each segment's llm request."""
         document_id, engine, warnings, segments = read
-        for severity, code, message in warnings:
-            self.warning_log.log(
-                document_id=document_id,
-                stage="extract",
-                severity=severity,
-                code=code,
-                message=message,
-            )
+        self._log(document_id, None, warnings)
         self.segments += len(segments)
         for case_id, detection, draft, finished, text in segments:
             detection = DetectionResult(*detection)
             if detection.source_label == UNKNOWN_LABEL:
-                self.warning_log.log(
-                    document_id=document_id,
-                    case_id=case_id,
-                    stage="detect",
-                    severity="warning",
-                    code="unknown_source",
-                    message="no signature reached its marker threshold",
-                )
+                self._log(document_id, case_id, _UNKNOWN_SOURCE)
             if draft is not None:
                 finished = self._finish_rule(document_id, case_id, detection, engine, draft)
             if finished is not None:
-                self._accept_rule(document_id, case_id, finished)
+                self._accept("rule", document_id, case_id, finished)
             if text is not None:
                 yield self._llm_request(document_id, text, detection, case_id, engine)
 
