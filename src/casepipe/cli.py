@@ -252,7 +252,8 @@ class _LlmJob(NamedTuple):
 # A warning from any stage, as it goes to the log: (stage, severity, code,
 # message).
 _Warning = tuple[str, str, str, str]
-_UNKNOWN_SOURCE: tuple[_Warning] = (
+# Logged for a segment no signature matched; not in its warnings_count.
+_UNKNOWN_SOURCE = (
     ("detect", "warning", "unknown_source", "no signature reached its marker threshold"),
 )
 
@@ -564,12 +565,12 @@ class _Pipeline:
     def _read(self, path: Path) -> tuple:
         """The read half of one document, as plain data ``marshal`` carries:
         ``(document_id, engine_used, warnings, segments)``, the warnings
-        being the extract stage's; each segment is
-        ``(case_id, detection tuple, _draft_rule's draft or None, None, llm
-        text or None)``, the fourth slot being where ``_read_finishing_rules``
-        puts the finished rule record. Split and detection see the content
-        only; the trailer is normalized only for the llm path, and only the
-        last text carries it."""
+        being the extract stage's; each segment is ``(case_id, detection
+        tuple, _draft_rule's draft or None, None, llm text or None)``, the
+        fourth slot being where ``_read_finishing_rules`` puts the finished
+        rule record. Split and detection see the content only; the trailer
+        is normalized only for the llm path, and only the last text carries
+        it."""
         document_id = path.stem
         try:
             extracted = extract_text(SourceDocument(document_id=document_id, path=path))
