@@ -19,22 +19,23 @@ count beside them; ``run`` sorts each by case_id as it writes it. Each
 record is encoded into its path's ``emit.RecordBuffer`` when it is finished,
 so a run holds every record as its output text, not as a dict.
 
-Each document has a read half (extract, cut, split, detect and the rule
-path's draft), which returns plain data, and a finish half that runs in
-document order on the calling thread: warnings, the record buffers, the
-geocode cache's counts and file, and every backend call, of which only the
-exchanges of a backend that waits on I/O (``wire``) leave it, at most
---max-in-flight at once, repairs included. Where ``_reads_ahead`` allows, a
-forked child reads the documents ahead of the calling thread, with the same
-bytes out. A rule record's pure half (stamp, geocode, validate, encode) runs
-in that child when both paths run, against the child's copy of the geocode
-cache, whose lookups the calling thread replays in document order; in every
-other run it runs on the calling thread. Both paths' records reach one
-accept step (``_accept``) on the calling thread, as the same plain data:
-the encoded row, the record's warnings, its repair-log row, its runtime and
-its geocode lookups. Every warning is ``(stage, severity, code, message)``
-from the stage that raised it to the log, and is logged when its record,
-or for extract and detect warnings its document, is finished there.
+Each document has a read half (``_read``: extract, cut, split, detect and
+the rule path's draft), which returns plain data, and a finish half that
+runs in document order on the calling thread: warnings, the record buffers,
+the geocode cache's counts and file, and every backend call, of which only
+the exchanges of a backend that waits on I/O (``wire``) leave it, at most
+--max-in-flight at once, repairs included. What ``_read`` does depends only
+on the enabled paths: with both, it also runs each rule record's pure half
+(stamp, geocode, validate, encode), which the calling thread runs on the
+rule path alone. Which process runs it depends only on the platform: where
+``_reads_ahead`` allows, a forked child reads ahead, with the same bytes
+out. Records are geocoded against a copy of the run's cache that writes no
+file and journals each lookup, and reach one accept step (``_accept``) on
+the calling thread as the same plain data: the encoded row, the record's
+warnings, its repair-log row, its runtime and its lookups, which it replays
+into the run's cache in document order. Every warning is ``(stage,
+severity, code, message)`` and is logged there, with its record, or for
+extract and detect warnings its document.
 The in-process test doubles are called inline, so with them, as on the rule
 path alone, a run starts no thread.
 
@@ -88,7 +89,7 @@ from casepipe.llm import (
 )
 from casepipe.rules import DraftRecord, dispatch, load_rulesets
 from casepipe.schema import SchemaDefinition, default_schema, parse_iso_timestamp, validate
-from casepipe.sources import UNKNOWN_LABEL, DetectionResult, detect_source, load_signatures
+from casepipe.sources import UNKNOWN_LABEL, detect_source, load_signatures
 
 if TYPE_CHECKING:
     import argparse
@@ -243,7 +244,7 @@ class _LlmJob(NamedTuple):
 
     document_id: str
     case_id: str
-    detection: DetectionResult
+    source: tuple[str, str]
     engine: str
     request: BackendRequest
     build_s: float
@@ -300,6 +301,9 @@ class _Pipeline:
                 )
         self.gazetteer = Gazetteer.load(config.resolved_gazetteer_path())
         self.cache = GeocodeCache(config.cache_path)
+        # What records are geocoded against, in whichever process finishes
+        # them; only ``_accept`` feeds the run's cache, replaying the lookups.
+        self.lookup_cache = self.cache.journaling_copy()
         self.backend = None
         if "llm" in self.enabled:
             params = dict(config.backend_params or {})
@@ -344,19 +348,20 @@ class _Pipeline:
         warnings: list[_Warning],
         *,
         case_id: str,
-        detection,
+        source: tuple[str, str],
         engine_used: str,
         document_id: str,
         extraction_path: str,
         field_origins: dict[str, list[int]],
-    ) -> None:
+    ) -> tuple:
         """Stamp the record's case_id and provenance, geocode it, adding any
         geocode warning to ``warnings``, and set its warnings_count to the
-        number of ``warnings`` then."""
+        number of ``warnings`` then. ``source`` is the detected
+        ``(source_label, family)``. Returns the geocode lookups, as
+        ``(key, value)`` pairs, for ``_accept`` to replay."""
         record["case_id"] = case_id
         prov = record.setdefault("provenance", {})
-        prov["source_label"] = detection.source_label
-        prov["source_family"] = detection.family
+        prov["source_label"], prov["source_family"] = source
         prov["extraction_path"] = extraction_path
         prov["engine_used"] = engine_used
         prov["document_id"] = document_id
@@ -364,7 +369,8 @@ class _Pipeline:
         prov["repair_count"] = 0
         prov["field_origins"] = field_origins
         before = len(warnings)
-        apply_geocode(record, self.gazetteer, self.cache, on_warning=_collect(warnings, "geocode"))
+        cache = self.lookup_cache
+        apply_geocode(record, self.gazetteer, cache, on_warning=_collect(warnings, "geocode"))
         # apply_geocode warns only of an ambiguous place, which was found, in
         # several regions, so it is not also unmatched.
         spatial = record.get("spatial", {})
@@ -376,6 +382,9 @@ class _Pipeline:
             message = "no gazetteer match for the record's place text"
             warnings.append(("geocode", "warning", "geocode_no_match", message))
         prov["warnings_count"] = len(warnings)
+        lookups = tuple(cache.journal)
+        cache.journal.clear()
+        return lookups
 
     # -- per-segment paths -------------------------------------------------
 
@@ -406,21 +415,19 @@ class _Pipeline:
         return harmonized.record, origins, warnings, perf_counter() - started
 
     def _finish_rule(
-        self, document_id: str, case_id: str, detection, engine: str, draft: tuple
+        self, document_id: str, case_id: str, source: tuple, engine: str, draft: tuple
     ) -> tuple:
         """The pure half of a rule record after its draft: stamp, geocode,
         validate and encode it. Returns plain data ``marshal`` carries, for
         ``_accept``: ``(row, warnings, log row, seconds, lookups)``, the row
-        as ``emit.encode_row`` gives it and the lookups as the cache
-        journaled them (``(key, value)`` pairs), which it does only in the
-        reader's child."""
+        as ``emit.encode_row`` gives it."""
         started = perf_counter()
         record, origins, warnings, drafted_s = draft
-        self._stamp(
+        lookups = self._stamp(
             record,
             warnings,
             case_id=case_id,
-            detection=detection,
+            source=source,
             engine_used=engine,
             document_id=document_id,
             extraction_path="rule",
@@ -431,10 +438,6 @@ class _Pipeline:
             message = f"{violation.field_path}: {violation.code}: {violation.message}"
             warnings.append(("validate", "warning", "validation_violation", message))
         row = emit.encode_row(record)
-        journal, lookups = self.cache.journal, ()
-        if journal:
-            lookups = tuple(journal)
-            journal.clear()
         log = {
             "case_id": case_id,
             "pre_valid": report.valid,
@@ -452,7 +455,7 @@ class _Pipeline:
         row, warnings, log, seconds, lookups = finished
         self._log(document_id, case_id, warnings)
         for key, value in lookups:
-            replay_lookup(key, value, self.gazetteer, self.cache)
+            replay_lookup(key, value, self.cache)
         output = self.outputs[label]
         if row is not None:
             output.records.append(row)
@@ -461,7 +464,7 @@ class _Pipeline:
         output.runtimes.append((case_id, seconds))
 
     def _llm_request(
-        self, document_id: str, text: str, detection, case_id: str, engine: str
+        self, document_id: str, text: str, source: tuple, case_id: str, engine: str
     ) -> _LlmJob:
         started = perf_counter()
         prompt = build_extraction_prompt(
@@ -474,7 +477,7 @@ class _Pipeline:
             request_id=f"{case_id}:extract",
         )
         return _LlmJob(
-            document_id, case_id, detection, engine, request, perf_counter() - started
+            document_id, case_id, source, engine, request, perf_counter() - started
         )
 
     def _finish_llm(
@@ -491,6 +494,7 @@ class _Pipeline:
         waited = 0.0
         case_id = job.case_id
         warnings: list[_Warning] = []
+        lookups: tuple = ()
 
         def repair_exchange(request: BackendRequest) -> str:
             nonlocal spent, waited
@@ -504,7 +508,7 @@ class _Pipeline:
 
         def accept(row: tuple | None = None, log: dict | None = None) -> None:
             own = job.build_s + spent + perf_counter() - started - waited
-            self._accept("llm", job.document_id, case_id, (row, warnings, log, own, ()))
+            self._accept("llm", job.document_id, case_id, (row, warnings, log, own, lookups))
 
         if isinstance(response, BackendError):
             warnings.append(("parse", "error", "backend_error", str(response)))
@@ -518,16 +522,16 @@ class _Pipeline:
             return accept()
         harmonized = harmonize(
             candidate,
-            self._identity_for(job.detection.source_label),
+            self._identity_for(job.source[0]),
             self.schema,
             on_warning=_collect(warnings, "harmonize"),
         )
         record = harmonized.record
-        self._stamp(
+        lookups = self._stamp(
             record,
             warnings,
             case_id=case_id,
-            detection=job.detection,
+            source=job.source,
             engine_used=job.engine,
             document_id=job.document_id,
             extraction_path="llm",
@@ -565,12 +569,12 @@ class _Pipeline:
     def _read(self, path: Path) -> tuple:
         """The read half of one document, as plain data ``marshal`` carries:
         ``(document_id, engine_used, warnings, segments)``, the warnings
-        being the extract stage's; each segment is ``(case_id, detection
-        tuple, _draft_rule's draft or None, None, llm text or None)``, the
-        fourth slot being where ``_read_finishing_rules`` puts the finished
-        rule record. Split and detection see the content only; the trailer
-        is normalized only for the llm path, and only the last text carries
-        it."""
+        being the extract stage's; each segment is ``(case_id, (source_label,
+        family), rule, llm text or None)``. ``rule`` is None without the rule
+        path, ``_draft_rule``'s draft with it alone, and with both paths the
+        record ``_finish_rule`` finished from that draft. Split and detection
+        see the content only; the trailer is normalized only for the llm
+        path, and only the last text carries it."""
         document_id = path.stem
         try:
             extracted = extract_text(SourceDocument(document_id=document_id, path=path))
@@ -588,6 +592,7 @@ class _Pipeline:
         # patches.
         content, trailer = cut_trailer(extracted.text, prenormalize)
         segments = split_cases(content)
+        engine = extracted.engine_used
         llm = "llm" in self.enabled
         if llm and trailer:
             trailer = prenormalize(trailer)
@@ -595,73 +600,57 @@ class _Pipeline:
         read = []
         for segment in segments:
             detection = detect_source(segment.text, self.signatures)
-            draft = self._draft_rule(segment, detection) if "rule" in self.enabled else None
-            text = None
+            case_id = f"{document_id}#s{segment.segment_index}"
+            source = (detection.source_label, detection.family)
+            rule = text = None
+            if "rule" in self.enabled:
+                rule = self._draft_rule(segment, detection)
+                if llm:
+                    rule = self._finish_rule(document_id, case_id, source, engine, rule)
             if llm:
                 text = segment.text + trailer if segment is last else segment.text
-            case_id = f"{document_id}#s{segment.segment_index}"
-            read.append((case_id, tuple(detection), draft, None, text))
-        return document_id, extracted.engine_used, warnings, read
-
-    def _read_finishing_rules(self, path: Path) -> tuple:
-        """``_read`` as the reader's child runs it on a both-path run, with
-        each segment's draft replaced by its finished rule record. Run only
-        in the child: there the cache is this process's copy, which writes
-        no file and journals every lookup, for the caller to replay."""
-        cache = self.cache
-        if cache.journal is None:
-            cache.path, cache.journal = None, []
-        document_id, engine, warnings, segments = self._read(path)
-        finished = []
-        for case_id, detection, draft, _, text in segments:
-            rule = self._finish_rule(
-                document_id, case_id, DetectionResult(*detection), engine, draft
-            )
-            finished.append((case_id, detection, None, rule, text))
-        return document_id, engine, warnings, finished
+            read.append((case_id, source, rule, text))
+        return document_id, engine, warnings, read
 
     def _finish_document(self, read: tuple) -> Iterator[_LlmJob]:
         """The finish half of a document ``_read`` read: log its warnings,
-        finish each rule record (its pure half unless the child did it) and
-        accept it, and yield each segment's llm request."""
+        accept each rule record, finishing it first on a rule-only run, and
+        yield each segment's llm request."""
         document_id, engine, warnings, segments = read
         self._log(document_id, None, warnings)
         self.segments += len(segments)
-        for case_id, detection, draft, finished, text in segments:
-            detection = DetectionResult(*detection)
-            if detection.source_label == UNKNOWN_LABEL:
+        for case_id, source, rule, text in segments:
+            if source[0] == UNKNOWN_LABEL:
                 self._log(document_id, case_id, _UNKNOWN_SOURCE)
-            if draft is not None:
-                finished = self._finish_rule(document_id, case_id, detection, engine, draft)
-            if finished is not None:
-                self._accept("rule", document_id, case_id, finished)
+            if rule is not None:
+                if text is None:  # the rule path alone: ``rule`` is a draft
+                    rule = self._finish_rule(document_id, case_id, source, engine, rule)
+                self._accept("rule", document_id, case_id, rule)
             if text is not None:
-                yield self._llm_request(document_id, text, detection, case_id, engine)
+                yield self._llm_request(document_id, text, source, case_id, engine)
 
     def process(self, files: Sequence[Path]) -> None:
         """Run every document, in order, adding what each path produces to
         its entry in ``outputs`` and each document's segments to
         ``segments``.
 
-        Documents are read by ``_read`` and finished on the calling thread.
-        Only backend exchanges leave it, and only for a backend that waits
-        on I/O: they go to ``max_in_flight`` threads, extraction requests up
-        to ``_LOOKAHEAD`` × ``max_in_flight`` segments ahead of the record
-        being finished. Any other backend is called inline, and then a
-        forked child may read the documents (``_read_in_child``), finishing
-        the rule records too when both paths run; it is reaped before this
-        returns or raises. An empty run starts no thread and no process.
+        Documents are read by ``_read``: where ``_reads_ahead`` allows, in
+        a child forked at the first document, before any thread starts
+        (``_read_in_child``), else on the calling thread, which finishes
+        them. Only backend exchanges leave it, and only for a backend that
+        waits on I/O: they go to ``max_in_flight`` threads, extraction
+        requests up to ``_LOOKAHEAD`` × ``max_in_flight`` segments ahead of
+        the record being finished. Any other backend is called inline. A
+        child is reaped before this returns or raises. An empty run starts
+        no thread and no process.
         """
         backend = self.backend
         pooled = bool(files) and backend is not None and backend.waits_on_io
-        if not pooled and _reads_ahead(files):
-            # With both paths the child also finishes the rule records, so
-            # the caller keeps only the llm path's; with the rule path alone
-            # that would leave the caller waiting on the child.
-            both = len(self.enabled) == 2
-            reads = _read_in_child(self._read_finishing_rules if both else self._read, files)
-        else:
-            reads = (self._read(path) for path in files)
+        reads = (
+            _read_in_child(self._read, files)
+            if _reads_ahead(files)
+            else (self._read(path) for path in files)
+        )
         jobs = (job for read in reads for job in self._finish_document(read))
         try:
             if not pooled:
@@ -695,9 +684,9 @@ class _Pipeline:
 
 
 def _reads_ahead(files: Sequence[Path]) -> bool:
-    """Whether a forked child should read ``files``: only if there is one, a
-    second CPU is usable, and no other thread runs whose locks a fork could
-    copy held."""
+    """Whether a forked child should read ``files``, whatever the run's paths
+    and backend: only if there is one, a second CPU is usable, and no other
+    thread runs (a ``wire`` run's pool starts its threads after the fork)."""
     if not files or not hasattr(os, "fork") or threading.active_count() != 1:
         return False
     if hasattr(os, "sched_getaffinity"):
@@ -850,7 +839,7 @@ def run(config: RunConfig) -> RunSummary:
             "misses": pipeline.cache.misses,
             "entries": len(pipeline.cache),
         },
-        gazetteer_lookups=pipeline.gazetteer.lookup_count,
+        gazetteer_lookups=pipeline.cache.misses,
         config_digest=config.digest(),
     )
     summary_path = output_dir / "run_summary.json"

@@ -109,8 +109,8 @@ class GeocodeResult(_ResultFields):
 class Gazetteer:
     """In-memory place table with postal, place+region, and place indices.
 
-    ``lookup_count`` counts resolution attempts against the indices; cache
-    tests rely on it staying flat during warm runs.
+    It counts nothing: ``geocode`` resolves exactly on a cache miss, so a
+    run's gazetteer lookups are its geocode cache's misses.
     """
 
     def __init__(self, entries: list[GazetteerEntry]):
@@ -120,8 +120,6 @@ class Gazetteer:
         self._by_postal: dict[str, list[GazetteerEntry]] = {}
         self._by_place_region: dict[tuple[str, str], GazetteerEntry] = {}
         self._by_place: dict[str, list[GazetteerEntry]] = {}
-        self._lock = threading.Lock()
-        self._lookups = 0
         # Each region code's key -> its region's key.
         self._code_regions: dict[str, str] = {}
         for entry in entries:
@@ -165,10 +163,6 @@ class Gazetteer:
                 raise ConfigError(f"{path}: bad gazetteer row: {exc}") from exc
         return cls(entries)
 
-    @property
-    def lookup_count(self) -> int:
-        return self._lookups
-
     def region_boxes(self) -> dict[str, tuple[float, float, float, float]]:
         """Bounding box per region key: (lat_min, lat_max, lon_min, lon_max),
         the extent of the region's entries widened by ``DEFAULT_BOX_MARGIN``.
@@ -198,8 +192,6 @@ class Gazetteer:
     ) -> GazetteerEntry | None:
         """Match order: postal code, place+in-string region, bias region, unique
         place. A region may be named by its code."""
-        with self._lock:
-            self._lookups += 1
         warn = on_warning if on_warning is not None else (lambda code, msg: None)
         tokens = normalized_key.split("|")
 
@@ -253,8 +245,9 @@ class GeocodeCache:
     the last write for a key wins, and a negative row without ``ambiguous``
     reads as a plain negative. Missing files mean an empty cache.
 
-    Where ``journal`` is a list, each lookup ``geocode`` makes appends its
-    key and value there, for ``replay_lookup`` in another process.
+    On a ``journaling_copy``, ``journal`` is a list (else None) to which
+    each lookup ``geocode`` makes appends its key and value, for
+    ``replay_lookup`` to count against the cache the copy was made from.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -271,11 +264,22 @@ class GeocodeCache:
                     raise ConfigError(f"{self.path}: cache row without key")
                 if row.get("lat") is None:
                     self._data[key] = row.get("ambiguous")
-                else:
-                    self._data[key] = (row["lat"], row["lon"], row["matched_place"])
+                    continue
+                try:
+                    self._data[key] = (float(row["lat"]), float(row["lon"]), row["matched_place"])
+                except KeyError as exc:
+                    raise ConfigError(f"{self.path}: cache row missing {exc}") from exc
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"{self.path}: bad cache row: {exc}") from exc
 
     def __len__(self) -> int:
         return len(self._data)
+
+    def journaling_copy(self) -> GeocodeCache:
+        """A copy that writes no file and journals every lookup."""
+        copy = GeocodeCache()
+        copy._data, copy.journal = dict(self._data), []
+        return copy
 
     def lookup(self, key: str) -> tuple[bool, CacheValue]:
         """(present, value) for a key; counts the hit or miss."""
@@ -354,15 +358,11 @@ def geocode(
     return GeocodeResult(None, None, None, cache_hit=present, plausible=None)
 
 
-def replay_lookup(
-    key: str, value: CacheValue, gazetteer: Gazetteer, cache: GeocodeCache
-) -> None:
-    """Count a lookup of ``key`` that resolved to ``value`` against another
-    process's copy of ``cache`` as ``geocode`` counts one here: a hit if the
-    key is cached, else a miss, a gazetteer lookup and a put of ``value``."""
+def replay_lookup(key: str, value: CacheValue, cache: GeocodeCache) -> None:
+    """Count a lookup of ``key`` that resolved to ``value`` in another cache,
+    such as a journaling copy of ``cache``, as ``geocode`` counts one here:
+    a hit if the key is cached, else a miss and a put of ``value``."""
     if not cache.lookup(key)[0]:
-        with gazetteer._lock:
-            gazetteer._lookups += 1
         cache.put(key, value)
 
 

@@ -831,6 +831,14 @@ MALFORMED_CONFIG_ROWS = {
         "--schema", "schema.jsonl", None,
         {"field_path": "demographic.shoe_size", "kind": "integer", "range": 5},
     ),
+    # No cache file is bundled, so this one starts from an empty file.
+    "cache_lat_without_lon": (
+        "--cache", "geocode_cache.jsonl", None, {"key": "richmond|virginia", "lat": 37.5}
+    ),
+    "cache_lat_text": (
+        "--cache", "geocode_cache.jsonl", None,
+        {"key": "richmond|virginia", "lat": "north", "lon": -77.4, "matched_place": "Richmond"},
+    ),
 }
 
 
@@ -886,7 +894,8 @@ class TestMainEntry:
     ):
         given = tmp_path / resource
         if member is None:
-            shutil.copy(bundled_path(resource), given)
+            if bundled_path(resource).is_file():
+                shutil.copy(bundled_path(resource), given)
             edited = given
         else:
             shutil.copytree(bundled_path(resource), given)

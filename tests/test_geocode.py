@@ -15,6 +15,7 @@ from casepipe.geocode import (
     geocode,
     normalize_place,
     plausible_coords,
+    replay_lookup,
 )
 from casepipe.schema import assemble_record, default_schema, resolve_path
 
@@ -40,6 +41,20 @@ def gazetteer(tmp_path):
 @pytest.fixture
 def cache(tmp_path):
     return GeocodeCache(tmp_path / "geocode_cache.jsonl")
+
+
+def count_resolves(gazetteer: Gazetteer) -> list[int]:
+    """Wrap this gazetteer's ``resolve`` so that each call adds one to the
+    single count in the list returned."""
+    calls = [0]
+    resolve = gazetteer.resolve
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return resolve(*args, **kwargs)
+
+    gazetteer.resolve = counting
+    return calls
 
 
 def collect_warnings():
@@ -143,14 +158,14 @@ class TestGeocode:
             GeocodeQuery("dover", bias_region="Delaware"),
             GeocodeQuery("nowhere|at|all"),
         ]
+        resolves = count_resolves(gazetteer)
         for q in queries:
             geocode(q, gazetteer, cache)
-        before = gazetteer.lookup_count
-        assert before > 0
+        assert resolves == [len(queries)]
         for q in queries:
             result = geocode(q, gazetteer, cache)
             assert result.cache_hit is True
-        assert gazetteer.lookup_count == before
+        assert resolves == [len(queries)]
 
     def test_bias_is_part_of_cache_key(self, gazetteer, cache):
         miss = geocode(GeocodeQuery("ashford"), gazetteer, cache)
@@ -163,9 +178,10 @@ class TestGeocode:
         geocode(GeocodeQuery("norfolk|virginia"), gazetteer, cache)
         reloaded = GeocodeCache(cache.path)
         fresh_gazetteer = Gazetteer.load(tmp_path / "gazetteer.jsonl")
+        resolves = count_resolves(fresh_gazetteer)
         result = geocode(GeocodeQuery("norfolk|virginia"), fresh_gazetteer, reloaded)
         assert result.cache_hit is True
-        assert fresh_gazetteer.lookup_count == 0
+        assert resolves == [0]
 
 
 class TestPlausibility:
@@ -217,10 +233,11 @@ class TestCacheFile:
 
     def test_an_ambiguity_is_kept_with_its_negative_entry(self, tmp_path, gazetteer):
         path = tmp_path / "c.jsonl"
+        resolves = count_resolves(gazetteer)
         cold_seen, cold_warn = collect_warnings()
         geocode(GeocodeQuery("ashford"), gazetteer, GeocodeCache(path), on_warning=cold_warn)
         assert cold_seen == ["ambiguous_place"]
-        assert gazetteer.lookup_count == 1
+        assert resolves == [1]
         row = json.loads(path.read_text(encoding="utf-8"))
         assert row["lat"] is None and "several regions" in row["ambiguous"]
         for cache in (GeocodeCache(path), GeocodeCache(path)):
@@ -229,7 +246,7 @@ class TestCacheFile:
                 result = geocode(GeocodeQuery("ashford"), gazetteer, cache, on_warning=warn)
                 assert result.cache_hit is True and result.lat is None
             assert seen == ["ambiguous_place", "ambiguous_place"]
-        assert gazetteer.lookup_count == 1
+        assert resolves == [1]
 
     def test_a_negative_row_without_an_ambiguity_is_a_plain_negative(self, tmp_path, gazetteer):
         path = tmp_path / "c.jsonl"
@@ -249,6 +266,26 @@ class TestCacheFile:
         cache.lookup("absent")
         assert cache.hits == 1
         assert cache.misses == 1
+
+    def test_a_journaling_copy_writes_nothing_and_replays_as_a_lookup_here(
+        self, tmp_path, gazetteer
+    ):
+        path = tmp_path / "c.jsonl"
+        cache = GeocodeCache(path)
+        cache.put("norfolk|virginia", (36.85, -76.285, "Norfolk"))
+        before = path.read_bytes()
+        copy = cache.journaling_copy()
+        for key in ("norfolk|virginia", "dover"):
+            geocode(GeocodeQuery(key), gazetteer, copy)
+        assert path.read_bytes() == before and len(cache) == 1
+        assert copy.journal == [
+            ("norfolk|virginia", (36.85, -76.285, "Norfolk")),
+            ("dover", (39.158, -75.524, "Dover")),
+        ]
+        for key, value in copy.journal:
+            replay_lookup(key, value, cache)
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert GeocodeCache(path).lookup("dover") == (True, (39.158, -75.524, "Dover"))
 
     def test_file_is_line_oriented_json(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -319,11 +356,11 @@ class TestApplyGeocode:
         record = self.record_with(
             **{"spatial.lat": 10.0, "spatial.lon": 20.0, "spatial.city": "Culpeper"}
         )
-        before = gazetteer.lookup_count
+        resolves = count_resolves(gazetteer)
         apply_geocode(record, gazetteer, cache)
         assert resolve_path(record, "spatial.lat") == 10.0
         assert resolve_path(record, "spatial.geocode_method") == "source_provided"
-        assert gazetteer.lookup_count == before
+        assert resolves == [0]
 
 
 class TestBundledGazetteer:

@@ -2,18 +2,22 @@
 
 ``cli._Pipeline.process`` reads documents (extract, split, detect and the
 rule path's draft and harmonize) either on the calling thread or in a forked
-child one document ahead, which ``cli._reads_ahead`` decides. On a both-path
-run the child also finishes each rule record against its own copy of the
-geocode cache, and the caller replays the child's lookups in document order.
-The tests here force each placement and compare the bytes, the geocode
-cache's file and counters included, and check that the child never outlives
-the run, whether it ends, fails in the child or fails in the parent.
+child one document ahead, which ``cli._reads_ahead`` decides, whatever the
+paths and backend. On a both-path run ``_read`` also finishes each rule
+record, in either process, against a copy of the geocode cache, and the
+caller replays its lookups in document order. The tests here force each
+placement and compare the bytes, the geocode cache's file and counters
+included, check that the fork happens while the caller runs one thread, a
+``wire`` run's included, and that the child never outlives the run, whether
+it ends, fails in the child or fails in the parent.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 import threading
 import warnings
 from pathlib import Path
@@ -29,6 +33,10 @@ from test_golden_outputs import CONFIGS, GOLDEN, output_hashes, summary_hash
 
 INGEST = "2025-01-15T09:30:00+00:00"
 PLACEMENTS = {"forked": lambda files: bool(files), "in_process": lambda files: False}
+# The real decision, kept before any test replaces it.
+READS_AHEAD = cli._reads_ahead
+# The benchmark's loopback model backend: the oracle's answers over HTTP.
+WIRE_SERVER = Path(__file__).resolve().parents[1] / "bench" / "wire_server.py"
 
 
 def _bulletin(number: int, last_seen: str | None, gold: dict | None = None) -> bytes:
@@ -107,13 +115,14 @@ def corpus(tmp_path_factory) -> Path:
 
 
 def _place(monkeypatch, placement: str) -> list[int]:
-    """Force ``placement`` and count the forks the parent makes."""
+    """Force ``placement`` and list, for each fork the parent makes, the
+    number of threads that ran when it forked."""
     monkeypatch.setattr(cli, "_reads_ahead", PLACEMENTS[placement])
     forks: list[int] = []
     fork = os.fork
 
     def counting_fork() -> int:
-        forks.append(os.getpid())
+        forks.append(threading.active_count())
         return fork()
 
     monkeypatch.setattr(os, "fork", counting_fork)
@@ -220,6 +229,116 @@ def test_both_placements_keep_the_cache_file_alike_cold_and_warm(
     lines = caches["forked", "cold"].splitlines()
     first = [json.loads(line)["key"] for line in lines].index
     assert first("dover") + 1 == first("ashford|maryland@maryland")
+
+
+def _assert_alike(outputs: dict) -> None:
+    forked, in_process = outputs["forked"], outputs["in_process"]
+    assert forked.keys() == in_process.keys()
+    for name in forked:
+        assert forked[name] == in_process[name], name
+
+
+@pytest.mark.parametrize("backend", ["invalid_then_fix", "never_fix", "dropout_oracle"])
+def test_an_llm_only_run_writes_the_same_bytes_in_either_placement(
+    corpus, tmp_path, monkeypatch, backend
+):
+    params = {} if backend == "dropout_oracle" else {"inject_every": "2"}
+    outputs = {}
+    for placement in PLACEMENTS:
+        forks = _place(monkeypatch, placement)
+        out = tmp_path / placement
+        config = _config(
+            corpus, out, paths_enabled="llm", backend=backend, backend_params=params
+        )
+        summary = cli.run(config)
+        assert forks == ([1] if placement == "forked" else [])
+        assert summary.records_out_rule == 0 < summary.records_out_llm
+        outputs[placement] = _output_bytes(out)
+        _assert_no_child()
+    _assert_alike(outputs)
+
+
+@pytest.fixture
+def wire_url():
+    """The loopback backend in a process of its own, so that a run's caller
+    has no thread but its own; it answers at once, two requests at a time.
+    The server is a child of this process too, so a test using it checks
+    only that the reader's child was reaped."""
+    server = subprocess.Popen(
+        [sys.executable, str(WIRE_SERVER), "0", "2"], stdout=subprocess.PIPE, text=True
+    )
+    try:
+        line = server.stdout.readline().split()
+        assert len(line) == 2 and line[0] == "PORT", line
+        yield f"http://127.0.0.1:{int(line[1])}/"
+    finally:
+        server.terminate()
+        server.wait(timeout=10)
+        server.stdout.close()
+
+
+@pytest.mark.parametrize("in_flight", [1, 2])
+@pytest.mark.parametrize("paths", ["llm", "both"])
+def test_a_wire_run_forks_before_its_pool_starts_and_writes_the_same_bytes(
+    corpus, wire_url, tmp_path, monkeypatch, paths, in_flight
+):
+    monkeypatch.setenv("CASEPIPE_BACKEND_URL", wire_url)
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1,localhost")
+    monkeypatch.setenv("no_proxy", "127.0.0.1,localhost")
+    # Two usable CPUs, so that the real decision forks on any host.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    outputs = {}
+    for placement in PLACEMENTS:
+        forks = _place(monkeypatch, placement)
+        if placement == "forked":
+            monkeypatch.setattr(cli, "_reads_ahead", READS_AHEAD)
+        readers: list[int] = []
+        fork = os.fork
+
+        def recording_fork() -> int:
+            pid = fork()
+            if pid:
+                readers.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        out = tmp_path / placement
+        config = _config(
+            corpus, out, paths_enabled=paths, backend="wire", max_in_flight=in_flight
+        )
+        summary = cli.run(config)
+        # The pool starts its threads at its first exchange, after the fork.
+        assert forks == ([1] if placement == "forked" else [])
+        assert summary.records_out_llm > 0
+        assert summary.backend_calls["extract"] == summary.segments
+        outputs[placement] = _output_bytes(out)
+        for pid in readers:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+    _assert_alike(outputs)
+
+
+@pytest.mark.parametrize("paths", ["rule", "llm", "both"])
+@pytest.mark.parametrize("placement", PLACEMENTS)
+def test_gazetteer_lookups_are_the_cache_misses_cold_and_warm(
+    corpus, tmp_path, monkeypatch, placement, paths
+):
+    _place(monkeypatch, placement)
+    cache = tmp_path / "geocode.jsonl"
+    for run in ("cold", "warm"):
+        rows = len(cache.read_bytes().splitlines()) if cache.is_file() else 0
+        config = _config(
+            corpus, tmp_path / run, paths_enabled=paths, backend="dropout_oracle",
+            cache_path=cache,
+        )
+        summary = cli.run(config)
+        misses = summary.geocode_cache["misses"]
+        assert summary.gazetteer_lookups == misses
+        # Each miss appends its outcome to the cache file; a warm run finds
+        # every place there.
+        assert len(cache.read_bytes().splitlines()) - rows == misses
+        assert (misses > 0) is (run == "cold")
+        _assert_no_child()
 
 
 @pytest.mark.parametrize("placement", PLACEMENTS)
