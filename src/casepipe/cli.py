@@ -74,6 +74,7 @@ from casepipe.extract import (
 from casepipe.geocode import Gazetteer, GeocodeCache, apply_geocode, replay_lookup
 from casepipe.harmonize import MappingTable, harmonize, identity_table, load_mapping_dir
 from casepipe.llm import (
+    BACKENDS,
     DEFAULT_BUDGET_CHARS,
     DEFAULT_MAX_REPAIR_ATTEMPTS,
     DEFAULT_TIMEOUT_S,
@@ -102,7 +103,7 @@ if TYPE_CHECKING:
     _Exchange = Callable[[BackendRequest], _Exchanged]
 
 PATH_CHOICES = ("rule", "llm", "both")
-BACKEND_CHOICES = ("wire", "oracle", "dropout_oracle", "invalid_then_fix", "never_fix")
+BACKEND_CHOICES = tuple(BACKENDS)
 
 RULE_CASES_NAME = "cases_rule"
 LLM_CASES_NAME = "cases_llm"
@@ -130,6 +131,17 @@ class _ConfigFields(NamedTuple):
     ingest_ts: str | None = None
 
 
+# Each field that may name a bundled resource, and the resource's name under
+# the package data, in the order ``check_paths`` checks them.
+_BUNDLED = {
+    "schema_path": "schema.jsonl",
+    "signatures_path": "signatures.jsonl",
+    "gazetteer_path": "gazetteer.jsonl",
+    "rulesets_dir": "rulesets",
+    "mappings_dir": "mappings",
+}
+
+
 class RunConfig(_ConfigFields):
     """Everything one pipeline run needs, resolved and checkable up front."""
 
@@ -151,69 +163,40 @@ class RunConfig(_ConfigFields):
             raise ConfigError(f"ingest_ts is not an ISO timestamp: {self.ingest_ts!r}")
         return self
 
+    def resolved(self, field: str) -> Path:
+        """The path a bundled resource's field names, or the bundled one."""
+        return getattr(self, field) or bundled_path(_BUNDLED[field])
+
     def resolved_schema_path(self) -> Path:
-        return self.schema_path or bundled_path("schema.jsonl")
-
-    def resolved_signatures_path(self) -> Path:
-        return self.signatures_path or bundled_path("signatures.jsonl")
-
-    def resolved_rulesets_dir(self) -> Path:
-        return self.rulesets_dir or bundled_path("rulesets")
-
-    def resolved_mappings_dir(self) -> Path:
-        return self.mappings_dir or bundled_path("mappings")
-
-    def resolved_gazetteer_path(self) -> Path:
-        return self.gazetteer_path or bundled_path("gazetteer.jsonl")
+        return self.resolved("schema_path")
 
     def check_paths(self) -> None:
         if not self.input_dir.is_dir():
             raise ConfigError(f"input_dir does not exist: {self.input_dir}")
-        for label, path in (
-            ("schema", self.resolved_schema_path()),
-            ("signatures", self.resolved_signatures_path()),
-            ("gazetteer", self.resolved_gazetteer_path()),
-        ):
-            if not path.is_file():
+        for field in _BUNDLED:
+            label, _, kind = field.rpartition("_")
+            path = self.resolved(field)
+            if kind == "path" and not path.is_file():
                 raise ConfigError(f"{label} file does not exist: {path}")
-        for label, directory in (
-            ("rulesets", self.resolved_rulesets_dir()),
-            ("mappings", self.resolved_mappings_dir()),
-        ):
-            if not directory.is_dir():
-                raise ConfigError(f"{label} directory does not exist: {directory}")
+            if kind == "dir" and not path.is_dir():
+                raise ConfigError(f"{label} directory does not exist: {path}")
         if self.gold_path is not None and not self.gold_path.is_file():
             raise ConfigError(f"gold file does not exist: {self.gold_path}")
 
     def digest(self) -> str:
-        """A hash of what determines the run's records.
+        """A hash of what determines the run's records: every field but
+        where the outputs go and the provenance clock.
 
         Bundled resources are recorded by name and explicit paths as given,
-        so one configuration digests alike in every checkout; where the
-        outputs go is not part of it.
+        so one configuration digests alike in every checkout.
         """
-
-        def resource(given: Path | None, name: str) -> str:
-            return str(given) if given is not None else f"bundled:{name}"
-
-        payload = {
-            "input_dir": str(self.input_dir),
-            "paths_enabled": self.paths_enabled,
-            "schema_path": resource(self.schema_path, "schema.jsonl"),
-            "signatures_path": resource(self.signatures_path, "signatures.jsonl"),
-            "rulesets_dir": resource(self.rulesets_dir, "rulesets"),
-            "mappings_dir": resource(self.mappings_dir, "mappings"),
-            "gazetteer_path": resource(self.gazetteer_path, "gazetteer.jsonl"),
-            "cache_path": str(self.cache_path) if self.cache_path else None,
-            "backend": self.backend,
-            "backend_params": dict(self.backend_params or {}),
-            "budget_chars": self.budget_chars,
-            "max_repair_attempts": self.max_repair_attempts,
-            "max_in_flight": self.max_in_flight,
-            "gold_path": str(self.gold_path) if self.gold_path else None,
-            "seed": self.seed,
-        }
-        blob = json.dumps(payload, sort_keys=True, ensure_ascii=False)
+        payload = self._asdict()
+        del payload["output_dir"], payload["ingest_ts"]
+        for field, name in _BUNDLED.items():
+            if payload[field] is None:
+                payload[field] = f"bundled:{name}"
+        payload["backend_params"] = dict(self.backend_params or {})
+        blob = json.dumps(payload, sort_keys=True, ensure_ascii=False, default=str)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
@@ -284,12 +267,12 @@ class _Pipeline:
             label for label, _ in _PATHS if config.paths_enabled in (label, "both")
         }
         self.schema = _load_schema(config.schema_path)
-        self.signatures = load_signatures(config.resolved_signatures_path())
+        self.signatures = load_signatures(config.resolved("signatures_path"))
         # Only the rule path reads rules; check_paths has checked the directory.
         self.rulesets = (
-            load_rulesets(config.resolved_rulesets_dir()) if "rule" in self.enabled else {}
+            load_rulesets(config.resolved("rulesets_dir")) if "rule" in self.enabled else {}
         )
-        self.mappings = load_mapping_dir(config.resolved_mappings_dir())
+        self.mappings = load_mapping_dir(config.resolved("mappings_dir"), self.schema)
         if UNKNOWN_LABEL not in self.mappings:
             raise ConfigError(
                 f"mappings directory lacks a table for {UNKNOWN_LABEL!r} sources"
@@ -299,7 +282,7 @@ class _Pipeline:
                 raise ConfigError(
                     f"no mapping table for source {signature.source_label!r}"
                 )
-        self.gazetteer = Gazetteer.load(config.resolved_gazetteer_path())
+        self.gazetteer = Gazetteer.load(config.resolved("gazetteer_path"))
         self.cache = GeocodeCache(config.cache_path)
         # What records are geocoded against, in whichever process finishes
         # them; only ``_accept`` feeds the run's cache, replaying the lookups.
@@ -944,37 +927,39 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="process a directory of .txt documents")
-    run_p.add_argument("--input", required=True, type=Path, help="document directory")
-    run_p.add_argument("--output", required=True, type=Path, help="output directory")
-    run_p.add_argument("--paths", choices=PATH_CHOICES, default="both")
-    run_p.add_argument("--schema", type=Path, default=None)
-    run_p.add_argument("--signatures", type=Path, default=None)
-    run_p.add_argument("--rulesets", type=Path, default=None)
-    run_p.add_argument("--mappings", type=Path, default=None)
-    run_p.add_argument("--gazetteer", type=Path, default=None)
-    run_p.add_argument("--cache", type=Path, default=None, help="geocode cache file")
-    run_p.add_argument("--backend", choices=BACKEND_CHOICES, default="oracle")
-    run_p.add_argument(
+    # Each run flag sets its RunConfig field only when given, so every
+    # default is the field's.
+    run_p = sub.add_parser(
+        "run",
+        help="process a directory of .txt documents",
+        argument_default=argparse.SUPPRESS,
+    )
+    add = run_p.add_argument
+    add("--input", dest="input_dir", required=True, type=Path, help="document directory")
+    add("--output", dest="output_dir", required=True, type=Path, help="output directory")
+    add("--paths", dest="paths_enabled", choices=PATH_CHOICES)
+    add("--schema", dest="schema_path", type=Path)
+    add("--signatures", dest="signatures_path", type=Path)
+    add("--rulesets", dest="rulesets_dir", type=Path)
+    add("--mappings", dest="mappings_dir", type=Path)
+    add("--gazetteer", dest="gazetteer_path", type=Path)
+    add("--cache", dest="cache_path", type=Path, help="geocode cache file")
+    add("--backend", choices=BACKEND_CHOICES)
+    add(
         "--backend-param",
+        dest="backend_params",
         action="append",
-        default=[],
         metavar="KEY=VALUE",
         help="backend knob, repeatable (e.g. rate=0.1)",
     )
-    run_p.add_argument("--budget-chars", type=int, default=DEFAULT_BUDGET_CHARS)
-    run_p.add_argument(
-        "--max-repair-attempts", type=int, default=DEFAULT_MAX_REPAIR_ATTEMPTS
-    )
-    run_p.add_argument("--max-in-flight", type=int, default=1)
-    run_p.add_argument("--gold", type=Path, default=None, help="evaluate after the run")
-    run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument(
-        "--ingest-ts",
-        default=None,
-        help="fixed provenance timestamp for byte-reproducible runs",
-    )
+    add("--budget-chars", type=int)
+    add("--max-repair-attempts", type=int)
+    add("--max-in-flight", type=int)
+    add("--gold", dest="gold_path", type=Path, help="evaluate after the run")
+    add("--seed", type=int)
+    add("--ingest-ts", help="fixed provenance timestamp for byte-reproducible runs")
 
+    # The rate flags likewise leave their defaults to SynthesisSpec.
     synth_p = sub.add_parser("synth", help="write a synthetic corpus")
     synth_p.add_argument("--out", required=True, type=Path)
     synth_p.add_argument("--seed", type=int, default=0)
@@ -982,8 +967,8 @@ def _build_parser() -> argparse.ArgumentParser:
     synth_p.add_argument(
         "--families", default=None, help="comma-separated families to generate (default: all)"
     )
-    synth_p.add_argument("--cue-rate", type=float, default=0.7)
-    synth_p.add_argument("--dropout", type=float, default=0.0)
+    for flag, field in (("--cue-rate", "narrative_cue_rate"), ("--dropout", "label_dropout_rate")):
+        synth_p.add_argument(flag, dest=field, type=float, default=argparse.SUPPRESS)
 
     eval_p = sub.add_parser("eval", help="score run outputs against a gold file")
     eval_p.add_argument("--output", required=True, type=Path, help="run output dir")
@@ -993,25 +978,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        input_dir=args.input,
-        output_dir=args.output,
-        paths_enabled=args.paths,
-        schema_path=args.schema,
-        signatures_path=args.signatures,
-        rulesets_dir=args.rulesets,
-        mappings_dir=args.mappings,
-        gazetteer_path=args.gazetteer,
-        cache_path=args.cache,
-        backend=args.backend,
-        backend_params=_parse_params(args.backend_param),
-        budget_chars=args.budget_chars,
-        max_repair_attempts=args.max_repair_attempts,
-        max_in_flight=args.max_in_flight,
-        gold_path=args.gold,
-        seed=args.seed,
-        ingest_ts=args.ingest_ts,
-    )
+    fields = vars(args)
+    del fields["command"]
+    if "backend_params" in fields:
+        fields["backend_params"] = _parse_params(fields["backend_params"])
+    config = RunConfig(**fields)
     summary = run(config)
     print(f"documents in:      {summary.documents_in}")
     print(f"segments:          {summary.segments}")
@@ -1032,11 +1003,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
     families = sorted(FAMILY_LABELS) if args.families is None else args.families.split(",")
     families = [f.strip() for f in families if f.strip()]
+    rates = {name: value for name, value in vars(args).items() if name.endswith("_rate")}
     spec = SynthesisSpec(
-        seed=args.seed,
-        count_per_family={family: args.count for family in families},
-        narrative_cue_rate=args.cue_rate,
-        label_dropout_rate=args.dropout,
+        seed=args.seed, count_per_family={family: args.count for family in families}, **rates
     )
     cases = write_corpus(spec, args.out)
     print(f"wrote {len(cases)} documents to {args.out}")

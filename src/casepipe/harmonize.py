@@ -125,12 +125,14 @@ class MappingTable:
 
 class HarmonizedRecord(NamedTuple):
     record: dict[str, Any]
-    applied_transforms: tuple[tuple[str, str], ...]
-    dropped_fields: tuple[tuple[str, str], ...]
     key_trace: tuple[tuple[str, str], ...]
 
 
-def load_mapping_table(path: str | Path, source_label: str) -> MappingTable:
+def load_mapping_table(
+    path: str | Path, source_label: str, schema: SchemaDefinition
+) -> MappingTable:
+    """The mapping table in ``path``. Its ``tz_default`` is stamped into
+    temporal.timezone, so it must pass ``schema``'s check of that field."""
     rows: dict[str, tuple[str, str]] = {}
     tz_default = None
     for rec in read_jsonl(path):
@@ -154,16 +156,22 @@ def load_mapping_table(path: str | Path, source_label: str) -> MappingTable:
         rows[source_key] = (target_path, transform)
     if not rows:
         raise ConfigError(f"no mapping rows in {path}")
+    if tz_default is not None:
+        violations = schema.field_violations("temporal.timezone", tz_default)
+        if violations:
+            message = f"{path}: tz_default {tz_default!r} fails temporal.timezone"
+            raise ConfigError(f"{message}: {violations[0].message}")
     return MappingTable(source_label=source_label, rows=rows, tz_default=tz_default)
 
 
-def load_mapping_dir(directory: str | Path) -> dict[str, MappingTable]:
-    """Load ``<source_label>.jsonl`` mapping tables from a directory."""
+def load_mapping_dir(directory: str | Path, schema: SchemaDefinition) -> dict[str, MappingTable]:
+    """Load ``<source_label>.jsonl`` mapping tables from a directory, each
+    checked against ``schema``."""
     directory = Path(directory)
     tables = {}
     for path in sorted(directory.glob("*.jsonl")):
         label = path.stem
-        tables[label] = load_mapping_table(path, label)
+        tables[label] = load_mapping_table(path, label, schema)
     if not tables:
         raise ConfigError(f"no mapping tables in {directory}")
     return tables
@@ -391,9 +399,9 @@ _TRANSFORM_FNS: dict[str, Callable[..., tuple[tuple[str, Any], ...]] | None] = {
     TRANSFORM_CUES: _cue_outputs,
 }
 
-# One mapping row, compiled: (target, transform name, transform function or
-# None, sibling path or None, integer/decimal kind to coerce to or None).
-_Step = tuple[str, str, Any, str | None, str | None]
+# One mapping row, compiled: (target, transform function or None, sibling
+# path or None, integer/decimal kind to coerce to or None).
+_Step = tuple[str, Any, str | None, str | None]
 
 
 def _compile_plan(mappings: MappingTable, schema: SchemaDefinition) -> dict[str, _Step]:
@@ -407,7 +415,7 @@ def _compile_plan(mappings: MappingTable, schema: SchemaDefinition) -> dict[str,
             entry = schema.entry(target)
             if entry is not None and entry.kind in (KIND_INTEGER, KIND_DECIMAL):
                 coerce_kind = entry.kind
-        plan[source_key] = (target, transform, _TRANSFORM_FNS.get(transform), sibling, coerce_kind)
+        plan[source_key] = (target, _TRANSFORM_FNS.get(transform), sibling, coerce_kind)
     return plan
 
 
@@ -471,16 +479,14 @@ def harmonize(
 
     Every schema section is materialized. Defaults fill fields whose absence
     has a defined meaning (status missing, sex unknown, no movement cues, no
-    geocode). The result carries the applied transforms, dropped source keys,
-    and a source-key -> target-path trace so provenance can follow renames.
+    geocode). The result carries a source-key -> target-path trace so
+    provenance can follow renames.
     """
     warn: WarnFn = on_warning if on_warning is not None else (lambda code, msg: None)
     plan = mappings.plan(schema)
     tz_default = mappings.tz_default
     flat = _flatten_input(source)
     values: dict[str, Any] = {}
-    applied: list[tuple[str, str]] = []
-    dropped: list[tuple[str, str]] = []
     trace: list[tuple[str, str]] = []
 
     for source_key in sorted(flat):
@@ -489,14 +495,12 @@ def harmonize(
         if step is None:
             if raw in (None, "", [], {}):
                 continue
-            dropped.append((source_key, "unmapped_key"))
             warn("unmapped_key", f"no mapping for {source_key!r}; value dropped")
             continue
-        target, transform, outputs_of, sibling, coerce_kind = step
+        target, outputs_of, sibling, coerce_kind = step
         if raw is None:
             values.setdefault(target, None)
             continue
-        applied.append((target, transform))
         if outputs_of is None:
             if coerce_kind is not None:
                 raw = _coerce(raw, coerce_kind, target, warn)
@@ -517,12 +521,7 @@ def harmonize(
 
     _apply_defaults(values, tz_default)
     record = assemble_record(values, schema)
-    return HarmonizedRecord(
-        record=record,
-        applied_transforms=tuple(applied),
-        dropped_fields=tuple(dropped),
-        key_trace=tuple(trace),
-    )
+    return HarmonizedRecord(record=record, key_trace=tuple(trace))
 
 
 def _apply_defaults(values: dict[str, Any], tz_default: str | None) -> None:

@@ -623,9 +623,9 @@ class WireBackend(_CountingBackend):
 
 _Factory = Callable[[dict[str, Any]], _CountingBackend]
 
-# Each factory and the params it reads. Every backend also accepts ``seed``,
-# which a run always passes.
-_BACKENDS: dict[str, tuple[_Factory, tuple[str, ...]]] = {
+# Each backend by name, with its factory and the params it reads. Every
+# backend also accepts ``seed``, which a run always passes.
+BACKENDS: dict[str, tuple[_Factory, tuple[str, ...]]] = {
     "oracle": (lambda params: OracleBackend(), ()),
     "dropout_oracle": (
         lambda params: DropoutOracleBackend(
@@ -649,9 +649,9 @@ _BACKENDS: dict[str, tuple[_Factory, tuple[str, ...]]] = {
 
 def make_backend(name: str, params: dict[str, Any] | None = None) -> _CountingBackend:
     """Build a backend; a param it does not read is a ConfigError."""
-    entry = _BACKENDS.get(name)
+    entry = BACKENDS.get(name)
     if entry is None:
-        known = ", ".join(sorted(_BACKENDS))
+        known = ", ".join(sorted(BACKENDS))
         raise ConfigError(f"unknown backend {name!r} (known: {known})")
     factory, keys = entry
     params = params or {}

@@ -203,6 +203,15 @@ class SchemaDefinition:
     def entry(self, path: str) -> SchemaEntry | None:
         return self._by_path.get(path)
 
+    def field_violations(self, path: str, value: Any) -> list[ValidationViolation]:
+        """What ``validate`` reports of a non-null ``value`` at the leaf
+        ``path`` alone; nothing where the schema has no such leaf."""
+        entry = self._by_path.get(path)
+        out: list[ValidationViolation] = []
+        if entry is not None and entry.kind != KIND_SECTION:
+            _leaf_check(entry)(value, out)
+        return out
+
     def has_path(self, path: str) -> bool:
         return path in self._by_path
 

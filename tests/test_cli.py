@@ -143,6 +143,99 @@ class TestRunConfig:
             cli._parse_params(["rate"])
 
 
+# Each run flag besides --input and --output, a value for it, the RunConfig
+# field it sets, and the value that field then holds.
+RUN_FLAGS = [
+    ("--paths", "llm", "paths_enabled", "llm"),
+    ("--schema", "/s.jsonl", "schema_path", Path("/s.jsonl")),
+    ("--signatures", "/sig.jsonl", "signatures_path", Path("/sig.jsonl")),
+    ("--rulesets", "/r", "rulesets_dir", Path("/r")),
+    ("--mappings", "/m", "mappings_dir", Path("/m")),
+    ("--gazetteer", "/gaz.jsonl", "gazetteer_path", Path("/gaz.jsonl")),
+    ("--cache", "/c.jsonl", "cache_path", Path("/c.jsonl")),
+    ("--backend", "never_fix", "backend", "never_fix"),
+    ("--backend-param", "rate=0.2", "backend_params", {"rate": "0.2"}),
+    ("--budget-chars", "99", "budget_chars", 99),
+    ("--max-repair-attempts", "3", "max_repair_attempts", 3),
+    ("--max-in-flight", "4", "max_in_flight", 4),
+    ("--gold", "/gold.jsonl", "gold_path", Path("/gold.jsonl")),
+    ("--seed", "11", "seed", 11),
+    ("--ingest-ts", INGEST, "ingest_ts", INGEST),
+]
+# A value other than the default for every RunConfig field.
+CHANGED_FIELDS = [
+    ("input_dir", Path("/y")),
+    ("output_dir", Path("/p")),
+    *((field, value) for _, _, field, value in RUN_FLAGS),
+]
+
+
+class _Captured(Exception):
+    pass
+
+
+def _parsed_config(monkeypatch, *flags: str) -> RunConfig:
+    """The RunConfig ``main`` builds from ``run --input /x --output /o`` and
+    ``flags``, caught where ``run`` would get it."""
+
+    def capture(config):
+        raise _Captured(config)
+
+    monkeypatch.setattr(cli, "run", capture)
+    with pytest.raises(_Captured) as caught:
+        cli.main(["run", "--input", "/x", "--output", "/o", *flags])
+    return caught.value.args[0]
+
+
+class TestFrontEnd:
+    def test_defaults_are_the_run_configs(self, monkeypatch):
+        config = _parsed_config(monkeypatch)
+        assert type(config) is RunConfig
+        assert config == RunConfig(Path("/x"), Path("/o"))
+
+    @pytest.mark.parametrize(
+        "flag, given, field, value", RUN_FLAGS, ids=[flag for flag, *_ in RUN_FLAGS]
+    )
+    def test_a_flag_sets_its_field_alone(self, monkeypatch, flag, given, field, value):
+        config = _parsed_config(monkeypatch, flag, given)
+        assert config == RunConfig(Path("/x"), Path("/o"), **{field: value})
+
+    def test_repeated_backend_params_collect(self, monkeypatch):
+        config = _parsed_config(
+            monkeypatch, "--backend-param", "rate=0.2", "--backend-param", "seed=3"
+        )
+        assert config.backend_params == {"rate": "0.2", "seed": "3"}
+
+    def test_every_flag_and_field_is_covered(self):
+        run_parser = cli._build_parser()._subparsers._group_actions[0].choices["run"]
+        flags = {s for action in run_parser._actions for s in action.option_strings}
+        assert flags - {"-h", "--help", "--input", "--output"} == {f for f, *_ in RUN_FLAGS}
+        assert [field for field, _ in CHANGED_FIELDS] == list(RunConfig._fields)
+
+    @pytest.mark.parametrize("field, value", CHANGED_FIELDS, ids=[f for f, _ in CHANGED_FIELDS])
+    def test_every_field_but_the_output_dir_and_clock_changes_the_digest(self, field, value):
+        default = RunConfig(Path("/x"), Path("/o"))
+        changed = RunConfig(**{**default._asdict(), field: value})
+        assert (changed.digest() != default.digest()) == (field not in ("output_dir", "ingest_ts"))
+
+    def test_digests_are_pinned(self):
+        assert RunConfig(Path("/x"), Path("/o")).digest() == "0433142d5545487d"
+        config = RunConfig(
+            Path("/x"),
+            Path("/o"),
+            paths_enabled="llm",
+            backend="invalid_then_fix",
+            backend_params={"inject_every": "2"},
+            max_in_flight=2,
+            seed=7,
+            ingest_ts="2025-01-01T00:00:00+00:00",
+            schema_path=Path("/s.jsonl"),
+            cache_path=Path("/c"),
+            gold_path=Path("/g"),
+        )
+        assert config.digest() == "5c6dd454915d93b4"
+
+
 @pytest.fixture(scope="module")
 def finished(mixed_corpus, tmp_path_factory):
     out = tmp_path_factory.mktemp("both")
@@ -823,6 +916,9 @@ MALFORMED_CONFIG_ROWS = {
          "min_markers": "two"},
     ),
     "mappings_meta": ("--mappings", "mappings", "police_bulletin.jsonl", {"meta": "EST"}),
+    "mappings_tz_default": (
+        "--mappings", "mappings", "police_bulletin.jsonl", {"meta": {"tz_default": "EST"}}
+    ),
     "rulesets_pattern": (
         "--rulesets", "rulesets", "bulletin.jsonl",
         {"pattern_id": "bul_extra", "field_path": "person.extra", "pattern": 5},

@@ -304,9 +304,10 @@ class TestHarmonizeDraft:
         assert "unparseable_timestamp" in warnings
 
     def test_unmapped_key_dropped_with_reason(self):
+        warnings = []
         draft = make_draft({"demographic.shoe_size": "11"})
-        result = harmonize(draft, REGISTRY_TABLE, SCHEMA)
-        assert ("demographic.shoe_size", "unmapped_key") in result.dropped_fields
+        harmonize(draft, REGISTRY_TABLE, SCHEMA, on_warning=lambda c, m: warnings.append((c, m)))
+        assert ("unmapped_key", "no mapping for 'demographic.shoe_size'; value dropped") in warnings
 
     def test_movement_cues_grouped(self):
         draft = make_draft({})
@@ -331,7 +332,7 @@ class TestHarmonizeDraft:
     def test_applied_transforms_recorded(self):
         draft = make_draft({"demographic.sex": "FEMALE"})
         result = harmonize(draft, REGISTRY_TABLE, SCHEMA)
-        assert ("demographic.sex", "sex_enum") in result.applied_transforms
+        assert result.record["demographic"]["sex"] == "female"
 
 
 class TestHarmonizeCandidate:
@@ -383,7 +384,7 @@ class TestMappingFiles:
             ' "transform": "none"}\n',
             encoding="utf-8",
         )
-        tables = load_mapping_dir(mapping_dir)
+        tables = load_mapping_dir(mapping_dir, SCHEMA)
         assert "some_source" in tables
         assert tables["some_source"].tz_default == "-05:00"
 

@@ -86,7 +86,7 @@ SCHEMA = default_schema()
 NO_DEMOGRAPHIC = SCHEMA.without_prefix("demographic")
 SIGNATURES = load_signatures(bundled_path("signatures.jsonl"))
 RULESETS = load_rulesets(bundled_path("rulesets"))
-MAPPINGS = load_mapping_dir(bundled_path("mappings"))
+MAPPINGS = load_mapping_dir(bundled_path("mappings"), SCHEMA)
 
 
 def _outcome(fn, *args, **kwargs):
@@ -563,14 +563,13 @@ def _oracle_harmonize(source, mappings, schema, *, on_warning=None):
     warn = on_warning if on_warning is not None else (lambda code, msg: None)
     flat = _oracle_flatten_input(source)
     values = {}
-    applied, dropped, trace = [], [], []
+    trace = []
     for source_key in sorted(flat):
         raw = flat[source_key]
         row = mappings.rows.get(source_key)
         if row is None:
             if raw in (None, "", [], {}):
                 continue
-            dropped.append((source_key, "unmapped_key"))
             warn("unmapped_key", f"no mapping for {source_key!r}; value dropped")
             continue
         target, transform = row
@@ -578,7 +577,6 @@ def _oracle_harmonize(source, mappings, schema, *, on_warning=None):
             values.setdefault(target, None)
             continue
         outputs = _oracle_apply_transform(transform, raw, target, mappings.tz_default, warn)
-        applied.append((target, transform))
         for out_path, out_value in outputs.items():
             entry = schema.entry(out_path)
             if entry is not None and transform in (TRANSFORM_NONE,):
@@ -594,7 +592,7 @@ def _oracle_harmonize(source, mappings, schema, *, on_warning=None):
             trace.append((source_key, out_path))
     _apply_defaults(values, mappings.tz_default)
     record = assemble_record(values, schema)
-    return HarmonizedRecord(record, tuple(applied), tuple(dropped), tuple(trace))
+    return HarmonizedRecord(record, tuple(trace))
 
 
 # A hand-built table: two keys onto one target, a height target whose sibling

@@ -26,8 +26,8 @@ from casepipe.sources import detect_source, load_signatures
 
 RULESETS = load_rulesets(bundled_path("rulesets"))
 SIGNATURES = load_signatures(bundled_path("signatures.jsonl"))
-MAPPINGS = load_mapping_dir(bundled_path("mappings"))
 SCHEMA = default_schema()
+MAPPINGS = load_mapping_dir(bundled_path("mappings"), SCHEMA)
 
 REGISTRY_CIRCUMSTANCES = (
     "Avery Quill was last seen leaving the public library in the late "

@@ -23,7 +23,7 @@ from casepipe.synth import FAMILY_LABELS, SynthesisSpec, synthesize, write_corpu
 SCHEMA = default_schema()
 SIGNATURES = load_signatures(bundled_path("signatures.jsonl"))
 RULESETS = load_rulesets(bundled_path("rulesets"))
-MAPPINGS = load_mapping_dir(bundled_path("mappings"))
+MAPPINGS = load_mapping_dir(bundled_path("mappings"), SCHEMA)
 GAZETTEER = Gazetteer.load(bundled_path("gazetteer.jsonl"))
 
 ALL_FAMILIES = {FAMILY_REGISTRY: 5, FAMILY_BULLETIN: 5, FAMILY_NARRATIVE: 5}
