@@ -20,22 +20,25 @@ record is encoded into its path's ``emit.RecordBuffer`` when it is finished,
 so a run holds every record as its output text, not as a dict.
 
 Each document has a read half (``_read``: extract, cut, split, detect and
-the rule path's draft), which returns plain data, and a finish half that
-runs in document order on the calling thread: warnings, the record buffers,
-the geocode cache's counts and file, and every backend call, of which only
-the exchanges of a backend that waits on I/O (``wire``) leave it, at most
+the rule path's draft), which returns plain data, each segment's identity
+built once there as one ``(document_id, case_id, source_label, family)``
+tuple that goes whole to accept, and a finish half that runs in document
+order on the calling thread: warnings, the record buffers, the geocode
+cache's counts and file, and every backend call, of which only the
+exchanges of a backend that waits on I/O (``wire``) leave it, at most
 --max-in-flight at once, repairs included. What ``_read`` does depends only
 on the enabled paths: with both, it also runs each rule record's pure half
 (stamp, geocode, validate, encode), which the calling thread runs on the
 rule path alone. Which process runs it depends only on the platform: where
 ``_reads_ahead`` allows, a forked child reads ahead, with the same bytes
 out. Records are geocoded against a copy of the run's cache that writes no
-file and journals each lookup, and reach one accept step (``_accept``) on
-the calling thread as the same plain data: the encoded row, the record's
-warnings, its repair-log row, its runtime and its lookups, which it replays
-into the run's cache in document order. Every warning is ``(stage,
-severity, code, message)`` and is logged there, with its record, or for
-extract and detect warnings its document.
+file and journals each lookup, which ``apply_geocode`` hands back with its
+own warnings, and reach one accept step (``_accept``) on the calling thread
+as the same plain data: the encoded row, the record's warnings, its
+repair-log row, its runtime and its lookups, which it replays into the
+run's cache in document order. Every warning is ``(stage, severity, code,
+message)`` and is logged there, with its record, or for extract and detect
+warnings its document.
 The in-process test doubles are called inline, so with them, as on the rule
 path alone, a run starts no thread.
 
@@ -64,6 +67,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, NamedTuple, 
 from casepipe import emit
 from casepipe.config import ConfigError, bundled_path, iter_jsonl
 from casepipe.extract import (
+    ENGINE_PLAINTEXT,
     ExtractionFailure,
     SourceDocument,
     cut_trailer,
@@ -72,7 +76,7 @@ from casepipe.extract import (
     split_cases,
 )
 from casepipe.geocode import Gazetteer, GeocodeCache, apply_geocode, replay_lookup
-from casepipe.harmonize import MappingTable, harmonize, identity_table, load_mapping_dir
+from casepipe.harmonize import harmonize, identity_table, load_mapping_dir
 from casepipe.llm import (
     BACKENDS,
     DEFAULT_BUDGET_CHARS,
@@ -84,6 +88,7 @@ from casepipe.llm import (
     CandidateParseError,
     build_extraction_prompt,
     call_backend,
+    check_backend_params,
     make_backend,
     repair_loop,
     sanitize_candidate,
@@ -142,6 +147,12 @@ _BUNDLED = {
 }
 
 
+# The fields only the llm path reads.
+_LLM_ONLY = (
+    "backend", "backend_params", "budget_chars", "max_repair_attempts", "max_in_flight", "seed"
+)
+
+
 class RunConfig(_ConfigFields):
     """Everything one pipeline run needs, resolved and checkable up front."""
 
@@ -185,17 +196,21 @@ class RunConfig(_ConfigFields):
 
     def digest(self) -> str:
         """A hash of what determines the run's records: every field but
-        where the outputs go and the provenance clock.
+        where the outputs go and the provenance clock, and on a rule-only
+        run, the fields only the llm path reads.
 
         Bundled resources are recorded by name and explicit paths as given,
         so one configuration digests alike in every checkout.
         """
         payload = self._asdict()
+        payload["backend_params"] = dict(self.backend_params or {})
         del payload["output_dir"], payload["ingest_ts"]
+        if self.paths_enabled == "rule":
+            for field in _LLM_ONLY:
+                del payload[field]
         for field, name in _BUNDLED.items():
             if payload[field] is None:
                 payload[field] = f"bundled:{name}"
-        payload["backend_params"] = dict(self.backend_params or {})
         blob = json.dumps(payload, sort_keys=True, ensure_ascii=False, default=str)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
@@ -222,13 +237,15 @@ class _PathOutput(NamedTuple):
     runtimes: list[tuple[str, float]]
 
 
+# A segment's identity from read to accept: (document_id, case_id,
+# source_label, family). A plain tuple, which ``marshal`` carries.
+_Segment = tuple[str, str, str, str]
+
+
 class _LlmJob(NamedTuple):
     """One segment's llm-path record between its request and its finish."""
 
-    document_id: str
-    case_id: str
-    source: tuple[str, str]
-    engine: str
+    segment: _Segment
     request: BackendRequest
     build_s: float
 
@@ -272,47 +289,45 @@ class _Pipeline:
         self.rulesets = (
             load_rulesets(config.resolved("rulesets_dir")) if "rule" in self.enabled else {}
         )
-        self.mappings = load_mapping_dir(config.resolved("mappings_dir"), self.schema)
-        if UNKNOWN_LABEL not in self.mappings:
+        mappings = load_mapping_dir(config.resolved("mappings_dir"), self.schema)
+        if UNKNOWN_LABEL not in mappings:
             raise ConfigError(
                 f"mappings directory lacks a table for {UNKNOWN_LABEL!r} sources"
             )
         for signature in self.signatures:
-            if signature.source_label not in self.mappings:
+            if signature.source_label not in mappings:
                 raise ConfigError(
                     f"no mapping table for source {signature.source_label!r}"
                 )
+        # Each source's (mapping table, identity table); one identity per tz_default.
+        identities = {
+            tz: identity_table(self.schema, tz_default=tz)
+            for tz in {table.tz_default for table in mappings.values()}
+        }
+        self.tables = {
+            label: (table, identities[table.tz_default]) for label, table in mappings.items()
+        }
         self.gazetteer = Gazetteer.load(config.resolved("gazetteer_path"))
         self.cache = GeocodeCache(config.cache_path)
         # What records are geocoded against, in whichever process finishes
         # them; only ``_accept`` feeds the run's cache, replaying the lookups.
         self.lookup_cache = self.cache.journaling_copy()
-        self.backend = None
-        if "llm" in self.enabled:
-            params = dict(config.backend_params or {})
-            if config.seed is not None:
-                params.setdefault("seed", config.seed)
-            self.backend = make_backend(config.backend, params)
+        params = dict(config.backend_params or {})
+        if config.seed is not None:
+            params.setdefault("seed", config.seed)
+        # A rule-only run builds no backend, but refuses a param it would not read.
+        check_backend_params(config.backend, params)
+        self.backend = make_backend(config.backend, params) if "llm" in self.enabled else None
         self.ingest_ts = config.ingest_ts or datetime.now(timezone.utc).isoformat(
             timespec="seconds"
         )
         self.warning_log = emit.WarningLog(self.ingest_ts)
-        self._identity_tables: dict[str | None, MappingTable] = {}
         self.segments = 0
         self.outputs = {
             label: _PathOutput(emit.RecordBuffer(), [], []) for label, _ in _PATHS
         }
 
     # -- helpers ----------------------------------------------------------
-
-    def _identity_for(self, source_label: str) -> MappingTable:
-        mapping = self.mappings.get(source_label) or self.mappings[UNKNOWN_LABEL]
-        tz_default = mapping.tz_default
-        table = self._identity_tables.get(tz_default)
-        if table is None:
-            table = identity_table(self.schema, tz_default=tz_default)
-            self._identity_tables[tz_default] = table
-        return table
 
     def _log(self, document_id: str, case_id: str | None, warnings: Sequence[_Warning]) -> None:
         for stage, severity, code, message in warnings:
@@ -326,63 +341,41 @@ class _Pipeline:
             )
 
     def _stamp(
-        self,
-        record: dict,
-        warnings: list[_Warning],
-        *,
-        case_id: str,
-        source: tuple[str, str],
-        engine_used: str,
-        document_id: str,
-        extraction_path: str,
-        field_origins: dict[str, list[int]],
+        self, record: dict, warnings: list[_Warning], segment: _Segment, path: str, origins: dict
     ) -> tuple:
-        """Stamp the record's case_id and provenance, geocode it, adding any
-        geocode warning to ``warnings``, and set its warnings_count to the
-        number of ``warnings`` then. ``source`` is the detected
-        ``(source_label, family)``. Returns the geocode lookups, as
-        ``(key, value)`` pairs, for ``_accept`` to replay."""
-        record["case_id"] = case_id
+        """Stamp the record's case_id and provenance from ``segment``, its
+        extraction ``path`` and its field ``origins``, geocode it, adding
+        the geocode warnings to ``warnings``, and set its warnings_count to
+        their number then. Returns ``apply_geocode``'s lookups."""
+        record["case_id"] = segment[1]
         prov = record.setdefault("provenance", {})
-        prov["source_label"], prov["source_family"] = source
-        prov["extraction_path"] = extraction_path
-        prov["engine_used"] = engine_used
-        prov["document_id"] = document_id
+        prov["source_label"], prov["source_family"] = segment[2:]
+        prov["extraction_path"] = path
+        prov["engine_used"] = ENGINE_PLAINTEXT
+        prov["document_id"] = segment[0]
         prov["ingest_ts"] = self.ingest_ts
         prov["repair_count"] = 0
-        prov["field_origins"] = field_origins
-        before = len(warnings)
-        cache = self.lookup_cache
-        apply_geocode(record, self.gazetteer, cache, on_warning=_collect(warnings, "geocode"))
-        # apply_geocode warns only of an ambiguous place, which was found, in
-        # several regions, so it is not also unmatched.
-        spatial = record.get("spatial", {})
-        if (
-            len(warnings) == before
-            and spatial.get("geocode_method") == "none"
-            and any(spatial.get(k) for k in ("last_seen_location", "city", "postal_code"))
-        ):
-            message = "no gazetteer match for the record's place text"
-            warnings.append(("geocode", "warning", "geocode_no_match", message))
+        prov["field_origins"] = origins
+        lookups = apply_geocode(
+            record, self.gazetteer, self.lookup_cache, on_warning=_collect(warnings, "geocode")
+        )
         prov["warnings_count"] = len(warnings)
-        lookups = tuple(cache.journal)
-        cache.journal.clear()
         return lookups
 
     # -- per-segment paths -------------------------------------------------
 
-    def _draft_rule(self, segment, detection) -> tuple:
-        """The read half of a segment's rule path: the harmonized record, its
-        field origins, its parse and harmonize warnings, and the seconds
-        taken."""
+    def _draft_rule(self, case, detection) -> tuple:
+        """The read half of a case segment's rule path: the harmonized
+        record, its field origins, its parse and harmonize warnings, and the
+        seconds taken."""
         started = perf_counter()
         warnings: list[_Warning] = []
         draft: DraftRecord = dispatch(
-            detection, segment, self.rulesets, on_warning=_collect(warnings, "parse")
+            detection, case, self.rulesets, on_warning=_collect(warnings, "parse")
         )
         harmonized = harmonize(
             draft,
-            self.mappings.get(detection.source_label) or self.mappings[UNKNOWN_LABEL],
+            self.tables[detection.source_label][0],
             self.schema,
             on_warning=_collect(warnings, "harmonize"),
         )
@@ -391,51 +384,41 @@ class _Pipeline:
             candidate = draft.candidates.get(source_key)
             if candidate is not None:
                 origins[target_path] = [
-                    segment.segment_index,
+                    case.segment_index,
                     candidate.char_start,
                     candidate.char_end,
                 ]
         return harmonized.record, origins, warnings, perf_counter() - started
 
-    def _finish_rule(
-        self, document_id: str, case_id: str, source: tuple, engine: str, draft: tuple
-    ) -> tuple:
+    def _finish_rule(self, segment: _Segment, draft: tuple) -> tuple:
         """The pure half of a rule record after its draft: stamp, geocode,
         validate and encode it. Returns plain data ``marshal`` carries, for
         ``_accept``: ``(row, warnings, log row, seconds, lookups)``, the row
         as ``emit.encode_row`` gives it."""
         started = perf_counter()
         record, origins, warnings, drafted_s = draft
-        lookups = self._stamp(
-            record,
-            warnings,
-            case_id=case_id,
-            source=source,
-            engine_used=engine,
-            document_id=document_id,
-            extraction_path="rule",
-            field_origins=origins,
-        )
+        lookups = self._stamp(record, warnings, segment, "rule", origins)
         report = validate(record, self.schema)
         for violation in report.violations:
             message = f"{violation.field_path}: {violation.code}: {violation.message}"
             warnings.append(("validate", "warning", "validation_violation", message))
         row = emit.encode_row(record)
         log = {
-            "case_id": case_id,
+            "case_id": segment[1],
             "pre_valid": report.valid,
             "post_valid": report.valid,
             "attempts": 0,
         }
         return row, warnings, log, drafted_s + perf_counter() - started, lookups
 
-    def _accept(self, label: str, document_id: str, case_id: str, finished: tuple) -> None:
+    def _accept(self, label: str, segment: _Segment, finished: tuple) -> None:
         """The accept half of either path's record, on the calling thread:
         log the warnings of a finished ``(row, warnings, log row, seconds,
         lookups)``, replay its lookups into the cache, and keep its row
         (``None`` for a withheld record), its log row (``None`` when no
         record was parsed) and its runtime."""
         row, warnings, log, seconds, lookups = finished
+        document_id, case_id = segment[:2]
         self._log(document_id, case_id, warnings)
         for key, value in lookups:
             replay_lookup(key, value, self.cache)
@@ -446,9 +429,7 @@ class _Pipeline:
             output.log.append(log)
         output.runtimes.append((case_id, seconds))
 
-    def _llm_request(
-        self, document_id: str, text: str, source: tuple, case_id: str, engine: str
-    ) -> _LlmJob:
+    def _llm_request(self, segment: _Segment, text: str) -> _LlmJob:
         started = perf_counter()
         prompt = build_extraction_prompt(
             text, self.schema, budget_chars=self.config.budget_chars
@@ -457,11 +438,9 @@ class _Pipeline:
             prompt=prompt,
             tier=TIER_EXTRACT,
             timeout_s=DEFAULT_TIMEOUT_S,
-            request_id=f"{case_id}:extract",
+            request_id=f"{segment[1]}:extract",
         )
-        return _LlmJob(
-            document_id, case_id, source, engine, request, perf_counter() - started
-        )
+        return _LlmJob(segment, request, perf_counter() - started)
 
     def _finish_llm(
         self, job: _LlmJob, extracted: _Exchanged, exchange: _Exchange
@@ -475,7 +454,7 @@ class _Pipeline:
         started = perf_counter()
         response, spent = extracted
         waited = 0.0
-        case_id = job.case_id
+        case_id = job.segment[1]
         warnings: list[_Warning] = []
         lookups: tuple = ()
 
@@ -491,7 +470,7 @@ class _Pipeline:
 
         def accept(row: tuple | None = None, log: dict | None = None) -> None:
             own = job.build_s + spent + perf_counter() - started - waited
-            self._accept("llm", job.document_id, case_id, (row, warnings, log, own, lookups))
+            self._accept("llm", job.segment, (row, warnings, log, own, lookups))
 
         if isinstance(response, BackendError):
             warnings.append(("parse", "error", "backend_error", str(response)))
@@ -505,21 +484,12 @@ class _Pipeline:
             return accept()
         harmonized = harmonize(
             candidate,
-            self._identity_for(job.source[0]),
+            self.tables[job.segment[2]][1],
             self.schema,
             on_warning=_collect(warnings, "harmonize"),
         )
         record = harmonized.record
-        lookups = self._stamp(
-            record,
-            warnings,
-            case_id=case_id,
-            source=job.source,
-            engine_used=job.engine,
-            document_id=job.document_id,
-            extraction_path="llm",
-            field_origins={},
-        )
+        lookups = self._stamp(record, warnings, job.segment, "llm", {})
         outcome = repair_loop(
             record,
             self.schema,
@@ -551,18 +521,19 @@ class _Pipeline:
 
     def _read(self, path: Path) -> tuple:
         """The read half of one document, as plain data ``marshal`` carries:
-        ``(document_id, engine_used, warnings, segments)``, the warnings
-        being the extract stage's; each segment is ``(case_id, (source_label,
-        family), rule, llm text or None)``. ``rule`` is None without the rule
-        path, ``_draft_rule``'s draft with it alone, and with both paths the
-        record ``_finish_rule`` finished from that draft. Split and detection
-        see the content only; the trailer is normalized only for the llm
-        path, and only the last text carries it."""
+        ``(document_id, warnings, [(segment, rule, llm text or None), ...])``,
+        the warnings being the extract stage's and each ``segment`` the
+        ``(document_id, case_id, source_label, family)`` that goes whole to
+        accept. ``rule`` is None without the rule path, ``_draft_rule``'s
+        draft with it alone, and with both paths the record ``_finish_rule``
+        finished from that draft. Split and detection see the content only;
+        the trailer is normalized only for the llm path, and only the last
+        text carries it."""
         document_id = path.stem
         try:
             extracted = extract_text(SourceDocument(document_id=document_id, path=path))
         except ExtractionFailure as exc:
-            return document_id, "", (("extract", "error", "extraction_failed", str(exc)),), ()
+            return document_id, (("extract", "error", "extraction_failed", str(exc)),), ()
         warnings = []
         if extracted.fallback_offset is not None:
             message = f"not UTF-8 at byte {extracted.fallback_offset}; decoded as cp1252"
@@ -574,43 +545,42 @@ class _Pipeline:
         # ``prenormalize`` is passed by this module's name, which tracing
         # patches.
         content, trailer = cut_trailer(extracted.text, prenormalize)
-        segments = split_cases(content)
-        engine = extracted.engine_used
+        cases = split_cases(content)
         llm = "llm" in self.enabled
         if llm and trailer:
             trailer = prenormalize(trailer)
-        last = segments[-1]
+        last = cases[-1]
         read = []
-        for segment in segments:
-            detection = detect_source(segment.text, self.signatures)
-            case_id = f"{document_id}#s{segment.segment_index}"
-            source = (detection.source_label, detection.family)
+        for case in cases:
+            detection = detect_source(case.text, self.signatures)
+            case_id = f"{document_id}#s{case.segment_index}"
+            segment = (document_id, case_id, detection.source_label, detection.family)
             rule = text = None
             if "rule" in self.enabled:
-                rule = self._draft_rule(segment, detection)
+                rule = self._draft_rule(case, detection)
                 if llm:
-                    rule = self._finish_rule(document_id, case_id, source, engine, rule)
+                    rule = self._finish_rule(segment, rule)
             if llm:
-                text = segment.text + trailer if segment is last else segment.text
-            read.append((case_id, source, rule, text))
-        return document_id, engine, warnings, read
+                text = case.text + trailer if case is last else case.text
+            read.append((segment, rule, text))
+        return document_id, warnings, read
 
     def _finish_document(self, read: tuple) -> Iterator[_LlmJob]:
         """The finish half of a document ``_read`` read: log its warnings,
-        accept each rule record, finishing it first on a rule-only run, and
-        yield each segment's llm request."""
-        document_id, engine, warnings, segments = read
+        and for each segment log an unknown source, accept the rule record,
+        finishing it first on a rule-only run, and yield the llm request."""
+        document_id, warnings, segments = read
         self._log(document_id, None, warnings)
         self.segments += len(segments)
-        for case_id, source, rule, text in segments:
-            if source[0] == UNKNOWN_LABEL:
-                self._log(document_id, case_id, _UNKNOWN_SOURCE)
+        for segment, rule, text in segments:
+            if segment[2] == UNKNOWN_LABEL:
+                self._log(document_id, segment[1], _UNKNOWN_SOURCE)
             if rule is not None:
                 if text is None:  # the rule path alone: ``rule`` is a draft
-                    rule = self._finish_rule(document_id, case_id, source, engine, rule)
-                self._accept("rule", document_id, case_id, rule)
+                    rule = self._finish_rule(segment, rule)
+                self._accept("rule", segment, rule)
             if text is not None:
-                yield self._llm_request(document_id, text, source, case_id, engine)
+                yield self._llm_request(segment, text)
 
     def process(self, files: Sequence[Path]) -> None:
         """Run every document, in order, adding what each path produces to

@@ -157,11 +157,11 @@ def cut_trailer(
 
     ``content`` is ``prenormalize(text)`` up to its first ``END_SENTINEL``
     (all of it when there is none), and ``content + prenormalize(trailer)``
-    is ``prenormalize(text)``. Only the lines above the sentinel's line and
-    that one line are normalized: normalization works line by line, and a
-    run of blank lines ends at the sentinel's line, which is not blank. The
-    trailer is that line from the sentinel on, plus the lines below it as
-    they were read.
+    is ``prenormalize(text)``. Only the text up to the end of the first raw
+    sentinel's line is normalized, in one call: normalization works line by
+    line, and a run of blank lines ends at the sentinel's line, which is not
+    blank. The trailer is that normalized text from its first sentinel on,
+    plus the lines below the raw sentinel's line as they were read.
 
     A sentinel that only normalization reveals (tabs, doubled spaces or
     control characters inside it) has no raw match; without one the whole
@@ -171,21 +171,14 @@ def cut_trailer(
     """
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     found = text.find(END_SENTINEL)
-    if found < 0:
-        normalized = normalize(text)
-        cut = normalized.find(END_SENTINEL)
-        return (normalized, "") if cut < 0 else (normalized[:cut], normalized[cut:])
-    line_start = text.rfind("\n", 0, found) + 1
-    head = normalize(text[: line_start - 1]) + "\n" if line_start else ""
+    end = text.find("\n", found) if found >= 0 else -1
+    if end < 0:
+        end = len(text)
+    head = normalize(text[:end])
     cut = head.find(END_SENTINEL)
-    if cut >= 0:
-        return head[:cut], head[cut:] + text[line_start:]
-    line_end = text.find("\n", found)
-    if line_end < 0:
-        line_end = len(text)
-    line = normalize(text[line_start:line_end])
-    cut = line.find(END_SENTINEL)
-    return head + line[:cut], line[cut:] + text[line_end:]
+    if cut < 0:
+        return head, ""
+    return head[:cut], head[cut:] + text[end:]
 
 
 # ---------------------------------------------------------------------------

@@ -371,37 +371,53 @@ def apply_geocode(
     gazetteer: Gazetteer,
     cache: GeocodeCache,
     on_warning: WarnFn | None = None,
-) -> None:
-    """Fill spatial coordinates on a record in place, when a place is known.
+) -> tuple[tuple[str, CacheValue], ...]:
+    """Fill spatial coordinates on a record in place, when a place is known,
+    and return the ``(key, value)`` lookups a journaling cache recorded.
 
     Records that already carry coordinates bypass resolution entirely and are
     marked source_provided. Records with no usable place text are left
-    untouched (method stays "none", coordinates stay null).
+    untouched (method stays "none", coordinates stay null). A record whose
+    method stays "none" though it names a last_seen_location, city or postal
+    code warns ``geocode_no_match``, unless its place was ambiguous. The
+    lookups are cleared from the journal; a cache without one gives ``()``.
     """
+    warned: list[str] = []
+
+    def note(code: str, message: str) -> None:
+        warned.append(code)
+        if on_warning is not None:
+            on_warning(code, message)
+
     spatial = record.get("spatial")
     if not isinstance(spatial, dict):
-        return
+        return ()
     if spatial.get("lat") is not None and spatial.get("lon") is not None:
         if spatial.get("geocode_method") in (None, "none"):
             spatial["geocode_method"] = "source_provided"
-        return
+        return ()
 
     state = spatial.get("state")
     raw_place = spatial.get("last_seen_location")
     if raw_place is None:
         parts = (spatial.get("city"), state, spatial.get("postal_code"))
         raw_place = " ".join(p for p in parts if p)
-    if not raw_place or not _TOKEN_RE.search(raw_place.casefold()):
-        return
-
-    query = GeocodeQuery(normalize_place(raw_place), bias_region=state)
-    result = geocode(query, gazetteer, cache, on_warning)
-    if not result.matched:
-        return
-    spatial["lat"] = result.lat
-    spatial["lon"] = result.lon
-    spatial["geocode_method"] = "gazetteer"
-    spatial["geocode_plausible"] = result.plausible
+    if raw_place and _TOKEN_RE.search(raw_place.casefold()):
+        query = GeocodeQuery(normalize_place(raw_place), bias_region=state)
+        result = geocode(query, gazetteer, cache, note)
+        if result.matched:
+            spatial["lat"] = result.lat
+            spatial["lon"] = result.lon
+            spatial["geocode_method"] = "gazetteer"
+            spatial["geocode_plausible"] = result.plausible
+    if not warned and spatial.get("geocode_method") == "none" and any(
+        spatial.get(k) for k in ("last_seen_location", "city", "postal_code")
+    ):
+        note("geocode_no_match", "no gazetteer match for the record's place text")
+    lookups = tuple(cache.journal or ())
+    if lookups:
+        cache.journal.clear()
+    return lookups
 
 
 __all__ = [

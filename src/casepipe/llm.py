@@ -21,7 +21,7 @@ import os
 import re
 import threading
 import time
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from casepipe.config import ConfigError
 from casepipe.emit import canonical_json
@@ -647,23 +647,27 @@ BACKENDS: dict[str, tuple[_Factory, tuple[str, ...]]] = {
 }
 
 
-def make_backend(name: str, params: dict[str, Any] | None = None) -> _CountingBackend:
-    """Build a backend; a param it does not read is a ConfigError."""
+def check_backend_params(name: str, params: Mapping[str, Any]) -> None:
+    """Raise a ConfigError for an unknown backend or a param it does not read."""
     entry = BACKENDS.get(name)
     if entry is None:
         known = ", ".join(sorted(BACKENDS))
         raise ConfigError(f"unknown backend {name!r} (known: {known})")
-    factory, keys = entry
-    params = params or {}
-    known_keys = sorted({"seed", *keys})
+    known_keys = sorted({"seed", *entry[1]})
     for key in sorted(params):
         if key not in known_keys:
             raise ConfigError(
                 f"backend {name!r}: unknown param {key!r} "
                 f"(known: {', '.join(known_keys)})"
             )
+
+
+def make_backend(name: str, params: dict[str, Any] | None = None) -> _CountingBackend:
+    """Build a backend; a param it does not read is a ConfigError."""
+    params = params or {}
+    check_backend_params(name, params)
     try:
-        return factory(params)
+        return BACKENDS[name][0](params)
     except ConfigError:
         raise
     except ValueError as exc:

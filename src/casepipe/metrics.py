@@ -573,24 +573,19 @@ class _ReportFields(NamedTuple):
     record_count: int
 
 
+# The report fields that are not one number; of the others, all but the
+# runtime_* fields are rates in [0, 1].
+_NOT_SCALAR = ("completeness_by_field", "record_count")
+
+
 class MetricsReport(_ReportFields):
     __slots__ = ()
 
     def __new__(cls, *args: Any, **kwargs: Any) -> MetricsReport:
         self = super().__new__(cls, *args, **kwargs)
-        for name in (
-            "precision",
-            "recall",
-            "f1",
-            "structured_field_accuracy",
-            "completeness_overall",
-            "geocode_success_rate",
-            "geocode_plausible_rate",
-            "pre_pass_rate",
-            "post_pass_rate",
-            "repair_rate",
-        ):
-            value = getattr(self, name)
+        for name, value in zip(self._fields, self):
+            if name in _NOT_SCALAR or name.startswith("runtime_"):
+                continue
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} out of range: {value}")
         if self.f1 != f1_score(self.precision, self.recall):
@@ -698,22 +693,9 @@ def format_report(reports: Mapping[str, MetricsReport], config_digest: str) -> s
     def add(name: str, values: list[Any], fmt: str = "{:.4f}") -> None:
         rows.append((name, [fmt.format(v) for v in values]))
 
-    scalar_fields = [
-        "precision",
-        "recall",
-        "f1",
-        "structured_field_accuracy",
-        "completeness_overall",
-        "geocode_success_rate",
-        "geocode_plausible_rate",
-        "pre_pass_rate",
-        "post_pass_rate",
-        "repair_rate",
-        "runtime_mean_s",
-        "runtime_p95_s",
-    ]
-    for field in scalar_fields:
-        add(field, [getattr(reports[label], field) for label in labels])
+    for field in _ReportFields._fields:
+        if field not in _NOT_SCALAR:
+            add(field, [getattr(reports[label], field) for label in labels])
     add("record_count", [reports[label].record_count for label in labels], "{}")
     key_fields = sorted(
         {f for label in labels for f in reports[label].completeness_by_field}

@@ -235,6 +235,31 @@ class TestFrontEnd:
         )
         assert config.digest() == "5c6dd454915d93b4"
 
+    def test_a_rule_only_run_refuses_a_param_its_backend_would_not_read(self, tmp_path, capsys):
+        flags = ["--paths", "rule", "--backend", "never_fix", "--backend-param", "bogus=1"]
+        assert cli.main(["run", "--input", str(tmp_path), "--output", str(tmp_path / "o"), *flags]) == 2
+        assert "unknown param 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_a_rule_only_run_builds_no_backend(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("CASEPIPE_BACKEND_URL", raising=False)
+        flags = ["--paths", "rule", "--backend", "wire"]
+        assert cli.main(["run", "--input", str(tmp_path), "--output", str(tmp_path / "o"), *flags]) == 0
+
+    def test_a_rule_only_digest_leaves_out_the_llm_only_fields(self):
+        config = RunConfig(
+            Path("/x"),
+            Path("/o"),
+            paths_enabled="rule",
+            backend="never_fix",
+            backend_params={"inject_every": "3"},
+            budget_chars=99,
+            max_repair_attempts=3,
+            max_in_flight=4,
+            seed=11,
+        )
+        assert config.digest() == RunConfig(Path("/x"), Path("/o"), paths_enabled="rule").digest()
+
 
 @pytest.fixture(scope="module")
 def finished(mixed_corpus, tmp_path_factory):

@@ -252,5 +252,5 @@ class TestCutTrailer:
         below = "\n%%CASE-GOLD:" + "QUJD" * 50 + "%%\n"
         content, trailer = cut_trailer("Full Name: A\t B\r\n" + END_SENTINEL + below, recording)
         assert content == "Full Name: A B\n"
-        assert seen == ["Full Name: A\t B", END_SENTINEL]
+        assert seen == ["Full Name: A\t B\n" + END_SENTINEL]
         assert trailer == END_SENTINEL + below

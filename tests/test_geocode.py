@@ -363,6 +363,69 @@ class TestApplyGeocode:
         assert resolves == [0]
 
 
+    # apply_geocode owns its outcome: the warnings it decides and the
+    # lookups a journaling cache recorded in the call.
+
+    def test_the_lookups_are_the_calls_journal_entries_then_cleared(self, gazetteer, cache):
+        copy = cache.journaling_copy()
+        record = self.record_with(**{"spatial.city": "Dover", "spatial.state": "Delaware"})
+        looked_up = apply_geocode(record, gazetteer, copy)
+        assert looked_up == (("dover|delaware@delaware", (39.158, -75.524, "Dover")),)
+        assert copy.journal == []
+        again = apply_geocode(self.record_with(**{"spatial.city": "Dover"}), gazetteer, copy)
+        assert again == (("dover", (39.158, -75.524, "Dover")),)
+        assert copy.journal == []
+
+    def test_a_cache_that_does_not_journal_gives_no_lookups(self, gazetteer, cache):
+        record = self.record_with(**{"spatial.city": "Dover"})
+        assert apply_geocode(record, gazetteer, cache) == ()
+        assert resolve_path(record, "spatial.geocode_method") == "gazetteer"
+
+    @pytest.mark.parametrize(
+        "spatial",
+        [{"spatial.city": "Springfield"}, {"spatial.postal_code": "99999"}],
+    )
+    def test_unmatched_place_text_warns_no_match(self, gazetteer, cache, spatial):
+        seen, warn = collect_warnings()
+        record = self.record_with(**spatial)
+        assert len(apply_geocode(record, gazetteer, cache.journaling_copy(), warn)) == 1
+        assert seen == ["geocode_no_match"]
+        assert resolve_path(record, "spatial.geocode_method") == "none"
+
+    def test_place_text_without_a_token_warns_no_match_and_looks_nothing_up(
+        self, gazetteer, cache
+    ):
+        seen, warn = collect_warnings()
+        record = self.record_with(**{"spatial.last_seen_location": "--"})
+        assert apply_geocode(record, gazetteer, cache.journaling_copy(), warn) == ()
+        assert seen == ["geocode_no_match"]
+
+    def test_an_ambiguous_place_warns_only_of_the_ambiguity(self, gazetteer, cache):
+        seen, warn = collect_warnings()
+        record = self.record_with(**{"spatial.city": "Ashford"})
+        looked_up = apply_geocode(record, gazetteer, cache.journaling_copy(), warn)
+        message = "'ashford' exists in several regions and no region was given"
+        assert looked_up == (("ashford", message),)
+        assert seen == ["ambiguous_place"]
+
+    @pytest.mark.parametrize(
+        "spatial, lookups",
+        [
+            ({}, ()),
+            ({"spatial.state": "Ohio"}, (("ohio@ohio", None),)),
+            ({"spatial.lat": 10.0, "spatial.lon": 20.0, "spatial.city": "Springfield"}, ()),
+        ],
+        ids=["no_place_text", "a_state_alone", "source_provided"],
+    )
+    def test_no_warning_without_place_text_or_with_source_coordinates(
+        self, gazetteer, cache, spatial, lookups
+    ):
+        seen, warn = collect_warnings()
+        record = self.record_with(**spatial)
+        assert apply_geocode(record, gazetteer, cache.journaling_copy(), warn) == lookups
+        assert seen == []
+
+
 class TestBundledGazetteer:
     def test_fixture_loads_and_has_frozen_places(self):
         from casepipe.config import bundled_path

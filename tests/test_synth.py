@@ -95,6 +95,20 @@ class TestDeterminism:
         write_corpus(SynthesisSpec(seed=9, count_per_family=counts_b), tmp_path / "b")
         assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
 
+    @pytest.mark.parametrize(
+        "dropout, digest",
+        [
+            (0.0, "0a3beb469a6012c307ebd8e0f58fcee8c1442287fec6bdf9b73b701206ccd7fb"),
+            (0.5, "c4f3379eef6eb6d1504141efb6718e2f3ff0ae3048e0e0595538fb9b29d16e4c"),
+        ],
+    )
+    def test_corpus_bytes_are_pinned(self, tmp_path, dropout, digest):
+        # The benchmark's corpora come from write_corpus; a change to what
+        # it writes for a given spec must be made on purpose.
+        spec = SynthesisSpec(seed=7, count_per_family=ALL_FAMILIES, label_dropout_rate=dropout)
+        write_corpus(spec, tmp_path)
+        assert tree_digest(tmp_path) == digest
+
     def test_different_seed_different_corpus(self):
         texts = lambda seed: [
             c.document_text
