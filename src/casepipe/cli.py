@@ -15,30 +15,34 @@ cases_llm.jsonl/csv (per enabled path), warnings.jsonl, run_summary.json,
 and, when a gold file is given, metrics_<path>.json plus report.txt. Until
 they are written, a run's records, repair-log rows and runtime samples
 accumulate per path on the pipeline, in its ``outputs``, with the segment
-count beside them; ``run`` sorts each by case_id as it writes it. Each
-record is encoded into its path's ``emit.RecordBuffer`` when it is finished,
-so a run holds every record as its output text, not as a dict.
+count beside them, in the process that finished the records; ``run`` sorts
+each by case_id as it writes it. Each record is encoded into its path's
+``emit.RecordBuffer`` when it is finished, so a run holds every record as
+its output text, not as a dict.
 
 Each document has a read half (``_read``: extract, cut, split, detect and
 the rule path's draft), which returns plain data, each segment's identity
 built once there as one ``(document_id, case_id, source_label, family)``
 tuple that goes whole to accept, and a finish half that runs in document
-order on the calling thread: warnings, the record buffers, the geocode
+order on the calling thread: warnings, the llm record buffer, the geocode
 cache's counts and file, and every backend call, of which only the
 exchanges of a backend that waits on I/O (``wire``) leave it, at most
 --max-in-flight at once, repairs included. What ``_read`` does depends only
-on the enabled paths: with both, it also runs each rule record's pure half
-(stamp, geocode, validate, encode), which the calling thread runs on the
-rule path alone. Which process runs it depends only on the platform: where
-``_reads_ahead`` allows, a forked child reads ahead, with the same bytes
-out. Records are geocoded against a copy of the run's cache that writes no
-file and journals each lookup, which ``apply_geocode`` hands back with its
-own warnings, and reach one accept step (``_accept``) on the calling thread
-as the same plain data: the encoded row, the record's warnings, its
-repair-log row, its runtime and its lookups, which it replays into the
-run's cache in document order. Every warning is ``(stage, severity, code,
-message)`` and is logged there, with its record, or for extract and detect
-warnings its document.
+on the enabled paths: with both, it also finishes each rule record (stamp,
+geocode, validate, encode) and keeps its row, which the calling thread does
+on the rule path alone. Which process reads depends only on the platform:
+where ``_reads_ahead`` allows, a forked child reads ahead, with the same
+bytes out. After the last document the reader hands back once what it kept
+(``_hand_back``): on a both-path run, the rule record count, the rule files
+rendered, repair-log rows and runtimes; ``run`` writes those files beside
+its own once ``process`` has returned, so a failed run writes none.
+Records are geocoded against a copy of the run's cache that writes no file
+and journals each lookup, which ``apply_geocode`` hands back with its own
+warnings, and each record's warnings and lookups reach one accept step
+(``_accept``) on the calling thread as plain data, which logs the warnings
+and replays the lookups into the run's cache in document order. Every
+warning is ``(stage, severity, code, message)`` and is logged there, with
+its record, or for extract and detect warnings its document.
 The in-process test doubles are called inline, so with them, as on the rule
 path alone, a run starts no thread.
 
@@ -58,6 +62,7 @@ import os
 import sys
 import threading
 from collections import deque
+from itertools import islice
 from datetime import datetime, timezone
 from operator import itemgetter
 from pathlib import Path
@@ -391,10 +396,11 @@ class _Pipeline:
         return harmonized.record, origins, warnings, perf_counter() - started
 
     def _finish_rule(self, segment: _Segment, draft: tuple) -> tuple:
-        """The pure half of a rule record after its draft: stamp, geocode,
-        validate and encode it. Returns plain data ``marshal`` carries, for
-        ``_accept``: ``(row, warnings, log row, seconds, lookups)``, the row
-        as ``emit.encode_row`` gives it."""
+        """The rest of a rule record after its draft, in whichever process
+        runs it: stamp, geocode, validate and encode it, and keep its row,
+        log row and runtime there (``_keep``). Returns, as plain data
+        ``marshal`` carries, what ``_accept`` needs: ``(warnings,
+        lookups)``."""
         started = perf_counter()
         record, origins, warnings, drafted_s = draft
         lookups = self._stamp(record, warnings, segment, "rule", origins)
@@ -409,19 +415,26 @@ class _Pipeline:
             "post_valid": report.valid,
             "attempts": 0,
         }
-        return row, warnings, log, drafted_s + perf_counter() - started, lookups
+        self._keep("rule", segment[1], row, log, drafted_s + perf_counter() - started)
+        return warnings, lookups
 
-    def _accept(self, label: str, segment: _Segment, finished: tuple) -> None:
-        """The accept half of either path's record, on the calling thread:
-        log the warnings of a finished ``(row, warnings, log row, seconds,
-        lookups)``, replay its lookups into the cache, and keep its row
-        (``None`` for a withheld record), its log row (``None`` when no
-        record was parsed) and its runtime."""
-        row, warnings, log, seconds, lookups = finished
-        document_id, case_id = segment[:2]
-        self._log(document_id, case_id, warnings)
+    def _accept(self, segment: _Segment, warnings: list[_Warning], lookups: Sequence) -> None:
+        """The accept step of either path's record, on the calling thread and
+        in document order: log its warnings and replay its geocode lookups
+        into the run's cache. Its row was kept where it was finished; on a
+        both-path run that is the reader, which keeps every rule row and
+        hands them back rendered (``_hand_back``), so a rule record accepted
+        here without its row is not a withheld one."""
+        self._log(segment[0], segment[1], warnings)
         for key, value in lookups:
             replay_lookup(key, value, self.cache)
+
+    def _keep(
+        self, label: str, case_id: str, row: tuple | None, log: dict | None, seconds: float
+    ) -> None:
+        """Keep a finished record's row (``None`` for a withheld record), its
+        log row (``None`` when no record was parsed) and its runtime in its
+        path's ``outputs``."""
         output = self.outputs[label]
         if row is not None:
             output.records.append(row)
@@ -470,7 +483,8 @@ class _Pipeline:
 
         def accept(row: tuple | None = None, log: dict | None = None) -> None:
             own = job.build_s + spent + perf_counter() - started - waited
-            self._accept("llm", job.segment, (row, warnings, log, own, lookups))
+            self._accept(job.segment, warnings, lookups)
+            self._keep("llm", case_id, row, log, own)
 
         if isinstance(response, BackendError):
             warnings.append(("parse", "error", "backend_error", str(response)))
@@ -525,8 +539,9 @@ class _Pipeline:
         the warnings being the extract stage's and each ``segment`` the
         ``(document_id, case_id, source_label, family)`` that goes whole to
         accept. ``rule`` is None without the rule path, ``_draft_rule``'s
-        draft with it alone, and with both paths the record ``_finish_rule``
-        finished from that draft. Split and detection see the content only;
+        draft with it alone, and with both paths the ``(warnings, lookups)``
+        of the record ``_finish_rule`` finished from that draft, whose row
+        it kept. Split and detection see the content only;
         the trailer is normalized only for the llm path, and only the last
         text carries it."""
         document_id = path.stem
@@ -578,16 +593,38 @@ class _Pipeline:
             if rule is not None:
                 if text is None:  # the rule path alone: ``rule`` is a draft
                     rule = self._finish_rule(segment, rule)
-                self._accept("rule", segment, rule)
+                self._accept(segment, *rule)
             if text is not None:
                 yield self._llm_request(segment, text)
 
-    def process(self, files: Sequence[Path]) -> None:
+    def _reads(self, files: Sequence[Path]) -> Iterator[tuple]:
+        """The reader: ``_read`` of each file, then its ``_hand_back``."""
+        for path in files:
+            yield self._read(path)
+        yield self._hand_back()
+
+    def _hand_back(self) -> tuple | None:
+        """What the reader returns after the last document: on a both-path
+        run, the rule path's output its read half kept, as ``(records out,
+        cases_rule.jsonl, cases_rule.csv, log rows, runtimes)`` with both
+        files rendered to UTF-8 bytes; else None, the rule path's rows, if
+        any, being the caller's own."""
+        if self.config.paths_enabled != "both":
+            return None
+        records, log, runtimes = self.outputs["rule"]
+        records.sort()
+        jsonl = "".join(emit.render_records_jsonl(records)).encode("utf-8")
+        csv = "".join(emit.render_records_csv(records, self.schema)).encode("utf-8")
+        return len(records.rows), jsonl, csv, log, runtimes
+
+    def process(self, files: Sequence[Path]) -> tuple[int, bytes, bytes] | None:
         """Run every document, in order, adding what each path produces to
         its entry in ``outputs`` and each document's segments to
-        ``segments``.
+        ``segments``. Returns the rule files the reader rendered on a
+        both-path run, as ``(records out, jsonl, csv)``, its log rows and
+        runtimes going to ``outputs``; else None.
 
-        Documents are read by ``_read``: where ``_reads_ahead`` allows, in
+        Documents are read by ``_reads``: where ``_reads_ahead`` allows, in
         a child forked at the first document, before any thread starts
         (``_read_in_child``), else on the calling thread, which finishes
         them. Only backend exchanges leave it, and only for a backend that
@@ -599,12 +636,8 @@ class _Pipeline:
         """
         backend = self.backend
         pooled = bool(files) and backend is not None and backend.waits_on_io
-        reads = (
-            _read_in_child(self._read, files)
-            if _reads_ahead(files)
-            else (self._read(path) for path in files)
-        )
-        jobs = (job for read in reads for job in self._finish_document(read))
+        reads = _read_in_child(self._reads, files) if _reads_ahead(files) else self._reads(files)
+        jobs = (job for read in islice(reads, len(files)) for job in self._finish_document(read))
         try:
             if not pooled:
 
@@ -613,27 +646,33 @@ class _Pipeline:
 
                 for job in jobs:
                     self._finish_llm(job, inline(job.request), inline)
-                return
+            else:
+                from concurrent.futures import ThreadPoolExecutor  # deferred: cold starts skip it
 
-            from concurrent.futures import ThreadPoolExecutor  # deferred: cold starts skip it
+                in_flight = self.config.max_in_flight
+                with ThreadPoolExecutor(max_workers=in_flight) as pool:
 
-            in_flight = self.config.max_in_flight
-            with ThreadPoolExecutor(max_workers=in_flight) as pool:
+                    def pooled_exchange(request: BackendRequest) -> _Exchanged:
+                        return pool.submit(_exchange, request, backend).result()
 
-                def pooled_exchange(request: BackendRequest) -> _Exchanged:
-                    return pool.submit(_exchange, request, backend).result()
-
-                window: deque = deque()
-                for job in jobs:
-                    window.append((job, pool.submit(_exchange, job.request, backend)))
-                    if len(window) > _LOOKAHEAD * in_flight:
+                    window: deque = deque()
+                    for job in jobs:
+                        window.append((job, pool.submit(_exchange, job.request, backend)))
+                        if len(window) > _LOOKAHEAD * in_flight:
+                            job, future = window.popleft()
+                            self._finish_llm(job, future.result(), pooled_exchange)
+                    while window:
                         job, future = window.popleft()
                         self._finish_llm(job, future.result(), pooled_exchange)
-                while window:
-                    job, future = window.popleft()
-                    self._finish_llm(job, future.result(), pooled_exchange)
+            # The reader's last frame; taking it runs the reader to its end.
+            (handed,) = reads
         finally:
             reads.close()
+        if handed is None:
+            return None
+        count, jsonl, csv, log, runtimes = handed
+        self.outputs["rule"] = _PathOutput(emit.RecordBuffer(), log, runtimes)
+        return count, jsonl, csv
 
 
 def _reads_ahead(files: Sequence[Path]) -> bool:
@@ -653,18 +692,21 @@ _FRAME_HEADER = 8
 _FRAME_BUFFER = 1 << 16
 
 
-def _read_in_child(read: Callable[[Path], tuple], files: Sequence[Path]) -> Iterator[tuple]:
-    """``read`` of each file, computed by a child forked on the first
-    ``next`` and sent back one frame per file. A failure there arrives as an
-    error frame and is raised here, a ``ConfigError`` as one and anything
-    else as a ``RuntimeError`` with the child's traceback. Closing the
-    generator kills the child if it runs, reaps it, and closes the pipe."""
+def _read_in_child(
+    reads: Callable[[Sequence[Path]], Iterator[Any]], files: Sequence[Path]
+) -> Iterator[Any]:
+    """What ``reads(files)`` yields, one item per file and then one more,
+    computed by a child forked on the first ``next`` and sent back one frame
+    per item. A failure there arrives as an error frame and is raised here,
+    a ``ConfigError`` as one and anything else as a ``RuntimeError`` with
+    the child's traceback. Closing the generator kills the child if it
+    runs, reaps it, and closes the pipe."""
     fd_in, fd_out = os.pipe()
     with open(fd_in, "rb") as pipe, open(fd_out, "wb") as out:
         pid = os.fork()
         if pid == 0:
             pipe.close()
-            _serve_reads(read, files, out)
+            _serve_reads(reads(files), out)
         out.close()
         running, received = True, 0
         try:
@@ -688,10 +730,11 @@ def _read_in_child(read: Callable[[Path], tuple], files: Sequence[Path]) -> Iter
                 yield item
             _, status = os.waitpid(pid, 0)
             running = False
-            if received != len(files):
+            if received <= len(files):
+                unsent = ", before its hand-back" if received == len(files) else ""
                 raise RuntimeError(
                     f"the document reader ended after {received} of {len(files)} "
-                    f"documents (wait status {status})"
+                    f"documents{unsent} (wait status {status})"
                 )
         finally:
             if running and os.waitpid(pid, os.WNOHANG)[0] == 0:
@@ -701,10 +744,10 @@ def _read_in_child(read: Callable[[Path], tuple], files: Sequence[Path]) -> Iter
                 os.waitpid(pid, 0)
 
 
-def _serve_reads(read: Callable[[Path], tuple], files: Sequence[Path], pipe) -> None:
-    """The forked child: send ``read`` of each file, or the failure that
-    stopped it, down ``pipe``, then leave through ``os._exit``, which runs
-    none of the parent's exit handlers or finalizers."""
+def _serve_reads(items: Iterator[Any], pipe) -> None:
+    """The forked child: send each of ``items``, or the failure that stopped
+    them, down ``pipe``, then leave through ``os._exit``, which runs none of
+    the parent's exit handlers or finalizers."""
     status = 1
     try:
         with pipe:
@@ -715,8 +758,8 @@ def _serve_reads(read: Callable[[Path], tuple], files: Sequence[Path], pipe) -> 
                 pipe.flush()
 
             try:
-                for path in files:
-                    send(read(path))
+                for item in items:
+                    send(item)
             except ConfigError as exc:
                 send([True, str(exc)])
             except Exception:
@@ -758,14 +801,18 @@ def run(config: RunConfig) -> RunSummary:
     """Process every document under the config and write all run artifacts."""
     pipeline = _Pipeline(config)
     files = sorted(config.input_dir.glob("*.txt"))
-    pipeline.process(files)
+    rule_files = pipeline.process(files)
 
     output_dir = config.output_dir
     output_dir.mkdir(parents=True, exist_ok=True)
     outputs, by_case_id = pipeline.outputs, itemgetter("case_id")
     records_out = dict.fromkeys(outputs, 0)
     for label, stem in _PATHS:
-        if label in pipeline.enabled:
+        if label == "rule" and rule_files is not None:
+            records_out[label], jsonl, csv = rule_files
+            (output_dir / f"{stem}.jsonl").write_bytes(jsonl)
+            (output_dir / f"{stem}.csv").write_bytes(csv)
+        elif label in pipeline.enabled:
             records = outputs[label].records
             records.sort()
             records_out[label] = emit.write_records_jsonl(

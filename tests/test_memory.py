@@ -77,14 +77,19 @@ def _measure(root, out, paths, backend, params):
 @pytest.mark.parametrize("forked", [True, False], ids=["forked", "in-process"])
 @pytest.mark.parametrize(
     "paths, backend, params",
-    [("rule", "oracle", {}), ("both", "invalid_then_fix", {"inject_every": "1"})],
-    ids=["rule", "both-repair"],
+    [
+        ("rule", "oracle", {}),
+        ("llm", "oracle", {}),
+        ("both", "invalid_then_fix", {"inject_every": "1"}),
+    ],
+    ids=["rule", "llm", "both-repair"],
 )
 def test_memory_grows_by_a_few_kilobytes_per_record(
     corpora, tmp_path, monkeypatch, paths, backend, params, forked
 ):
-    # Read in a forked child, the parent holds only what it receives; read
-    # in-process, the bound covers the reader's allocations as well.
+    # Read in a forked child, the parent holds only what it receives, on a
+    # both-path run the rule files the child rendered; read in-process, the
+    # bound covers the reader's allocations and its rule rows as well.
     monkeypatch.setattr(cli, "_reads_ahead", lambda files: forked and bool(files))
     small, large = corpora
     _measure(small, tmp_path / "warm", paths, backend, params)

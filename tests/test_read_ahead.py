@@ -4,12 +4,14 @@
 rule path's draft and harmonize) either on the calling thread or in a forked
 child one document ahead, which ``cli._reads_ahead`` decides, whatever the
 paths and backend. On a both-path run ``_read`` also finishes each rule
-record, in either process, against a copy of the geocode cache, and the
-caller replays its lookups in document order. The tests here force each
-placement and compare the bytes, the geocode cache's file and counters
-included, check that the fork happens while the caller runs one thread, a
-``wire`` run's included, and that the child never outlives the run, whether
-it ends, fails in the child or fails in the parent.
+record, in either process, against a copy of the geocode cache, and keeps
+its row there; the caller replays its warnings and lookups in document
+order, and after the last document the reader hands back the rule files
+rendered, which the caller writes. The tests here force each placement and
+compare the bytes, the geocode cache's file and counters included, check
+that the fork happens while the caller runs one thread, a ``wire`` run's
+included, and that the child never outlives the run, whether it ends, fails
+in the child or fails in the parent.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from casepipe import cli, geocode
+from casepipe import cli, emit, geocode
 from casepipe.config import ConfigError
 from casepipe.extract import END_SENTINEL
 from casepipe.llm import encode_gold_marker
@@ -231,6 +233,77 @@ def test_both_placements_keep_the_cache_file_alike_cold_and_warm(
     assert first("dover") + 1 == first("ashford|maryland@maryland")
 
 
+def _rule_files(out: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(out.glob("cases_rule.*"))}
+
+
+def test_a_forked_both_path_run_leaves_the_rule_files_to_the_reader(
+    corpus, tmp_path, monkeypatch
+):
+    # Installed before the fork, so the child inherits it, but only the
+    # caller's own calls reach this list.
+    written: list[str] = []
+    for name in ("write_records_jsonl", "write_records_csv"):
+
+        def recording(path, *args, _write=getattr(emit, name)):
+            written.append(Path(path).name)
+            return _write(path, *args)
+
+        monkeypatch.setattr(emit, name, recording)
+    outputs = {}
+    for placement in PLACEMENTS:
+        forks = _place(monkeypatch, placement)
+        written.clear()
+        out = tmp_path / placement
+        summary = cli.run(_config(corpus, out, backend="dropout_oracle"))
+        assert len(forks) == (placement == "forked")
+        if placement == "forked":
+            assert sorted(written) == ["cases_llm.csv", "cases_llm.jsonl"]
+        lines = (out / "cases_rule.jsonl").read_bytes().splitlines()
+        assert summary.records_out_rule == len(lines) > 0
+        outputs[placement] = _rule_files(out)
+        _assert_no_child()
+    assert outputs["forked"] == outputs["in_process"]
+    assert sorted(outputs["forked"]) == ["cases_rule.csv", "cases_rule.jsonl"]
+
+
+def test_a_failure_while_the_reader_renders_leaves_no_file(tmp_path, monkeypatch):
+    _place(monkeypatch, "forked")
+
+    def broken(*args, **kwargs):
+        raise ValueError("the rule rows could not be rendered")
+
+    monkeypatch.setattr(emit, "render_records_csv", broken)
+    docs, out = _small_docs(tmp_path, 1), tmp_path / "out"
+    with pytest.raises(RuntimeError, match="the rule rows could not be rendered") as raised:
+        cli.run(_config(docs, out, backend="dropout_oracle"))
+    assert "ValueError" in str(raised.value)
+    assert "Traceback" in str(raised.value)
+    _assert_no_child()
+    assert not list(out.glob("cases_*"))
+
+
+def test_empty_and_binary_files_write_the_same_rule_files_in_either_placement(
+    tmp_path, monkeypatch
+):
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    for name in ("empty.txt", "binary.txt"):
+        (docs / name).write_bytes(HOSTILE[name])
+    outputs = {}
+    for placement in PLACEMENTS:
+        forks = _place(monkeypatch, placement)
+        out = tmp_path / placement
+        summary = cli.run(_config(docs, out, backend="dropout_oracle"))
+        assert len(forks) == (placement == "forked")
+        lines = (out / "cases_rule.jsonl").read_bytes().splitlines()
+        assert summary.records_out_rule == len(lines)
+        outputs[placement] = _rule_files(out)
+        _assert_no_child()
+    assert outputs["forked"] == outputs["in_process"]
+    assert sorted(outputs["forked"]) == ["cases_rule.csv", "cases_rule.jsonl"]
+
+
 def _assert_alike(outputs: dict) -> None:
     forked, in_process = outputs["forked"], outputs["in_process"]
     assert forked.keys() == in_process.keys()
@@ -396,6 +469,16 @@ def test_a_child_that_dies_mid_run_is_an_error(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="ended after 2 of 6 documents"):
         cli.run(_config(_small_docs(tmp_path, 2), tmp_path / "out", paths_enabled="rule"))
     _assert_no_child()
+
+
+def test_a_child_that_dies_before_its_hand_back_is_an_error(tmp_path, monkeypatch):
+    _place(monkeypatch, "forked")
+    monkeypatch.setattr(emit, "render_records_jsonl", lambda buffer: os._exit(3))
+    docs, out = _small_docs(tmp_path, 2), tmp_path / "out"
+    with pytest.raises(RuntimeError, match="ended after 6 of 6 documents, before its hand-back"):
+        cli.run(_config(docs, out, backend="dropout_oracle"))
+    _assert_no_child()
+    assert not list(out.glob("cases_*"))
 
 
 def test_a_failure_in_the_parent_leaves_no_child(tmp_path, monkeypatch):
