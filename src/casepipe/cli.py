@@ -15,10 +15,12 @@ cases_llm.jsonl/csv (per enabled path), warnings.jsonl, run_summary.json,
 and, when a gold file is given, metrics_<path>.json plus report.txt. Until
 they are written, a run's records, repair-log rows and runtime samples
 accumulate per path on the pipeline, in its ``outputs``, with the segment
-count beside them, in the process that finished the records; ``run`` sorts
-each by case_id as it writes it. Each record is encoded into its path's
-``emit.RecordBuffer`` when it is finished, so a run holds every record as
-its output text, not as a dict.
+count beside them, in the process that finished the records. Each record is
+encoded into its path's ``emit.RecordBuffer`` when it is finished, so a run
+holds every record as its output text, not as a dict. ``run`` writes every
+file to a staging directory inside the output directory, each path's files
+sorted by case_id in the process that kept its rows (``write_cases``), and
+then publishes them together by ``os.replace``: a failed run publishes none.
 
 Each document has a read half (``_read``: extract, cut, split, detect and
 the rule path's draft), which returns plain data, each segment's identity
@@ -33,9 +35,8 @@ geocode, validate, encode) and keeps its row, which the calling thread does
 on the rule path alone. Which process reads depends only on the platform:
 where ``_reads_ahead`` allows, a forked child reads ahead, with the same
 bytes out. After the last document the reader hands back once what it kept
-(``_hand_back``): on a both-path run, the rule record count, the rule files
-rendered, repair-log rows and runtimes; ``run`` writes those files beside
-its own once ``process`` has returned, so a failed run writes none.
+(``_hand_back``): on a both-path run it writes the rule files to staging
+itself and returns the rule record count, repair-log rows and runtimes.
 Records are geocoded against a copy of the run's cache that writes no file
 and journals each lookup, which ``apply_geocode`` hands back with its own
 warnings, and each record's warnings and lookups reach one accept step
@@ -59,6 +60,7 @@ import hashlib
 import json
 import marshal
 import os
+import shutil
 import sys
 import threading
 from collections import deque
@@ -119,6 +121,9 @@ RULE_CASES_NAME = "cases_rule"
 LLM_CASES_NAME = "cases_llm"
 # Each extraction path and the stem of its cases_* files.
 _PATHS = (("rule", RULE_CASES_NAME), ("llm", LLM_CASES_NAME))
+# The directory inside the output directory that a run writes its files to;
+# each keeps its final name there until the run publishes it.
+_STAGING = ".casepipe-staging"
 
 
 class _ConfigFields(NamedTuple):
@@ -327,6 +332,7 @@ class _Pipeline:
             timespec="seconds"
         )
         self.warning_log = emit.WarningLog(self.ingest_ts)
+        self.staging = config.output_dir / _STAGING
         self.segments = 0
         self.outputs = {
             label: _PathOutput(emit.RecordBuffer(), [], []) for label, _ in _PATHS
@@ -423,8 +429,8 @@ class _Pipeline:
         in document order: log its warnings and replay its geocode lookups
         into the run's cache. Its row was kept where it was finished; on a
         both-path run that is the reader, which keeps every rule row and
-        hands them back rendered (``_hand_back``), so a rule record accepted
-        here without its row is not a withheld one."""
+        writes them itself (``_hand_back``), so a rule record accepted here
+        without its row is not a withheld one."""
         self._log(segment[0], segment[1], warnings)
         for key, value in lookups:
             replay_lookup(key, value, self.cache)
@@ -605,24 +611,30 @@ class _Pipeline:
 
     def _hand_back(self) -> tuple | None:
         """What the reader returns after the last document: on a both-path
-        run, the rule path's output its read half kept, as ``(records out,
-        cases_rule.jsonl, cases_rule.csv, log rows, runtimes)`` with both
-        files rendered to UTF-8 bytes; else None, the rule path's rows, if
-        any, being the caller's own."""
+        run, it writes the rule rows its read half kept to cases_rule.* in
+        staging (``write_cases``) and returns ``(records out, log rows,
+        runtimes)``; else None, the rule path's rows, if any, being the
+        caller's own."""
         if self.config.paths_enabled != "both":
             return None
-        records, log, runtimes = self.outputs["rule"]
-        records.sort()
-        jsonl = "".join(emit.render_records_jsonl(records)).encode("utf-8")
-        csv = "".join(emit.render_records_csv(records, self.schema)).encode("utf-8")
-        return len(records.rows), jsonl, csv, log, runtimes
+        _, log, runtimes = self.outputs["rule"]
+        return self.write_cases("rule", RULE_CASES_NAME), log, runtimes
 
-    def process(self, files: Sequence[Path]) -> tuple[int, bytes, bytes] | None:
+    def write_cases(self, label: str, stem: str) -> int:
+        """Write the rows ``label``'s path kept, sorted by case_id, to its
+        cases_* files in the staging directory. Returns the records out."""
+        records = self.outputs[label].records
+        records.sort()
+        count = emit.write_records_jsonl(self.staging / f"{stem}.jsonl", records)
+        emit.write_records_csv(self.staging / f"{stem}.csv", records, self.schema)
+        return count
+
+    def process(self, files: Sequence[Path]) -> dict[str, int]:
         """Run every document, in order, adding what each path produces to
         its entry in ``outputs`` and each document's segments to
-        ``segments``. Returns the rule files the reader rendered on a
-        both-path run, as ``(records out, jsonl, csv)``, its log rows and
-        runtimes going to ``outputs``; else None.
+        ``segments``. Returns the records out of each path whose files the
+        reader wrote: ``{"rule": n}`` on a both-path run, its log rows and
+        runtimes going to ``outputs``; else an empty dict.
 
         Documents are read by ``_reads``: where ``_reads_ahead`` allows, in
         a child forked at the first document, before any thread starts
@@ -669,10 +681,10 @@ class _Pipeline:
         finally:
             reads.close()
         if handed is None:
-            return None
-        count, jsonl, csv, log, runtimes = handed
+            return {}
+        count, log, runtimes = handed
         self.outputs["rule"] = _PathOutput(emit.RecordBuffer(), log, runtimes)
-        return count, jsonl, csv
+        return {"rule": count}
 
 
 def _reads_ahead(files: Sequence[Path]) -> bool:
@@ -697,10 +709,13 @@ def _read_in_child(
 ) -> Iterator[Any]:
     """What ``reads(files)`` yields, one item per file and then one more,
     computed by a child forked on the first ``next`` and sent back one frame
-    per item. A failure there arrives as an error frame and is raised here,
-    a ``ConfigError`` as one and anything else as a ``RuntimeError`` with
-    the child's traceback. Closing the generator kills the child if it
-    runs, reaps it, and closes the pipe."""
+    per item. A file the child writes, such as the rule files a both-path
+    run's hand-back writes to staging, is closed before the frame that
+    follows it is sent. A failure there arrives as an error frame and is
+    raised here, a ``ConfigError`` as one and anything else as a
+    ``RuntimeError`` with the child's traceback. Closing the generator kills
+    the child if it runs, reaps it, and closes the pipe, so nothing writes
+    to staging once it has returned or raised."""
     fd_in, fd_out = os.pipe()
     with open(fd_in, "rb") as pipe, open(fd_out, "wb") as out:
         pid = os.fork()
@@ -798,55 +813,52 @@ def _runtime_block(samples: list[tuple[str, float]]) -> dict[str, Any]:
 
 
 def run(config: RunConfig) -> RunSummary:
-    """Process every document under the config and write all run artifacts."""
+    """Process every document under the config and publish all run artifacts
+    together: each is written to the staging directory and moved into the
+    output directory by ``os.replace`` once all are written. A run that
+    fails removes what it staged and publishes nothing."""
     pipeline = _Pipeline(config)
     files = sorted(config.input_dir.glob("*.txt"))
-    rule_files = pipeline.process(files)
-
-    output_dir = config.output_dir
-    output_dir.mkdir(parents=True, exist_ok=True)
-    outputs, by_case_id = pipeline.outputs, itemgetter("case_id")
-    records_out = dict.fromkeys(outputs, 0)
-    for label, stem in _PATHS:
-        if label == "rule" and rule_files is not None:
-            records_out[label], jsonl, csv = rule_files
-            (output_dir / f"{stem}.jsonl").write_bytes(jsonl)
-            (output_dir / f"{stem}.csv").write_bytes(csv)
-        elif label in pipeline.enabled:
-            records = outputs[label].records
-            records.sort()
-            records_out[label] = emit.write_records_jsonl(
-                output_dir / f"{stem}.jsonl", records
-            )
-            emit.write_records_csv(output_dir / f"{stem}.csv", records, pipeline.schema)
-    pipeline.warning_log.save(output_dir / "warnings.jsonl")
-
-    backend = pipeline.backend
-    summary = RunSummary(
-        documents_in=len(files),
-        segments=pipeline.segments,
-        records_out_rule=records_out["rule"],
-        records_out_llm=records_out["llm"],
-        warnings_by_severity=pipeline.warning_log.counts_by_severity(),
-        runtime={label: _runtime_block(out.runtimes) for label, out in outputs.items()},
-        repair_log={label: sorted(out.log, key=by_case_id) for label, out in outputs.items()},
-        backend_calls={
-            "extract": backend.call_count("extract") if backend else 0,
-            "repair": backend.call_count("repair") if backend else 0,
-        },
-        geocode_cache={
-            "hits": pipeline.cache.hits,
-            "misses": pipeline.cache.misses,
-            "entries": len(pipeline.cache),
-        },
-        gazetteer_lookups=pipeline.cache.misses,
-        config_digest=config.digest(),
-    )
-    summary_path = output_dir / "run_summary.json"
-    summary_path.write_text(
-        json.dumps(summary._asdict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    staging, outputs, by_case_id = pipeline.staging, pipeline.outputs, itemgetter("case_id")
+    shutil.rmtree(staging, ignore_errors=True)  # what a killed run left there
+    staging.mkdir(parents=True)
+    try:
+        records_out = pipeline.process(files)
+        for label, stem in _PATHS:
+            if label in pipeline.enabled and label not in records_out:
+                records_out[label] = pipeline.write_cases(label, stem)
+        pipeline.warning_log.save(staging / "warnings.jsonl")
+        backend = pipeline.backend
+        summary = RunSummary(
+            documents_in=len(files),
+            segments=pipeline.segments,
+            records_out_rule=records_out.get("rule", 0),
+            records_out_llm=records_out.get("llm", 0),
+            warnings_by_severity=pipeline.warning_log.counts_by_severity(),
+            runtime={label: _runtime_block(out.runtimes) for label, out in outputs.items()},
+            repair_log={label: sorted(out.log, key=by_case_id) for label, out in outputs.items()},
+            backend_calls={
+                "extract": backend.call_count("extract") if backend else 0,
+                "repair": backend.call_count("repair") if backend else 0,
+            },
+            geocode_cache={
+                "hits": pipeline.cache.hits,
+                "misses": pipeline.cache.misses,
+                "entries": len(pipeline.cache),
+            },
+            gazetteer_lookups=pipeline.cache.misses,
+            config_digest=config.digest(),
+        )
+        (staging / "run_summary.json").write_text(
+            json.dumps(summary._asdict(), indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+    for path in sorted(staging.iterdir()):
+        os.replace(path, config.output_dir / path.name)
+    staging.rmdir()
     return summary
 
 

@@ -6,8 +6,8 @@ lists indexed numerically, empty string for null). Key order in JSON output
 is the schema's canonical order, which by construction is plain lexicographic
 order at every nesting level. A run hands each record to a RecordBuffer as
 it finishes: the buffer keeps the record's output text, not the record.
-Each file's text is rendered in pieces by ``render_records_*``, which the
-``write_records_*`` writers stream to disk and a caller may instead join.
+The ``write_records_*`` writers stream that text to disk, in whichever
+process keeps the buffer; they are the only way a run's records are written.
 
 Warnings never interrupt a run. Every call appends exactly one entry (no
 deduplication) and its code must come from the WARNING_CODES registry below;
@@ -23,7 +23,7 @@ import threading
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from casepipe.schema import (
     KIND_INTEGER,
@@ -132,24 +132,18 @@ def _buffered(records: RecordBuffer | Iterable[Mapping[str, Any]]) -> RecordBuff
     return records if isinstance(records, RecordBuffer) else RecordBuffer(records)
 
 
-def render_records_jsonl(buffer: RecordBuffer) -> Iterator[str]:
-    """The JSONL text of the buffer's rows, in pieces: one canonical JSON
-    object per line, LF."""
-    for _, line, _ in buffer.rows:
-        yield line
-        yield "\n"
-
-
 def write_records_jsonl(
     path: str | Path, records: RecordBuffer | Iterable[Mapping[str, Any]]
 ) -> int:
     """One canonical JSON object per line, UTF-8, LF. Returns the line count."""
-    buffer = _buffered(records)
+    rows = _buffered(records).rows
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(render_records_jsonl(buffer))
-    return len(buffer.rows)
+        for _, line, _ in rows:
+            fh.write(line)
+            fh.write("\n")
+    return len(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -343,31 +337,6 @@ def _graft(record: dict, segments: list[str], value: str) -> None:
     node[segments[-1]] = value
 
 
-class _Echo:
-    """A file for ``csv.writer`` whose ``write`` returns the text it is
-    given, so that ``writerow`` returns the row's line."""
-
-    @staticmethod
-    def write(text: str) -> str:
-        return text
-
-
-def render_records_csv(buffer: RecordBuffer, schema: SchemaDefinition) -> Iterator[str]:
-    """The CSV text of the buffer's rows, one line at a time: union columns
-    in canonical order, LF."""
-    ordered = column_order(buffer.columns, schema)
-    position = {column: index for index, column in enumerate(ordered)}
-    blank = [""] * len(ordered)
-    writer = csv.writer(_Echo(), lineterminator="\n")
-    yield writer.writerow(ordered)
-    for _, _, cells in buffer.rows:
-        line = blank.copy()
-        pairs = iter(cells)
-        for column, text in zip(pairs, pairs):
-            line[position[column]] = text
-        yield writer.writerow(line)
-
-
 def write_records_csv(
     path: str | Path,
     records: RecordBuffer | Iterable[Mapping[str, Any]],
@@ -375,10 +344,20 @@ def write_records_csv(
 ) -> int:
     """All records as one CSV with union columns in canonical order."""
     buffer = _buffered(records)
+    ordered = column_order(buffer.columns, schema)
+    position = {column: index for index, column in enumerate(ordered)}
+    blank = [""] * len(ordered)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.writelines(render_records_csv(buffer, schema))
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(ordered)
+        for _, _, cells in buffer.rows:
+            line = blank.copy()
+            pairs = iter(cells)
+            for column, text in zip(pairs, pairs):
+                line[position[column]] = text
+            writer.writerow(line)
     return len(buffer.rows)
 
 

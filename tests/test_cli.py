@@ -337,6 +337,16 @@ class TestRuleOnlyRun:
         assert not (tmp_path / "cases_llm.jsonl").exists()
         assert (tmp_path / "cases_rule.jsonl").exists()
 
+    def test_a_killed_runs_staged_file_is_not_published(self, mixed_corpus, tmp_path):
+        staging = tmp_path / cli._STAGING
+        staging.mkdir()
+        (staging / "cases_llm.jsonl").write_text('{"case_id": "stale"}\n', encoding="utf-8")
+        run(_config(mixed_corpus, tmp_path, paths_enabled="rule"))
+        published = sorted(path.name for path in tmp_path.iterdir())
+        assert published == [
+            "cases_rule.csv", "cases_rule.jsonl", "run_summary.json", "warnings.jsonl"
+        ]
+
     def test_rule_path_records_all_valid(self, registry_corpus, tmp_path):
         summary = run(_config(registry_corpus, tmp_path, paths_enabled="rule"))
         log = summary.repair_log["rule"]

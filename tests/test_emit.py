@@ -242,23 +242,6 @@ class TestWriteCsv:
         assert jsonl_ids == csv_ids
 
 
-class TestRender:
-    """The rendered text, joined and encoded, is the bytes the writers write."""
-
-    @settings(max_examples=30, deadline=None)
-    @given(records(), records())
-    def test_render_joined_is_the_written_file(self, tmp_path_factory, first, second):
-        tmp = tmp_path_factory.mktemp("render")
-        for buffer in (emit.RecordBuffer(), emit.RecordBuffer([first, second])):
-            jsonl = "".join(emit.render_records_jsonl(buffer)).encode("utf-8")
-            text = "".join(emit.render_records_csv(buffer, SCHEMA)).encode("utf-8")
-            assert write_records_jsonl(tmp / "c.jsonl", buffer) == len(buffer.rows)
-            assert write_records_csv(tmp / "c.csv", buffer, SCHEMA) == len(buffer.rows)
-            assert (tmp / "c.jsonl").read_bytes() == jsonl
-            assert (tmp / "c.csv").read_bytes() == text
-            assert jsonl.count(b"\n") == len(buffer.rows)
-
-
 TS ="2025-01-15T09:30:00+00:00"
 
 

@@ -6,12 +6,13 @@ child one document ahead, which ``cli._reads_ahead`` decides, whatever the
 paths and backend. On a both-path run ``_read`` also finishes each rule
 record, in either process, against a copy of the geocode cache, and keeps
 its row there; the caller replays its warnings and lookups in document
-order, and after the last document the reader hands back the rule files
-rendered, which the caller writes. The tests here force each placement and
-compare the bytes, the geocode cache's file and counters included, check
-that the fork happens while the caller runs one thread, a ``wire`` run's
-included, and that the child never outlives the run, whether it ends, fails
-in the child or fails in the parent.
+order, and after the last document the reader writes the rule files to the
+run's staging directory itself, which ``run`` publishes with the caller's
+own. The tests here force each placement and compare the bytes, the geocode
+cache's file and counters included, check that the fork happens while the
+caller runs one thread, a ``wire`` run's included, that the child never
+outlives the run, whether it ends, fails in the child or fails in the
+parent, and that a run that fails publishes no file.
 """
 
 from __future__ import annotations
@@ -273,7 +274,7 @@ def test_a_failure_while_the_reader_renders_leaves_no_file(tmp_path, monkeypatch
     def broken(*args, **kwargs):
         raise ValueError("the rule rows could not be rendered")
 
-    monkeypatch.setattr(emit, "render_records_csv", broken)
+    monkeypatch.setattr(emit, "write_records_csv", broken)
     docs, out = _small_docs(tmp_path, 1), tmp_path / "out"
     with pytest.raises(RuntimeError, match="the rule rows could not be rendered") as raised:
         cli.run(_config(docs, out, backend="dropout_oracle"))
@@ -281,6 +282,33 @@ def test_a_failure_while_the_reader_renders_leaves_no_file(tmp_path, monkeypatch
     assert "Traceback" in str(raised.value)
     _assert_no_child()
     assert not list(out.glob("cases_*"))
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+def test_a_failure_while_the_caller_writes_publishes_nothing(tmp_path, monkeypatch, placement):
+    docs = _small_docs(tmp_path, 1)
+    fresh, earlier = tmp_path / "fresh", tmp_path / "earlier"
+    cli.run(_config(docs, earlier, backend="dropout_oracle"))
+    before = {path.name: path.read_bytes() for path in earlier.iterdir()}
+    _place(monkeypatch, placement)
+    write = emit.write_records_csv
+
+    def failing(path, *args):
+        if Path(path).name == "cases_llm.csv":
+            raise OSError("no room for cases_llm.csv")
+        return write(path, *args)
+
+    monkeypatch.setattr(emit, "write_records_csv", failing)
+    # Another clock, so that any file these runs published would differ.
+    later = "2026-02-01T00:00:00+00:00"
+    for out in (fresh, earlier):
+        with pytest.raises(OSError, match="no room for cases_llm.csv"):
+            cli.run(_config(docs, out, backend="dropout_oracle", ingest_ts=later))
+        _assert_no_child()
+    assert not list(fresh.glob("cases_*"))
+    for name in ("warnings.jsonl", "run_summary.json", cli._STAGING):
+        assert not (fresh / name).exists(), name
+    assert {path.name: path.read_bytes() for path in earlier.iterdir()} == before
 
 
 def test_empty_and_binary_files_write_the_same_rule_files_in_either_placement(
@@ -473,7 +501,7 @@ def test_a_child_that_dies_mid_run_is_an_error(tmp_path, monkeypatch):
 
 def test_a_child_that_dies_before_its_hand_back_is_an_error(tmp_path, monkeypatch):
     _place(monkeypatch, "forked")
-    monkeypatch.setattr(emit, "render_records_jsonl", lambda buffer: os._exit(3))
+    monkeypatch.setattr(emit, "write_records_jsonl", lambda path, records: os._exit(3))
     docs, out = _small_docs(tmp_path, 2), tmp_path / "out"
     with pytest.raises(RuntimeError, match="ended after 6 of 6 documents, before its hand-back"):
         cli.run(_config(docs, out, backend="dropout_oracle"))
