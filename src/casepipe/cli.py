@@ -23,20 +23,21 @@ sorted by case_id in the process that kept its rows (``write_cases``), and
 then publishes them together by ``os.replace``: a failed run publishes none.
 
 Each document has a read half (``_read``: extract, cut, split, detect and
-the rule path's draft), which returns plain data, each segment's identity
-built once there as one ``(document_id, case_id, source_label, family)``
-tuple that goes whole to accept, and a finish half that runs in document
-order on the calling thread: warnings, the llm record buffer, the geocode
-cache's counts and file, and every backend call, of which only the
-exchanges of a backend that waits on I/O (``wire``) leave it, at most
---max-in-flight at once, repairs included. What ``_read`` does depends only
-on the enabled paths: with both, it also finishes each rule record (stamp,
-geocode, validate, encode) and keeps its row, which the calling thread does
-on the rule path alone. Which process reads depends only on the platform:
-where ``_reads_ahead`` allows, a forked child reads ahead, with the same
-bytes out. After the last document the reader hands back once what it kept
-(``_hand_back``): on a both-path run it writes the rule files to staging
-itself and returns the rule record count, repair-log rows and runtimes.
+the rule path's draft, harmonized to flat values), which returns plain
+data, each segment's identity built once there as one ``(document_id,
+case_id, source_label, family)`` tuple that goes whole to accept, and a
+finish half that runs in document order on the calling thread: warnings,
+the llm record buffer, the geocode cache's counts and file, and every
+backend call, of which only the exchanges of a backend that waits on I/O
+(``wire``) leave it, at most --max-in-flight at once, repairs included.
+What ``_read`` does depends only on the enabled paths: with both, it also
+finishes each rule record (assemble, stamp, geocode, validate, encode) and
+keeps its row, which the calling thread does on the rule path alone. Which
+process reads depends only on the platform: where ``_reads_ahead`` allows,
+a forked child reads ahead, with the same bytes out. After the last
+document the reader hands back once what it kept (``_hand_back``): on a
+both-path run it writes the rule files to staging itself and returns the
+rule record count, repair-log rows and runtimes.
 Records are geocoded against a copy of the run's cache that writes no file
 and journals each lookup, which ``apply_geocode`` hands back with its own
 warnings, and each record's warnings and lookups reach one accept step
@@ -101,7 +102,13 @@ from casepipe.llm import (
     sanitize_candidate,
 )
 from casepipe.rules import DraftRecord, dispatch, load_rulesets
-from casepipe.schema import SchemaDefinition, default_schema, parse_iso_timestamp, validate
+from casepipe.schema import (
+    SchemaDefinition,
+    assemble_record,
+    default_schema,
+    parse_iso_timestamp,
+    validate,
+)
 from casepipe.sources import UNKNOWN_LABEL, detect_source, load_signatures
 
 if TYPE_CHECKING:
@@ -376,9 +383,9 @@ class _Pipeline:
     # -- per-segment paths -------------------------------------------------
 
     def _draft_rule(self, case, detection) -> tuple:
-        """The read half of a case segment's rule path: the harmonized
-        record, its field origins, its parse and harmonize warnings, and the
-        seconds taken."""
+        """The read half of a case segment's rule path: harmonize's flat
+        ``{leaf path: value}``, not yet assembled into a record, its field
+        origins, its parse and harmonize warnings, and the seconds taken."""
         started = perf_counter()
         warnings: list[_Warning] = []
         draft: DraftRecord = dispatch(
@@ -389,6 +396,7 @@ class _Pipeline:
             self.tables[detection.source_label][0],
             self.schema,
             on_warning=_collect(warnings, "harmonize"),
+            assemble=False,
         )
         origins: dict[str, list[int]] = {}
         for source_key, target_path in harmonized.key_trace:
@@ -403,18 +411,21 @@ class _Pipeline:
 
     def _finish_rule(self, segment: _Segment, draft: tuple) -> tuple:
         """The rest of a rule record after its draft, in whichever process
-        runs it: stamp, geocode, validate and encode it, and keep its row,
-        log row and runtime there (``_keep``). Returns, as plain data
-        ``marshal`` carries, what ``_accept`` needs: ``(warnings,
+        runs it: assemble the record from the draft's flat values, stamp,
+        geocode, validate and encode it, and keep its row, log row and
+        runtime there (``_keep``). That is the calling thread on a
+        rule-only run and the reader on a both-path run. Returns, as plain
+        data ``marshal`` carries, what ``_accept`` needs: ``(warnings,
         lookups)``."""
         started = perf_counter()
-        record, origins, warnings, drafted_s = draft
+        values, origins, warnings, drafted_s = draft
+        record = assemble_record(values, self.schema)
         lookups = self._stamp(record, warnings, segment, "rule", origins)
         report = validate(record, self.schema)
         for violation in report.violations:
             message = f"{violation.field_path}: {violation.code}: {violation.message}"
             warnings.append(("validate", "warning", "validation_violation", message))
-        row = emit.encode_row(record)
+        row = emit.encode_row(record, self.outputs["rule"].records.table)
         log = {
             "case_id": segment[1],
             "pre_valid": report.valid,
@@ -529,7 +540,7 @@ class _Pipeline:
             "attempts": outcome.attempts,
         }
         if outcome.passed:
-            return accept(emit.encode_row(record), log)
+            return accept(emit.encode_row(record, self.outputs["llm"].records.table), log)
         if outcome.attempts > 0:
             message = f"still invalid after {outcome.attempts} repair attempts"
             warnings.append(("repair", "error", "repair_exhausted", message))
@@ -545,9 +556,11 @@ class _Pipeline:
         the warnings being the extract stage's and each ``segment`` the
         ``(document_id, case_id, source_label, family)`` that goes whole to
         accept. ``rule`` is None without the rule path, ``_draft_rule``'s
-        draft with it alone, and with both paths the ``(warnings, lookups)``
-        of the record ``_finish_rule`` finished from that draft, whose row
-        it kept. Split and detection see the content only;
+        draft with it alone, whose flat values the caller's
+        ``_finish_rule`` assembles, and with both paths the ``(warnings,
+        lookups)`` of the record ``_finish_rule`` assembled and finished
+        from that draft here, whose row it kept. Split and detection see
+        the content only;
         the trailer is normalized only for the llm path, and only the last
         text carries it."""
         document_id = path.stem
@@ -812,15 +825,29 @@ def _runtime_block(samples: list[tuple[str, float]]) -> dict[str, Any]:
     return block
 
 
+def _input_files(input_dir: Path) -> list[Path]:
+    """``sorted(input_dir.glob("*.txt"))``, sorted by name: for the paths
+    of one directory that is pathlib's own order, without comparing them
+    as paths, which took most of the listing's time."""
+    return sorted(input_dir.glob("*.txt"), key=lambda path: os.path.normcase(path.name))
+
+
 def run(config: RunConfig) -> RunSummary:
     """Process every document under the config and publish all run artifacts
     together: each is written to the staging directory and moved into the
     output directory by ``os.replace`` once all are written. A run that
-    fails removes what it staged and publishes nothing."""
+    fails removes what it staged and publishes nothing, and removes the
+    output directory, and any parent of it, that it created, if empty.
+
+    The inputs are the ``*.txt`` entries of the input directory
+    (``_input_files``), read in name order."""
     pipeline = _Pipeline(config)
-    files = sorted(config.input_dir.glob("*.txt"))
+    files = _input_files(config.input_dir)
     staging, outputs, by_case_id = pipeline.staging, pipeline.outputs, itemgetter("case_id")
     shutil.rmtree(staging, ignore_errors=True)  # what a killed run left there
+    output_dir = config.output_dir
+    # The directories the mkdir below creates, the deepest first.
+    created = [path for path in (output_dir, *output_dir.parents) if not path.exists()]
     staging.mkdir(parents=True)
     try:
         records_out = pipeline.process(files)
@@ -855,6 +882,11 @@ def run(config: RunConfig) -> RunSummary:
         )
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
+        for path in created:
+            try:
+                path.rmdir()
+            except OSError:  # not empty: something else was put there
+                break
         raise
     for path in sorted(staging.iterdir()):
         os.replace(path, config.output_dir / path.name)

@@ -23,7 +23,7 @@ import threading
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from casepipe.schema import (
     KIND_INTEGER,
@@ -84,12 +84,155 @@ def canonical_json(record: Mapping[str, Any]) -> str:
     return json.dumps(record, ensure_ascii=False, sort_keys=True)
 
 
-def encode_row(record: Mapping[str, Any]) -> tuple[Any, str, tuple[str, ...]]:
+def encode_row(
+    record: Mapping[str, Any], table: ColumnTable | None = None
+) -> tuple[Any, str, tuple[str, ...]]:
     """A record's row, as a ``RecordBuffer`` keeps it: its ``case_id``, its
     canonical JSON line, and its CSV cells (``_cells``) as one flat tuple of
-    column, text pairs. It is plain data, which ``marshal`` carries."""
-    cells = tuple(chain.from_iterable(_cells(record).items()))
+    column, text pairs. It is plain data, which ``marshal`` carries.
+
+    The cells come from ``table`` (a fresh one if none is given), which
+    names each column once (``ColumnTable.cells``).
+    """
+    cells = (ColumnTable() if table is None else table).cells(record)
     return record.get("case_id"), canonical_json(record), cells
+
+
+class ColumnTable:
+    """The CSV columns of the records one buffer encodes, each column name
+    made the first time a record has it and looked up after that.
+
+    ``cells`` gives the cells ``_cells`` gives, as one flat tuple of
+    column, text pairs in the same order. It builds them from the table
+    (``_named_cells``) for a record whose every column names one leaf: a
+    dict whose keys are non-empty str without a dot, with values that are
+    scalars or sections. A section is a dict with such keys, whose values
+    are scalars, lists of scalars, or maps; a map is a dict with str keys,
+    which may hold dots, whose values are non-empty lists of scalars (such
+    as the field-origin triples). Every record a run emits is one. Any
+    other record takes ``_cells`` itself.
+    """
+
+    __slots__ = ("_fields", "_items", "_maps")
+
+    def __init__(self) -> None:
+        # The record's keys ("") and each section's: {key: its column}.
+        self._fields: dict[str, dict[str, str]] = {}
+        # A list's column -> the columns of its first elements, by index.
+        self._items: dict[str, tuple[str, ...]] = {}
+        # A map's column -> {key: the columns of its list's elements}.
+        self._maps: dict[str, dict[str, tuple[str, ...]]] = {}
+
+    def __len__(self) -> int:
+        """How many column names the table holds."""
+        return (
+            sum(map(len, self._fields.values()))
+            + sum(map(len, self._items.values()))
+            + sum(len(columns) for keys in self._maps.values() for columns in keys.values())
+        )
+
+    def _field(self, section: str, key: Any) -> str | None:
+        """The column of ``key`` in ``section`` ("" for the record), made
+        once; None for a key that is not a non-empty str without a dot."""
+        if key.__class__ is not str or not key or "." in key:
+            return None
+        column = self._fields[section][key] = f"{section}.{key}" if section else key
+        return column
+
+    def cells(self, record: Mapping[str, Any]) -> tuple[str, ...]:
+        cells = self._named_cells(record)
+        if cells is None:
+            cells = tuple(chain.from_iterable(_cells(record).items()))
+        return cells
+
+    def _named_cells(self, record: Mapping[str, Any]) -> tuple[str, ...] | None:
+        """The record's cells from the table; None for a record it does not
+        cover."""
+        out: list[str] = []
+        add = out.append
+        fields_of, items_of, maps = self._fields, self._items, self._maps
+        tops = fields_of.get("") or fields_of.setdefault("", {})
+        for key, section in record.items():
+            top = tops.get(key) or self._field("", key)
+            if top is None:
+                return None
+            cls = section.__class__
+            if cls is str:
+                add(top)
+                add(section)
+            elif section is None:
+                add(top)
+                add("")
+            elif cls is dict:
+                fields = fields_of.get(top) or fields_of.setdefault(top, {})
+                for name, value in section.items():
+                    column = fields.get(name) or self._field(top, name)
+                    if column is None:
+                        return None
+                    cls = value.__class__
+                    if cls is str:
+                        add(column)
+                        add(value)
+                    elif value is None:
+                        add(column)
+                        add("")
+                    elif cls is int:
+                        add(column)
+                        add(str(value))
+                    elif cls is dict:
+                        keys = maps.get(column) or maps.setdefault(column, {})
+                        for map_key, items in value.items():
+                            if items.__class__ is not list or not items:
+                                return None
+                            columns = keys.get(map_key)
+                            if columns is None or len(columns) < len(items):
+                                if map_key.__class__ is not str:
+                                    return None
+                                stem = f"{column}.{map_key}"
+                                columns = keys[map_key] = _indexed(stem, len(items))
+                            if not _add_scalars(add, columns, items):
+                                return None
+                    elif cls is list:
+                        columns = items_of.get(column, ())
+                        if len(columns) < len(value):
+                            columns = items_of[column] = _indexed(column, len(value))
+                        if not _add_scalars(add, columns, value):
+                            return None
+                    elif isinstance(value, (list, dict)):
+                        return None
+                    else:
+                        add(column)
+                        add(_format_cell(value))
+            elif isinstance(section, (list, dict)):
+                return None
+            else:
+                add(top)
+                add(_format_cell(section))
+        return tuple(out)
+
+
+def _add_scalars(add: Callable[[str], None], columns: tuple[str, ...], items: list) -> bool:
+    """Add the cells of a list's items under ``columns``; False, having
+    added some, if an item is a list or a dict."""
+    for named, item in zip(columns, items):
+        cls = item.__class__
+        if cls is str:
+            add(named)
+            add(item)
+        elif cls is int:
+            add(named)
+            add(str(item))
+        elif isinstance(item, (list, dict)):
+            return False
+        else:
+            add(named)
+            add(_format_cell(item))
+    return True
+
+
+def _indexed(stem: str, count: int) -> tuple[str, ...]:
+    """The columns of a list's first ``count`` elements under ``stem``."""
+    return tuple(f"{stem}.{index}" for index in range(count))
 
 
 class RecordBuffer:
@@ -97,21 +240,23 @@ class RecordBuffer:
 
     ``add`` encodes a record at once into its row (``encode_row``), and
     ``append`` keeps a row encoded elsewhere, such as in a forked child.
-    Column names and texts are shared through one table per buffer, so the
+    The buffer's ``table`` names the columns of the rows encoded with it.
+    Column names and texts are shared through one dict per buffer, so the
     buffer holds each distinct one, such as a column name or a field-origin
     offset, once. The record itself is not kept.
     """
 
-    __slots__ = ("rows", "_strings")
+    __slots__ = ("rows", "table", "_strings")
 
     def __init__(self, records: Iterable[Mapping[str, Any]] = ()) -> None:
         self.rows: list[tuple[Any, str, tuple[str, ...]]] = []
+        self.table = ColumnTable()
         self._strings: dict[str, str] = {}
         for record in records:
             self.add(record)
 
     def add(self, record: Mapping[str, Any]) -> None:
-        self.append(encode_row(record))
+        self.append(encode_row(record, self.table))
 
     def append(self, row: tuple[Any, str, tuple[str, ...]]) -> None:
         case_id, line, cells = row

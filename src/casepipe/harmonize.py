@@ -474,13 +474,16 @@ def harmonize(
     schema: SchemaDefinition,
     *,
     on_warning: WarnFn | None = None,
+    assemble: bool = True,
 ) -> HarmonizedRecord:
     """Produce a canonical record candidate from draft or model output.
 
     Every schema section is materialized. Defaults fill fields whose absence
     has a defined meaning (status missing, sex unknown, no movement cues, no
     geocode). The result carries a source-key -> target-path trace so
-    provenance can follow renames.
+    provenance can follow renames. With ``assemble`` false, its ``record``
+    is the flat ``{leaf path: value}`` that ``assemble_record(record,
+    schema)`` turns into that record, for a caller that assembles it later.
     """
     warn: WarnFn = on_warning if on_warning is not None else (lambda code, msg: None)
     plan = mappings.plan(schema)
@@ -520,7 +523,7 @@ def harmonize(
             trace.append((source_key, out_path))
 
     _apply_defaults(values, tz_default)
-    record = assemble_record(values, schema)
+    record = assemble_record(values, schema) if assemble else values
     return HarmonizedRecord(record=record, key_trace=tuple(trace))
 
 

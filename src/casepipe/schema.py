@@ -597,23 +597,28 @@ def _section_check(path: str, children: dict[str, _Check], checks: dict[str, _Ch
 
 
 def _open_map_check(path: str, key_search, leaves: frozenset[str]) -> _Check:
+    # The keys that pass both key tests: schema leaves the pattern matches.
+    named = frozenset(leaf for leaf in leaves if key_search(leaf))
+
     def check(value: Any, out: list) -> None:
         if not isinstance(value, dict):
             out.append(ValidationViolation(path, WRONG_TYPE, _NOT_AN_OBJECT))
             return
         for key, item in value.items():
-            if not isinstance(key, str) or not key_search(key):
-                code, message = BAD_PATTERN, "map key is not a well-formed field path"
-            elif key not in leaves:
-                code, message = UNKNOWN_KEY, "map key does not name a schema field"
-            elif (
-                isinstance(item, list)
-                and len(item) == 3
-                and all(type(v) is int and v >= 0 for v in item)
-            ):
-                continue
-            else:
+            if key in named:
+                if isinstance(item, list) and len(item) == 3:
+                    a, b, c = item
+                    if (
+                        type(a) is int and a >= 0
+                        and type(b) is int and b >= 0
+                        and type(c) is int and c >= 0
+                    ):
+                        continue
                 code, message = WRONG_TYPE, "origin must be [segment_index, char_start, char_end]"
+            elif not isinstance(key, str) or not key_search(key):
+                code, message = BAD_PATTERN, "map key is not a well-formed field path"
+            else:
+                code, message = UNKNOWN_KEY, "map key does not name a schema field"
             out.append(ValidationViolation(f"{path}.{key}", code, message))
 
     return check

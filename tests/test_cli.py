@@ -555,6 +555,24 @@ class TestUnknownSource:
         assert summary.documents_in == 0
         assert summary.segments == 0
 
+    def test_the_inputs_are_what_pathlib_globs(self, tmp_path):
+        doc_dir = tmp_path / "docs"
+        doc_dir.mkdir()
+        for name in ("b.txt", "a.txt", ".hidden.txt", ".txt", "A.txt", "UPPER.TXT", "x.txt.md"):
+            (doc_dir / name).write_text("Full Name: Avery Quill\n", encoding="utf-8")
+        (doc_dir / "x.txt").mkdir()
+        (doc_dir / "link.txt").symlink_to(doc_dir / "a.txt")
+        (doc_dir / "dangling.txt").symlink_to(doc_dir / "missing")
+        (doc_dir / "é.txt").write_text("", encoding="utf-8")
+        listed = cli._input_files(doc_dir)
+        assert listed == sorted(doc_dir.glob("*.txt"))
+        assert [path.name for path in listed] == [
+            ".hidden.txt", ".txt", "A.txt", "a.txt", "b.txt", "dangling.txt",
+            "link.txt", "x.txt", "é.txt",
+        ]
+        relative = Path(os.path.relpath(doc_dir))
+        assert cli._input_files(relative) == sorted(relative.glob("*.txt"))
+
 
 class TestTrailer:
     """Everything from the first end sentinel on is a trailer: split,

@@ -87,8 +87,9 @@ def _measure(root, out, paths, backend, params):
 def test_memory_grows_by_a_few_kilobytes_per_record(
     corpora, tmp_path, monkeypatch, paths, backend, params, forked
 ):
-    # Read in a forked child, the parent holds only what it receives, on a
-    # both-path run the rule files the child rendered; read in-process, the
+    # Read in a forked child, the parent holds only what it receives: each
+    # document's frame and, on a both-path run, whose rule files the child
+    # writes, the rule path's log rows and runtimes; read in-process, the
     # bound covers the reader's allocations and its rule rows as well.
     monkeypatch.setattr(cli, "_reads_ahead", lambda files: forked and bool(files))
     small, large = corpora

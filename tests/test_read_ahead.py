@@ -31,10 +31,12 @@ from casepipe import cli, emit, geocode
 from casepipe.config import ConfigError
 from casepipe.extract import END_SENTINEL
 from casepipe.llm import encode_gold_marker
+from casepipe.schema import default_schema
 from casepipe.synth import FAMILY_LABELS, SynthesisSpec, write_corpus
 from test_golden_outputs import CONFIGS, GOLDEN, output_hashes, summary_hash
 
 INGEST = "2025-01-15T09:30:00+00:00"
+SCHEMA = default_schema()
 PLACEMENTS = {"forked": lambda files: bool(files), "in_process": lambda files: False}
 # The real decision, kept before any test replaces it.
 READS_AHEAD = cli._reads_ahead
@@ -309,6 +311,104 @@ def test_a_failure_while_the_caller_writes_publishes_nothing(tmp_path, monkeypat
     for name in ("warnings.jsonl", "run_summary.json", cli._STAGING):
         assert not (fresh / name).exists(), name
     assert {path.name: path.read_bytes() for path in earlier.iterdir()} == before
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+def test_a_failed_run_removes_the_output_directory_it_made(tmp_path, monkeypatch, placement):
+    docs = _small_docs(tmp_path, 1)
+    earlier = tmp_path / "earlier"
+    cli.run(_config(docs, earlier, backend="dropout_oracle"))
+    before = {path.name: path.read_bytes() for path in earlier.iterdir()}
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    _place(monkeypatch, placement)
+
+    write = emit.write_records_csv
+
+    def failing(path, *args):
+        if Path(path).name == "cases_llm.csv":
+            raise OSError("no room for cases_llm.csv")
+        return write(path, *args)
+
+    monkeypatch.setattr(emit, "write_records_csv", failing)
+    later = "2026-02-01T00:00:00+00:00"
+    # A fresh directory and its fresh parent go; existing ones stay as they were.
+    for out in (tmp_path / "fresh" / "out", kept, earlier):
+        with pytest.raises(OSError, match="no room for cases_llm.csv"):
+            cli.run(_config(docs, out, backend="dropout_oracle", ingest_ts=later))
+        _assert_no_child()
+    assert not (tmp_path / "fresh").exists()
+    assert kept.is_dir() and not list(kept.iterdir())
+    assert {path.name: path.read_bytes() for path in earlier.iterdir()} == before
+
+
+def test_a_failed_run_keeps_a_directory_it_made_if_another_file_is_there(
+    tmp_path, monkeypatch
+):
+    _place(monkeypatch, "in_process")
+    out = tmp_path / "fresh"
+    write = emit.write_records_csv
+
+    def failing(path, *args):
+        (out / "notes.txt").write_text("left by someone else", encoding="utf-8")
+        raise OSError("no room")
+
+    monkeypatch.setattr(emit, "write_records_csv", failing)
+    with pytest.raises(OSError, match="no room"):
+        cli.run(_config(_small_docs(tmp_path, 1), out, paths_enabled="rule"))
+    monkeypatch.setattr(emit, "write_records_csv", write)
+    assert [path.name for path in out.iterdir()] == ["notes.txt"]
+
+
+def _flat_rule_drafts(monkeypatch) -> list:
+    """Record the rule part of every segment of every frame the caller
+    receives from the reader: installed before the fork, but only the
+    caller's own calls reach the list."""
+    received: list = []
+    loads = cli.marshal.loads
+
+    class Marshal:
+        dumps = staticmethod(cli.marshal.dumps)
+
+        @staticmethod
+        def loads(frame):
+            item = loads(frame)
+            if type(item) is tuple and type(item[0]) is str:  # a document's
+                received.extend(rule for _, rule, _ in item[2])
+            return item
+
+    monkeypatch.setattr(cli, "marshal", Marshal)
+    return received
+
+
+def test_a_rule_only_runs_reader_hands_over_unassembled_values(corpus, tmp_path, monkeypatch):
+    leaves = set(SCHEMA.leaf_paths())
+    outputs = {}
+    for placement in PLACEMENTS:
+        forks = _place(monkeypatch, placement)
+        received = _flat_rule_drafts(monkeypatch)
+        out = tmp_path / placement
+        summary = cli.run(_config(corpus, out, paths_enabled="rule"))
+        assert len(forks) == (placement == "forked")
+        if placement == "forked":
+            # One draft per segment: harmonize's flat values, which the
+            # caller assembles; no section of a record crosses the pipe.
+            assert len(received) == summary.segments > 0
+            for values, origins, warnings, seconds in received:
+                assert values and set(values) <= leaves
+                assert not any(type(value) is dict for value in values.values())
+                assert all(type(origin) is list for origin in origins.values())
+        outputs[placement] = _rule_files(out)
+        _assert_no_child()
+    _assert_alike(outputs)
+    # A both-path run writes the same rule files, where the reader finishes
+    # the rule records, in either placement.
+    for placement in PLACEMENTS:
+        _place(monkeypatch, placement)
+        out = tmp_path / f"both_{placement}"
+        cli.run(_config(corpus, out, backend="dropout_oracle"))
+        assert _rule_files(out) == outputs["forked"], placement
+        _assert_no_child()
 
 
 def test_empty_and_binary_files_write_the_same_rule_files_in_either_placement(

@@ -525,6 +525,82 @@ def test_custom_three_level_schema():
     _same_report(record, CUSTOM)
 
 
+def _oracle_open_map_check(path, key_search, leaves):
+    """The open-map check as it was: each key tested against the pattern,
+    then the leaves, then its origin triple, element by element."""
+
+    def check(value, out):
+        if not isinstance(value, dict):
+            out.append(ValidationViolation(path, WRONG_TYPE, "section must be an object"))
+            return
+        for key, item in value.items():
+            if not isinstance(key, str) or not key_search(key):
+                code, message = BAD_PATTERN, "map key is not a well-formed field path"
+            elif key not in leaves:
+                code, message = UNKNOWN_KEY, "map key does not name a schema field"
+            elif (
+                isinstance(item, list)
+                and len(item) == 3
+                and all(type(v) is int and v >= 0 for v in item)
+            ):
+                continue
+            else:
+                code, message = WRONG_TYPE, "origin must be [segment_index, char_start, char_end]"
+            out.append(ValidationViolation(f"{path}.{key}", code, message))
+
+    return check
+
+
+_OPEN_MAPS = [
+    (DEFAULT, "provenance.field_origins"),
+    (NO_OUTCOME, "provenance.field_origins"),
+    (CUSTOM, "a.m"),
+]
+
+
+def _map_keys(schema):
+    """Leaves (some the pattern refuses), pattern matches naming no leaf,
+    malformed paths and keys that are not strings."""
+    return st.sampled_from(
+        sorted(schema.leaf_paths())
+        + ["demographic.nickname", "x.y", "nickname", "a.b.c.d", "Demographic.Name"]
+        + ["", " ", "a..b", ".lead", "bad key", "a-b", "é"]
+    ) | _NON_STR_KEYS | st.builds(type("_Key", (str,), {}), st.sampled_from(["a.b.c", "x"]))
+
+
+_ORIGIN_VALUES = st.one_of(
+    st.lists(st.integers(0, 9), min_size=3, max_size=3),
+    st.lists(st.integers(-2, 9) | st.booleans() | st.floats(0, 9) | st.none(), max_size=4),
+    st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(0, 9)),
+    st.sampled_from([None, "0,1,2", {}, 3, [[0], 1, 2]]),
+)
+
+
+@pytest.mark.parametrize("schema, path", _OPEN_MAPS, ids=["default", "without_outcome", "custom"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_open_map_check_matches_the_old_closure(schema, path, data):
+    entry = schema.entry(path)
+    leaves = frozenset(schema.leaf_paths())
+    old = _oracle_open_map_check(path, re.compile(entry.pattern).search, leaves)
+    new = schema._validation_plan[0][path]
+    value = data.draw(
+        st.dictionaries(_map_keys(schema), _ORIGIN_VALUES, max_size=6)
+        | st.sampled_from([None, [], "x", 0])
+    )
+    if value is None:
+        return  # validate never checks a null section
+    found, expected = [], []
+    new(value, found)
+    old(value, expected)
+    assert found == expected
+    # A whole record, reported in order, with the map in its place.
+    record = assemble_record({"case_id": "C1"}, schema)
+    parent, _, name = path.rpartition(".")
+    record[parent][name] = value
+    _same_report(record, schema)
+
+
 # ---------------------------------------------------------------------------
 # assemble_record
 
