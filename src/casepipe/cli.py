@@ -16,11 +16,12 @@ and, when a gold file is given, metrics_<path>.json plus report.txt. Until
 they are written, a run's records, repair-log rows and runtime samples
 accumulate per path on the pipeline, in its ``outputs``, with the segment
 count beside them, in the process that finished the records. Each record is
-encoded into its path's ``emit.RecordBuffer`` when it is finished, so a run
-holds every record as its output text, not as a dict. ``run`` writes every
-file to a staging directory inside the output directory, each path's files
-sorted by case_id in the process that kept its rows (``write_cases``), and
-then publishes them together by ``os.replace``: a failed run publishes none.
+added to its path's ``emit.RecordBuffer`` where it is finished (``_keep``),
+which encodes it at once, so a run holds every record as its output text,
+not as a dict. ``run`` writes every file to a staging directory inside the
+output directory, each path's files sorted by case_id in the process that
+kept its rows (``write_cases``), and then publishes them together by
+``os.replace``: a failed run publishes none.
 
 Each document has a read half (``_read``: extract, cut, split, detect and
 the rule path's draft, harmonized to flat values), which returns plain
@@ -31,8 +32,8 @@ the llm record buffer, the geocode cache's counts and file, and every
 backend call, of which only the exchanges of a backend that waits on I/O
 (``wire``) leave it, at most --max-in-flight at once, repairs included.
 What ``_read`` does depends only on the enabled paths: with both, it also
-finishes each rule record (assemble, stamp, geocode, validate, encode) and
-keeps its row, which the calling thread does on the rule path alone. Which
+finishes each rule record (assemble, stamp, geocode, validate) and keeps
+it, encoded, which the calling thread does on the rule path alone. Which
 process reads depends only on the platform: where ``_reads_ahead`` allows,
 a forked child reads ahead, with the same bytes out. After the last
 document the reader hands back once what it kept (``_hand_back``): on a
@@ -201,6 +202,10 @@ class RunConfig(_ConfigFields):
     def check_paths(self) -> None:
         if not self.input_dir.is_dir():
             raise ConfigError(f"input_dir does not exist: {self.input_dir}")
+        # The output directory, or the nearest of its parents that exists.
+        found = next((p for p in (self.output_dir, *self.output_dir.parents) if p.exists()), None)
+        if found is not None and not found.is_dir():
+            raise ConfigError(f"output path is not a directory: {found}")
         for field in _BUNDLED:
             label, _, kind = field.rpartition("_")
             path = self.resolved(field)
@@ -412,11 +417,10 @@ class _Pipeline:
     def _finish_rule(self, segment: _Segment, draft: tuple) -> tuple:
         """The rest of a rule record after its draft, in whichever process
         runs it: assemble the record from the draft's flat values, stamp,
-        geocode, validate and encode it, and keep its row, log row and
-        runtime there (``_keep``). That is the calling thread on a
-        rule-only run and the reader on a both-path run. Returns, as plain
-        data ``marshal`` carries, what ``_accept`` needs: ``(warnings,
-        lookups)``."""
+        geocode and validate it, and keep it, its log row and its runtime
+        there (``_keep``). That is the calling thread on a rule-only run and
+        the reader on a both-path run. Returns, as plain data ``marshal``
+        carries, what ``_accept`` needs: ``(warnings, lookups)``."""
         started = perf_counter()
         values, origins, warnings, drafted_s = draft
         record = assemble_record(values, self.schema)
@@ -425,39 +429,39 @@ class _Pipeline:
         for violation in report.violations:
             message = f"{violation.field_path}: {violation.code}: {violation.message}"
             warnings.append(("validate", "warning", "validation_violation", message))
-        row = emit.encode_row(record, self.outputs["rule"].records.table)
         log = {
             "case_id": segment[1],
             "pre_valid": report.valid,
             "post_valid": report.valid,
             "attempts": 0,
         }
-        self._keep("rule", segment[1], row, log, drafted_s + perf_counter() - started)
+        self._keep("rule", segment[1], record, log, started - drafted_s)
         return warnings, lookups
 
     def _accept(self, segment: _Segment, warnings: list[_Warning], lookups: Sequence) -> None:
         """The accept step of either path's record, on the calling thread and
         in document order: log its warnings and replay its geocode lookups
-        into the run's cache. Its row was kept where it was finished; on a
-        both-path run that is the reader, which keeps every rule row and
-        writes them itself (``_hand_back``), so a rule record accepted here
-        without its row is not a withheld one."""
+        into the run's cache. The record was kept where it was finished
+        (``_keep``); on a both-path run that is the reader, which keeps
+        every rule record and writes them itself (``_hand_back``)."""
         self._log(segment[0], segment[1], warnings)
         for key, value in lookups:
             replay_lookup(key, value, self.cache)
 
     def _keep(
-        self, label: str, case_id: str, row: tuple | None, log: dict | None, seconds: float
+        self, label: str, case_id: str, record: dict | None, log: dict | None, since: float
     ) -> None:
-        """Keep a finished record's row (``None`` for a withheld record), its
-        log row (``None`` when no record was parsed) and its runtime in its
-        path's ``outputs``."""
+        """Keep a finished record in its path's ``outputs``: add it to the
+        path's buffer, which encodes it (``None`` for a withheld record),
+        and keep its log row (``None`` when no record was parsed) and its
+        runtime, the seconds from the ``perf_counter`` reading ``since`` to
+        the end of the encode."""
         output = self.outputs[label]
-        if row is not None:
-            output.records.append(row)
+        if record is not None:
+            output.records.add(record)
         if log is not None:
             output.log.append(log)
-        output.runtimes.append((case_id, seconds))
+        output.runtimes.append((case_id, perf_counter() - since))
 
     def _llm_request(self, segment: _Segment, text: str) -> _LlmJob:
         started = perf_counter()
@@ -476,7 +480,7 @@ class _Pipeline:
         self, job: _LlmJob, extracted: _Exchanged, exchange: _Exchange
     ) -> None:
         """Finish a record from its extraction exchange, sending each repair
-        exchange through ``exchange``, and accept it.
+        exchange through ``exchange``, keep it (``_keep``) and accept it.
 
         The record's runtime is its own stages plus its own exchanges; time
         its exchanges spent queued behind other records' is not counted.
@@ -498,10 +502,9 @@ class _Pipeline:
                 raise outcome
             return outcome
 
-        def accept(row: tuple | None = None, log: dict | None = None) -> None:
-            own = job.build_s + spent + perf_counter() - started - waited
+        def accept(record: dict | None = None, log: dict | None = None) -> None:
+            self._keep("llm", case_id, record, log, started + waited - job.build_s - spent)
             self._accept(job.segment, warnings, lookups)
-            self._keep("llm", case_id, row, log, own)
 
         if isinstance(response, BackendError):
             warnings.append(("parse", "error", "backend_error", str(response)))
@@ -540,7 +543,7 @@ class _Pipeline:
             "attempts": outcome.attempts,
         }
         if outcome.passed:
-            return accept(emit.encode_row(record, self.outputs["llm"].records.table), log)
+            return accept(record, log)
         if outcome.attempts > 0:
             message = f"still invalid after {outcome.attempts} repair attempts"
             warnings.append(("repair", "error", "repair_exhausted", message))

@@ -4,10 +4,11 @@ Both files produced by a run carry the same records in the same order; the
 CSV is a lossless flattening of the JSONL under the schema (dot-path columns,
 lists indexed numerically, empty string for null). Key order in JSON output
 is the schema's canonical order, which by construction is plain lexicographic
-order at every nesting level. A run hands each record to a RecordBuffer as
-it finishes: the buffer keeps the record's output text, not the record.
-The ``write_records_*`` writers stream that text to disk, in whichever
-process keeps the buffer; they are the only way a run's records are written.
+order at every nesting level. A run adds each record to its path's
+RecordBuffer where it finishes it (``RecordBuffer.add``, the one way into a
+buffer), which encodes the record at once and keeps its output text, not
+the record. The ``write_records_*`` writers stream a buffer's text to disk,
+in the process that keeps it; they are the only way records are written.
 
 Warnings never interrupt a run. Every call appends exactly one entry (no
 deduplication) and its code must come from the WARNING_CODES registry below;
@@ -84,52 +85,47 @@ def canonical_json(record: Mapping[str, Any]) -> str:
     return json.dumps(record, ensure_ascii=False, sort_keys=True)
 
 
-def encode_row(
-    record: Mapping[str, Any], table: ColumnTable | None = None
-) -> tuple[Any, str, tuple[str, ...]]:
-    """A record's row, as a ``RecordBuffer`` keeps it: its ``case_id``, its
-    canonical JSON line, and its CSV cells (``_cells``) as one flat tuple of
-    column, text pairs. It is plain data, which ``marshal`` carries.
+class RecordBuffer:
+    """Finished records held as their output text, in the order added.
 
-    The cells come from ``table`` (a fresh one if none is given), which
-    names each column once (``ColumnTable.cells``).
-    """
-    cells = (ColumnTable() if table is None else table).cells(record)
-    return record.get("case_id"), canonical_json(record), cells
-
-
-class ColumnTable:
-    """The CSV columns of the records one buffer encodes, each column name
-    made the first time a record has it and looked up after that.
-
-    ``cells`` gives the cells ``_cells`` gives, as one flat tuple of
-    column, text pairs in the same order. It builds them from the table
+    ``add``, the one way in, encodes a record at once and keeps its row, not
+    the record: its ``case_id``, its canonical JSON line, and the cells
+    ``_cells`` gives, as one flat tuple of column, text pairs in its order.
+    The buffer names each column once and looks it up after that
     (``_named_cells``) for a record whose every column names one leaf: a
-    dict whose keys are non-empty str without a dot, with values that are
-    scalars or sections. A section is a dict with such keys, whose values
-    are scalars, lists of scalars, or maps; a map is a dict with str keys,
-    which may hold dots, whose values are non-empty lists of scalars (such
-    as the field-origin triples). Every record a run emits is one. Any
-    other record takes ``_cells`` itself.
+    dict with non-empty str keys without a dot, whose values are scalars or
+    sections. A section is such a dict whose values are scalars, lists of
+    scalars, or maps; a map is a dict with str keys, which may hold dots,
+    whose values are non-empty lists of scalars (the field-origin triples).
+    Every record a run emits is one; any other takes ``_cells`` itself.
+    Column names and texts are shared through one dict per buffer, so it
+    holds each distinct one, such as a field-origin offset, once.
     """
 
-    __slots__ = ("_fields", "_items", "_maps")
+    __slots__ = ("rows", "_strings", "_fields", "_items", "_maps")
 
-    def __init__(self) -> None:
+    def __init__(self, records: Iterable[Mapping[str, Any]] = ()) -> None:
+        self.rows: list[tuple[Any, str, tuple[str, ...]]] = []
+        self._strings: dict[str, str] = {}
         # The record's keys ("") and each section's: {key: its column}.
         self._fields: dict[str, dict[str, str]] = {}
         # A list's column -> the columns of its first elements, by index.
         self._items: dict[str, tuple[str, ...]] = {}
         # A map's column -> {key: the columns of its list's elements}.
         self._maps: dict[str, dict[str, tuple[str, ...]]] = {}
+        for record in records:
+            self.add(record)
 
-    def __len__(self) -> int:
-        """How many column names the table holds."""
-        return (
-            sum(map(len, self._fields.values()))
-            + sum(map(len, self._items.values()))
-            + sum(len(columns) for keys in self._maps.values() for columns in keys.values())
-        )
+    def add(self, record: Mapping[str, Any]) -> None:
+        cells = self._named_cells(record)
+        if cells is None:
+            cells = tuple(chain.from_iterable(_cells(record).items()))
+        shared = tuple(map(self._strings.setdefault, cells, cells))
+        self.rows.append((record.get("case_id"), canonical_json(record), shared))
+
+    def sort(self) -> None:
+        """Order the rows by case_id."""
+        self.rows.sort(key=itemgetter(0))
 
     def _field(self, section: str, key: Any) -> str | None:
         """The column of ``key`` in ``section`` ("" for the record), made
@@ -139,15 +135,9 @@ class ColumnTable:
         column = self._fields[section][key] = f"{section}.{key}" if section else key
         return column
 
-    def cells(self, record: Mapping[str, Any]) -> tuple[str, ...]:
-        cells = self._named_cells(record)
-        if cells is None:
-            cells = tuple(chain.from_iterable(_cells(record).items()))
-        return cells
-
-    def _named_cells(self, record: Mapping[str, Any]) -> tuple[str, ...] | None:
-        """The record's cells from the table; None for a record it does not
-        cover."""
+    def _named_cells(self, record: Mapping[str, Any]) -> list[str] | None:
+        """The record's cells from the buffer's columns; None for a record
+        they do not cover."""
         out: list[str] = []
         add = out.append
         fields_of, items_of, maps = self._fields, self._items, self._maps
@@ -208,7 +198,7 @@ class ColumnTable:
             else:
                 add(top)
                 add(_format_cell(section))
-        return tuple(out)
+        return out
 
 
 def _add_scalars(add: Callable[[str], None], columns: tuple[str, ...], items: list) -> bool:
@@ -235,53 +225,9 @@ def _indexed(stem: str, count: int) -> tuple[str, ...]:
     return tuple(f"{stem}.{index}" for index in range(count))
 
 
-class RecordBuffer:
-    """Finished records held as their output text, in the order added.
-
-    ``add`` encodes a record at once into its row (``encode_row``), and
-    ``append`` keeps a row encoded elsewhere, such as in a forked child.
-    The buffer's ``table`` names the columns of the rows encoded with it.
-    Column names and texts are shared through one dict per buffer, so the
-    buffer holds each distinct one, such as a column name or a field-origin
-    offset, once. The record itself is not kept.
-    """
-
-    __slots__ = ("rows", "table", "_strings")
-
-    def __init__(self, records: Iterable[Mapping[str, Any]] = ()) -> None:
-        self.rows: list[tuple[Any, str, tuple[str, ...]]] = []
-        self.table = ColumnTable()
-        self._strings: dict[str, str] = {}
-        for record in records:
-            self.add(record)
-
-    def add(self, record: Mapping[str, Any]) -> None:
-        self.append(encode_row(record, self.table))
-
-    def append(self, row: tuple[Any, str, tuple[str, ...]]) -> None:
-        case_id, line, cells = row
-        shared = tuple(map(self._strings.setdefault, cells, cells))
-        self.rows.append((case_id, line, shared))
-
-    @property
-    def columns(self) -> dict[str, None]:
-        """Every column any row has."""
-        return dict.fromkeys(chain.from_iterable(cells[::2] for _, _, cells in self.rows))
-
-    def sort(self) -> None:
-        """Order the rows by case_id."""
-        self.rows.sort(key=itemgetter(0))
-
-
-def _buffered(records: RecordBuffer | Iterable[Mapping[str, Any]]) -> RecordBuffer:
-    return records if isinstance(records, RecordBuffer) else RecordBuffer(records)
-
-
-def write_records_jsonl(
-    path: str | Path, records: RecordBuffer | Iterable[Mapping[str, Any]]
-) -> int:
+def write_records_jsonl(path: str | Path, buffer: RecordBuffer) -> int:
     """One canonical JSON object per line, UTF-8, LF. Returns the line count."""
-    rows = _buffered(records).rows
+    rows = buffer.rows
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
@@ -482,14 +428,10 @@ def _graft(record: dict, segments: list[str], value: str) -> None:
     node[segments[-1]] = value
 
 
-def write_records_csv(
-    path: str | Path,
-    records: RecordBuffer | Iterable[Mapping[str, Any]],
-    schema: SchemaDefinition,
-) -> int:
+def write_records_csv(path: str | Path, buffer: RecordBuffer, schema: SchemaDefinition) -> int:
     """All records as one CSV with union columns in canonical order."""
-    buffer = _buffered(records)
-    ordered = column_order(buffer.columns, schema)
+    columns = dict.fromkeys(chain.from_iterable(cells[::2] for _, _, cells in buffer.rows))
+    ordered = column_order(columns, schema)
     position = {column: index for index, column in enumerate(ordered)}
     blank = [""] * len(ordered)
     path = Path(path)

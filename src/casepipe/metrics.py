@@ -598,7 +598,8 @@ class GoldSide:
 
     Built from the records and the schema: each gold record's value row
     under the schema's default match rules, keyed by ``case_id``, plus the
-    rows of the records that have no id. A repeated id is a ValueError.
+    rows of the records that have no id. A repeated or unhashable id is a
+    ConfigError (``_check_new_id``).
     The side keeps the rows, not the records.
     """
 
@@ -614,10 +615,20 @@ class GoldSide:
             case_id = record.get("case_id")
             if case_id is None:
                 self.anonymous.append(self.plan.values(record))
-            elif case_id in self.rows:
-                raise ValueError(f"duplicate case_id {case_id!r} in gold records")
             else:
+                _check_new_id(case_id, self.rows, "gold")
                 self.rows[case_id] = self.plan.values(record)
+
+
+def _check_new_id(case_id: Any, seen: abc.Container, side: str) -> None:
+    """Refuse, as a ConfigError, a ``case_id`` already ``seen`` among the
+    ``side`` records, or one that cannot be looked up, such as a list."""
+    try:
+        repeated = case_id in seen
+    except TypeError:
+        raise ConfigError(f"unhashable case_id {case_id!r} in {side} records") from None
+    if repeated:
+        raise ConfigError(f"duplicate case_id {case_id!r} in {side} records")
 
 
 def build_report(
@@ -631,10 +642,10 @@ def build_report(
     """Score one path's parsed records against the gold side.
 
     The parsed records are walked once, in order and without copies: each
-    is counted into coverage, checked for a repeated ``case_id``
-    (ValueError, as a repeated gold id is) and tallied against the gold row
-    of its id, or as unmatched when there is none. Gold rows that no record
-    matched count as missed.
+    is counted into coverage, checked for a repeated or unhashable
+    ``case_id`` (a ConfigError, as for a gold id) and tallied against the
+    gold row of its id, or as unmatched when there is none. Gold rows that
+    no record matched count as missed.
     """
     tally = _Tally(gold.plan)
     coverage = _Coverage(DEFAULT_KEY_FIELDS)
@@ -646,8 +657,7 @@ def build_report(
         if case_id is None:
             tally.add(record, None)
             continue
-        if case_id in seen:
-            raise ValueError(f"duplicate case_id {case_id!r} in parsed records")
+        _check_new_id(case_id, seen, "parsed")
         seen.add(case_id)
         tally.add(record, rows.get(case_id))
     for case_id, row in rows.items():

@@ -1092,3 +1092,69 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("casepipe: backend 'dropout_oracle': ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "gold, cases, message",
+        [
+            (['{"case_id": "x"}', '{"case_id": "x"}'], ['{"case_id": "x"}'],
+             "duplicate case_id 'x' in gold records"),
+            (['{"case_id": "x"}'], ['{"case_id": "x"}', '{"case_id": "x"}'],
+             "duplicate case_id 'x' in parsed records"),
+            (['{"case_id": ["x"]}'], ['{"case_id": "x"}'],
+             "unhashable case_id ['x'] in gold records"),
+            (['{"case_id": "x"}'], ['{"case_id": {"x": 1}}'],
+             "unhashable case_id {'x': 1} in parsed records"),
+        ],
+        ids=["repeated_gold", "repeated_parsed", "list_gold", "object_parsed"],
+    )
+    def test_eval_exits_2_on_a_repeated_or_unhashable_case_id(
+        self, tmp_path, capsys, gold, cases, message
+    ):
+        (tmp_path / "gold.jsonl").write_text("\n".join(gold) + "\n", encoding="utf-8")
+        (tmp_path / "cases_rule.jsonl").write_text("\n".join(cases) + "\n", encoding="utf-8")
+        argv = ["eval", "--output", str(tmp_path), "--gold", str(tmp_path / "gold.jsonl")]
+        code = cli.main(argv)
+        assert code == 2
+        assert capsys.readouterr().err == f"casepipe: {message}\n"
+        assert not (tmp_path / "report.txt").exists()
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda line: line + line, "duplicate case_id 'x' in gold records"),
+            (lambda line: line.replace('"x"', '["x"]'),
+             "unhashable case_id ['x'] in gold records"),
+        ],
+        ids=["repeated", "list"],
+    )
+    def test_run_with_gold_exits_2_on_a_repeated_or_unhashable_gold_id(
+        self, mixed_corpus, tmp_path, capsys, change, message
+    ):
+        first = (mixed_corpus / "gold.jsonl").read_text(encoding="utf-8").splitlines()[0]
+        case_id = json.loads(first)["case_id"]
+        line = first.replace(json.dumps(case_id), '"x"') + "\n"
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text(change(line), encoding="utf-8")
+        argv = ["run", "--input", str(mixed_corpus / "docs"), "--output", str(tmp_path / "o")]
+        code = cli.main(argv + ["--ingest-ts", INGEST, "--gold", str(gold)])
+        assert code == 2
+        assert capsys.readouterr().err == f"casepipe: {message}\n"
+
+    @pytest.mark.parametrize("below", [False, True], ids=["itself", "a_parent"])
+    def test_an_output_path_that_is_a_file_exits_2(
+        self, mixed_corpus, tmp_path, capsys, monkeypatch, below
+    ):
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"not a directory\n")
+        output = taken / "out" if below else taken
+
+        def loaded(path):
+            raise AssertionError("a resource loaded before the output path was checked")
+
+        monkeypatch.setattr(cli, "_load_schema", loaded)
+        argv = ["run", "--input", str(mixed_corpus / "docs"), "--output", str(output)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"casepipe: output path is not a directory: {taken}\n"
+        assert taken.read_bytes() == b"not a directory\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["taken"]

@@ -1,13 +1,14 @@
-"""``emit.encode_row`` takes a row's CSV cells from a column table.
+"""``emit.RecordBuffer.add`` takes a row's CSV cells from the buffer's columns.
 
-``emit.ColumnTable`` names each column once per buffer and builds a row's
-flat ``(column, text, ...)`` tuple from it; a record it does not cover
-(dotted, empty or non-string keys, nested lists, maps holding anything but
-non-empty lists) takes ``emit._cells``, the reference kept for it. Either
-way the cells must be the ones the oracles of ``test_validate_equivalence``
-(``flatten_leaves``) and ``test_rulepath_equivalence`` (per value) give,
-and where the table covers a record, exactly ``_cells``'s, in its order.
-A table lives with its buffer, so runs in one process do not grow one.
+A buffer names each column once and builds a row's flat ``(column, text,
+...)`` tuple from its columns (``_named_cells``); a record they do not
+cover (dotted, empty or non-string keys, nested lists, maps holding
+anything but non-empty lists) takes ``emit._cells``, the reference kept for
+it. Either way the cells must be the ones the oracles of
+``test_validate_equivalence`` (``flatten_leaves``) and
+``test_rulepath_equivalence`` (per value) give, and where the columns cover
+a record, exactly ``_cells``'s, in its order. The columns are the buffer's,
+so runs in one process do not grow them.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import gc
 import math
 from itertools import chain
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -35,18 +37,37 @@ def _reference(record) -> tuple:
     return tuple(chain.from_iterable(emit._cells(record).items()))
 
 
+def _added(buffer: emit.RecordBuffer, record) -> tuple:
+    """The cells of the row ``buffer.add`` keeps for ``record``. Its JSON
+    line is made with ``repr`` here, so that a record whose keys JSON cannot
+    sort, such as ``{0: ..., "a": ...}``, is added too; the written lines
+    are compared in ``test_rulepath_equivalence``."""
+    with mock.patch.object(emit, "canonical_json", repr):
+        buffer.add(record)
+    return buffer.rows[-1][2]
+
+
+def _column_names(buffer: emit.RecordBuffer) -> int:
+    """How many column names the buffer holds."""
+    return (
+        sum(map(len, buffer._fields.values()))
+        + sum(map(len, buffer._items.values()))
+        + sum(len(columns) for keys in buffer._maps.values() for columns in keys.values())
+    )
+
+
 def _check(records_, oracle) -> None:
-    """Each record's cells from one table, and from a fresh one, against
-    ``oracle``; where the table covers a record, against ``_cells``."""
-    table = emit.ColumnTable()
+    """Each record's cells from one buffer, and from a fresh one, against
+    ``oracle``; where the columns cover a record, against ``_cells``."""
+    buffer = emit.RecordBuffer()
     for record in records_:
-        cells = table.cells(record)
-        assert emit.ColumnTable().cells(record) == cells
+        cells = _added(buffer, record)
+        assert _added(emit.RecordBuffer(), record) == cells
         assert dict(zip(cells[::2], cells[1::2])) == oracle(record)
         assert all(type(text) is str for text in cells)
-        if table._named_cells(record) is not None:
+        if buffer._named_cells(record) is not None:
             assert cells == _reference(record)
-            # No column twice: the table covers only records whose every
+            # No column twice: the columns cover only records whose every
             # column names one leaf.
             assert len(set(cells[::2])) == len(cells) // 2
 
@@ -85,11 +106,11 @@ def test_pipeline_records_take_the_table(rows, data):
         record["provenance"]["field_origins"] = data.draw(
             st.dictionaries(_ORIGIN_KEYS, _TRIPLES, max_size=4)
         )
-    table = emit.ColumnTable()
+    buffer = emit.RecordBuffer()
     for record in rows:
-        assert table._named_cells(record) is not None
-        # What a run keeps: the row encode_row makes with its buffer's table.
-        assert emit.encode_row(record, table)[2] == _reference(record)
+        assert buffer._named_cells(record) is not None
+        # What a run keeps: the row its path's buffer adds.
+        assert _added(buffer, record) == _reference(record)
     _check(rows, _leaf_cells)
     _check(rows, _per_value_cells)
 
@@ -125,25 +146,26 @@ def test_pipeline_records_take_the_table(rows, data):
     ],
 )
 def test_handpicked_records(record, covered):
-    assert (emit.ColumnTable()._named_cells(record) is not None) is covered
+    assert (emit.RecordBuffer()._named_cells(record) is not None) is covered
     _check([record], _leaf_cells)
     _check([record], _per_value_cells)
 
 
 def test_a_longer_list_extends_the_columns_it_made():
-    table = emit.ColumnTable()
+    buffer = emit.RecordBuffer()
     short = {"s": {"cues": ["a"], "m": {"k": [1]}}}
     long = {"s": {"cues": ["a", "b", "c"], "m": {"k": [1, 2, 3]}}}
     for record in (short, long, short):
-        assert table._named_cells(record) == _reference(record)
+        assert buffer._named_cells(record) is not None
+        assert _added(buffer, record) == _reference(record)
 
 
 def test_the_columns_are_shared_across_rows():
-    table = emit.ColumnTable()
+    buffer = emit.RecordBuffer()
     first, second = ({"s": {"a": str(n), "m": {"k.x": [n, 1, 2]}}} for n in (1, 2))
-    a, b = table._named_cells(first), table._named_cells(second)
+    a, b = _added(buffer, first), _added(buffer, second)
     assert all(x is y for x, y in zip(a[::2], b[::2]))
-    assert len(table) == 6  # s, s.a, s.m and s.m.k.x.0 to s.m.k.x.2
+    assert _column_names(buffer) == 6  # s, s.a, s.m and s.m.k.x.0 to s.m.k.x.2
 
 
 @pytest.fixture(scope="module")
@@ -156,12 +178,12 @@ def docs(tmp_path_factory):
 
 @pytest.mark.parametrize("paths", ["rule", "both"])
 def test_runs_in_one_process_leave_no_table_behind(docs, tmp_path, monkeypatch, paths):
-    # In-process, so every table a run makes is made, and freed, here.
+    # In-process, so every buffer a run makes is made, and freed, here.
     monkeypatch.setattr(cli, "_reads_ahead", lambda files: False)
     made: list[int] = []
     freed: list[int] = []
 
-    class Recorded(emit.ColumnTable):
+    class Recorded(emit.RecordBuffer):
         __slots__ = ()
 
         def __init__(self) -> None:
@@ -169,9 +191,9 @@ def test_runs_in_one_process_leave_no_table_behind(docs, tmp_path, monkeypatch, 
             made.append(1)
 
         def __del__(self) -> None:
-            freed.append(len(self))
+            freed.append(_column_names(self))
 
-    monkeypatch.setattr(emit, "ColumnTable", Recorded)
+    monkeypatch.setattr(emit, "RecordBuffer", Recorded)
     sizes = []
     for run in range(6):
         before = len(freed)
@@ -182,8 +204,9 @@ def test_runs_in_one_process_leave_no_table_behind(docs, tmp_path, monkeypatch, 
             )
         )
         gc.collect()
-        # Every table the run made is gone once it has returned.
+        # Every buffer the run made is gone, its columns with it, once it
+        # has returned.
         assert len(freed) == len(made)
         sizes.append(sorted(freed[before:]))
-    # Each run made its tables afresh, and they held the same columns.
+    # Each run made its buffers afresh, and they held the same columns.
     assert max(sizes[0]) > 0 and sizes.count(sizes[0]) == len(sizes)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casepipe.cli import RunConfig, run
-from casepipe.emit import column_order, flatten_record, write_records_csv
+from casepipe.emit import RecordBuffer, column_order, flatten_record, write_records_csv
 from casepipe.extract import _text_quality
 from casepipe.llm import CandidateParseError, _edit_allowed, _first_object, _merge_minimal
 from casepipe.schema import default_schema, flatten_leaves, validate
@@ -163,7 +163,7 @@ def _reference_csv(rows):
 @given(st.lists(_records_with_extras(), max_size=6))
 def test_csv_bytes_match_per_row_reference(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("csv") / "cases.csv"
-    assert write_records_csv(path, rows, SCHEMA) == len(rows)
+    assert write_records_csv(path, RecordBuffer(rows), SCHEMA) == len(rows)
     assert path.read_bytes() == _reference_csv(rows)
 
 

@@ -7,7 +7,11 @@ over two corpora of one seed, 40 and 120 documents per family at label
 dropout 0.5. The peak's growth divided by the record count's growth is the
 cost per record; fixed costs, such as loaded resources, cancel out. A
 warm-up run first fills the first-use caches and lazy imports, which would
-otherwise count against the smaller corpus only.
+otherwise count against the smaller corpus only. Each corpus is then
+measured twice and the smaller growth kept, for the run and the evaluation
+alike: a one-off allocation, such as a resize of the interpreter's table of
+interned strings (about 400 KiB), lands in one window or another depending
+on what ran before, and would otherwise read as a cost per record.
 """
 
 import gc
@@ -74,6 +78,15 @@ def _measure(root, out, paths, backend, params):
     return records, len(read_jsonl(gold)), run_growth, eval_growth
 
 
+def _least(root, out, paths, backend, params):
+    """``_measure`` twice over one corpus, keeping the smaller growth of the
+    run and of the evaluation each."""
+    first = _measure(root, out / "1", paths, backend, params)
+    second = _measure(root, out / "2", paths, backend, params)
+    assert first[:2] == second[:2]
+    return (*first[:2], min(first[2], second[2]), min(first[3], second[3]))
+
+
 @pytest.mark.parametrize("forked", [True, False], ids=["forked", "in-process"])
 @pytest.mark.parametrize(
     "paths, backend, params",
@@ -94,8 +107,8 @@ def test_memory_grows_by_a_few_kilobytes_per_record(
     monkeypatch.setattr(cli, "_reads_ahead", lambda files: forked and bool(files))
     small, large = corpora
     _measure(small, tmp_path / "warm", paths, backend, params)
-    records_s, gold_s, run_s, eval_s = _measure(small, tmp_path / "s", paths, backend, params)
-    records_l, gold_l, run_l, eval_l = _measure(large, tmp_path / "l", paths, backend, params)
+    records_s, gold_s, run_s, eval_s = _least(small, tmp_path / "s", paths, backend, params)
+    records_l, gold_l, run_l, eval_l = _least(large, tmp_path / "l", paths, backend, params)
     per_record = (run_l - run_s) / (records_l - records_s)
     per_gold = (eval_l - eval_s) / (gold_l - gold_s)
     assert per_record <= RUN_BOUND, f"run: {per_record / KB:.1f} KB per record"

@@ -24,6 +24,7 @@ import sys
 import threading
 import warnings
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -360,9 +361,9 @@ def test_a_failed_run_keeps_a_directory_it_made_if_another_file_is_there(
     assert [path.name for path in out.iterdir()] == ["notes.txt"]
 
 
-def _flat_rule_drafts(monkeypatch) -> list:
-    """Record the rule part of every segment of every frame the caller
-    receives from the reader: installed before the fork, but only the
+def _received_frames(monkeypatch) -> list:
+    """Record every frame the caller receives from the reader, the
+    documents' and the hand-back: installed before the fork, but only the
     caller's own calls reach the list."""
     received: list = []
     loads = cli.marshal.loads
@@ -373,12 +374,24 @@ def _flat_rule_drafts(monkeypatch) -> list:
         @staticmethod
         def loads(frame):
             item = loads(frame)
-            if type(item) is tuple and type(item[0]) is str:  # a document's
-                received.extend(rule for _, rule, _ in item[2])
+            received.append(item)
             return item
 
     monkeypatch.setattr(cli, "marshal", Marshal)
     return received
+
+
+def _strings(item) -> Iterator[str]:
+    """Every string in a frame, keys included."""
+    if type(item) is str:
+        yield item
+    elif type(item) in (tuple, list):
+        for element in item:
+            yield from _strings(element)
+    elif type(item) is dict:
+        for key, value in item.items():
+            yield from _strings(key)
+            yield from _strings(value)
 
 
 def test_a_rule_only_runs_reader_hands_over_unassembled_values(corpus, tmp_path, monkeypatch):
@@ -386,11 +399,14 @@ def test_a_rule_only_runs_reader_hands_over_unassembled_values(corpus, tmp_path,
     outputs = {}
     for placement in PLACEMENTS:
         forks = _place(monkeypatch, placement)
-        received = _flat_rule_drafts(monkeypatch)
+        frames = _received_frames(monkeypatch)
         out = tmp_path / placement
         summary = cli.run(_config(corpus, out, paths_enabled="rule"))
         assert len(forks) == (placement == "forked")
         if placement == "forked":
+            # One frame per document, then a hand-back of nothing.
+            assert len(frames) == summary.documents_in + 1 and frames[-1] is None
+            received = [rule for _, _, segments in frames[:-1] for _, rule, _ in segments]
             # One draft per segment: harmonize's flat values, which the
             # caller assembles; no section of a record crosses the pipe.
             assert len(received) == summary.segments > 0
@@ -405,9 +421,28 @@ def test_a_rule_only_runs_reader_hands_over_unassembled_values(corpus, tmp_path,
     # the rule records, in either placement.
     for placement in PLACEMENTS:
         _place(monkeypatch, placement)
+        frames = _received_frames(monkeypatch)
         out = tmp_path / f"both_{placement}"
-        cli.run(_config(corpus, out, backend="dropout_oracle"))
+        summary = cli.run(_config(corpus, out, backend="dropout_oracle"))
         assert _rule_files(out) == outputs["forked"], placement
+        if placement == "forked":
+            # The reader keeps and writes the rule records: each segment's
+            # rule entry is what accept needs, (warnings, lookups), and the
+            # hand-back is (records out, log rows, runtimes). No row, cell
+            # or JSON line crosses the pipe.
+            assert len(frames) == summary.documents_in + 1
+            rules = [rule for _, _, segments in frames[:-1] for _, rule, _ in segments]
+            assert len(rules) == summary.segments > 0
+            for warnings, lookups in rules:
+                assert all(len(warning) == 4 for warning in warnings)
+                assert all(type(key) is str for key, _ in lookups)
+            count, log, runtimes = frames[-1]
+            assert count == summary.records_out_rule > 0
+            assert len(log) == len(runtimes) == summary.segments
+            assert all(set(row) == {"case_id", "pre_valid", "post_valid", "attempts"} for row in log)
+            assert all(type(case_id) is str for case_id, _ in runtimes)
+            assert all(type(seconds) is float for _, seconds in runtimes)
+            assert not any('"case_id"' in text for text in _strings(frames))
         _assert_no_child()
 
 
