@@ -12,33 +12,36 @@ finished run against a gold file.
 
 Outputs land in the run's output directory: cases_rule.jsonl/csv and
 cases_llm.jsonl/csv (per enabled path), warnings.jsonl, run_summary.json,
-and, when a gold file is given, metrics_<path>.json plus report.txt. Until
-they are written, a run's records, repair-log rows and runtime samples
-accumulate per path on the pipeline, in its ``outputs``, with the segment
-count beside them, in the process that finished the records. Each record is
-added to its path's ``emit.RecordBuffer`` where it is finished (``_keep``),
-which encodes it at once, so a run holds every record as its output text,
-not as a dict. ``run`` writes every file to a staging directory inside the
-output directory, each path's files sorted by case_id in the process that
-kept its rows (``write_cases``), and then publishes them together by
+and, when a gold file is given, metrics_<path>.json plus report.txt; the
+gold file is read before the first document, so one that cannot be scored
+against stops the run before it writes anything. Until they are written, a
+run's records, repair-log rows and runtime samples accumulate per path on
+the pipeline, in its ``outputs``, with the segment count beside them, in
+the process that finished the records. A record stays flat while it is
+finished, as its ``schema.LeafMap``, and is added to its path's
+``emit.RecordBuffer`` where it is finished (``_keep``), which encodes it at
+once, so a run holds every record as its output text, not as a dict.
+``run`` writes every file to a staging directory inside the output
+directory, each path's files sorted by case_id in the process that kept
+its rows (``write_cases``), and then publishes them together by
 ``os.replace``: a failed run publishes none.
 
 Each document has a read half (``_read``: extract, cut, split, detect and
-the rule path's draft, harmonized to flat values), which returns plain
-data, each segment's identity built once there as one ``(document_id,
-case_id, source_label, family)`` tuple that goes whole to accept, and a
-finish half that runs in document order on the calling thread: warnings,
-the llm record buffer, the geocode cache's counts and file, and every
-backend call, of which only the exchanges of a backend that waits on I/O
-(``wire``) leave it, at most --max-in-flight at once, repairs included.
-What ``_read`` does depends only on the enabled paths: with both, it also
-finishes each rule record (assemble, stamp, geocode, validate) and keeps
-it, encoded, which the calling thread does on the rule path alone. Which
-process reads depends only on the platform: where ``_reads_ahead`` allows,
-a forked child reads ahead, with the same bytes out. After the last
-document the reader hands back once what it kept (``_hand_back``): on a
-both-path run it writes the rule files to staging itself and returns the
-rule record count, repair-log rows and runtimes.
+the rule path's parse, each draft key's raw text and span), which returns
+plain data, each segment's identity built once there as one
+``(document_id, case_id, source_label, family)`` tuple that goes whole to
+accept, and a finish half that runs in document order on the calling
+thread: warnings, the llm record buffer, the geocode cache's counts and
+file, and every backend call, of which only the exchanges of a backend that
+waits on I/O (``wire``) leave it, at most --max-in-flight at once, repairs
+included. What ``_read`` does depends only on the enabled paths: with both,
+it also finishes each rule record (harmonize, stamp, geocode, validate)
+and keeps it, encoded, which the calling thread does on the rule path
+alone. Which process reads depends only on the platform: where
+``_reads_ahead`` allows, a forked child reads ahead, with the same bytes
+out. After the last document the reader hands back once what it kept
+(``_hand_back``): on a both-path run it writes the rule files to staging
+itself and returns the rule record count, repair-log rows and runtimes.
 Records are geocoded against a copy of the run's cache that writes no file
 and journals each lookup, which ``apply_geocode`` hands back with its own
 warnings, and each record's warnings and lookups reach one accept step
@@ -102,12 +105,15 @@ from casepipe.llm import (
     repair_loop,
     sanitize_candidate,
 )
-from casepipe.rules import DraftRecord, dispatch, load_rulesets
+from casepipe.rules import dispatch, load_rulesets
 from casepipe.schema import (
+    LeafMap,
     SchemaDefinition,
     assemble_record,
     default_schema,
+    flatten_leaves,
     parse_iso_timestamp,
+    record_leaves,
     validate,
 )
 from casepipe.sources import UNKNOWN_LABEL, detect_source, load_signatures
@@ -347,7 +353,7 @@ class _Pipeline:
         self.staging = config.output_dir / _STAGING
         self.segments = 0
         self.outputs = {
-            label: _PathOutput(emit.RecordBuffer(), [], []) for label, _ in _PATHS
+            label: _PathOutput(emit.RecordBuffer(self.schema), [], []) for label, _ in _PATHS
         }
 
     # -- helpers ----------------------------------------------------------
@@ -364,68 +370,72 @@ class _Pipeline:
             )
 
     def _stamp(
-        self, record: dict, warnings: list[_Warning], segment: _Segment, path: str, origins: dict
+        self, leaves: LeafMap, warnings: list[_Warning], segment: _Segment, path: str,
+        origins: dict,
     ) -> tuple:
-        """Stamp the record's case_id and provenance from ``segment``, its
-        extraction ``path`` and its field ``origins``, geocode it, adding
-        the geocode warnings to ``warnings``, and set its warnings_count to
-        their number then. Returns ``apply_geocode``'s lookups."""
-        record["case_id"] = segment[1]
-        prov = record.setdefault("provenance", {})
-        prov["source_label"], prov["source_family"] = segment[2:]
-        prov["extraction_path"] = path
-        prov["engine_used"] = ENGINE_PLAINTEXT
-        prov["document_id"] = segment[0]
-        prov["ingest_ts"] = self.ingest_ts
-        prov["repair_count"] = 0
-        prov["field_origins"] = origins
+        """Stamp the record's case_id and provenance leaves from ``segment``,
+        its extraction ``path`` and its field ``origins``, geocode it,
+        adding the geocode warnings to ``warnings``, and set its
+        warnings_count to their number then. Returns ``apply_geocode``'s
+        lookups."""
+        leaves["case_id"] = segment[1]
+        leaves["provenance.source_label"], leaves["provenance.source_family"] = segment[2:]
+        leaves["provenance.extraction_path"] = path
+        leaves["provenance.engine_used"] = ENGINE_PLAINTEXT
+        leaves["provenance.document_id"] = segment[0]
+        leaves["provenance.ingest_ts"] = self.ingest_ts
+        leaves["provenance.repair_count"] = 0
+        leaves["provenance.field_origins"] = origins
         lookups = apply_geocode(
-            record, self.gazetteer, self.lookup_cache, on_warning=_collect(warnings, "geocode")
+            leaves, self.gazetteer, self.lookup_cache, on_warning=_collect(warnings, "geocode")
         )
-        prov["warnings_count"] = len(warnings)
+        leaves["provenance.warnings_count"] = len(warnings)
         return lookups
 
     # -- per-segment paths -------------------------------------------------
 
-    def _draft_rule(self, case, detection) -> tuple:
-        """The read half of a case segment's rule path: harmonize's flat
-        ``{leaf path: value}``, not yet assembled into a record, its field
-        origins, its parse and harmonize warnings, and the seconds taken."""
+    def _parse_rule(self, case, detection) -> tuple:
+        """The rule path's parse of a case segment, as plain data ``marshal``
+        carries: ``(raw, spans, warnings, seconds)``, each draft key's raw
+        text and its origin, ``[segment index, char start, char end]``, the
+        parse warnings and the seconds ``dispatch`` took."""
         started = perf_counter()
         warnings: list[_Warning] = []
-        draft: DraftRecord = dispatch(
-            detection, case, self.rulesets, on_warning=_collect(warnings, "parse")
-        )
+        draft = dispatch(detection, case, self.rulesets, on_warning=_collect(warnings, "parse"))
+        raw: dict[str, str] = {}
+        spans: dict[str, list[int]] = {}
+        index = case.segment_index
+        for key, candidate in draft.candidates.items():
+            raw[key] = candidate.raw_value
+            spans[key] = [index, candidate.char_start, candidate.char_end]
+        return raw, spans, warnings, perf_counter() - started
+
+    def _finish_rule(self, segment: _Segment, parsed: tuple) -> tuple:
+        """The rest of a rule record after its parse, in whichever process
+        runs it: harmonize the raw values into the record's leaf map, each
+        field's origin being its source key's span, stamp, geocode and
+        validate it, and keep it, its log row and its runtime, which counts
+        the parse too, there (``_keep``). That is the calling thread on a
+        rule-only run and the reader on a both-path run. Returns, as plain
+        data ``marshal`` carries, what ``_accept`` needs: ``(warnings,
+        lookups)``."""
+        started = perf_counter()
+        raw, spans, warnings, parsed_s = parsed
         harmonized = harmonize(
-            draft,
-            self.tables[detection.source_label][0],
+            raw,
+            self.tables[segment[2]][0],
             self.schema,
             on_warning=_collect(warnings, "harmonize"),
             assemble=False,
         )
         origins: dict[str, list[int]] = {}
         for source_key, target_path in harmonized.key_trace:
-            candidate = draft.candidates.get(source_key)
-            if candidate is not None:
-                origins[target_path] = [
-                    case.segment_index,
-                    candidate.char_start,
-                    candidate.char_end,
-                ]
-        return harmonized.record, origins, warnings, perf_counter() - started
-
-    def _finish_rule(self, segment: _Segment, draft: tuple) -> tuple:
-        """The rest of a rule record after its draft, in whichever process
-        runs it: assemble the record from the draft's flat values, stamp,
-        geocode and validate it, and keep it, its log row and its runtime
-        there (``_keep``). That is the calling thread on a rule-only run and
-        the reader on a both-path run. Returns, as plain data ``marshal``
-        carries, what ``_accept`` needs: ``(warnings, lookups)``."""
-        started = perf_counter()
-        values, origins, warnings, drafted_s = draft
-        record = assemble_record(values, self.schema)
-        lookups = self._stamp(record, warnings, segment, "rule", origins)
-        report = validate(record, self.schema)
+            span = spans.get(source_key)
+            if span is not None:
+                origins[target_path] = span
+        leaves = harmonized.record
+        lookups = self._stamp(leaves, warnings, segment, "rule", origins)
+        report = validate(leaves, self.schema)
         for violation in report.violations:
             message = f"{violation.field_path}: {violation.code}: {violation.message}"
             warnings.append(("validate", "warning", "validation_violation", message))
@@ -435,7 +445,7 @@ class _Pipeline:
             "post_valid": report.valid,
             "attempts": 0,
         }
-        self._keep("rule", segment[1], record, log, started - drafted_s)
+        self._keep("rule", segment[1], leaves, log, started - parsed_s)
         return warnings, lookups
 
     def _accept(self, segment: _Segment, warnings: list[_Warning], lookups: Sequence) -> None:
@@ -449,16 +459,16 @@ class _Pipeline:
             replay_lookup(key, value, self.cache)
 
     def _keep(
-        self, label: str, case_id: str, record: dict | None, log: dict | None, since: float
+        self, label: str, case_id: str, leaves: LeafMap | None, log: dict | None, since: float
     ) -> None:
-        """Keep a finished record in its path's ``outputs``: add it to the
-        path's buffer, which encodes it (``None`` for a withheld record),
-        and keep its log row (``None`` when no record was parsed) and its
-        runtime, the seconds from the ``perf_counter`` reading ``since`` to
-        the end of the encode."""
+        """Keep a finished record in its path's ``outputs``: add its leaf map
+        to the path's buffer, which encodes it (``None`` for a withheld
+        record), and keep its log row (``None`` when no record was parsed)
+        and its runtime, the seconds from the ``perf_counter`` reading
+        ``since`` to the end of the encode."""
         output = self.outputs[label]
-        if record is not None:
-            output.records.add(record)
+        if leaves is not None:
+            output.records.add(leaves)
         if log is not None:
             output.log.append(log)
         output.runtimes.append((case_id, perf_counter() - since))
@@ -502,8 +512,8 @@ class _Pipeline:
                 raise outcome
             return outcome
 
-        def accept(record: dict | None = None, log: dict | None = None) -> None:
-            self._keep("llm", case_id, record, log, started + waited - job.build_s - spent)
+        def accept(leaves: LeafMap | None = None, log: dict | None = None) -> None:
+            self._keep("llm", case_id, leaves, log, started + waited - job.build_s - spent)
             self._accept(job.segment, warnings, lookups)
 
         if isinstance(response, BackendError):
@@ -516,26 +526,22 @@ class _Pipeline:
         except CandidateParseError as exc:
             warnings.append(("sanitize", "error", "candidate_parse_error", str(exc)))
             return accept()
-        harmonized = harmonize(
-            candidate,
+        leaves = harmonize(
+            flatten_leaves(candidate),
             self.tables[job.segment[2]][1],
             self.schema,
             on_warning=_collect(warnings, "harmonize"),
-        )
-        record = harmonized.record
-        lookups = self._stamp(record, warnings, job.segment, "llm", {})
+            assemble=False,
+        ).record
+        lookups = self._stamp(leaves, warnings, job.segment, "llm", {})
         outcome = repair_loop(
-            record,
+            assemble_record(leaves, self.schema),
             self.schema,
             repair_exchange,
             max_attempts=self.config.max_repair_attempts,
             on_warning=_collect(warnings, "repair"),
             request_prefix=f"{case_id}:repair",
         )
-        record = outcome.record
-        # repair_loop validated the record; no rule rejects a non-negative
-        # repair_count on an llm-path record, so it needs no second pass.
-        record["provenance"]["repair_count"] = outcome.attempts
         log = {
             "case_id": case_id,
             "pre_valid": outcome.attempts == 0 and outcome.passed,
@@ -543,7 +549,12 @@ class _Pipeline:
             "attempts": outcome.attempts,
         }
         if outcome.passed:
-            return accept(record, log)
+            # Every leaf, null where a repair dropped one. repair_loop
+            # validated the record; no rule rejects a non-negative
+            # repair_count on an llm-path record, so it needs no second pass.
+            leaves = record_leaves(outcome.record, self.schema)
+            leaves["provenance.repair_count"] = outcome.attempts
+            return accept(leaves, log)
         if outcome.attempts > 0:
             message = f"still invalid after {outcome.attempts} repair attempts"
             warnings.append(("repair", "error", "repair_exhausted", message))
@@ -558,14 +569,13 @@ class _Pipeline:
         ``(document_id, warnings, [(segment, rule, llm text or None), ...])``,
         the warnings being the extract stage's and each ``segment`` the
         ``(document_id, case_id, source_label, family)`` that goes whole to
-        accept. ``rule`` is None without the rule path, ``_draft_rule``'s
-        draft with it alone, whose flat values the caller's
-        ``_finish_rule`` assembles, and with both paths the ``(warnings,
-        lookups)`` of the record ``_finish_rule`` assembled and finished
-        from that draft here, whose row it kept. Split and detection see
-        the content only;
-        the trailer is normalized only for the llm path, and only the last
-        text carries it."""
+        accept. ``rule`` is None without the rule path, ``_parse_rule``'s
+        raw values and spans with it alone, which the caller's
+        ``_finish_rule`` harmonizes and finishes, and with both paths the
+        ``(warnings, lookups)`` of the record ``_finish_rule`` finished from
+        them here, whose row it kept. Split and detection see the content
+        only; the trailer is normalized only for the llm path, and only the
+        last text carries it."""
         document_id = path.stem
         try:
             extracted = extract_text(SourceDocument(document_id=document_id, path=path))
@@ -594,7 +604,7 @@ class _Pipeline:
             segment = (document_id, case_id, detection.source_label, detection.family)
             rule = text = None
             if "rule" in self.enabled:
-                rule = self._draft_rule(case, detection)
+                rule = self._parse_rule(case, detection)
                 if llm:
                     rule = self._finish_rule(segment, rule)
             if llm:
@@ -613,7 +623,7 @@ class _Pipeline:
             if segment[2] == UNKNOWN_LABEL:
                 self._log(document_id, segment[1], _UNKNOWN_SOURCE)
             if rule is not None:
-                if text is None:  # the rule path alone: ``rule`` is a draft
+                if text is None:  # the rule path alone: ``rule`` is a parse
                     rule = self._finish_rule(segment, rule)
                 self._accept(segment, *rule)
             if text is not None:
@@ -699,7 +709,7 @@ class _Pipeline:
         if handed is None:
             return {}
         count, log, runtimes = handed
-        self.outputs["rule"] = _PathOutput(emit.RecordBuffer(), log, runtimes)
+        self.outputs["rule"] = _PathOutput(emit.RecordBuffer(self.schema), log, runtimes)
         return {"rule": count}
 
 
@@ -843,8 +853,12 @@ def run(config: RunConfig) -> RunSummary:
     output directory, and any parent of it, that it created, if empty.
 
     The inputs are the ``*.txt`` entries of the input directory
-    (``_input_files``), read in name order."""
+    (``_input_files``), read in name order. A gold file is read before the
+    first document, so one that cannot be scored against fails the run
+    before anything is written, and the published outputs are scored
+    against it, as ``evaluate`` does."""
     pipeline = _Pipeline(config)
+    gold = None if config.gold_path is None else _gold(config.gold_path, pipeline.schema)
     files = _input_files(config.input_dir)
     staging, outputs, by_case_id = pipeline.staging, pipeline.outputs, itemgetter("case_id")
     shutil.rmtree(staging, ignore_errors=True)  # what a killed run left there
@@ -894,6 +908,10 @@ def run(config: RunConfig) -> RunSummary:
     for path in sorted(staging.iterdir()):
         os.replace(path, config.output_dir / path.name)
     staging.rmdir()
+    if gold is not None:
+        found = [(label, output_dir / f"{stem}.jsonl") for label, stem in _PATHS]
+        found = [(label, path) for label, path in found if label in pipeline.enabled]
+        _score(output_dir, found, gold, summary.config_digest, _print_eval_warning)
     return summary
 
 
@@ -912,20 +930,36 @@ def evaluate_outputs(
 
     A path whose ``cases_*.jsonl`` is missing is not scored; with none at
     all this is a ConfigError, raised before the gold file is parsed. The
-    gold file is then read once into one ``metrics.GoldSide``, which every
-    path's ``metrics.build_report`` call gets, so each gold record's values
-    are extracted once, before any path is scored. Both files stream: each
-    line is parsed as it is scored, and no list of records is built.
+    gold file is then read once into one ``metrics.GoldSide`` (``_gold``),
+    which every path is scored against (``_score``).
     """
-    from casepipe import metrics  # deferred: cold starts skip the scorer
-
     if not gold_path.is_file():
         raise ConfigError(f"gold file does not exist: {gold_path}")
     found = [(label, output_dir / f"{stem}.jsonl") for label, stem in _PATHS]
     found = [(label, path) for label, path in found if path.is_file()]
     if not found:
         raise ConfigError(f"no cases_*.jsonl files to evaluate in {output_dir}")
-    gold = metrics.GoldSide(iter_jsonl(gold_path), schema)
+    return _score(output_dir, found, _gold(gold_path, schema), config_digest, on_warning)
+
+
+def _gold(gold_path: Path, schema: SchemaDefinition) -> metrics.GoldSide:
+    from casepipe import metrics  # deferred: cold starts skip the scorer
+
+    return metrics.GoldSide(iter_jsonl(gold_path), schema)
+
+
+def _score(
+    output_dir: Path,
+    found: list[tuple[str, Path]],
+    gold: metrics.GoldSide,
+    config_digest: str,
+    on_warning: metrics.WarnFn | None,
+) -> dict[str, metrics.MetricsReport]:
+    """Score each ``(label, cases file)`` found against ``gold``, with the
+    run's logs from ``run_summary.json`` if there is one, and write the
+    reports. Each cases file streams: each line is parsed as it is scored."""
+    from casepipe import metrics  # deferred: cold starts skip the scorer
+
     summary: dict[str, Any] = {}
     summary_path = output_dir / "run_summary.json"
     if summary_path.is_file():
@@ -1055,7 +1089,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"warnings:          {summary.warnings_by_severity or '{}'}")
     print(f"summary file:      {config.output_dir / 'run_summary.json'}")
     if config.gold_path is not None:
-        evaluate(config)
         print(f"report file:       {config.output_dir / 'report.txt'}")
         print((config.output_dir / "report.txt").read_text(encoding="utf-8"))
     return 0

@@ -4,11 +4,14 @@ Both files produced by a run carry the same records in the same order; the
 CSV is a lossless flattening of the JSONL under the schema (dot-path columns,
 lists indexed numerically, empty string for null). Key order in JSON output
 is the schema's canonical order, which by construction is plain lexicographic
-order at every nesting level. A run adds each record to its path's
-RecordBuffer where it finishes it (``RecordBuffer.add``, the one way into a
-buffer), which encodes the record at once and keeps its output text, not
-the record. The ``write_records_*`` writers stream a buffer's text to disk,
-in the process that keeps it; they are the only way records are written.
+order at every nesting level. A run adds each record, as its leaf map, to
+its path's RecordBuffer where it finishes it (``RecordBuffer.add``, the one
+way into a buffer), which encodes the record at once by the schema's
+record plan, the JSON line and the CSV cells in one walk, and keeps its
+output text, not the record; ``_cells`` takes a record the plan does not
+cover, and is the reference the plan walk is tested against. The
+``write_records_*`` writers stream a buffer's text to disk, in the process
+that keeps it; they are the only way records are written.
 
 Warnings never interrupt a run. Every call appends exactly one entry (no
 deduplication) and its code must come from the WARNING_CODES registry below;
@@ -24,12 +27,14 @@ import threading
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, NamedTuple
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from casepipe.schema import (
     KIND_INTEGER,
     KIND_LIST,
     KIND_SECTION,
+    PLAN_LIST,
+    PLAN_SCALAR,
     SchemaDefinition,
     assemble_record,
 )
@@ -85,139 +90,143 @@ def canonical_json(record: Mapping[str, Any]) -> str:
     return json.dumps(record, ensure_ascii=False, sort_keys=True)
 
 
+# A str's JSON text as ``canonical_json`` writes it (``ensure_ascii`` off).
+_encode_str = json.encoder.encode_basestring
+
+
 class RecordBuffer:
     """Finished records held as their output text, in the order added.
 
-    ``add``, the one way in, encodes a record at once and keeps its row, not
-    the record: its ``case_id``, its canonical JSON line, and the cells
-    ``_cells`` gives, as one flat tuple of column, text pairs in its order.
-    The buffer names each column once and looks it up after that
-    (``_named_cells``) for a record whose every column names one leaf: a
-    dict with non-empty str keys without a dot, whose values are scalars or
-    sections. A section is such a dict whose values are scalars, lists of
-    scalars, or maps; a map is a dict with str keys, which may hold dots,
-    whose values are non-empty lists of scalars (the field-origin triples).
-    Every record a run emits is one; any other takes ``_cells`` itself.
-    Column names and texts are shared through one dict per buffer, so it
-    holds each distinct one, such as a field-origin offset, once.
+    ``add``, the one way in, takes a record as its leaf map, encodes it at
+    once and keeps its row, not the record: its ``case_id``, its canonical
+    JSON line, and the cells ``_cells`` gives of the record it nests into,
+    as one flat tuple of column, text pairs in that order. Both come from
+    one walk of the schema's record plan (``_encoded``), which fills the
+    JSON line's template and names each cell by its leaf's path. A leaf map
+    the plan does not cover, with a value no pipeline record holds, such as
+    a dict where a scalar goes, is nested by ``assemble_record`` and takes
+    ``canonical_json`` and ``_cells`` instead. Texts, and the columns of
+    list elements and field origins, are shared through the buffer's dicts,
+    so it holds each distinct one, such as a field-origin offset, once.
     """
 
-    __slots__ = ("rows", "_strings", "_fields", "_items", "_maps")
+    __slots__ = ("schema", "rows", "_strings", "_ints", "_columns")
 
-    def __init__(self, records: Iterable[Mapping[str, Any]] = ()) -> None:
+    def __init__(self, schema: SchemaDefinition) -> None:
+        self.schema = schema
         self.rows: list[tuple[Any, str, tuple[str, ...]]] = []
         self._strings: dict[str, str] = {}
-        # The record's keys ("") and each section's: {key: its column}.
-        self._fields: dict[str, dict[str, str]] = {}
-        # A list's column -> the columns of its first elements, by index.
-        self._items: dict[str, tuple[str, ...]] = {}
-        # A map's column -> {key: the columns of its list's elements}.
-        self._maps: dict[str, dict[str, tuple[str, ...]]] = {}
-        for record in records:
-            self.add(record)
+        self._ints: dict[int, str] = {}
+        # A list's path, or an open map's path and key -> its elements' columns.
+        self._columns: dict[str, tuple[str, ...]] = {}
 
-    def add(self, record: Mapping[str, Any]) -> None:
-        cells = self._named_cells(record)
-        if cells is None:
+    def add(self, leaves: Mapping[str, Any]) -> None:
+        """Encode the record whose leaf map is ``leaves`` and keep its row."""
+        row = self._encoded(leaves)
+        if row is None:
+            record = assemble_record(leaves, self.schema)
             cells = tuple(chain.from_iterable(_cells(record).items()))
-        shared = tuple(map(self._strings.setdefault, cells, cells))
-        self.rows.append((record.get("case_id"), canonical_json(record), shared))
+            row = canonical_json(record), tuple(map(self._strings.setdefault, cells, cells))
+        self.rows.append((leaves.get("case_id"), *row))
 
     def sort(self) -> None:
         """Order the rows by case_id."""
         self.rows.sort(key=itemgetter(0))
 
-    def _field(self, section: str, key: Any) -> str | None:
-        """The column of ``key`` in ``section`` ("" for the record), made
-        once; None for a key that is not a non-empty str without a dot."""
-        if key.__class__ is not str or not key or "." in key:
+    def _encoded(self, leaves: Mapping[str, Any]) -> tuple[str, tuple[str, ...]] | None:
+        """The JSON line and cells of ``leaves`` from the record plan; None
+        for a leaf map it does not cover: one holding other than a str, int,
+        float, bool or None at a scalar, a list of them at a list, or a map
+        of str keys to lists of them at an open map, each of exact type, or
+        whose schema has no JSON template."""
+        steps, template = self.schema.record_plan
+        if template is None:
             return None
-        column = self._fields[section][key] = f"{section}.{key}" if section else key
-        return column
-
-    def _named_cells(self, record: Mapping[str, Any]) -> list[str] | None:
-        """The record's cells from the buffer's columns; None for a record
-        they do not cover."""
-        out: list[str] = []
-        add = out.append
-        fields_of, items_of, maps = self._fields, self._items, self._maps
-        tops = fields_of.get("") or fields_of.setdefault("", {})
-        for key, section in record.items():
-            top = tops.get(key) or self._field("", key)
-            if top is None:
-                return None
-            cls = section.__class__
-            if cls is str:
-                add(top)
-                add(section)
-            elif section is None:
-                add(top)
-                add("")
-            elif cls is dict:
-                fields = fields_of.get(top) or fields_of.setdefault(top, {})
-                for name, value in section.items():
-                    column = fields.get(name) or self._field(top, name)
-                    if column is None:
+        get, share = leaves.get, self._strings.setdefault
+        texts: list[str] = []
+        cells: list[str] = []
+        for path, kind, _ in steps:
+            value = get(path)
+            if kind == PLAN_SCALAR:
+                if value.__class__ is str:
+                    json_text, text = _encode_str(value), value
+                elif value is None:
+                    json_text, text = "null", ""
+                else:
+                    scalar = _scalar(value)
+                    if scalar is None:
                         return None
-                    cls = value.__class__
-                    if cls is str:
-                        add(column)
-                        add(value)
-                    elif value is None:
-                        add(column)
-                        add("")
-                    elif cls is int:
-                        add(column)
-                        add(str(value))
-                    elif cls is dict:
-                        keys = maps.get(column) or maps.setdefault(column, {})
-                        for map_key, items in value.items():
-                            if items.__class__ is not list or not items:
-                                return None
-                            columns = keys.get(map_key)
-                            if columns is None or len(columns) < len(items):
-                                if map_key.__class__ is not str:
-                                    return None
-                                stem = f"{column}.{map_key}"
-                                columns = keys[map_key] = _indexed(stem, len(items))
-                            if not _add_scalars(add, columns, items):
-                                return None
-                    elif cls is list:
-                        columns = items_of.get(column, ())
-                        if len(columns) < len(value):
-                            columns = items_of[column] = _indexed(column, len(value))
-                        if not _add_scalars(add, columns, value):
-                            return None
-                    elif isinstance(value, (list, dict)):
-                        return None
-                    else:
-                        add(column)
-                        add(_format_cell(value))
-            elif isinstance(section, (list, dict)):
-                return None
+                    json_text, text = scalar
+                texts.append(json_text)
+                cells.append(path)
+                cells.append(share(text, text))
+            elif not value:  # as assemble_record makes it: [] or {}
+                texts.append("[]" if kind == PLAN_LIST else "{}")
+            elif kind == PLAN_LIST:
+                json_text = self._listed(path, value, cells)
+                if json_text is None:
+                    return None
+                texts.append(json_text)
             else:
-                add(top)
-                add(_format_cell(section))
-        return out
+                if value.__class__ is not dict or not all(k.__class__ is str for k in value):
+                    return None
+                pairs = []
+                for key in sorted(value):
+                    json_text = self._listed(f"{path}.{key}", value[key], cells)
+                    if json_text is None:
+                        return None
+                    pairs.append(f"{_encode_str(key)}: {json_text}")
+                texts.append("{" + ", ".join(pairs) + "}")
+        return template % tuple(texts), tuple(cells)
+
+    def _listed(self, stem: str, values: Any, cells: list[str]) -> str | None:
+        """A list of scalars' JSON text, adding each element's cell under
+        ``stem``; None, having added some, for anything else. An int's
+        text, such as a field-origin offset, is made once."""
+        if values.__class__ is not list:
+            return None
+        columns = self._columns.get(stem, ())
+        if len(columns) < len(values):
+            columns = self._columns[stem] = _indexed(stem, len(values))
+        ints, share = self._ints, self._strings.setdefault
+        texts = []
+        for column, value in zip(columns, values):
+            if value.__class__ is int:
+                json_text = text = ints.get(value)
+                if text is None:
+                    json_text = text = ints[value] = int.__repr__(value)
+            else:
+                scalar = _scalar(value)
+                if scalar is None:
+                    return None
+                json_text, text = scalar[0], share(scalar[1], scalar[1])
+            texts.append(json_text)
+            cells.append(column)
+            cells.append(text)
+        return "[" + ", ".join(texts) + "]"
 
 
-def _add_scalars(add: Callable[[str], None], columns: tuple[str, ...], items: list) -> bool:
-    """Add the cells of a list's items under ``columns``; False, having
-    added some, if an item is a list or a dict."""
-    for named, item in zip(columns, items):
-        cls = item.__class__
-        if cls is str:
-            add(named)
-            add(item)
-        elif cls is int:
-            add(named)
-            add(str(item))
-        elif isinstance(item, (list, dict)):
-            return False
-        else:
-            add(named)
-            add(_format_cell(item))
-    return True
+# JSON's spelling of the floats that repr spells "nan", "inf" and "-inf".
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _scalar(value: Any) -> tuple[str, str] | None:
+    """A scalar's JSON text and cell text, as ``canonical_json`` and
+    ``_format_cell`` give them; None for any other value, or a subclass."""
+    cls = value.__class__
+    if cls is str:
+        return _encode_str(value), value
+    if cls is int:
+        text = int.__repr__(value)
+        return text, text
+    if value is None:
+        return "null", ""
+    if cls is bool:
+        return ("true", "true") if value else ("false", "false")
+    if cls is float:
+        text = float.__repr__(value)
+        return _JSON_FLOATS.get(text, text), text
+    return None
 
 
 def _indexed(stem: str, count: int) -> tuple[str, ...]:
@@ -264,31 +273,12 @@ def flatten_record(record: Mapping[str, Any], schema: SchemaDefinition) -> dict[
 
 
 def _cells(record: Mapping[str, Any]) -> dict[str, str]:
-    """flatten_record's cells: the leaves of flatten_leaves, formatted.
-
-    Strings, nulls and integers directly inside a section are formatted in
-    place, and so are those inside a list or map there (movement cues, field
-    origins and their triples); only other values and deeper nesting go
-    through _put_cells. An empty list or dict has no cell, and clears one
-    that an earlier key flattened onto the same path.
-    """
+    """flatten_record's cells: the leaves of flatten_leaves, formatted. An
+    empty list or dict has no cell, and clears one that an earlier key
+    flattened onto the same path."""
     cells: dict[str, str] = {}
-    for key, section in record.items():
-        prefix = str(key)
-        if isinstance(section, dict) and section and prefix:
-            for name, value in section.items():
-                path = f"{prefix}.{name}"
-                cls = value.__class__
-                if cls is str:
-                    cells[path] = value
-                elif value is None:
-                    cells[path] = ""
-                elif cls is int:
-                    cells[path] = str(value)
-                else:
-                    _put_cells(cells, path, value)
-        else:
-            _put_cells(cells, prefix, section)
+    for key, value in record.items():
+        _put_cells(cells, str(key), value)
     return cells
 
 
@@ -297,26 +287,12 @@ def _put_cells(cells: dict[str, str], path: str, value: Any) -> None:
     them (a child of the empty path is named by its key alone)."""
     if not isinstance(value, (list, dict)):
         cells[path] = _format_cell(value)
-        return
-    if not value:
+    elif not value:
         cells.pop(path, None)
-        return
-    items = value.items() if isinstance(value, dict) else enumerate(value)
-    for name, item in items:
-        item_path = f"{path}.{name}" if path else str(name)
-        cls = item.__class__
-        if cls is str:
-            cells[item_path] = item
-        elif cls is int:
-            cells[item_path] = str(item)
-        elif cls is list and item and item_path:
-            for index, leaf in enumerate(item):
-                if leaf.__class__ is int:
-                    cells[f"{item_path}.{index}"] = str(leaf)
-                else:
-                    _put_cells(cells, f"{item_path}.{index}", leaf)
-        else:
-            _put_cells(cells, item_path, item)
+    else:
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for name, item in items:
+            _put_cells(cells, f"{path}.{name}" if path else str(name), item)
 
 
 def column_order(columns: Iterable[str], schema: SchemaDefinition) -> list[str]:

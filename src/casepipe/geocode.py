@@ -367,13 +367,14 @@ def replay_lookup(key: str, value: CacheValue, cache: GeocodeCache) -> None:
 
 
 def apply_geocode(
-    record: dict,
+    leaves: dict,
     gazetteer: Gazetteer,
     cache: GeocodeCache,
     on_warning: WarnFn | None = None,
 ) -> tuple[tuple[str, CacheValue], ...]:
-    """Fill spatial coordinates on a record in place, when a place is known,
-    and return the ``(key, value)`` lookups a journaling cache recorded.
+    """Fill the spatial coordinates of a record's leaf map in place, when a
+    place is known, and return the ``(key, value)`` lookups a journaling
+    cache recorded. A leaf the map lacks reads as null.
 
     Records that already carry coordinates bypass resolution entirely and are
     marked source_provided. Records with no usable place text are left
@@ -389,29 +390,27 @@ def apply_geocode(
         if on_warning is not None:
             on_warning(code, message)
 
-    spatial = record.get("spatial")
-    if not isinstance(spatial, dict):
-        return ()
-    if spatial.get("lat") is not None and spatial.get("lon") is not None:
-        if spatial.get("geocode_method") in (None, "none"):
-            spatial["geocode_method"] = "source_provided"
+    get = leaves.get
+    if get("spatial.lat") is not None and get("spatial.lon") is not None:
+        if get("spatial.geocode_method") in (None, "none"):
+            leaves["spatial.geocode_method"] = "source_provided"
         return ()
 
-    state = spatial.get("state")
-    raw_place = spatial.get("last_seen_location")
+    state = get("spatial.state")
+    raw_place = get("spatial.last_seen_location")
     if raw_place is None:
-        parts = (spatial.get("city"), state, spatial.get("postal_code"))
+        parts = (get("spatial.city"), state, get("spatial.postal_code"))
         raw_place = " ".join(p for p in parts if p)
     if raw_place and _TOKEN_RE.search(raw_place.casefold()):
         query = GeocodeQuery(normalize_place(raw_place), bias_region=state)
         result = geocode(query, gazetteer, cache, note)
         if result.matched:
-            spatial["lat"] = result.lat
-            spatial["lon"] = result.lon
-            spatial["geocode_method"] = "gazetteer"
-            spatial["geocode_plausible"] = result.plausible
-    if not warned and spatial.get("geocode_method") == "none" and any(
-        spatial.get(k) for k in ("last_seen_location", "city", "postal_code")
+            leaves["spatial.lat"] = result.lat
+            leaves["spatial.lon"] = result.lon
+            leaves["spatial.geocode_method"] = "gazetteer"
+            leaves["spatial.geocode_plausible"] = result.plausible
+    if not warned and get("spatial.geocode_method") == "none" and any(
+        get(k) for k in ("spatial.last_seen_location", "spatial.city", "spatial.postal_code")
     ):
         note("geocode_no_match", "no gazetteer match for the record's place text")
     lookups = tuple(cache.journal or ())

@@ -1,12 +1,12 @@
 """Harmonization: map per-source keys onto the canonical record shape.
 
-Inputs arrive two ways. The rule path hands over a DraftRecord whose
-candidate keys are the draft paths its rule set chose; the model path hands
-over a nested candidate that already uses canonical paths. Both are flattened
-to (key, raw value) pairs, renamed through the source's mapping table, run
-through value transforms, and assembled into a record with every section
-present. Missingness stays explicit: nothing here invents a fact, and a value
-that fails its transform becomes null with a warning rather than aborting the
+Inputs arrive as flat ``{source key: raw value}`` maps: the rule path's
+draft keys and the raw text its rules matched (a DraftRecord reads as one),
+or a model candidate's leaves as ``flatten_leaves`` names them. Each key is
+renamed through the source's mapping table and its value transformed, and
+the record's leaf map is assembled with every section present, or kept flat.
+Missingness stays explicit: nothing here invents a fact, and a value that
+fails its transform becomes null with a warning rather than aborting the
 record.
 
 Each mapping table compiles a plan on first use, and again only when a call
@@ -38,9 +38,9 @@ from casepipe.schema import (
     SEX_VALUES,
     STATUS_VALUES,
     WEIGHT_RANGE_KG,
+    LeafMap,
     SchemaDefinition,
     assemble_record,
-    flatten_leaves,
     parse_iso_timestamp,
 )
 
@@ -448,9 +448,11 @@ def _flatten_input(
     source: DraftRecord | Mapping[str, Any],
 ) -> dict[str, Any]:
     if isinstance(source, DraftRecord):
-        flat = {path: cand.raw_value for path, cand in source.candidates.items()}
+        flat: Mapping[str, Any] = {
+            path: cand.raw_value for path, cand in source.candidates.items()
+        }
     else:
-        flat = flatten_leaves(dict(source))
+        flat = source
     # Group indexed keys (list elements) back into ordered lists. Only a key
     # ending in a digit, or in a newline that ``$`` may stand before, can be
     # one, so the pattern runs on those alone.
@@ -478,18 +480,21 @@ def harmonize(
 ) -> HarmonizedRecord:
     """Produce a canonical record candidate from draft or model output.
 
+    ``source`` is flat, ``{source key: raw value}``, or a DraftRecord; a
+    list comes in as indexed keys (``path.0``), grouped back here.
+
     Every schema section is materialized. Defaults fill fields whose absence
     has a defined meaning (status missing, sex unknown, no movement cues, no
     geocode). The result carries a source-key -> target-path trace so
     provenance can follow renames. With ``assemble`` false, its ``record``
-    is the flat ``{leaf path: value}`` that ``assemble_record(record,
-    schema)`` turns into that record, for a caller that assembles it later.
+    is the record's ``LeafMap``, which ``assemble_record(record, schema)``
+    turns into that record, for a caller that keeps it flat.
     """
     warn: WarnFn = on_warning if on_warning is not None else (lambda code, msg: None)
     plan = mappings.plan(schema)
     tz_default = mappings.tz_default
     flat = _flatten_input(source)
-    values: dict[str, Any] = {}
+    values = LeafMap()
     trace: list[tuple[str, str]] = []
 
     for source_key in sorted(flat):

@@ -11,15 +11,18 @@ row format; everything else reads ``SchemaDefinition.entries``.
 A record is a nested dict of plain JSON types. Fields are addressed by dot
 paths ("demographic.name", "narrative_osint.movement_cues.0"). Missingness is
 explicit: a populated record carries all six sections as keys even when every
-field inside is null.
+field inside is null. A pipeline record is kept flat, as its ``LeafMap``,
+until it is written; ``assemble_record`` nests one, ``record_leaves`` takes
+one back from a nested record.
 
 Validation reports every violation it finds (it never stops at the first) and
 is pure: the candidate is not modified, and validating twice gives the same
 report. It walks a plan compiled once per schema, on the first validate: one
 check per field path with its pattern compiled, and for each section a map
 from every descendant's relative path to its check, so a dotted key is
-checked as the field it spells. assemble_record and the llm path's
-sanitizer likewise use steps and entry maps built once per schema.
+checked as the field it spells, and a leaf map's leaves are checked alike.
+assemble_record and the llm path's sanitizer likewise use steps and entry
+maps built once per schema.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import json
 import re
 from datetime import date, datetime
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
@@ -89,6 +92,9 @@ _PATH_RE = re.compile(r"^[^.\s]+(?:\.[^.\s]+)*$")
 # assemble_record's step kind for a section with a key pattern (an open map).
 _OPEN_MAP = "open_map"
 
+# The kinds of a record plan's leaves: a scalar, a list, an open map.
+PLAN_SCALAR, PLAN_LIST, PLAN_MAP = 0, 1, 2
+
 
 class PathSyntaxError(ValueError):
     """A dot path is syntactically malformed (empty segment or whitespace)."""
@@ -146,6 +152,13 @@ class SchemaEntry(_EntryFields):
             except re.error as exc:
                 raise ConfigError(f"{self.field_path}: bad pattern: {exc}") from exc
         return self
+
+
+class LeafMap(dict):
+    """A record in its flat form, ``{leaf path: value}``, lists and open maps
+    whole, sections implied; a leaf it lacks is null."""
+
+    __slots__ = ()
 
 
 class ValidationViolation(NamedTuple):
@@ -294,15 +307,62 @@ class SchemaDefinition:
         return tuple(steps)
 
     @cached_property
-    def _validation_plan(self) -> tuple[dict[str, _Check], tuple[str, ...], tuple[_Check, ...]]:
-        """validate's checks by full path, the required paths, and the
-        cross-field rules whose paths this schema defines."""
+    def _validation_plan(
+        self,
+    ) -> tuple[dict[str, _Check], tuple[str, ...], tuple[_Rule, ...], tuple[str, ...]]:
+        """validate's checks by full path, the required paths, the
+        cross-field rules whose paths this schema defines, and the required
+        paths a leaf map can lack, its scalars."""
         cross_field = tuple(
             rule
             for paths, rule in _CROSS_FIELD_RULES
             if all(path in self._by_path for path in paths)
         )
-        return _compile_checks(self), tuple(self.required_paths()), cross_field
+        scalars = tuple(
+            e.field_path for e in self.entries if e.required and e.kind not in _WHOLE_KINDS
+        )
+        return _compile_checks(self), tuple(self.required_paths()), cross_field, scalars
+
+    @cached_property
+    def record_plan(self) -> tuple[tuple[tuple[str, int, tuple[str, ...]], ...], str | None]:
+        """A record's leaves, ``(path, kind, path segments)``, in the order
+        of its JSON line and CSV cells: depth first, each section's keys
+        sorted, as ``canonical_json`` sorts and ``assemble_record`` inserts
+        them. With them, the JSON line's text around their values, as a
+        ``%`` template with one ``%s`` per leaf; None for a schema with an
+        entry below an open map, which ``assemble_record`` puts in the map.
+        """
+        children: dict[str, list[SchemaEntry]] = {}
+        for entry in self.entries:
+            children.setdefault(_parent_path(entry.field_path) or "", []).append(entry)
+        steps: list[tuple[str, int, tuple[str, ...]]] = []
+        text: list[str] = ["{"]
+        below_a_map = False
+
+        def walk(section: str) -> None:
+            nonlocal below_a_map
+            below = sorted(children.get(section, ()), key=lambda e: e.field_path.split(".")[-1])
+            for index, entry in enumerate(below):
+                parts = tuple(entry.field_path.split("."))
+                key = json.dumps(parts[-1], ensure_ascii=False).replace("%", "%%")
+                text.append(f"{', ' if index else ''}{key}: ")
+                if entry.kind == KIND_SECTION and entry.pattern is None:
+                    text.append("{")
+                    walk(entry.field_path)
+                    text.append("}")
+                    continue
+                kind = PLAN_LIST if entry.kind == KIND_LIST else PLAN_SCALAR
+                if entry.kind == KIND_SECTION:
+                    kind = PLAN_MAP
+                steps.append((entry.field_path, kind, parts))
+                text.append("%s")
+                if entry.field_path in children:
+                    below_a_map = True
+                    walk(entry.field_path)
+
+        walk("")
+        text.append("}")
+        return tuple(steps), None if below_a_map else "".join(text)
 
     @classmethod
     def from_records(cls, records: Iterable[Mapping[str, Any]]) -> "SchemaDefinition":
@@ -442,6 +502,18 @@ def _flatten_into(out: dict[str, Any], candidate: Any, prefix: str) -> None:
         out[prefix] = candidate
 
 
+def record_leaves(record: Mapping[str, Any], schema: SchemaDefinition) -> LeafMap:
+    """The leaf map of a nested record: each leaf of the record plan, null
+    where the record lacks it or a section on its way."""
+    leaves = LeafMap()
+    for path, _, parts in schema.record_plan[0]:
+        node: Any = record
+        for part in parts:
+            node = node.get(part) if node.__class__ is dict else None
+        leaves[path] = node
+    return leaves
+
+
 def assemble_record(values: Mapping[str, Any], schema: SchemaDefinition) -> dict[str, Any]:
     """Build a nested record in canonical schema key order.
 
@@ -489,6 +561,11 @@ def parse_iso_timestamp(value: str) -> tuple[date | datetime, str] | None:
 
 
 _Check = Callable[[Any, list], None]
+# A cross-field rule: it reads the record's values through a lookup by path.
+_Rule = Callable[[Callable[[str], Any], list], None]
+# Entry kinds assemble_record always makes, so a leaf map cannot lack one:
+# sections, open maps among them, and lists.
+_WHOLE_KINDS = (KIND_SECTION, KIND_LIST)
 _UNKNOWN_KEY_MESSAGE = "key is not defined by the schema"
 _NOT_AN_OBJECT = "section must be an object"
 _VALID = ValidationReport(True, ())
@@ -505,15 +582,27 @@ def validate(candidate: Any, schema: SchemaDefinition) -> ValidationReport:
     path it reads. Violations come back ordered by (field_path, code);
     ties keep the order they were found in: required fields, then keys in
     dict order, then cross-field rules.
+
+    A ``LeafMap`` takes the same walk: each key goes to the check of its
+    full path, a nested section's through its section's check and a leaf
+    map's leaf straight to its own, and the required and cross-field rules
+    read its leaves by path. It is the record ``assemble_record`` makes of
+    it, so only a scalar leaf of it can be missing, and a key outside the
+    schema is left out, not unknown.
     """
-    if not isinstance(candidate, dict):
+    checks, required, cross_field, scalars = schema._validation_plan
+    flat = candidate.__class__ is LeafMap
+    if flat:
+        get, required = candidate.get, scalars
+    elif isinstance(candidate, dict):
+        get = partial(_lookup, candidate)
+    else:
         return ValidationReport(
             False, (ValidationViolation("", WRONG_TYPE, "record must be an object"),)
         )
-    checks, required, cross_field = schema._validation_plan
     out: list[ValidationViolation] = []
     for path in required:
-        if _lookup(candidate, path) is None:
+        if get(path) is None:
             out.append(
                 ValidationViolation(path, MISSING_REQUIRED, "required field is missing or null")
             )
@@ -521,12 +610,13 @@ def validate(candidate: Any, schema: SchemaDefinition) -> ValidationReport:
         path = key if key.__class__ is str else str(key)
         check = checks.get(path)
         if check is None:
-            out.append(ValidationViolation(path, UNKNOWN_KEY, _UNKNOWN_KEY_MESSAGE))
+            if not flat:
+                out.append(ValidationViolation(path, UNKNOWN_KEY, _UNKNOWN_KEY_MESSAGE))
         elif value is not None:
             # Required sections are reported by the missing-required pass.
             check(value, out)
     for rule in cross_field:
-        rule(candidate, out)
+        rule(get, out)
     if not out:
         return _VALID
     out.sort(key=_REPORT_ORDER)
@@ -707,34 +797,34 @@ def _out_of_range(out: list, path: str, message: str) -> None:
     out.append(ValidationViolation(path, OUT_OF_RANGE, message))
 
 
-def _min_not_above_max(min_path: str, max_path: str) -> _Check:
-    def rule(candidate: dict, out: list) -> None:
-        lo, hi = _lookup(candidate, min_path), _lookup(candidate, max_path)
+def _min_not_above_max(min_path: str, max_path: str) -> _Rule:
+    def rule(get: Callable[[str], Any], out: list) -> None:
+        lo, hi = get(min_path), get(max_path)
         if type(lo) is int and type(hi) is int and lo > hi:
             _out_of_range(out, min_path, f"minimum {lo} exceeds maximum {hi}")
 
     return rule
 
 
-def _lat_lon_paired(candidate: dict, out: list) -> None:
-    lat, lon = _lookup(candidate, "spatial.lat"), _lookup(candidate, "spatial.lon")
+def _lat_lon_paired(get: Callable[[str], Any], out: list) -> None:
+    lat, lon = get("spatial.lat"), get("spatial.lon")
     if (lat is None) != (lon is None):
         path = "spatial.lat" if lat is None else "spatial.lon"
         _out_of_range(out, path, "lat and lon must both be set or both be null")
 
 
-def _no_coordinates_without_geocode(candidate: dict, out: list) -> None:
-    if _lookup(candidate, "spatial.geocode_method") == "none":
-        lat = _lookup(candidate, "spatial.lat")
+def _no_coordinates_without_geocode(get: Callable[[str], Any], out: list) -> None:
+    if get("spatial.geocode_method") == "none":
+        lat = get("spatial.lat")
         if isinstance(lat, (int, float)) and not isinstance(lat, bool):
             _out_of_range(
                 out, "spatial.geocode_method", "geocode_method is none but coordinates are set"
             )
 
 
-def _reported_after_last_seen(candidate: dict, out: list) -> None:
-    last_seen = _lookup(candidate, "temporal.last_seen_ts")
-    reported = _lookup(candidate, "temporal.reported_missing_ts")
+def _reported_after_last_seen(get: Callable[[str], Any], out: list) -> None:
+    last_seen = get("temporal.last_seen_ts")
+    reported = get("temporal.reported_missing_ts")
     if isinstance(last_seen, str) and isinstance(reported, str):
         a = parse_iso_timestamp(last_seen)
         b = parse_iso_timestamp(reported)
@@ -747,9 +837,9 @@ def _reported_after_last_seen(candidate: dict, out: list) -> None:
                 )
 
 
-def _rule_path_unrepaired(candidate: dict, out: list) -> None:
-    if _lookup(candidate, "provenance.extraction_path") == "rule":
-        repair_count = _lookup(candidate, "provenance.repair_count")
+def _rule_path_unrepaired(get: Callable[[str], Any], out: list) -> None:
+    if get("provenance.extraction_path") == "rule":
+        repair_count = get("provenance.repair_count")
         if type(repair_count) is int and repair_count != 0:
             _out_of_range(
                 out, "provenance.repair_count", "rule-path records must have repair_count 0"
@@ -758,7 +848,7 @@ def _rule_path_unrepaired(candidate: dict, out: list) -> None:
 
 # Cross-field consistency rules, in the order validate runs them, each with
 # the paths it reads. A schema that lacks any of a rule's paths drops the rule.
-_CROSS_FIELD_RULES: tuple[tuple[tuple[str, ...], _Check], ...] = (
+_CROSS_FIELD_RULES: tuple[tuple[tuple[str, ...], _Rule], ...] = (
     *(
         ((lo, hi), _min_not_above_max(lo, hi))
         for lo, hi in (

@@ -1139,6 +1139,9 @@ class TestMainEntry:
         code = cli.main(argv + ["--ingest-ts", INGEST, "--gold", str(gold)])
         assert code == 2
         assert capsys.readouterr().err == f"casepipe: {message}\n"
+        # The gold file is read before the first document: the run wrote
+        # nothing, no cases_*, warnings.jsonl or run_summary.json.
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("below", [False, True], ids=["itself", "a_parent"])
     def test_an_output_path_that_is_a_file_exits_2(

@@ -21,10 +21,18 @@ from casepipe.emit import (
     write_records_csv,
     write_records_jsonl,
 )
-from casepipe.schema import assemble_record, default_schema, resolve_path, validate
+from casepipe.schema import assemble_record, default_schema, record_leaves, resolve_path, validate
 from recordgen import records
 
 SCHEMA = default_schema()
+
+
+def buffered(records_):
+    """A buffer holding ``records_``, each added as its leaf map."""
+    buffer = RecordBuffer(SCHEMA)
+    for record in records_:
+        buffer.add(record_leaves(record, SCHEMA))
+    return buffer
 
 
 def make_record(**values):
@@ -41,19 +49,19 @@ class TestWriteJsonl:
     def test_one_line_per_record(self, tmp_path):
         path = tmp_path / "cases.jsonl"
         recs = [make_record(case_id=f"CASE-{i}") for i in range(3)]
-        assert write_records_jsonl(path, RecordBuffer(recs)) == 3
+        assert write_records_jsonl(path, buffered(recs)) == 3
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 3
 
     def test_empty_list_empty_file(self, tmp_path):
         path = tmp_path / "cases.jsonl"
-        assert write_records_jsonl(path, RecordBuffer()) == 0
+        assert write_records_jsonl(path, RecordBuffer(SCHEMA)) == 0
         assert path.read_text(encoding="utf-8") == ""
 
     def test_embedded_newline_stays_one_line(self, tmp_path):
         path = tmp_path / "cases.jsonl"
         rec = make_record(**{"narrative_osint.circumstances": "line one\nline two"})
-        write_records_jsonl(path, RecordBuffer([rec]))
+        write_records_jsonl(path, buffered([rec]))
         raw = path.read_bytes().decode("utf-8")
         assert raw.count("\n") == 1
         parsed = json.loads(raw)
@@ -65,7 +73,7 @@ class TestWriteJsonl:
         scrambled = json.loads(
             json.dumps(make_record()), object_pairs_hook=lambda kv: dict(reversed(kv))
         )
-        write_records_jsonl(path, RecordBuffer([scrambled]))
+        write_records_jsonl(path, buffered([scrambled]))
         first = json.loads(path.read_text(encoding="utf-8"))
         assert list(first) == [
             "case_id",
@@ -80,7 +88,7 @@ class TestWriteJsonl:
 
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "cases.jsonl"
-        write_records_jsonl(path, RecordBuffer([make_record(), make_record()]))
+        write_records_jsonl(path, buffered([make_record(), make_record()]))
         assert b"\r" not in path.read_bytes()
 
 
@@ -209,7 +217,7 @@ class TestWriteCsv:
             **{"narrative_osint.movement_cues": ["Maryland"], "demographic.age_years": 9}
         )
         without = make_record(case_id="CASE-00002")
-        assert write_records_csv(path, RecordBuffer([with_cues, without]), SCHEMA) == 2
+        assert write_records_csv(path, buffered([with_cues, without]), SCHEMA) == 2
         with path.open(newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["narrative_osint.movement_cues.0"] == "Maryland"
@@ -220,20 +228,20 @@ class TestWriteCsv:
         path = tmp_path / "cases.csv"
         tricky = 'said "wait", then\nleft'
         rec = make_record(**{"narrative_osint.circumstances": tricky})
-        write_records_csv(path, RecordBuffer([rec]), SCHEMA)
+        write_records_csv(path, buffered([rec]), SCHEMA)
         with path.open(newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["narrative_osint.circumstances"] == tricky
 
     def test_lf_only_line_endings(self, tmp_path):
         path = tmp_path / "cases.csv"
-        write_records_csv(path, RecordBuffer([make_record()]), SCHEMA)
+        write_records_csv(path, buffered([make_record()]), SCHEMA)
         assert b"\r" not in path.read_bytes()
 
     def test_case_ids_match_jsonl_order(self, tmp_path):
         recs = [make_record(case_id=f"CASE-{i:03d}") for i in (3, 1, 2)]
-        write_records_jsonl(tmp_path / "c.jsonl", RecordBuffer(recs))
-        write_records_csv(tmp_path / "c.csv", RecordBuffer(recs), SCHEMA)
+        write_records_jsonl(tmp_path / "c.jsonl", buffered(recs))
+        write_records_csv(tmp_path / "c.csv", buffered(recs), SCHEMA)
         jsonl_ids = [
             json.loads(line)["case_id"]
             for line in (tmp_path / "c.jsonl").read_text(encoding="utf-8").splitlines()

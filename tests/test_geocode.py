@@ -17,7 +17,7 @@ from casepipe.geocode import (
     plausible_coords,
     replay_lookup,
 )
-from casepipe.schema import assemble_record, default_schema, resolve_path
+from casepipe.schema import assemble_record, default_schema, record_leaves, resolve_path
 
 SCHEMA = default_schema()
 
@@ -306,7 +306,8 @@ class TestApplyGeocode:
             "spatial.geocode_method": "none",
         }
         base.update(values)
-        return assemble_record(base, SCHEMA)
+        # The record's leaf map, every leaf given, as the pipeline geocodes it.
+        return record_leaves(assemble_record(base, SCHEMA), SCHEMA)
 
     def test_fills_coordinates_and_method(self, gazetteer, cache):
         record = self.record_with(
@@ -441,7 +442,7 @@ class TestBundledGazetteer:
 
 
 class TestPartialSpatialSection:
-    """A spatial section may lack keys; apply_geocode reads a missing one
+    """A leaf map may lack spatial leaves; apply_geocode reads a missing one
     as null."""
 
     @pytest.fixture
@@ -459,11 +460,11 @@ class TestPartialSpatialSection:
         ],
     )
     def test_a_partial_section_geocodes(self, bundled, spatial):
-        record = {"spatial": dict(spatial)}
+        record = {f"spatial.{key}": value for key, value in spatial.items()}
         apply_geocode(record, bundled, GeocodeCache())
-        assert (record["spatial"]["lat"], record["spatial"]["lon"]) == (37.541, -77.436)
-        assert record["spatial"]["geocode_method"] == "gazetteer"
-        assert record["spatial"]["geocode_plausible"] is True
+        assert (record["spatial.lat"], record["spatial.lon"]) == (37.541, -77.436)
+        assert record["spatial.geocode_method"] == "gazetteer"
+        assert record["spatial.geocode_plausible"] is True
 
     @pytest.mark.parametrize(
         "spatial",
@@ -473,8 +474,8 @@ class TestPartialSpatialSection:
         # Each gazetteer row carries its region's code, so "VA" names
         # Virginia as a trailing region token, as a bias region, and as the
         # region whose box the coordinates must fall in.
-        record = {"spatial": dict(spatial)}
+        record = {f"spatial.{key}": value for key, value in spatial.items()}
         apply_geocode(record, bundled, GeocodeCache())
-        assert (record["spatial"]["lat"], record["spatial"]["lon"]) == (37.541, -77.436)
-        assert record["spatial"]["geocode_method"] == "gazetteer"
-        assert record["spatial"]["geocode_plausible"] is True
+        assert (record["spatial.lat"], record["spatial.lon"]) == (37.541, -77.436)
+        assert record["spatial.geocode_method"] == "gazetteer"
+        assert record["spatial.geocode_plausible"] is True

@@ -18,7 +18,7 @@ from casepipe.harmonize import (
     parse_place_parts,
 )
 from casepipe.rules import DraftRecord, FieldCandidate
-from casepipe.schema import default_schema
+from casepipe.schema import default_schema, flatten_leaves
 
 SCHEMA = default_schema()
 
@@ -346,7 +346,7 @@ class TestHarmonizeCandidate:
             "outcome": {"status": "MISSING"},
         }
         table = identity_table(SCHEMA, tz_default="-05:00")
-        rec = harmonize(candidate, table, SCHEMA).record
+        rec = harmonize(flatten_leaves(candidate), table, SCHEMA).record
         assert rec["demographic"]["sex"] == "female"
         assert rec["temporal"]["last_seen_ts"] == "2023-07-01"
         assert rec["temporal"]["timezone"] == "-05:00"
@@ -362,14 +362,14 @@ class TestHarmonizeCandidate:
             "outcome": {"status": "missing"},
         }
         table = identity_table(SCHEMA, tz_default="-05:00")
-        once = harmonize(candidate, table, SCHEMA).record
-        twice = harmonize(once, table, SCHEMA).record
+        once = harmonize(flatten_leaves(candidate), table, SCHEMA).record
+        twice = harmonize(flatten_leaves(once), table, SCHEMA).record
         assert once == twice
 
     def test_numeric_strings_coerced(self):
         candidate = {"demographic": {"age_years": "15"}, "spatial": {"lat": "38.47"}}
         table = identity_table(SCHEMA)
-        rec = harmonize(candidate, table, SCHEMA).record
+        rec = harmonize(flatten_leaves(candidate), table, SCHEMA).record
         assert rec["demographic"]["age_years"] == 15
         assert rec["spatial"]["lat"] == 38.47
 

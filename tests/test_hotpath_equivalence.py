@@ -20,7 +20,13 @@ from casepipe.cli import RunConfig, run
 from casepipe.emit import RecordBuffer, column_order, flatten_record, write_records_csv
 from casepipe.extract import _text_quality
 from casepipe.llm import CandidateParseError, _edit_allowed, _first_object, _merge_minimal
-from casepipe.schema import default_schema, flatten_leaves, validate
+from casepipe.schema import (
+    assemble_record,
+    default_schema,
+    flatten_leaves,
+    record_leaves,
+    validate,
+)
 from casepipe.synth import FAMILY_LABELS, SynthesisSpec, write_corpus
 from recordgen import records
 
@@ -138,14 +144,16 @@ def test_first_object_matches_scanner_examples(text):
 
 
 @st.composite
-def _records_with_extras(draw):
-    record = draw(records())
-    # Columns outside the schema sort after every anchored column.
+def _leaves_with_extras(draw):
+    leaves = record_leaves(draw(records()), SCHEMA)
+    # Rows of one file differ in their list columns; keys outside the
+    # plan are left out, as assemble_record leaves them out.
     if draw(st.booleans()):
-        record["zz_extra"] = draw(st.sampled_from(["x", "", None]))
+        leaves["zz_extra"] = draw(st.sampled_from(["x", "", None]))
     if draw(st.booleans()):
-        record["demographic"]["nickname"] = ["a", "b"][: draw(st.integers(0, 2))]
-    return record
+        leaves["demographic.nickname"] = ["a", "b"][: draw(st.integers(0, 2))]
+    leaves["narrative_osint.movement_cues"] = ["Dover", "Salem", "Kent"][: draw(st.integers(0, 3))]
+    return leaves
 
 
 def _reference_csv(rows):
@@ -160,11 +168,14 @@ def _reference_csv(rows):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(_records_with_extras(), max_size=6))
+@given(st.lists(_leaves_with_extras(), max_size=6))
 def test_csv_bytes_match_per_row_reference(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("csv") / "cases.csv"
-    assert write_records_csv(path, RecordBuffer(rows), SCHEMA) == len(rows)
-    assert path.read_bytes() == _reference_csv(rows)
+    buffer = RecordBuffer(SCHEMA)
+    for leaves in rows:
+        buffer.add(leaves)
+    assert write_records_csv(path, buffer, SCHEMA) == len(rows)
+    assert path.read_bytes() == _reference_csv([assemble_record(leaves, SCHEMA) for leaves in rows])
 
 
 # ---------------------------------------------------------------------------

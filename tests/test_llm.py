@@ -2,13 +2,14 @@
 candidate sanitization, the bounded repair loop, and the shipped test doubles.
 """
 
+import csv
 import json
 
 import pytest
 
 from casepipe import cli
 from casepipe.config import ConfigError
-from casepipe.emit import canonical_json
+from casepipe.emit import canonical_json, flatten_record, unflatten_row
 from casepipe.llm import (
     BackendError,
     BackendRequest,
@@ -485,3 +486,42 @@ class TestRepairLoop:
         assert outcome.passed is False
         assert outcome.attempts == 2
         assert seen.count("repair_attempt_failed") == 2
+
+
+class TestRepairedRecordOutput:
+    def test_a_repair_that_drops_the_cited_leaf_emits_it_as_null(self, tmp_path, monkeypatch):
+        # The extraction answers age_years 999; the repair answers the
+        # record without the key, which is a legitimate fix of a cited field.
+        def drop_age(request):
+            current = json.loads(request.prompt.current_record_text)
+            del current["demographic"]["age_years"]
+            return canonical_json(current)
+
+        class Scripted(ScriptedBackend):
+            waits_on_io = False
+
+            def call_count(self, tier):
+                return sum(request.tier == tier for request in self.requests)
+
+        answer = canonical_json(make_record(**{"demographic.age_years": 999}))
+        backend = Scripted([answer, drop_age])
+        monkeypatch.setattr(cli, "make_backend", lambda name, params: backend)
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        (docs / "doc.txt").write_text("A person was reported missing in Culpeper.\n")
+        out = tmp_path / "out"
+        config = cli.RunConfig(
+            input_dir=docs, output_dir=out, paths_enabled="llm", ingest_ts="2025-01-15T09:30:00Z"
+        )
+        summary = cli.run(config)
+        assert summary.repair_log["llm"][0]["attempts"] == 1
+        (line,) = (out / "cases_llm.jsonl").read_text(encoding="utf-8").splitlines()
+        record = json.loads(line)
+        # Missingness is explicit: the dropped leaf is there, null.
+        assert "age_years" in record["demographic"]
+        assert record["demographic"]["age_years"] is None
+        assert record["demographic"]["name"] == "Avery Quill"
+        with (out / "cases_llm.csv").open(newline="", encoding="utf-8") as fh:
+            (row,) = csv.DictReader(fh)
+        assert unflatten_row(row, SCHEMA) == record
+        assert unflatten_row(flatten_record(record, SCHEMA), SCHEMA) == record

@@ -407,13 +407,24 @@ def test_a_rule_only_runs_reader_hands_over_unassembled_values(corpus, tmp_path,
             # One frame per document, then a hand-back of nothing.
             assert len(frames) == summary.documents_in + 1 and frames[-1] is None
             received = [rule for _, _, segments in frames[:-1] for _, rule, _ in segments]
-            # One draft per segment: harmonize's flat values, which the
-            # caller assembles; no section of a record crosses the pipe.
+            # One parse per segment: dispatch's raw text and the span of
+            # each draft key, which the caller harmonizes; no harmonized
+            # value, which may be a number, a list or a map, and no JSON
+            # line crosses the pipe.
             assert len(received) == summary.segments > 0
-            for values, origins, warnings, seconds in received:
-                assert values and set(values) <= leaves
-                assert not any(type(value) is dict for value in values.values())
-                assert all(type(origin) is list for origin in origins.values())
+            for raw, spans, warnings, seconds in received:
+                assert set(raw) == set(spans)
+                assert all(type(value) is str for value in raw.values())
+                for span in spans.values():
+                    assert type(span) is list and len(span) == 3
+                    assert all(type(offset) is int for offset in span)
+                # The caller adds its own stages' warnings to the list.
+                assert type(warnings) is list
+                assert type(seconds) is float
+            # Some draft keys are not leaves: the reader has not renamed them.
+            assert any(not set(raw) <= leaves for raw, _, _, _ in received)
+            assert sum(bool(raw) for raw, _, _, _ in received) > len(received) // 2
+            assert not any('"case_id"' in text for text in _strings(frames))
         outputs[placement] = _rule_files(out)
         _assert_no_child()
     _assert_alike(outputs)

@@ -7,7 +7,7 @@ lines once per segment, and a line rule with a literal prefix searches only
 the lines that start with it; ``harmonize`` runs a plan compiled once per
 mapping table; the CSV cell flattener writes lists and maps of scalars in
 place; the JSONL and CSV writers write the text a RecordBuffer encoded when
-each record was added (``RecordBuffer.add``).
+each record's leaf map was added (``RecordBuffer.add``).
 Each must give exactly what the plain walk gives: the same detection, the
 same draft candidates in the same order, the same harmonized record, trace
 and warnings in order, the same cells, the same bytes. The plain versions
@@ -70,7 +70,7 @@ from casepipe.rules import (
     load_rulesets,
     strip_sentinel,
 )
-from casepipe.schema import assemble_record, default_schema, flatten_leaves
+from casepipe.schema import assemble_record, default_schema, flatten_leaves, record_leaves
 from casepipe.sources import (
     UNKNOWN_DETECTION,
     DetectionResult,
@@ -757,7 +757,8 @@ def test_harmonize_draft_matches_per_key_dispatch(name, schema, data):
 @settings(max_examples=300, deadline=None)
 @given(model_candidates(), st.sampled_from(["identity", "identity_utc", "odd"]))
 def test_harmonize_candidate_matches_per_key_dispatch(candidate, name):
-    _same_harmonized(candidate, TABLES[name], SCHEMA)
+    # The model path hands harmonize its candidate's leaves.
+    _same_harmonized(flatten_leaves(candidate), TABLES[name], SCHEMA)
 
 
 def test_plan_follows_the_schema_it_is_given():
@@ -953,14 +954,18 @@ def _emitted_record(draw):
 )
 def test_buffered_writers_match_the_dict_list_writers(tmp_path_factory, rows):
     tmp = tmp_path_factory.mktemp("emit")
-    ordered = sorted(rows, key=itemgetter("case_id"))
+    # What a run adds to a buffer: each record's leaf map, which the dict
+    # list holds nested.
+    leaf_maps = [record_leaves(record, SCHEMA) for record in rows]
+    nested = [assemble_record(leaves, SCHEMA) for leaves in leaf_maps]
+    ordered = sorted(nested, key=itemgetter("case_id"))
     assert _oracle_write_jsonl(tmp / "old.jsonl", ordered) == len(rows)
     assert _oracle_write_csv(tmp / "old.csv", ordered, SCHEMA) == len(rows)
-    buffer = emit.RecordBuffer()
-    for record in rows:
-        buffer.add(record)
+    buffer = emit.RecordBuffer(SCHEMA)
+    for leaves in leaf_maps:
+        buffer.add(leaves)
         # The buffer keeps the record's text, not the record.
-        record.clear()
+        leaves.clear()
     buffer.sort()
     assert emit.write_records_jsonl(tmp / "new.jsonl", buffer) == len(rows)
     assert emit.write_records_csv(tmp / "new.csv", buffer, SCHEMA) == len(rows)

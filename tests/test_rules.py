@@ -21,7 +21,7 @@ from casepipe.rules import (
     load_rulesets,
     strip_sentinel,
 )
-from casepipe.schema import default_schema
+from casepipe.schema import assemble_record, default_schema
 from casepipe.sources import detect_source, load_signatures
 
 RULESETS = load_rulesets(bundled_path("rulesets"))
@@ -330,10 +330,10 @@ class TestRulePathEndToEnd:
         detection = detect_source(doc, SIGNATURES)
         assert detection.source_label == label
         draft = dispatch(detection, segment(doc), RULESETS)
-        result = harmonize(draft, MAPPINGS[label], SCHEMA)
+        leaves = harmonize(draft, MAPPINGS[label], SCHEMA, assemble=False).record
         gazetteer = Gazetteer.load(bundled_path("gazetteer.jsonl"))
-        apply_geocode(result.record, gazetteer, GeocodeCache())
-        return result.record
+        apply_geocode(leaves, gazetteer, GeocodeCache())
+        return assemble_record(leaves, SCHEMA)
 
     def test_registry_document(self):
         record = self.geocoded(REGISTRY_DOC, "missing_persons_registry")

@@ -16,7 +16,7 @@ from casepipe.rules import (
     dispatch,
     load_rulesets,
 )
-from casepipe.schema import default_schema, flatten_leaves, set_path, validate
+from casepipe.schema import assemble_record, default_schema, flatten_leaves, validate
 from casepipe.sources import detect_source, load_signatures
 from casepipe.synth import FAMILY_LABELS, SynthesisSpec, synthesize, write_corpus
 
@@ -34,10 +34,10 @@ def rule_parse(case):
     text = prenormalize(case.document_text)
     detection = detect_source(text, SIGNATURES)
     draft = dispatch(detection, CaseSegment(0, text, 0, len(text)), RULESETS)
-    record = harmonize(draft, MAPPINGS[detection.source_label], SCHEMA).record
-    apply_geocode(record, GAZETTEER, GeocodeCache())
-    set_path(record, "case_id", f"{case.document_id}#s0")
-    return detection, record
+    leaves = harmonize(draft, MAPPINGS[detection.source_label], SCHEMA, assemble=False).record
+    apply_geocode(leaves, GAZETTEER, GeocodeCache())
+    leaves["case_id"] = f"{case.document_id}#s0"
+    return detection, assemble_record(leaves, SCHEMA)
 
 
 def content_paths(record):
