@@ -426,7 +426,6 @@ class _Pipeline:
             self.tables[segment[2]][0],
             self.schema,
             on_warning=_collect(warnings, "harmonize"),
-            assemble=False,
         )
         origins: dict[str, list[int]] = {}
         for source_key, target_path in harmonized.key_trace:
@@ -531,7 +530,6 @@ class _Pipeline:
             self.tables[job.segment[2]][1],
             self.schema,
             on_warning=_collect(warnings, "harmonize"),
-            assemble=False,
         ).record
         lookups = self._stamp(leaves, warnings, job.segment, "llm", {})
         outcome = repair_loop(

@@ -8,10 +8,11 @@ order at every nesting level. A run adds each record, as its leaf map, to
 its path's RecordBuffer where it finishes it (``RecordBuffer.add``, the one
 way into a buffer), which encodes the record at once by the schema's
 record plan, the JSON line and the CSV cells in one walk, and keeps its
-output text, not the record; ``_cells`` takes a record the plan does not
-cover, and is the reference the plan walk is tested against. The
-``write_records_*`` writers stream a buffer's text to disk, in the process
-that keeps it; they are the only way records are written.
+output text, not the record. ``_cells``, the formatted leaves of
+``schema.flatten_leaves``, takes a record the plan does not cover, and is
+the reference the plan walk is tested against. The ``write_records_*``
+writers stream a buffer's text to disk, in the process that keeps it; they
+are the only way records are written.
 
 Warnings never interrupt a run. Every call appends exactly one entry (no
 deduplication) and its code must come from the WARNING_CODES registry below;
@@ -37,6 +38,7 @@ from casepipe.schema import (
     PLAN_SCALAR,
     SchemaDefinition,
     assemble_record,
+    flatten_leaves,
 )
 
 STAGES = (
@@ -274,25 +276,12 @@ def flatten_record(record: Mapping[str, Any], schema: SchemaDefinition) -> dict[
 
 def _cells(record: Mapping[str, Any]) -> dict[str, str]:
     """flatten_record's cells: the leaves of flatten_leaves, formatted. An
-    empty list or dict has no cell, and clears one that an earlier key
-    flattened onto the same path."""
-    cells: dict[str, str] = {}
-    for key, value in record.items():
-        _put_cells(cells, str(key), value)
-    return cells
-
-
-def _put_cells(cells: dict[str, str], path: str, value: Any) -> None:
-    """Write ``value``'s leaves under ``path``, named as flatten_leaves names
-    them (a child of the empty path is named by its key alone)."""
-    if not isinstance(value, (list, dict)):
-        cells[path] = _format_cell(value)
-    elif not value:
-        cells.pop(path, None)
-    else:
-        items = value.items() if isinstance(value, dict) else enumerate(value)
-        for name, item in items:
-            _put_cells(cells, f"{path}.{name}" if path else str(name), item)
+    empty list or dict has no cell."""
+    return {
+        path: _format_cell(value)
+        for path, value in flatten_leaves(record).items()
+        if not isinstance(value, (list, dict))
+    }
 
 
 def column_order(columns: Iterable[str], schema: SchemaDefinition) -> list[str]:

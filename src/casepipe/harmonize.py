@@ -1,13 +1,12 @@
 """Harmonization: map per-source keys onto the canonical record shape.
 
 Inputs arrive as flat ``{source key: raw value}`` maps: the rule path's
-draft keys and the raw text its rules matched (a DraftRecord reads as one),
-or a model candidate's leaves as ``flatten_leaves`` names them. Each key is
-renamed through the source's mapping table and its value transformed, and
-the record's leaf map is assembled with every section present, or kept flat.
-Missingness stays explicit: nothing here invents a fact, and a value that
-fails its transform becomes null with a warning rather than aborting the
-record.
+draft keys and the raw text its rules matched, or a model candidate's leaves
+as ``flatten_leaves`` names them. Each key is renamed through the source's
+mapping table and its value transformed into the record's leaf map, which is
+what comes out. Missingness stays explicit: nothing here invents a fact, an
+empty answer is null, and a value that fails its transform becomes null with
+a warning rather than aborting the record.
 
 Each mapping table compiles a plan on first use, and again only when a call
 brings a different schema. For every source key it holds the target path,
@@ -28,7 +27,6 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple
 
 from casepipe.config import ConfigError, read_jsonl
-from casepipe.rules import DraftRecord
 from casepipe.schema import (
     HEIGHT_RANGE_CM,
     KIND_DECIMAL,
@@ -40,7 +38,6 @@ from casepipe.schema import (
     WEIGHT_RANGE_KG,
     LeafMap,
     SchemaDefinition,
-    assemble_record,
     parse_iso_timestamp,
 )
 
@@ -124,7 +121,7 @@ class MappingTable:
 
 
 class HarmonizedRecord(NamedTuple):
-    record: dict[str, Any]
+    record: LeafMap
     key_trace: tuple[tuple[str, str], ...]
 
 
@@ -444,18 +441,10 @@ def _coerce(value: Any, kind: str, path: str, warn: WarnFn) -> Any:
     return value
 
 
-def _flatten_input(
-    source: DraftRecord | Mapping[str, Any],
-) -> dict[str, Any]:
-    if isinstance(source, DraftRecord):
-        flat: Mapping[str, Any] = {
-            path: cand.raw_value for path, cand in source.candidates.items()
-        }
-    else:
-        flat = source
-    # Group indexed keys (list elements) back into ordered lists. Only a key
-    # ending in a digit, or in a newline that ``$`` may stand before, can be
-    # one, so the pattern runs on those alone.
+def _group_lists(flat: Mapping[str, Any]) -> dict[str, Any]:
+    """``flat`` with its indexed keys (list elements) grouped back into
+    ordered lists. Only a key ending in a digit, or in a newline that ``$``
+    may stand before, can be one, so the pattern runs on those alone."""
     grouped: dict[str, Any] = {}
     lists: dict[str, list[tuple[int, Any]]] = {}
     for key, value in flat.items():
@@ -471,29 +460,29 @@ def _flatten_input(
 
 
 def harmonize(
-    source: DraftRecord | Mapping[str, Any],
+    source: Mapping[str, Any],
     mappings: MappingTable,
     schema: SchemaDefinition,
     *,
     on_warning: WarnFn | None = None,
-    assemble: bool = True,
 ) -> HarmonizedRecord:
-    """Produce a canonical record candidate from draft or model output.
+    """Produce a canonical record candidate's ``LeafMap`` from draft or
+    model output.
 
-    ``source`` is flat, ``{source key: raw value}``, or a DraftRecord; a
-    list comes in as indexed keys (``path.0``), grouped back here.
+    ``source`` is flat, ``{source key: raw value}``; a list comes in as
+    indexed keys (``path.0``), grouped back here. A raw ``""`` is null, as
+    ``None`` is, and no transform sees it.
 
-    Every schema section is materialized. Defaults fill fields whose absence
-    has a defined meaning (status missing, sex unknown, no movement cues, no
-    geocode). The result carries a source-key -> target-path trace so
-    provenance can follow renames. With ``assemble`` false, its ``record``
-    is the record's ``LeafMap``, which ``assemble_record(record, schema)``
-    turns into that record, for a caller that keeps it flat.
+    Defaults fill fields whose absence has a defined meaning (status
+    missing, sex unknown, no movement cues, no geocode); the other leaves
+    stay absent, and so null. ``assemble_record(record, schema)`` nests the
+    result's ``record`` with every section present. The result carries a
+    source-key -> target-path trace so provenance can follow renames.
     """
     warn: WarnFn = on_warning if on_warning is not None else (lambda code, msg: None)
     plan = mappings.plan(schema)
     tz_default = mappings.tz_default
-    flat = _flatten_input(source)
+    flat = _group_lists(source)
     values = LeafMap()
     trace: list[tuple[str, str]] = []
 
@@ -506,7 +495,7 @@ def harmonize(
             warn("unmapped_key", f"no mapping for {source_key!r}; value dropped")
             continue
         target, outputs_of, sibling, coerce_kind = step
-        if raw is None:
+        if raw is None or raw == "":
             values.setdefault(target, None)
             continue
         if outputs_of is None:
@@ -528,8 +517,7 @@ def harmonize(
             trace.append((source_key, out_path))
 
     _apply_defaults(values, tz_default)
-    record = assemble_record(values, schema) if assemble else values
-    return HarmonizedRecord(record=record, key_trace=tuple(trace))
+    return HarmonizedRecord(record=values, key_trace=tuple(trace))
 
 
 def _apply_defaults(values: dict[str, Any], tz_default: str | None) -> None:

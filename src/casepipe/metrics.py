@@ -15,7 +15,9 @@ negative at once.
 An evaluation scores every path against one ``GoldSide``: the gold records'
 values are extracted once, when the side is built, under the schema's default
 match rules, and each path's records are then scored in one pass against them
-(``build_report``, whose completeness counts ``DEFAULT_KEY_FIELDS``).
+(``build_report``, whose completeness counts ``DEFAULT_KEY_FIELDS``). One
+join pairs parsed records with gold rows (``_join``); the scores of an
+``AlignmentResult`` join its records again through it.
 """
 
 from __future__ import annotations
@@ -218,42 +220,53 @@ def values_match(rule: MatchRule, parsed_value: Any, gold_value: Any) -> bool:
 # Alignment
 
 
-def _index_by_case_id(
-    records: Iterable[Mapping[str, Any]], side: str
-) -> tuple[dict[Any, dict], list[dict]]:
-    by_id: dict[Any, dict] = {}
+def _index(
+    records: Iterable[Mapping[str, Any]], side: str, value: Callable[[Mapping], Any]
+) -> tuple[dict[Any, Any], list[Any]]:
+    """``value`` of each of the ``side`` records, keyed by its ``case_id``,
+    and of the records without one, in order. A repeated or unhashable id
+    is a ConfigError (``_check_new_id``)."""
+    by_id: dict[Any, Any] = {}
     anonymous = []
     for record in records:
         case_id = record.get("case_id")
         if case_id is None:
-            anonymous.append(dict(record))
-            continue
-        if case_id in by_id:
-            raise ValueError(f"duplicate case_id {case_id!r} in {side} records")
-        by_id[case_id] = dict(record)
+            anonymous.append(value(record))
+        else:
+            _check_new_id(case_id, by_id, side)
+            by_id[case_id] = value(record)
     return by_id, anonymous
+
+
+def _check_new_id(case_id: Any, seen: abc.Container, side: str) -> None:
+    """Refuse, as a ConfigError, a ``case_id`` already ``seen`` among the
+    ``side`` records, or one that cannot be looked up, such as a list."""
+    try:
+        repeated = case_id in seen
+    except TypeError:
+        raise ConfigError(f"unhashable case_id {case_id!r} in {side} records") from None
+    if repeated:
+        raise ConfigError(f"duplicate case_id {case_id!r} in {side} records")
 
 
 def align(
     parsed: Iterable[Mapping[str, Any]], gold: Iterable[Mapping[str, Any]]
 ) -> AlignmentResult:
-    """Join parsed records to gold records on exact case_id."""
-    parsed_by_id, parsed_anonymous = _index_by_case_id(parsed, "parsed")
-    gold_by_id, gold_anonymous = _index_by_case_id(gold, "gold")
-    pairs = []
+    """Join copies of the parsed records to the gold records on exact
+    case_id, the pairs in gold order."""
+    parsed_by_id, parsed_anonymous = _index(parsed, "parsed", dict)
+    gold_by_id, gold_anonymous = _index(gold, "gold", dict)
+    pairs, unmatched_gold = [], []
     for case_id, gold_record in gold_by_id.items():
-        if case_id in parsed_by_id:
-            pairs.append((parsed_by_id[case_id], gold_record))
-    unmatched_parsed = [
-        record for case_id, record in parsed_by_id.items() if case_id not in gold_by_id
-    ]
-    unmatched_gold = [
-        record for case_id, record in gold_by_id.items() if case_id not in parsed_by_id
-    ]
+        parsed_record = parsed_by_id.pop(case_id, None)
+        if parsed_record is None:
+            unmatched_gold.append(gold_record)
+        else:
+            pairs.append((parsed_record, gold_record))
     return AlignmentResult(
         pairs=tuple(pairs),
-        unmatched_parsed=tuple(unmatched_parsed + parsed_anonymous),
-        unmatched_gold=tuple(unmatched_gold + gold_anonymous),
+        unmatched_parsed=(*parsed_by_id.values(), *parsed_anonymous),
+        unmatched_gold=(*unmatched_gold, *gold_anonymous),
     )
 
 
@@ -376,17 +389,44 @@ class _Tally:
                 self.slots += weight
 
 
-def _tally_alignment(alignment: AlignmentResult, plan: _ScoringPlan) -> _Tally:
-    """Each aligned pair, then unmatched gold and parsed records, into one
-    ``_Tally``."""
+def _join(
+    parsed: Iterable[Mapping[str, Any]],
+    plan: _ScoringPlan,
+    rows: Mapping[Any, list[Any]],
+    anonymous: Iterable[list[Any]],
+    coverage: _Coverage | None = None,
+) -> _Tally:
+    """The one join of parsed records to gold, tallied.
+
+    The parsed records are walked once, in order and without copies: each
+    is counted into ``coverage``, if given, checked for a repeated or
+    unhashable ``case_id`` (``_check_new_id``) and tallied against the gold
+    row of its id in ``rows``, or as unmatched when there is none. Gold rows
+    that no record matched, and the ``anonymous`` ones, count as missed.
+    """
     tally = _Tally(plan)
-    for parsed_record, gold_record in alignment.pairs:
-        tally.add(parsed_record, plan.values(gold_record))
-    for gold_record in alignment.unmatched_gold:
-        tally.miss(plan.values(gold_record))
-    for parsed_record in alignment.unmatched_parsed:
-        tally.add(parsed_record, None)
+    seen = set()
+    for record in parsed:
+        if coverage is not None:
+            coverage.add(record)
+        case_id = record.get("case_id")
+        if case_id is not None:
+            _check_new_id(case_id, seen, "parsed")
+            seen.add(case_id)
+        tally.add(record, rows.get(case_id))
+    for case_id, row in rows.items():
+        if case_id not in seen:
+            tally.miss(row)
+    for row in anonymous:
+        tally.miss(row)
     return tally
+
+
+def _tally_alignment(alignment: AlignmentResult, plan: _ScoringPlan) -> _Tally:
+    """An alignment's records, joined again through ``_join``."""
+    gold = [record for _, record in alignment.pairs] + list(alignment.unmatched_gold)
+    parsed = [record for record, _ in alignment.pairs] + list(alignment.unmatched_parsed)
+    return _join(parsed, plan, *_index(gold, "gold", plan.values))
 
 
 def slot_counts(
@@ -594,14 +634,9 @@ class MetricsReport(_ReportFields):
 
 
 class GoldSide:
-    """The gold records of one evaluation, prepared once for every path.
-
-    Built from the records and the schema: each gold record's value row
-    under the schema's default match rules, keyed by ``case_id``, plus the
-    rows of the records that have no id. A repeated or unhashable id is a
-    ConfigError (``_check_new_id``).
-    The side keeps the rows, not the records.
-    """
+    """The gold records of one evaluation, prepared once for every path:
+    each record's value row under the schema's default match rules, indexed
+    by ``_index`` as it is read. The side keeps the rows, not the records."""
 
     __slots__ = ("plan", "rows", "anonymous")
 
@@ -609,26 +644,7 @@ class GoldSide:
         self, records: Iterable[Mapping[str, Any]], schema: SchemaDefinition
     ) -> None:
         self.plan = _ScoringPlan(default_match_rules(schema), structured_paths(schema))
-        self.rows: dict[Any, list[Any]] = {}
-        self.anonymous: list[list[Any]] = []
-        for record in records:
-            case_id = record.get("case_id")
-            if case_id is None:
-                self.anonymous.append(self.plan.values(record))
-            else:
-                _check_new_id(case_id, self.rows, "gold")
-                self.rows[case_id] = self.plan.values(record)
-
-
-def _check_new_id(case_id: Any, seen: abc.Container, side: str) -> None:
-    """Refuse, as a ConfigError, a ``case_id`` already ``seen`` among the
-    ``side`` records, or one that cannot be looked up, such as a list."""
-    try:
-        repeated = case_id in seen
-    except TypeError:
-        raise ConfigError(f"unhashable case_id {case_id!r} in {side} records") from None
-    if repeated:
-        raise ConfigError(f"duplicate case_id {case_id!r} in {side} records")
+        self.rows, self.anonymous = _index(records, "gold", self.plan.values)
 
 
 def build_report(
@@ -639,32 +655,10 @@ def build_report(
     runtimes: Iterable[float] = (),
     on_warning: WarnFn | None = None,
 ) -> MetricsReport:
-    """Score one path's parsed records against the gold side.
-
-    The parsed records are walked once, in order and without copies: each
-    is counted into coverage, checked for a repeated or unhashable
-    ``case_id`` (a ConfigError, as for a gold id) and tallied against the
-    gold row of its id, or as unmatched when there is none. Gold rows that
-    no record matched count as missed.
-    """
-    tally = _Tally(gold.plan)
+    """Score one path's parsed records against the gold side, joined by
+    ``_join``, which also counts them into coverage."""
     coverage = _Coverage(DEFAULT_KEY_FIELDS)
-    rows = gold.rows
-    seen = set()
-    for record in parsed:
-        coverage.add(record)
-        case_id = record.get("case_id")
-        if case_id is None:
-            tally.add(record, None)
-            continue
-        _check_new_id(case_id, seen, "parsed")
-        seen.add(case_id)
-        tally.add(record, rows.get(case_id))
-    for case_id, row in rows.items():
-        if case_id not in seen:
-            tally.miss(row)
-    for row in gold.anonymous:
-        tally.miss(row)
+    tally = _join(parsed, gold.plan, gold.rows, gold.anonymous, coverage)
     precision, recall, f1 = _prf(tally)
     accuracy = _accuracy(tally, on_warning)
     overall, by_field = coverage.completeness(on_warning)

@@ -18,7 +18,7 @@ from casepipe.harmonize import (
     parse_place_parts,
 )
 from casepipe.rules import DraftRecord, FieldCandidate
-from casepipe.schema import default_schema, flatten_leaves
+from casepipe.schema import assemble_record, default_schema, flatten_leaves
 
 SCHEMA = default_schema()
 
@@ -220,6 +220,11 @@ def make_draft(values: dict[str, str], label="missing_persons_registry") -> Draf
     return DraftRecord(source_label=label, segment_index=0, candidates=candidates)
 
 
+def raw_values(draft: DraftRecord) -> dict[str, str]:
+    """The flat map harmonize takes from the rule path: each key's raw text."""
+    return {key: candidate.raw_value for key, candidate in draft.candidates.items()}
+
+
 REGISTRY_TABLE = MappingTable(
     source_label="missing_persons_registry",
     tz_default="-05:00",
@@ -254,8 +259,8 @@ class TestHarmonizeDraft:
                 "outcome.status": "Missing",
             }
         )
-        result = harmonize(draft, REGISTRY_TABLE, SCHEMA)
-        rec = result.record
+        result = harmonize(raw_values(draft), REGISTRY_TABLE, SCHEMA)
+        rec = assemble_record(result.record, SCHEMA)
         assert rec["demographic"]["name"] == "Avery Holloway"
         assert rec["demographic"]["sex"] == "female"
         assert rec["demographic"]["age_years"] == 15
@@ -272,7 +277,8 @@ class TestHarmonizeDraft:
         assert rec["outcome"]["status"] == "missing"
 
     def test_all_sections_materialized(self):
-        result = harmonize(make_draft({}), REGISTRY_TABLE, SCHEMA)
+        result = harmonize(raw_values(make_draft({})), REGISTRY_TABLE, SCHEMA)
+        record = assemble_record(result.record, SCHEMA)
         for section in (
             "demographic",
             "spatial",
@@ -281,32 +287,39 @@ class TestHarmonizeDraft:
             "outcome",
             "provenance",
         ):
-            assert section in result.record
+            assert section in record
 
     def test_defaults(self):
-        rec = harmonize(make_draft({}), REGISTRY_TABLE, SCHEMA).record
+        leaves = harmonize(raw_values(make_draft({})), REGISTRY_TABLE, SCHEMA).record
+        rec = assemble_record(leaves, SCHEMA)
         assert rec["outcome"]["status"] == "missing"
         assert rec["narrative_osint"]["movement_cues"] == []
         assert rec["spatial"]["geocode_method"] == "none"
         assert rec["demographic"]["sex"] == "unknown"
 
     def test_timezone_only_set_with_timestamps(self):
-        rec = harmonize(make_draft({}), REGISTRY_TABLE, SCHEMA).record
+        leaves = harmonize(raw_values(make_draft({})), REGISTRY_TABLE, SCHEMA).record
+        rec = assemble_record(leaves, SCHEMA)
         assert rec["temporal"]["timezone"] is None
 
     def test_transform_failure_nulls_field_with_warning(self):
         warnings = []
         draft = make_draft({"temporal.last_seen_ts": "sometime last summer"})
         result = harmonize(
-            draft, REGISTRY_TABLE, SCHEMA, on_warning=lambda c, m: warnings.append(c)
+            raw_values(draft), REGISTRY_TABLE, SCHEMA, on_warning=lambda c, m: warnings.append(c)
         )
-        assert result.record["temporal"]["last_seen_ts"] is None
+        assert assemble_record(result.record, SCHEMA)["temporal"]["last_seen_ts"] is None
         assert "unparseable_timestamp" in warnings
 
     def test_unmapped_key_dropped_with_reason(self):
         warnings = []
         draft = make_draft({"demographic.shoe_size": "11"})
-        harmonize(draft, REGISTRY_TABLE, SCHEMA, on_warning=lambda c, m: warnings.append((c, m)))
+        harmonize(
+            raw_values(draft),
+            REGISTRY_TABLE,
+            SCHEMA,
+            on_warning=lambda c, m: warnings.append((c, m)),
+        )
         assert ("unmapped_key", "no mapping for 'demographic.shoe_size'; value dropped") in warnings
 
     def test_movement_cues_grouped(self):
@@ -317,12 +330,13 @@ class TestHarmonizeDraft:
         draft.candidates["narrative_osint.movement_cues.1"] = FieldCandidate(
             "narrative_osint.movement_cues.1", "Delaware", "cue", 10, 18
         )
-        rec = harmonize(draft, REGISTRY_TABLE, SCHEMA).record
+        leaves = harmonize(raw_values(draft), REGISTRY_TABLE, SCHEMA).record
+        rec = assemble_record(leaves, SCHEMA)
         assert rec["narrative_osint"]["movement_cues"] == ["Maryland", "Delaware"]
 
     def test_key_trace_links_targets_to_sources(self):
         draft = make_draft({"demographic.height": "5'0\""})
-        result = harmonize(draft, REGISTRY_TABLE, SCHEMA)
+        result = harmonize(raw_values(draft), REGISTRY_TABLE, SCHEMA)
         trace = dict(
             (target, source) for source, target in result.key_trace
         )
@@ -331,8 +345,8 @@ class TestHarmonizeDraft:
 
     def test_applied_transforms_recorded(self):
         draft = make_draft({"demographic.sex": "FEMALE"})
-        result = harmonize(draft, REGISTRY_TABLE, SCHEMA)
-        assert result.record["demographic"]["sex"] == "female"
+        result = harmonize(raw_values(draft), REGISTRY_TABLE, SCHEMA)
+        assert assemble_record(result.record, SCHEMA)["demographic"]["sex"] == "female"
 
 
 class TestHarmonizeCandidate:
@@ -346,7 +360,8 @@ class TestHarmonizeCandidate:
             "outcome": {"status": "MISSING"},
         }
         table = identity_table(SCHEMA, tz_default="-05:00")
-        rec = harmonize(flatten_leaves(candidate), table, SCHEMA).record
+        leaves = harmonize(flatten_leaves(candidate), table, SCHEMA).record
+        rec = assemble_record(leaves, SCHEMA)
         assert rec["demographic"]["sex"] == "female"
         assert rec["temporal"]["last_seen_ts"] == "2023-07-01"
         assert rec["temporal"]["timezone"] == "-05:00"
@@ -363,13 +378,41 @@ class TestHarmonizeCandidate:
         }
         table = identity_table(SCHEMA, tz_default="-05:00")
         once = harmonize(flatten_leaves(candidate), table, SCHEMA).record
+        once = assemble_record(once, SCHEMA)
         twice = harmonize(flatten_leaves(once), table, SCHEMA).record
+        twice = assemble_record(twice, SCHEMA)
         assert once == twice
+
+    def test_an_empty_answer_is_null_before_any_transform(self):
+        # "" reads as None: no transform sees it, so none warns, and no
+        # key trace points at it.
+        candidate = {
+            "demographic": {"name": "", "sex": "", "age_years": ""},
+            "temporal": {"last_seen_ts": ""},
+            "outcome": {"status": ""},
+        }
+        warnings = []
+        result = harmonize(
+            flatten_leaves(candidate),
+            identity_table(SCHEMA, tz_default="-05:00"),
+            SCHEMA,
+            on_warning=lambda c, m: warnings.append(c),
+        )
+        rec = assemble_record(result.record, SCHEMA)
+        assert rec["demographic"]["name"] is None
+        assert rec["demographic"]["age_years"] is None
+        assert rec["temporal"]["last_seen_ts"] is None
+        assert rec["temporal"]["timezone"] is None
+        assert rec["demographic"]["sex"] == "unknown"
+        assert rec["outcome"]["status"] == "missing"
+        assert warnings == []
+        assert result.key_trace == ()
 
     def test_numeric_strings_coerced(self):
         candidate = {"demographic": {"age_years": "15"}, "spatial": {"lat": "38.47"}}
         table = identity_table(SCHEMA)
-        rec = harmonize(flatten_leaves(candidate), table, SCHEMA).record
+        leaves = harmonize(flatten_leaves(candidate), table, SCHEMA).record
+        rec = assemble_record(leaves, SCHEMA)
         assert rec["demographic"]["age_years"] == 15
         assert rec["spatial"]["lat"] == 38.47
 

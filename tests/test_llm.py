@@ -525,3 +525,46 @@ class TestRepairedRecordOutput:
             (row,) = csv.DictReader(fh)
         assert unflatten_row(row, SCHEMA) == record
         assert unflatten_row(flatten_record(record, SCHEMA), SCHEMA) == record
+
+
+class TestEmptyAnswer:
+    def test_an_empty_answer_is_emitted_as_null_and_warns_nothing(self, tmp_path, monkeypatch):
+        # A "" name passes validate, but an empty CSV cell reads back as
+        # null, so the JSONL record must carry null too; and no transform
+        # may read a "" as a bad value.
+        assert validate(make_record(**{"demographic.name": ""}), SCHEMA).valid
+        answer = make_record(
+            **{"demographic.name": "", "demographic.sex": "", "temporal.last_seen_ts": ""}
+        )
+
+        class Scripted(ScriptedBackend):
+            waits_on_io = False
+
+            def call_count(self, tier):
+                return sum(request.tier == tier for request in self.requests)
+
+        backend = Scripted([canonical_json(answer)])
+        monkeypatch.setattr(cli, "make_backend", lambda name, params: backend)
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        (docs / "doc.txt").write_text("A person was reported missing in Culpeper.\n")
+        out = tmp_path / "out"
+        config = cli.RunConfig(
+            input_dir=docs, output_dir=out, paths_enabled="llm", ingest_ts="2025-01-15T09:30:00Z"
+        )
+        summary = cli.run(config)
+        assert summary.repair_log["llm"][0]["pre_valid"]
+        (line,) = (out / "cases_llm.jsonl").read_text(encoding="utf-8").splitlines()
+        record = json.loads(line)
+        assert record["demographic"]["name"] is None
+        assert record["demographic"]["sex"] == "unknown"
+        assert record["temporal"]["last_seen_ts"] is None
+        assert record["demographic"]["age_years"] == 15
+        with (out / "cases_llm.csv").open(newline="", encoding="utf-8") as fh:
+            (row,) = csv.DictReader(fh)
+        assert unflatten_row(row, SCHEMA) == record
+        codes = [
+            json.loads(entry)["code"]
+            for entry in (out / "warnings.jsonl").read_text(encoding="utf-8").splitlines()
+        ]
+        assert not {"bad_enum_value", "unparseable_timestamp", "uncoercible_value"} & set(codes)

@@ -70,7 +70,13 @@ from casepipe.rules import (
     load_rulesets,
     strip_sentinel,
 )
-from casepipe.schema import assemble_record, default_schema, flatten_leaves, record_leaves
+from casepipe.schema import (
+    LeafMap,
+    assemble_record,
+    default_schema,
+    flatten_leaves,
+    record_leaves,
+)
 from casepipe.sources import (
     UNKNOWN_DETECTION,
     DetectionResult,
@@ -540,10 +546,7 @@ def _oracle_apply_transform(transform, raw, target, tz_default, warn):
 
 
 def _oracle_flatten_input(source):
-    if isinstance(source, DraftRecord):
-        flat = {path: cand.raw_value for path, cand in source.candidates.items()}
-    else:
-        flat = flatten_leaves(dict(source))
+    flat = flatten_leaves(dict(source))
     grouped = {}
     lists = {}
     for key, value in flat.items():
@@ -571,7 +574,7 @@ def _oracle_harmonize(source, mappings, schema, *, on_warning=None):
             warn("unmapped_key", f"no mapping for {source_key!r}; value dropped")
             continue
         target, transform = row
-        if raw is None:
+        if raw is None or raw == "":
             values.setdefault(target, None)
             continue
         outputs = _oracle_apply_transform(transform, raw, target, mappings.tz_default, warn)
@@ -589,8 +592,7 @@ def _oracle_harmonize(source, mappings, schema, *, on_warning=None):
             values[out_path] = out_value
             trace.append((source_key, out_path))
     _apply_defaults(values, mappings.tz_default)
-    record = assemble_record(values, schema)
-    return HarmonizedRecord(record, tuple(trace))
+    return HarmonizedRecord(LeafMap(values), tuple(trace))
 
 
 # A hand-built table: two keys onto one target, a height target whose sibling
@@ -695,14 +697,19 @@ _RAWS_FOR = {
 
 @st.composite
 def drafts(draw, table):
-    """Mostly the table's own keys, each with a value its transform reads."""
+    """A draft's raw values, as the rule path hands them to harmonize:
+    mostly the table's own keys, each with a value its transform reads."""
     keys = st.sampled_from(sorted(table.rows)) | _KEYS
-    draft = DraftRecord(source_label="any", segment_index=0)
+    draft = {}
     for key in draw(st.lists(keys, max_size=10)):
         transform = table.rows[key][1] if key in table.rows else None
-        raw = draw(st.sampled_from(_RAWS_FOR.get(transform, ("x",))) | _RAWS)
-        draft.candidates[key] = FieldCandidate(key, raw, "p", 0, len(raw))
+        draft[key] = draw(st.sampled_from(_RAWS_FOR.get(transform, ("x",))) | _RAWS)
     return draft
+
+
+def _raw_values(draft):
+    """The flat map harmonize takes from a DraftRecord: each key's raw text."""
+    return {key: candidate.raw_value for key, candidate in draft.candidates.items()}
 
 
 _NESTED_VALUES = st.recursive(
@@ -764,10 +771,11 @@ def test_harmonize_candidate_matches_per_key_dispatch(candidate, name):
 def test_plan_follows_the_schema_it_is_given():
     # One table against two schemas in turn: age_years is coerced only where
     # the schema defines it.
-    draft = DraftRecord("any", 0, {"a": FieldCandidate("a", "14", "p", 0, 2)})
+    draft = {"a": "14"}
     for schema in (SCHEMA, NO_DEMOGRAPHIC, SCHEMA):
         _same_harmonized(draft, ODD_TABLE, schema)
-    assert harmonize(draft, ODD_TABLE, SCHEMA).record["demographic"]["age_years"] == 14
+    record = assemble_record(harmonize(draft, ODD_TABLE, SCHEMA).record, SCHEMA)
+    assert record["demographic"]["age_years"] == 14
 
 
 @pytest.mark.parametrize(
@@ -788,10 +796,7 @@ def test_plan_follows_the_schema_it_is_given():
     ],
 )
 def test_odd_table_handpicked(candidates):
-    draft = DraftRecord("any", 0)
-    for key, raw in candidates.items():
-        draft.candidates[key] = FieldCandidate(key, raw, "p", 0, len(raw))
-    _same_harmonized(draft, ODD_TABLE, SCHEMA)
+    _same_harmonized(dict(candidates), ODD_TABLE, SCHEMA)
 
 
 def test_harmonize_end_to_end_drafts():
@@ -806,7 +811,7 @@ def test_harmonize_end_to_end_drafts():
         detection = detect_source(text, SIGNATURES)
         draft = dispatch(detection, segment, RULESETS)
         table = MAPPINGS.get(detection.source_label) or MAPPINGS["unknown"]
-        _same_harmonized(draft, table, SCHEMA)
+        _same_harmonized(_raw_values(draft), table, SCHEMA)
 
 
 # ---------------------------------------------------------------------------

@@ -330,7 +330,8 @@ class TestRulePathEndToEnd:
         detection = detect_source(doc, SIGNATURES)
         assert detection.source_label == label
         draft = dispatch(detection, segment(doc), RULESETS)
-        leaves = harmonize(draft, MAPPINGS[label], SCHEMA, assemble=False).record
+        raw = {key: candidate.raw_value for key, candidate in draft.candidates.items()}
+        leaves = harmonize(raw, MAPPINGS[label], SCHEMA).record
         gazetteer = Gazetteer.load(bundled_path("gazetteer.jsonl"))
         apply_geocode(leaves, gazetteer, GeocodeCache())
         return assemble_record(leaves, SCHEMA)

@@ -28,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casepipe import metrics
+from casepipe.config import ConfigError
 from casepipe.metrics import (
     COMPARATOR_NUMERIC,
     COMPARATOR_SET,
@@ -643,3 +644,23 @@ def test_a_repeated_id_raises_as_align_does(case_id):
     assert gold_error == f"duplicate case_id {case_id!r} in gold records"
     # A repeated gold id fails when the side is built, before any report.
     assert _raised(GoldSide, twice, SCHEMA) == gold_error
+
+
+@pytest.mark.parametrize("case_id", ["A", ["x"]])
+def test_align_gold_side_and_report_refuse_an_id_alike(case_id):
+    # A repeated id, or a list one, on either side: every entry raises the
+    # same ConfigError with the same message.
+    bad = [{"case_id": case_id}, {"case_id": case_id}]
+    problem = "unhashable" if isinstance(case_id, list) else "duplicate"
+
+    def refused(fn, *args):
+        with pytest.raises(ConfigError) as info:
+            fn(*args)
+        return str(info.value)
+
+    parsed_error = f"{problem} case_id {case_id!r} in parsed records"
+    assert refused(align, bad, []) == parsed_error
+    assert refused(build_report, bad, GoldSide([], SCHEMA)) == parsed_error
+    gold_error = f"{problem} case_id {case_id!r} in gold records"
+    assert refused(align, [], bad) == gold_error
+    assert refused(GoldSide, bad, SCHEMA) == gold_error

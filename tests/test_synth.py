@@ -34,7 +34,8 @@ def rule_parse(case):
     text = prenormalize(case.document_text)
     detection = detect_source(text, SIGNATURES)
     draft = dispatch(detection, CaseSegment(0, text, 0, len(text)), RULESETS)
-    leaves = harmonize(draft, MAPPINGS[detection.source_label], SCHEMA, assemble=False).record
+    raw = {key: candidate.raw_value for key, candidate in draft.candidates.items()}
+    leaves = harmonize(raw, MAPPINGS[detection.source_label], SCHEMA).record
     apply_geocode(leaves, GAZETTEER, GeocodeCache())
     leaves["case_id"] = f"{case.document_id}#s0"
     return detection, assemble_record(leaves, SCHEMA)
