@@ -24,7 +24,12 @@ once, so a run holds every record as its output text, not as a dict.
 ``run`` writes every file to a staging directory inside the output
 directory, each path's files sorted by case_id in the process that kept
 its rows (``write_cases``), and then publishes them together by
-``os.replace``: a failed run publishes none.
+``os.replace``: a failed run publishes none. As it publishes, it removes
+what an earlier run left there of casepipe's own files that it did not
+write itself: the cases_* files of a path it did not run, and the
+metrics_*.json files and report.txt, which only its own scoring writes
+again; so ``eval`` never scores a stale path. A ``""`` in a model answer,
+extraction or repair, is null, as its empty CSV cell reads back.
 
 Each document has a read half (``_read``: extract, cut, split, detect and
 the rule path's parse, each draft key's raw text and span), which returns
@@ -39,9 +44,11 @@ it also finishes each rule record (harmonize, stamp, geocode, validate)
 and keeps it, encoded, which the calling thread does on the rule path
 alone. Which process reads depends only on the platform: where
 ``_reads_ahead`` allows, a forked child reads ahead, with the same bytes
-out. After the last document the reader hands back once what it kept
-(``_hand_back``): on a both-path run it writes the rule files to staging
-itself and returns the rule record count, repair-log rows and runtimes.
+out, kept off the caller's CPU (``_place``). After the last document the
+reader hands back once what it kept (``_hand_back``): on a both-path run it
+writes the rule files to staging itself and returns the rule record count,
+repair-log rows and runtimes, while the calling thread writes the llm
+files.
 Records are geocoded against a copy of the run's cache that writes no file
 and journals each lookup, which ``apply_geocode`` hands back with its own
 warnings, and each record's warnings and lookups reach one accept step
@@ -51,6 +58,12 @@ warning is ``(stage, severity, code, message)`` and is logged there, with
 its record, or for extract and detect warnings its document.
 The in-process test doubles are called inline, so with them, as on the rule
 path alone, a run starts no thread.
+
+Scoring (``_score``, behind ``eval`` and ``run --gold``) reads the gold
+side once; where both paths are scored and ``_reads_ahead`` allows a child
+to read the rule path's cases file, a forked child scores the rule path
+while the calling thread scores the llm path, with the same reports and
+warnings out as when the calling thread scores both in turn.
 
 Records are emitted sorted by case_id and the warning log is saved in a
 stable order, so for a fixed --ingest-ts a run is byte-reproducible at any
@@ -135,6 +148,15 @@ RULE_CASES_NAME = "cases_rule"
 LLM_CASES_NAME = "cases_llm"
 # Each extraction path and the stem of its cases_* files.
 _PATHS = (("rule", RULE_CASES_NAME), ("llm", LLM_CASES_NAME))
+# casepipe's own files in an output directory that a run may leave
+# unwritten: the cases_* files of a path it does not run, and the reports,
+# which only scoring writes. A run removes those it did not write as it
+# publishes its own.
+_ARTIFACTS = frozenset(
+    [f"{stem}.{kind}" for _, stem in _PATHS for kind in ("jsonl", "csv")]
+    + [f"metrics_{label}.json" for label, _ in _PATHS]
+    + ["report.txt"]
+)
 # The directory inside the output directory that a run writes its files to;
 # each keeps its final name there until the run publishes it.
 _STAGING = ".casepipe-staging"
@@ -656,23 +678,35 @@ class _Pipeline:
     def process(self, files: Sequence[Path]) -> dict[str, int]:
         """Run every document, in order, adding what each path produces to
         its entry in ``outputs`` and each document's segments to
-        ``segments``. Returns the records out of each path whose files the
-        reader wrote: ``{"rule": n}`` on a both-path run, its log rows and
-        runtimes going to ``outputs``; else an empty dict.
+        ``segments``, and write each path's cases_* files to staging.
+        Returns the records out of each enabled path.
 
         Documents are read by ``_reads``: where ``_reads_ahead`` allows, in
-        a child forked at the first document, before any thread starts
-        (``_read_in_child``), else on the calling thread, which finishes
+        a child forked before the first document and before any thread
+        starts (``_in_child``), else on the calling thread, which finishes
         them. Only backend exchanges leave it, and only for a backend that
         waits on I/O: they go to ``max_in_flight`` threads, extraction
         requests up to ``_LOOKAHEAD`` × ``max_in_flight`` segments ahead of
-        the record being finished. Any other backend is called inline. A
-        child is reaped before this returns or raises. An empty run starts
-        no thread and no process.
+        the record being finished. Any other backend is called inline. The
+        calling thread writes the files of the paths whose rows it kept
+        before it takes the reader's hand-back, so that on a forked
+        both-path run its llm files are written while the reader writes the
+        rule files. A child is reaped before this returns or raises. An
+        empty run starts no thread and no process.
         """
         backend = self.backend
         pooled = bool(files) and backend is not None and backend.waits_on_io
-        reads = _read_in_child(self._reads, files) if _reads_ahead(files) else self._reads(files)
+
+        def ended(received: int) -> str:
+            unsent = ", before its hand-back" if received == len(files) else ""
+            return f"the document reader ended after {received} of {len(files)} documents{unsent}"
+
+        if _reads_ahead(files):
+            reads = _in_child(
+                lambda: self._reads(files), len(files) + 1, "reading documents", ended
+            )
+        else:
+            reads = self._reads(files)
         jobs = (job for read in islice(reads, len(files)) for job in self._finish_document(read))
         try:
             if not pooled:
@@ -700,21 +734,31 @@ class _Pipeline:
                     while window:
                         job, future = window.popleft()
                         self._finish_llm(job, future.result(), pooled_exchange)
+            # The calling thread's own rows: on a both-path run the reader
+            # keeps the rule path's and writes them itself (``_hand_back``).
+            both = self.config.paths_enabled == "both"
+            records_out = {
+                label: self.write_cases(label, stem)
+                for label, stem in _PATHS
+                if label in self.enabled and not (both and label == "rule")
+            }
             # The reader's last frame; taking it runs the reader to its end.
             (handed,) = reads
         finally:
             reads.close()
-        if handed is None:
-            return {}
-        count, log, runtimes = handed
-        self.outputs["rule"] = _PathOutput(emit.RecordBuffer(self.schema), log, runtimes)
-        return {"rule": count}
+        if handed is not None:
+            count, log, runtimes = handed
+            self.outputs["rule"] = _PathOutput(emit.RecordBuffer(self.schema), log, runtimes)
+            records_out["rule"] = count
+        return records_out
 
 
 def _reads_ahead(files: Sequence[Path]) -> bool:
-    """Whether a forked child should read ``files``, whatever the run's paths
-    and backend: only if there is one, a second CPU is usable, and no other
-    thread runs (a ``wire`` run's pool starts its threads after the fork)."""
+    """Whether a forked child should read ``files`` beside the calling
+    thread, whatever the run's paths and backend: a run's documents, or an
+    evaluation's rule-path cases file. Only if there is one, a second CPU is
+    usable, and no other thread runs (a ``wire`` run's pool starts its
+    threads after the fork)."""
     if not files or not hasattr(os, "fork") or threading.active_count() != 1:
         return False
     if hasattr(os, "sched_getaffinity"):
@@ -722,33 +766,50 @@ def _reads_ahead(files: Sequence[Path]) -> bool:
     return (os.cpu_count() or 1) >= 2
 
 
-# Bytes of the length that prefixes each marshal frame on a reader's pipe,
+# Bytes of the length that prefixes each marshal frame on a child's pipe,
 # and of the buffer frames are read into, a Linux pipe's default capacity.
 _FRAME_HEADER = 8
 _FRAME_BUFFER = 1 << 16
 
 
-def _read_in_child(
-    reads: Callable[[Sequence[Path]], Iterator[Any]], files: Sequence[Path]
+def _in_child(
+    produce: Callable[[], Iterator[Any]], due: int, task: str, ended: Callable[[int], str]
 ) -> Iterator[Any]:
-    """What ``reads(files)`` yields, one item per file and then one more,
-    computed by a child forked on the first ``next`` and sent back one frame
-    per item. A file the child writes, such as the rule files a both-path
+    """The ``due`` items ``produce()`` yields, computed by a child forked
+    now and sent back one frame per item, so that the caller can do work of
+    its own before it takes the first (``_child_frames``)."""
+    frames = _child_frames(produce, due, task, ended)
+    next(frames)  # forks
+    return frames
+
+
+def _child_frames(
+    produce: Callable[[], Iterator[Any]], due: int, task: str, ended: Callable[[int], str]
+) -> Iterator[Any]:
+    """Fork a child that sends each item of ``produce()``, never a list, as
+    one marshal frame (``_serve``), yield None once it runs, then each item
+    it sent. A file the child writes, such as the rule files a both-path
     run's hand-back writes to staging, is closed before the frame that
-    follows it is sent. A failure there arrives as an error frame and is
-    raised here, a ``ConfigError`` as one and anything else as a
-    ``RuntimeError`` with the child's traceback. Closing the generator kills
-    the child if it runs, reaps it, and closes the pipe, so nothing writes
-    to staging once it has returned or raised."""
+    follows it is sent. A failure there arrives as an error frame, a list,
+    and is raised here, a ``ConfigError`` as one and anything else as a
+    ``RuntimeError`` that names the ``task`` and carries the child's
+    traceback; a child that ends before its ``due`` items is a
+    ``RuntimeError`` that ``ended(items received)`` describes. Closing the
+    generator kills the child if it runs, reaps it, and closes the pipe, so
+    nothing the child writes lands once it has returned or raised."""
     fd_in, fd_out = os.pipe()
     with open(fd_in, "rb") as pipe, open(fd_out, "wb") as out:
+        beside = _cpus_beside()
         pid = os.fork()
         if pid == 0:
             pipe.close()
-            _serve_reads(reads(files), out)
+            _place(0, beside)
+            _serve(produce(), out)
+        _place(pid, beside)
         out.close()
         running, received = True, 0
         try:
+            yield None
             # Every frame is read into one buffer, so that reading allocates
             # nothing per document; a fresh bytes object per frame left the
             # caller's heap fragmented and its peak RSS about 0.8 MB higher.
@@ -764,26 +825,51 @@ def _read_in_child(
                 if type(item) is list:  # an error frame: [is a ConfigError, text]
                     if item[0]:
                         raise ConfigError(item[1])
-                    raise RuntimeError(f"reading documents failed in the child:\n{item[1]}")
+                    raise RuntimeError(f"{task} failed in the child:\n{item[1]}")
                 received += 1
                 yield item
             _, status = os.waitpid(pid, 0)
             running = False
-            if received <= len(files):
-                unsent = ", before its hand-back" if received == len(files) else ""
-                raise RuntimeError(
-                    f"the document reader ended after {received} of {len(files)} "
-                    f"documents{unsent} (wait status {status})"
-                )
+            if received < due:
+                raise RuntimeError(f"{ended(received)} (wait status {status})")
         finally:
             if running and os.waitpid(pid, os.WNOHANG)[0] == 0:
-                import signal  # deferred: only a reader stopped early is killed
+                import signal  # deferred: only a child stopped early is killed
 
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 
 
-def _serve_reads(items: Iterator[Any], pipe) -> None:
+def _cpus_beside() -> set[int] | None:
+    """The usable CPUs but the one the caller runs on, where that can be
+    read (``/proc/self/stat``) and CPU affinity can be set; else None."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            # The processor field, the 37th after the parenthesized name.
+            cpu = int(stat.read().rpartition(b")")[2].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+    return os.sched_getaffinity(0) - {cpu} or None
+
+
+def _place(pid: int, cpus: set[int] | None) -> None:
+    """Keep a forked child (``pid``, 0 for itself) on ``cpus``, off its
+    parent's CPU. Where the kernel does not balance load between CPUs, as
+    in a cpuset whose ``sched_load_balance`` is 0, a child otherwise stays
+    on its parent's CPU, and the two take turns on it however many CPUs are
+    usable. Both call this after the fork, since either may run first: a
+    child that waits for its parent's time slice to end starts late, and a
+    parent that waits for its child's runs late."""
+    if cpus is not None:
+        try:
+            os.sched_setaffinity(pid, cpus)
+        except OSError:
+            pass  # the child has ended
+
+
+def _serve(items: Iterator[Any], pipe) -> None:
     """The forked child: send each of ``items``, or the failure that stopped
     them, down ``pipe``, then leave through ``os._exit``, which runs none of
     the parent's exit handlers or finalizers."""
@@ -848,7 +934,9 @@ def run(config: RunConfig) -> RunSummary:
     together: each is written to the staging directory and moved into the
     output directory by ``os.replace`` once all are written. A run that
     fails removes what it staged and publishes nothing, and removes the
-    output directory, and any parent of it, that it created, if empty.
+    output directory, and any parent of it, that it created, if empty. One
+    that publishes removes each of casepipe's own files (``_ARTIFACTS``)
+    that it did not write and an earlier run left there.
 
     The inputs are the ``*.txt`` entries of the input directory
     (``_input_files``), read in name order. A gold file is read before the
@@ -866,9 +954,6 @@ def run(config: RunConfig) -> RunSummary:
     staging.mkdir(parents=True)
     try:
         records_out = pipeline.process(files)
-        for label, stem in _PATHS:
-            if label in pipeline.enabled and label not in records_out:
-                records_out[label] = pipeline.write_cases(label, stem)
         pipeline.warning_log.save(staging / "warnings.jsonl")
         backend = pipeline.backend
         summary = RunSummary(
@@ -903,8 +988,14 @@ def run(config: RunConfig) -> RunSummary:
             except OSError:  # not empty: something else was put there
                 break
         raise
-    for path in sorted(staging.iterdir()):
-        os.replace(path, config.output_dir / path.name)
+    # What an earlier run into this directory left and this run did not
+    # write goes as this run publishes: a cases_* file of a path it did not
+    # run, and every report, which its own scoring writes again.
+    staged = sorted(staging.iterdir())
+    for name in _ARTIFACTS.difference(path.name for path in staged):
+        (output_dir / name).unlink(missing_ok=True)
+    for path in staged:
+        os.replace(path, output_dir / path.name)
     staging.rmdir()
     if gold is not None:
         found = [(label, output_dir / f"{stem}.jsonl") for label, stem in _PATHS]
@@ -929,7 +1020,8 @@ def evaluate_outputs(
     A path whose ``cases_*.jsonl`` is missing is not scored; with none at
     all this is a ConfigError, raised before the gold file is parsed. The
     gold file is then read once into one ``metrics.GoldSide`` (``_gold``),
-    which every path is scored against (``_score``).
+    which every path is scored against (``_score``), the two paths side by
+    side where a forked child may score one.
     """
     if not gold_path.is_file():
         raise ConfigError(f"gold file does not exist: {gold_path}")
@@ -954,8 +1046,18 @@ def _score(
     on_warning: metrics.WarnFn | None,
 ) -> dict[str, metrics.MetricsReport]:
     """Score each ``(label, cases file)`` found against ``gold``, with the
-    run's logs from ``run_summary.json`` if there is one, and write the
-    reports. Each cases file streams: each line is parsed as it is scored."""
+    run's logs from ``run_summary.json`` if there is one, then write the
+    reports. Each cases file streams: each line is parsed as it is scored.
+
+    Where scoring runs depends only on the paths found and the platform.
+    With both paths found, where ``_reads_ahead`` allows a child to read the
+    rule path's file, a child forked once the gold side and the summary are
+    read scores the rule path while the calling thread scores the llm path
+    (``_score_beside``); otherwise the calling thread scores each path in
+    turn. The reports and ``on_warning``'s calls are the same either way,
+    the rule path's first, and so is the failure raised: the rule path's
+    before the llm path's. No report is written unless every path was
+    scored."""
     from casepipe import metrics  # deferred: cold starts skip the scorer
 
     summary: dict[str, Any] = {}
@@ -963,25 +1065,69 @@ def _score(
     if summary_path.is_file():
         summary = json.loads(summary_path.read_text(encoding="utf-8"))
         config_digest = summary.get("config_digest", config_digest)
-    reports: dict[str, metrics.MetricsReport] = {}
-    for label, cases_path in found:
-        run_log = summary.get("repair_log", {}).get(label, [])
-        runtimes = summary.get("runtime", {}).get(label, {}).get("samples", [])
-        report = metrics.build_report(
+
+    def report(label: str, cases_path: Path, warn: metrics.WarnFn | None) -> metrics.MetricsReport:
+        return metrics.build_report(
             iter_jsonl(cases_path),
             gold,
-            run_log=run_log,
-            runtimes=runtimes,
-            on_warning=on_warning,
+            run_log=summary.get("repair_log", {}).get(label, []),
+            runtimes=summary.get("runtime", {}).get(label, {}).get("samples", []),
+            on_warning=warn,
         )
-        reports[label] = report
+
+    if len(found) == 2 and _reads_ahead([found[0][1]]):
+        reports = _score_beside(report, found, on_warning)
+    else:
+        reports = {label: report(label, cases_path, on_warning) for label, cases_path in found}
+    for label, scored in reports.items():
         (output_dir / f"metrics_{label}.json").write_text(
-            json.dumps(report._asdict(), indent=2, sort_keys=True) + "\n",
+            json.dumps(scored._asdict(), indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
     table = metrics.format_report(reports, config_digest)
     (output_dir / "report.txt").write_text(table, encoding="utf-8")
     return reports
+
+
+def _score_beside(
+    report: Callable[[str, Path, metrics.WarnFn | None], metrics.MetricsReport],
+    found: list[tuple[str, Path]],
+    on_warning: metrics.WarnFn | None,
+) -> dict[str, metrics.MetricsReport]:
+    """``report`` of the rule path, in a forked child (``_in_child``) that
+    sends back the report's fields and its warnings in one frame, beside
+    ``report`` of the llm path on the calling thread. The warnings go to
+    ``on_warning`` once both are scored, the rule path's first; a failure
+    of the rule path is raised before one of the llm path."""
+    from casepipe import metrics  # deferred: cold starts skip the scorer
+
+    (rule, rule_path), (llm, llm_path) = found
+
+    def rule_report() -> Iterator[tuple]:
+        warned: list[tuple[str, str]] = []
+        scored = report(rule, rule_path, lambda *warning: warned.append(warning))
+        yield tuple(scored), warned
+
+    child = _in_child(
+        rule_report, 1, "scoring the rule path", lambda _: "the rule path's scorer ended early"
+    )
+    warned: list[tuple[str, str]] = []
+    failed: Exception | None = None
+    try:
+        try:
+            llm_report = report(llm, llm_path, lambda *warning: warned.append(warning))
+        except Exception as exc:
+            failed = exc
+        # The child's one frame; a failure of the rule path is raised here.
+        ((fields, rule_warned),) = child
+    finally:
+        child.close()
+    if on_warning is not None:
+        for code, message in rule_warned + warned:
+            on_warning(code, message)
+    if failed is not None:
+        raise failed
+    return {rule: metrics.MetricsReport(*fields), llm: llm_report}
 
 
 def evaluate(config: RunConfig) -> dict[str, metrics.MetricsReport]:

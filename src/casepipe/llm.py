@@ -371,6 +371,15 @@ def _merge_minimal(
     return old
 
 
+def _null_empty(node: Any) -> Any:
+    """``node`` with each ``""`` in a map read as null, as harmonize reads an
+    extraction answer's, so that a record's JSON line carries the null that
+    its empty CSV cell reads back as."""
+    if isinstance(node, dict):
+        return {key: _null_empty(value) for key, value in node.items()}
+    return None if node == "" else node
+
+
 def repair_loop(
     record: dict[str, Any],
     schema: SchemaDefinition,
@@ -384,7 +393,7 @@ def repair_loop(
     ``exchange`` is the only route to a backend: each attempt's request goes
     through it and it returns the response text, so a caller sends repairs
     wherever its other exchanges go. A ``BackendError`` it raises fails that
-    attempt.
+    attempt. A ``""`` in an answer is null before the merge.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
@@ -403,7 +412,7 @@ def repair_loop(
             request_id=f"{request_prefix}:{attempt}",
         )
         try:
-            candidate = sanitize_candidate(exchange(request), schema, on_warning)
+            candidate = _null_empty(sanitize_candidate(exchange(request), schema, on_warning))
         except (BackendError, CandidateParseError) as exc:
             warn("repair_attempt_failed", f"attempt {attempt}: {exc}")
             continue

@@ -1161,3 +1161,28 @@ class TestMainEntry:
         assert err == f"casepipe: output path is not a directory: {taken}\n"
         assert taken.read_bytes() == b"not a directory\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == ["taken"]
+
+    def test_a_run_leaves_none_of_the_artifacts_it_did_not_write(self, tmp_path, capsys):
+        # A both-path run scored against its gold, then a rule-only run of
+        # another corpus into the same directory: an eval of that directory
+        # must not score the first run's cases_llm.jsonl.
+        first, second, out = tmp_path / "first", tmp_path / "second", tmp_path / "out"
+        synth = ["synth", "--out", str(first), "--seed", "3", "--count", "4", "--dropout", "0.5"]
+        assert cli.main(synth) == 0
+        assert cli.main(["synth", "--out", str(second), "--seed", "5", "--count", "6"]) == 0
+        run_argv = ["run", "--output", str(out), "--ingest-ts", INGEST]
+        assert cli.main(
+            run_argv + ["--input", str(first / "docs"), "--gold", str(first / "gold.jsonl")]
+        ) == 0
+        assert (out / "metrics_llm.json").is_file()
+        assert cli.main(run_argv + ["--input", str(second / "docs"), "--paths", "rule"]) == 0
+        rule_run = ["cases_rule.csv", "cases_rule.jsonl", "run_summary.json", "warnings.jsonl"]
+        assert sorted(path.name for path in out.iterdir()) == rule_run
+        capsys.readouterr()
+        assert cli.main(["eval", "--output", str(out), "--gold", str(second / "gold.jsonl")]) == 0
+        assert sorted(path.name for path in out.iterdir()) == sorted(
+            rule_run + ["metrics_rule.json", "report.txt"]
+        )
+        header = (out / "report.txt").read_text(encoding="utf-8").splitlines()[2]
+        assert header.split() == ["metric", "rule"]
+        assert capsys.readouterr().err == ""

@@ -568,3 +568,38 @@ class TestEmptyAnswer:
             for entry in (out / "warnings.jsonl").read_text(encoding="utf-8").splitlines()
         ]
         assert not {"bad_enum_value", "unparseable_timestamp", "uncoercible_value"} & set(codes)
+
+    def test_a_repair_answer_of_empty_is_emitted_as_null(self, tmp_path, monkeypatch):
+        # The extraction answers the name as 123, which validate cites; the
+        # repair answers it as "", which is null, as an extraction's "" is.
+        def empty_name(request):
+            current = json.loads(request.prompt.current_record_text)
+            current["demographic"]["name"] = ""
+            return canonical_json(current)
+
+        class Scripted(ScriptedBackend):
+            waits_on_io = False
+
+            def call_count(self, tier):
+                return sum(request.tier == tier for request in self.requests)
+
+        answer = canonical_json(make_record(**{"demographic.name": 123}))
+        backend = Scripted([answer, empty_name])
+        monkeypatch.setattr(cli, "make_backend", lambda name, params: backend)
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        (docs / "doc.txt").write_text("A person was reported missing in Culpeper.\n")
+        out = tmp_path / "out"
+        config = cli.RunConfig(
+            input_dir=docs, output_dir=out, paths_enabled="llm", ingest_ts="2025-01-15T09:30:00Z"
+        )
+        summary = cli.run(config)
+        (log,) = summary.repair_log["llm"]
+        assert (log["attempts"], log["post_valid"]) == (1, True)
+        (line,) = (out / "cases_llm.jsonl").read_text(encoding="utf-8").splitlines()
+        record = json.loads(line)
+        assert "name" in record["demographic"]
+        assert record["demographic"]["name"] is None
+        with (out / "cases_llm.csv").open(newline="", encoding="utf-8") as fh:
+            (row,) = csv.DictReader(fh)
+        assert unflatten_row(row, SCHEMA) == record

@@ -273,9 +273,14 @@ def test_a_forked_both_path_run_leaves_the_rule_files_to_the_reader(
 
 def test_a_failure_while_the_reader_renders_leaves_no_file(tmp_path, monkeypatch):
     _place(monkeypatch, "forked")
+    write = emit.write_records_csv
 
-    def broken(*args, **kwargs):
-        raise ValueError("the rule rows could not be rendered")
+    # The caller writes the llm files before it takes the hand-back; only
+    # the reader's rule file fails.
+    def broken(path, *args):
+        if Path(path).name == "cases_rule.csv":
+            raise ValueError("the rule rows could not be rendered")
+        return write(path, *args)
 
     monkeypatch.setattr(emit, "write_records_csv", broken)
     docs, out = _small_docs(tmp_path, 1), tmp_path / "out"
@@ -647,7 +652,15 @@ def test_a_child_that_dies_mid_run_is_an_error(tmp_path, monkeypatch):
 
 def test_a_child_that_dies_before_its_hand_back_is_an_error(tmp_path, monkeypatch):
     _place(monkeypatch, "forked")
-    monkeypatch.setattr(emit, "write_records_jsonl", lambda path, records: os._exit(3))
+    write = emit.write_records_jsonl
+
+    # Only the reader writes the rule file; the caller writes its own first.
+    def dying(path, records):
+        if Path(path).name == "cases_rule.jsonl":
+            os._exit(3)
+        return write(path, records)
+
+    monkeypatch.setattr(emit, "write_records_jsonl", dying)
     docs, out = _small_docs(tmp_path, 2), tmp_path / "out"
     with pytest.raises(RuntimeError, match="ended after 6 of 6 documents, before its hand-back"):
         cli.run(_config(docs, out, backend="dropout_oracle"))
@@ -713,3 +726,30 @@ def test_the_child_needs_two_usable_cpus(tmp_path, monkeypatch, cpus, reads_ahea
     assert cli._reads_ahead(files) is (reads_ahead and hasattr(os, "fork"))
     assert cli._reads_ahead([]) is False
 
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or not os.path.exists("/proc/self/stat"),
+    reason="needs CPU affinity and /proc",
+)
+def test_the_child_is_kept_off_the_callers_cpu(monkeypatch):
+    usable = os.sched_getaffinity(0)
+    beside = cli._cpus_beside()
+    if len(usable) < 2:
+        assert beside is None
+    else:
+        # The caller may have moved since, but never off its usable CPUs.
+        assert beside and beside < usable and len(beside) == len(usable) - 1
+    # Whatever the host, the child runs on the CPUs it is given.
+    given = {max(usable)}
+    monkeypatch.setattr(cli, "_cpus_beside", lambda: given)
+    child = cli._in_child(
+        lambda: iter([tuple(sorted(os.sched_getaffinity(0)))]), 1, "placing", lambda n: "ended"
+    )
+    try:
+        (seen,) = child
+    finally:
+        child.close()
+    assert seen == tuple(sorted(given))
+    assert os.sched_getaffinity(0) == usable
+    _assert_no_child()
