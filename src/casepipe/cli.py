@@ -32,7 +32,7 @@ again; so ``eval`` never scores a stale path. A ``""`` in a model answer,
 extraction or repair, is null, as its empty CSV cell reads back.
 
 Each document has a read half (``_read``: extract, cut, split, detect and
-the rule path's parse, each draft key's raw text and span), which returns
+the rule path's parse, each field path's raw text and span), which returns
 plain data, each segment's identity built once there as one
 ``(document_id, case_id, source_label, family)`` tuple that goes whole to
 accept, and a finish half that runs in document order on the calling
@@ -416,22 +416,6 @@ class _Pipeline:
 
     # -- per-segment paths -------------------------------------------------
 
-    def _parse_rule(self, case, detection) -> tuple:
-        """The rule path's parse of a case segment, as plain data ``marshal``
-        carries: ``(raw, spans, warnings, seconds)``, each draft key's raw
-        text and its origin, ``[segment index, char start, char end]``, the
-        parse warnings and the seconds ``dispatch`` took."""
-        started = perf_counter()
-        warnings: list[_Warning] = []
-        draft = dispatch(detection, case, self.rulesets, on_warning=_collect(warnings, "parse"))
-        raw: dict[str, str] = {}
-        spans: dict[str, list[int]] = {}
-        index = case.segment_index
-        for key, candidate in draft.candidates.items():
-            raw[key] = candidate.raw_value
-            spans[key] = [index, candidate.char_start, candidate.char_end]
-        return raw, spans, warnings, perf_counter() - started
-
     def _finish_rule(self, segment: _Segment, parsed: tuple) -> tuple:
         """The rest of a rule record after its parse, in whichever process
         runs it: harmonize the raw values into the record's leaf map, each
@@ -449,11 +433,8 @@ class _Pipeline:
             self.schema,
             on_warning=_collect(warnings, "harmonize"),
         )
-        origins: dict[str, list[int]] = {}
-        for source_key, target_path in harmonized.key_trace:
-            span = spans.get(source_key)
-            if span is not None:
-                origins[target_path] = span
+        trace = harmonized.key_trace
+        origins = {target: spans[key] for key, target in trace if key in spans}
         leaves = harmonized.record
         lookups = self._stamp(leaves, warnings, segment, "rule", origins)
         report = validate(leaves, self.schema)
@@ -589,8 +570,9 @@ class _Pipeline:
         ``(document_id, warnings, [(segment, rule, llm text or None), ...])``,
         the warnings being the extract stage's and each ``segment`` the
         ``(document_id, case_id, source_label, family)`` that goes whole to
-        accept. ``rule`` is None without the rule path, ``_parse_rule``'s
-        raw values and spans with it alone, which the caller's
+        accept. ``rule`` is None without the rule path, with it alone the
+        segment's parse, ``(raw, spans, warnings, seconds)``: ``dispatch``'s
+        two maps, its warnings and the seconds it took, which the caller's
         ``_finish_rule`` harmonizes and finishes, and with both paths the
         ``(warnings, lookups)`` of the record ``_finish_rule`` finished from
         them here, whose row it kept. Split and detection see the content
@@ -624,7 +606,9 @@ class _Pipeline:
             segment = (document_id, case_id, detection.source_label, detection.family)
             rule = text = None
             if "rule" in self.enabled:
-                rule = self._parse_rule(case, detection)
+                started, parsed = perf_counter(), []
+                raw, spans = dispatch(detection, case, self.rulesets, _collect(parsed, "parse"))
+                rule = raw, spans, parsed, perf_counter() - started
                 if llm:
                     rule = self._finish_rule(segment, rule)
             if llm:
@@ -1046,8 +1030,9 @@ def _score(
     on_warning: metrics.WarnFn | None,
 ) -> dict[str, metrics.MetricsReport]:
     """Score each ``(label, cases file)`` found against ``gold``, with the
-    run's logs from ``run_summary.json`` if there is one, then write the
-    reports. Each cases file streams: each line is parsed as it is scored.
+    run's logs from ``run_summary.json`` if there is one (``_run_summary``,
+    read before any path is scored), then write the reports. Each cases
+    file streams: each line is parsed as it is scored.
 
     Where scoring runs depends only on the paths found and the platform.
     With both paths found, where ``_reads_ahead`` allows a child to read the
@@ -1060,11 +1045,8 @@ def _score(
     scored."""
     from casepipe import metrics  # deferred: cold starts skip the scorer
 
-    summary: dict[str, Any] = {}
-    summary_path = output_dir / "run_summary.json"
-    if summary_path.is_file():
-        summary = json.loads(summary_path.read_text(encoding="utf-8"))
-        config_digest = summary.get("config_digest", config_digest)
+    summary = _run_summary(output_dir / "run_summary.json")
+    config_digest = summary.get("config_digest", config_digest)
 
     def report(label: str, cases_path: Path, warn: metrics.WarnFn | None) -> metrics.MetricsReport:
         return metrics.build_report(
@@ -1087,6 +1069,31 @@ def _score(
     table = metrics.format_report(reports, config_digest)
     (output_dir / "report.txt").write_text(table, encoding="utf-8")
     return reports
+
+
+def _run_summary(path: Path) -> dict[str, Any]:
+    """The run summary at ``path``, or {} without one. One that is not a
+    JSON object whose ``repair_log`` rows and ``runtime`` samples, where
+    present, have the types ``run`` writes them with is a ConfigError."""
+    if not path.is_file():
+        return {}
+    try:
+        summary = json.loads(path.read_text(encoding="utf-8"))
+    except (RecursionError, ValueError) as exc:  # not JSON, nested too deep, or not UTF-8
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    try:
+        rows = [row for log in summary.get("repair_log", {}).values() for row in log]
+        samples = [v for block in summary.get("runtime", {}).values() for v in block["samples"]]
+        shaped = all(
+            (type(row["pre_valid"]), type(row["post_valid"]), type(row["attempts"]))
+            == (bool, bool, int)
+            for row in rows
+        ) and all(type(v) in (int, float) for v in samples)
+    except (AttributeError, KeyError, TypeError):  # a value of the wrong kind
+        shaped = False
+    if not shaped:
+        raise ConfigError(f"{path}: not a run summary in the shape run writes")
+    return summary
 
 
 def _score_beside(

@@ -67,7 +67,7 @@ WARNING_CODES = {
     "candidate_parse_error": "no structured object found in a backend response",
     "unknown_key_dropped": "candidate carried a key outside the schema",
     "backend_error": "backend call failed after retries",
-    "unmapped_key": "draft key had no mapping row and was dropped",
+    "unmapped_key": "source key had no mapping row and was dropped",
     "unparseable_timestamp": "timestamp text could not be normalized",
     "unparseable_height": "height text could not be normalized",
     "unparseable_weight": "weight text could not be normalized",

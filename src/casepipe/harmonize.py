@@ -1,7 +1,7 @@
 """Harmonization: map per-source keys onto the canonical record shape.
 
 Inputs arrive as flat ``{source key: raw value}`` maps: the rule path's
-draft keys and the raw text its rules matched, or a model candidate's leaves
+field paths and the raw text its rules matched, or a model candidate's leaves
 as ``flatten_leaves`` names them. Each key is renamed through the source's
 mapping table and its value transformed into the record's leaf map, which is
 what comes out. Missingness stays explicit: nothing here invents a fact, an
@@ -98,7 +98,7 @@ _SEX_ALIASES = {"f": "female", "m": "male", "u": "unknown"}
 
 
 class MappingTable:
-    """Key mappings for one source: draft key -> (target path, transform)."""
+    """Key mappings for one source: source key -> (target path, transform)."""
 
     def __init__(
         self,
@@ -466,8 +466,8 @@ def harmonize(
     *,
     on_warning: WarnFn | None = None,
 ) -> HarmonizedRecord:
-    """Produce a canonical record candidate's ``LeafMap`` from draft or
-    model output.
+    """Produce a canonical record candidate's ``LeafMap`` from the rule
+    path's raw values or a model candidate's leaves.
 
     ``source`` is flat, ``{source key: raw value}``; a list comes in as
     indexed keys (``path.0``), grouped back here. A raw ``""`` is null, as

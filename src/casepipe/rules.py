@@ -11,8 +11,10 @@ pattern is applied:
                  anywhere in the segment).
 
 For a given field path the first match wins; later matches are dropped and
-reported through the warning callback. Every candidate keeps the character
-span of its capture within the segment so provenance can point back at the
+reported through the warning callback. A segment's parse is two flat maps
+keyed by field path, the form the pipeline keeps from here to harmonize:
+``raw``, each stripped capture, and ``spans``, its ``[segment index, char
+start, char end]`` within the segment, so provenance can point back at the
 evidence verbatim. A trailing end-of-document sentinel (used by the synthetic
 corpus to park ground truth) is stripped before any pattern runs; a run
 hands dispatch content the sentinel was already cut from. Dispatch splits
@@ -27,15 +29,15 @@ follow the lines a rule can match, not rules times lines.
 
 Narrative movement cues ("en route to Maryland or Delaware") are not label
 rules: a fixed cue pattern finds destination phrases in prose and fans the
-place list out into indexed candidates. Only explicit cue phrasing counts;
-nothing is inferred.
+place list out into indexed field paths (``narrative_osint.movement_cues.N``)
+in both maps. Only explicit cue phrasing counts; nothing is inferred.
 """
 
 from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping
 
 from casepipe.config import ConfigError, read_jsonl
 from casepipe.extract import END_SENTINEL, CaseSegment
@@ -113,32 +115,9 @@ class LabelRule:
             raise ConfigError(f"{pattern_id}: pattern must have exactly one capture group")
         self.pattern_id = pattern_id
         self.field_path = field_path
-        self.pattern = pattern
         self.scope = scope
         self.compiled = compiled
         self.prefix = _literal_prefix(pattern, compiled.flags)
-
-
-class FieldCandidate(NamedTuple):
-    field_path: str
-    raw_value: str
-    pattern_id: str
-    char_start: int
-    char_end: int
-
-
-class DraftRecord:
-    """The candidates one segment's rules produced, keyed by field path."""
-
-    def __init__(
-        self,
-        source_label: str,
-        segment_index: int,
-        candidates: dict[str, FieldCandidate] | None = None,
-    ) -> None:
-        self.source_label = source_label
-        self.segment_index = segment_index
-        self.candidates = {} if candidates is None else candidates
 
 
 def load_ruleset(path: str | Path) -> list[LabelRule]:
@@ -181,27 +160,17 @@ def strip_sentinel(text: str) -> str:
     return text if index < 0 else text[:index]
 
 
-def apply_rules(
-    segment: CaseSegment,
-    rules: Iterable[LabelRule],
-    source_label: str,
-    on_warning: WarnFn | None = None,
-) -> DraftRecord:
-    """Run label rules over a segment; first match per field path wins."""
-    text = strip_sentinel(segment.text)
-    return _apply(text, rules, source_label, segment.segment_index, on_warning)
-
-
 def _apply(
     text: str,
     rules: Iterable[LabelRule],
-    source_label: str,
     segment_index: int,
     on_warning: WarnFn | None,
-) -> DraftRecord:
-    """apply_rules on sentinel-free text, split into lines once for every
-    line-scope rule; a rule with a literal prefix searches only the lines
-    that start with it."""
+) -> tuple[dict[str, str], dict[str, list[int]]]:
+    """Run label rules over sentinel-free text, the first match per field
+    path winning: ``(raw, spans)``, each field path's stripped capture and
+    its ``[segment_index, char_start, char_end]``. The text is split into
+    lines once for every line-scope rule; a rule with a literal prefix
+    searches only the lines that start with it."""
     lines = []
     by_first: dict[str, list[tuple[str, int]]] = {}
     offset = 0
@@ -211,8 +180,9 @@ def _apply(
         if line:
             by_first.setdefault(line[0], []).append(entry)
         offset += len(line) + 1
-    draft = DraftRecord(source_label=source_label, segment_index=segment_index)
-    candidates = draft.candidates
+    raw: dict[str, str] = {}
+    spans: dict[str, list[int]] = {}
+    kept: dict[str, str] = {}  # field path -> the pattern_id whose match it kept
     for rule in rules:
         compiled = rule.compiled
         if rule.scope == SCOPE_LINE:
@@ -226,36 +196,30 @@ def _apply(
                         matches.append((m, offset))
         else:
             matches = [(m, 0) for m in compiled.finditer(text)]
+        path = rule.field_path
         for m, offset in matches:
-            raw = m.group(1)
-            if raw is None or not raw.strip():
+            value = m.group(1)
+            if value is None or not value.strip():
                 continue
-            start, end = offset + m.start(1), offset + m.end(1)
-            existing = candidates.get(rule.field_path)
-            if existing is not None:
+            start = offset + m.start(1)
+            if path in kept:
                 if on_warning is not None:
                     on_warning(
                         "duplicate_field_match",
-                        f"{rule.field_path}: rule {rule.pattern_id} matched again at "
-                        f"offset {start}; keeping value from {existing.pattern_id}",
+                        f"{path}: rule {rule.pattern_id} matched again at "
+                        f"offset {start}; keeping value from {kept[path]}",
                     )
                 continue
-            candidates[rule.field_path] = FieldCandidate(
-                field_path=rule.field_path,
-                raw_value=raw.strip(),
-                pattern_id=rule.pattern_id,
-                char_start=start,
-                char_end=end,
-            )
-    return draft
+            kept[path] = rule.pattern_id
+            raw[path] = value.strip()
+            spans[path] = [segment_index, start, offset + m.end(1)]
+    return raw, spans
 
 
-def extract_movement_cues(
-    text: str, base_index: int = 0
-) -> list[FieldCandidate]:
-    """Find explicit movement cue phrases and split out each destination."""
-    candidates = []
-    position = base_index
+def extract_movement_cues(text: str) -> list[tuple[str, int, int]]:
+    """Find explicit movement cue phrases and split out each destination:
+    ``(place, char_start, char_end)``, each place once, in text order."""
+    cues = []
     seen: set[str] = set()
     for m in CUE_PATTERN.finditer(text):
         capture = m.group(1)
@@ -271,17 +235,8 @@ def extract_movement_cues(
                 continue
             seen.add(key)
             start = m.start(1) + rel
-            candidates.append(
-                FieldCandidate(
-                    field_path=f"narrative_osint.movement_cues.{position}",
-                    raw_value=place,
-                    pattern_id="movement_cue",
-                    char_start=start,
-                    char_end=start + len(part),
-                )
-            )
-            position += 1
-    return candidates
+            cues.append((place, start, start + len(part)))
+    return cues
 
 
 def dispatch(
@@ -289,8 +244,10 @@ def dispatch(
     segment: CaseSegment,
     rulesets: Mapping[str, Iterable[LabelRule]],
     on_warning: WarnFn | None = None,
-) -> DraftRecord:
-    """Run a segment's family rules; narrative profiles add movement cues.
+) -> tuple[dict[str, str], dict[str, list[int]]]:
+    """Run a segment's family rules, narrative profiles adding movement
+    cues under ``narrative_osint.movement_cues.N``: ``_apply``'s ``(raw,
+    spans)`` over the segment's text less the end sentinel.
 
     Unknown sources fall back to the registry-form rules (the most generic
     label shape) and say so through the warning callback.
@@ -309,8 +266,11 @@ def dispatch(
             )
         rules = rulesets.get(FAMILY_REGISTRY, ())
     text = strip_sentinel(segment.text)
-    draft = _apply(text, rules, detection.source_label, segment.segment_index, on_warning)
+    index = segment.segment_index
+    raw, spans = _apply(text, rules, index, on_warning)
     if family == FAMILY_NARRATIVE:
-        for candidate in extract_movement_cues(text):
-            draft.candidates[candidate.field_path] = candidate
-    return draft
+        for position, (place, start, end) in enumerate(extract_movement_cues(text)):
+            path = f"narrative_osint.movement_cues.{position}"
+            raw[path] = place
+            spans[path] = [index, start, end]
+    return raw, spans

@@ -17,7 +17,6 @@ from casepipe.harmonize import (
     normalize_weight,
     parse_place_parts,
 )
-from casepipe.rules import DraftRecord, FieldCandidate
 from casepipe.schema import assemble_record, default_schema, flatten_leaves
 
 SCHEMA = default_schema()
@@ -213,18 +212,6 @@ class TestPlaceParts:
         assert parse_place_parts("near Route 1") == (None, None, None)
 
 
-def make_draft(values: dict[str, str], label="missing_persons_registry") -> DraftRecord:
-    candidates = {}
-    for i, (path, raw) in enumerate(values.items()):
-        candidates[path] = FieldCandidate(path, raw, f"p{i}", i * 10, i * 10 + len(raw))
-    return DraftRecord(source_label=label, segment_index=0, candidates=candidates)
-
-
-def raw_values(draft: DraftRecord) -> dict[str, str]:
-    """The flat map harmonize takes from the rule path: each key's raw text."""
-    return {key: candidate.raw_value for key, candidate in draft.candidates.items()}
-
-
 REGISTRY_TABLE = MappingTable(
     source_label="missing_persons_registry",
     tz_default="-05:00",
@@ -247,19 +234,18 @@ REGISTRY_TABLE = MappingTable(
 
 class TestHarmonizeDraft:
     def test_registry_draft(self):
-        draft = make_draft(
-            {
-                "demographic.name": "Avery Holloway",
-                "demographic.sex": "Female",
-                "demographic.age": "15",
-                "demographic.height": "4'8\" - 5'0\"",
-                "demographic.weight": "100 - 120 lbs",
-                "spatial.place": "Culpeper, Virginia 22701",
-                "temporal.last_seen_ts": "07/01/2023",
-                "outcome.status": "Missing",
-            }
-        )
-        result = harmonize(raw_values(draft), REGISTRY_TABLE, SCHEMA)
+        # The rule path's raw values, as dispatch hands them over.
+        raw = {
+            "demographic.name": "Avery Holloway",
+            "demographic.sex": "Female",
+            "demographic.age": "15",
+            "demographic.height": "4'8\" - 5'0\"",
+            "demographic.weight": "100 - 120 lbs",
+            "spatial.place": "Culpeper, Virginia 22701",
+            "temporal.last_seen_ts": "07/01/2023",
+            "outcome.status": "Missing",
+        }
+        result = harmonize(raw, REGISTRY_TABLE, SCHEMA)
         rec = assemble_record(result.record, SCHEMA)
         assert rec["demographic"]["name"] == "Avery Holloway"
         assert rec["demographic"]["sex"] == "female"
@@ -277,7 +263,7 @@ class TestHarmonizeDraft:
         assert rec["outcome"]["status"] == "missing"
 
     def test_all_sections_materialized(self):
-        result = harmonize(raw_values(make_draft({})), REGISTRY_TABLE, SCHEMA)
+        result = harmonize({}, REGISTRY_TABLE, SCHEMA)
         record = assemble_record(result.record, SCHEMA)
         for section in (
             "demographic",
@@ -290,7 +276,7 @@ class TestHarmonizeDraft:
             assert section in record
 
     def test_defaults(self):
-        leaves = harmonize(raw_values(make_draft({})), REGISTRY_TABLE, SCHEMA).record
+        leaves = harmonize({}, REGISTRY_TABLE, SCHEMA).record
         rec = assemble_record(leaves, SCHEMA)
         assert rec["outcome"]["status"] == "missing"
         assert rec["narrative_osint"]["movement_cues"] == []
@@ -298,24 +284,24 @@ class TestHarmonizeDraft:
         assert rec["demographic"]["sex"] == "unknown"
 
     def test_timezone_only_set_with_timestamps(self):
-        leaves = harmonize(raw_values(make_draft({})), REGISTRY_TABLE, SCHEMA).record
+        leaves = harmonize({}, REGISTRY_TABLE, SCHEMA).record
         rec = assemble_record(leaves, SCHEMA)
         assert rec["temporal"]["timezone"] is None
 
     def test_transform_failure_nulls_field_with_warning(self):
         warnings = []
-        draft = make_draft({"temporal.last_seen_ts": "sometime last summer"})
+        raw = {"temporal.last_seen_ts": "sometime last summer"}
         result = harmonize(
-            raw_values(draft), REGISTRY_TABLE, SCHEMA, on_warning=lambda c, m: warnings.append(c)
+            raw, REGISTRY_TABLE, SCHEMA, on_warning=lambda c, m: warnings.append(c)
         )
         assert assemble_record(result.record, SCHEMA)["temporal"]["last_seen_ts"] is None
         assert "unparseable_timestamp" in warnings
 
     def test_unmapped_key_dropped_with_reason(self):
         warnings = []
-        draft = make_draft({"demographic.shoe_size": "11"})
+        raw = {"demographic.shoe_size": "11"}
         harmonize(
-            raw_values(draft),
+            raw,
             REGISTRY_TABLE,
             SCHEMA,
             on_warning=lambda c, m: warnings.append((c, m)),
@@ -323,20 +309,17 @@ class TestHarmonizeDraft:
         assert ("unmapped_key", "no mapping for 'demographic.shoe_size'; value dropped") in warnings
 
     def test_movement_cues_grouped(self):
-        draft = make_draft({})
-        draft.candidates["narrative_osint.movement_cues.0"] = FieldCandidate(
-            "narrative_osint.movement_cues.0", "Maryland", "cue", 0, 8
-        )
-        draft.candidates["narrative_osint.movement_cues.1"] = FieldCandidate(
-            "narrative_osint.movement_cues.1", "Delaware", "cue", 10, 18
-        )
-        leaves = harmonize(raw_values(draft), REGISTRY_TABLE, SCHEMA).record
+        raw = {
+            "narrative_osint.movement_cues.0": "Maryland",
+            "narrative_osint.movement_cues.1": "Delaware",
+        }
+        leaves = harmonize(raw, REGISTRY_TABLE, SCHEMA).record
         rec = assemble_record(leaves, SCHEMA)
         assert rec["narrative_osint"]["movement_cues"] == ["Maryland", "Delaware"]
 
     def test_key_trace_links_targets_to_sources(self):
-        draft = make_draft({"demographic.height": "5'0\""})
-        result = harmonize(raw_values(draft), REGISTRY_TABLE, SCHEMA)
+        raw = {"demographic.height": "5'0\""}
+        result = harmonize(raw, REGISTRY_TABLE, SCHEMA)
         trace = dict(
             (target, source) for source, target in result.key_trace
         )
@@ -344,8 +327,8 @@ class TestHarmonizeDraft:
         assert trace["demographic.height_max_cm"] == "demographic.height"
 
     def test_applied_transforms_recorded(self):
-        draft = make_draft({"demographic.sex": "FEMALE"})
-        result = harmonize(raw_values(draft), REGISTRY_TABLE, SCHEMA)
+        raw = {"demographic.sex": "FEMALE"}
+        result = harmonize(raw, REGISTRY_TABLE, SCHEMA)
         assert assemble_record(result.record, SCHEMA)["demographic"]["sex"] == "female"
 
 

@@ -9,9 +9,9 @@ mapping table; the CSV cell flattener writes lists and maps of scalars in
 place; the JSONL and CSV writers write the text a RecordBuffer encoded when
 each record's leaf map was added (``RecordBuffer.add``).
 Each must give exactly what the plain walk gives: the same detection, the
-same draft candidates in the same order, the same harmonized record, trace
-and warnings in order, the same cells, the same bytes. The plain versions
-are kept in this file as oracles.
+same raw values and spans in the same key order, the same harmonized
+record, trace and warnings in order, the same cells, the same bytes. The
+plain versions are kept in this file as oracles.
 """
 
 from __future__ import annotations
@@ -61,10 +61,7 @@ from casepipe.rules import (
     SCOPE_DOCUMENT,
     SCOPE_LINE,
     SCOPE_SECTION,
-    DraftRecord,
-    FieldCandidate,
     LabelRule,
-    apply_rules,
     dispatch,
     extract_movement_cues,
     load_rulesets,
@@ -222,32 +219,27 @@ def _oracle_iter_matches(rule, text):
             yield m, 0
 
 
-def _oracle_apply_rules(segment, rules, source_label, on_warning=None):
+def _oracle_apply_rules(segment, rules, on_warning=None):
     text = strip_sentinel(segment.text)
-    draft = DraftRecord(source_label=source_label, segment_index=segment.segment_index)
+    raw, spans, kept = {}, {}, {}
     for rule in rules:
         for m, offset in _oracle_iter_matches(rule, text):
-            raw = m.group(1)
-            if raw is None or not raw.strip():
+            value = m.group(1)
+            if value is None or not value.strip():
                 continue
             start, end = offset + m.start(1), offset + m.end(1)
-            existing = draft.candidates.get(rule.field_path)
-            if existing is not None:
+            if rule.field_path in kept:
                 if on_warning is not None:
                     on_warning(
                         "duplicate_field_match",
                         f"{rule.field_path}: rule {rule.pattern_id} matched again at "
-                        f"offset {start}; keeping value from {existing.pattern_id}",
+                        f"offset {start}; keeping value from {kept[rule.field_path]}",
                     )
                 continue
-            draft.candidates[rule.field_path] = FieldCandidate(
-                field_path=rule.field_path,
-                raw_value=raw.strip(),
-                pattern_id=rule.pattern_id,
-                char_start=start,
-                char_end=end,
-            )
-    return draft
+            kept[rule.field_path] = rule.pattern_id
+            raw[rule.field_path] = value.strip()
+            spans[rule.field_path] = [segment.segment_index, start, end]
+    return raw, spans
 
 
 def _oracle_dispatch(detection, segment, rulesets, on_warning=None):
@@ -264,11 +256,14 @@ def _oracle_dispatch(detection, segment, rulesets, on_warning=None):
                 "registry rules",
             )
         rules = rulesets.get(FAMILY_REGISTRY, ())
-    draft = _oracle_apply_rules(segment, rules, detection.source_label, on_warning)
+    raw, spans = _oracle_apply_rules(segment, rules, on_warning)
     if family == FAMILY_NARRATIVE:
-        for candidate in extract_movement_cues(strip_sentinel(segment.text)):
-            draft.candidates[candidate.field_path] = candidate
-    return draft
+        cues = extract_movement_cues(strip_sentinel(segment.text))
+        for position, (place, start, end) in enumerate(cues):
+            path = f"narrative_osint.movement_cues.{position}"
+            raw[path] = place
+            spans[path] = [segment.segment_index, start, end]
+    return raw, spans
 
 
 # Extra rules: every scope, an optional group that can be None, a blank
@@ -345,11 +340,12 @@ _RULESETS = st.sampled_from(
 )
 
 
-def _draft_state(outcome):
+def _parse_state(outcome):
+    """A parse's two maps as key-ordered item lists, or what it raised."""
     if outcome[0] != "ok":
         return outcome
-    draft = outcome[1]
-    return draft.source_label, draft.segment_index, list(draft.candidates.items())
+    raw, spans = outcome[1]
+    return list(raw.items()), list(spans.items())
 
 
 @settings(max_examples=400, deadline=None)
@@ -361,7 +357,7 @@ def test_dispatch_matches_per_rule_split(text, detection, rulesets, index):
     old = _outcome(
         _oracle_dispatch, detection, segment, rulesets, lambda c, m: oracle_warned.append((c, m))
     )
-    assert _draft_state(new) == _draft_state(old)
+    assert _parse_state(new) == _parse_state(old)
     assert warned == oracle_warned
 
 
@@ -369,11 +365,10 @@ def test_cues_after_the_sentinel_are_not_read():
     text = "CASE PROFILE: Ann\nen route to Salem\n" + END_SENTINEL + " en route to Dover\n"
     segment = CaseSegment(0, text, 0, len(text))
     detection = DetectionResult("case_profile_site", FAMILY_NARRATIVE, (), 2)
-    draft = dispatch(detection, segment, RULESETS)
-    assert [c.raw_value for c in draft.candidates.values() if c.pattern_id == "movement_cue"] == [
-        "Salem"
-    ]
-    assert _draft_state(("ok", draft)) == _draft_state(
+    raw, spans = dispatch(detection, segment, RULESETS)
+    cues = [path for path in raw if path.startswith("narrative_osint.movement_cues.")]
+    assert [raw[path] for path in cues] == ["Salem"]
+    assert _parse_state(("ok", (raw, spans))) == _parse_state(
         ("ok", _oracle_dispatch(detection, segment, RULESETS))
     )
 
@@ -383,15 +378,16 @@ def test_cues_after_the_sentinel_are_not_read():
 def test_apply_rules_matches_per_rule_split(text, family, extra):
     rules = RULESETS[family] + (_EXTRA_RULES if extra else [])
     segment = CaseSegment(1, text, 0, len(text))
+    stripped = strip_sentinel(text)
     warned, oracle_warned = [], []
-    new = apply_rules(segment, rules, "label", lambda c, m: warned.append((c, m)))
-    old = _oracle_apply_rules(segment, rules, "label", lambda c, m: oracle_warned.append((c, m)))
-    assert _draft_state(("ok", new)) == _draft_state(("ok", old))
+    new = rules_module._apply(stripped, rules, 1, lambda c, m: warned.append((c, m)))
+    old = _oracle_apply_rules(segment, rules, lambda c, m: oracle_warned.append((c, m)))
+    assert _parse_state(("ok", new)) == _parse_state(("ok", old))
     assert warned == oracle_warned
-    assert apply_rules(segment, rules, "label").candidates == old.candidates
+    assert rules_module._apply(stripped, rules, 1, None) == old
 
 
-def _parent_apply(text, rules, source_label, segment_index, on_warning):
+def _parent_apply(text, rules, segment_index, on_warning):
     """``rules._apply`` before line rules were indexed by literal prefix:
     every line-scope rule searches every line."""
     lines = []
@@ -399,8 +395,7 @@ def _parent_apply(text, rules, source_label, segment_index, on_warning):
     for line in text.split("\n"):
         lines.append((line, offset))
         offset += len(line) + 1
-    draft = DraftRecord(source_label=source_label, segment_index=segment_index)
-    candidates = draft.candidates
+    raw, spans, kept = {}, {}, {}
     for rule in rules:
         compiled = rule.compiled
         if rule.scope == SCOPE_LINE:
@@ -413,27 +408,22 @@ def _parent_apply(text, rules, source_label, segment_index, on_warning):
         else:
             matches = [(m, 0) for m in compiled.finditer(text)]
         for m, offset in matches:
-            raw = m.group(1)
-            if raw is None or not raw.strip():
+            value = m.group(1)
+            if value is None or not value.strip():
                 continue
             start, end = offset + m.start(1), offset + m.end(1)
-            existing = candidates.get(rule.field_path)
-            if existing is not None:
+            if rule.field_path in kept:
                 if on_warning is not None:
                     on_warning(
                         "duplicate_field_match",
                         f"{rule.field_path}: rule {rule.pattern_id} matched again at "
-                        f"offset {start}; keeping value from {existing.pattern_id}",
+                        f"offset {start}; keeping value from {kept[rule.field_path]}",
                     )
                 continue
-            candidates[rule.field_path] = FieldCandidate(
-                field_path=rule.field_path,
-                raw_value=raw.strip(),
-                pattern_id=rule.pattern_id,
-                char_start=start,
-                char_end=end,
-            )
-    return draft
+            kept[rule.field_path] = rule.pattern_id
+            raw[rule.field_path] = value.strip()
+            spans[rule.field_path] = [segment_index, start, end]
+    return raw, spans
 
 
 # Line rules over the prefix reader's edge cases, with the prefix each one
@@ -484,9 +474,9 @@ def test_apply_matches_searching_every_line(lines, rules, bundled):
     if bundled:
         rules = RULESETS[FAMILY_REGISTRY] + rules
     warned, oracle_warned = [], []
-    new = rules_module._apply(text, rules, "label", 2, lambda c, m: warned.append((c, m)))
-    old = _parent_apply(text, rules, "label", 2, lambda c, m: oracle_warned.append((c, m)))
-    assert _draft_state(("ok", new)) == _draft_state(("ok", old))
+    new = rules_module._apply(text, rules, 2, lambda c, m: warned.append((c, m)))
+    old = _parent_apply(text, rules, 2, lambda c, m: oracle_warned.append((c, m)))
+    assert _parse_state(("ok", new)) == _parse_state(("ok", old))
     assert warned == oracle_warned
 
 
@@ -707,11 +697,6 @@ def drafts(draw, table):
     return draft
 
 
-def _raw_values(draft):
-    """The flat map harmonize takes from a DraftRecord: each key's raw text."""
-    return {key: candidate.raw_value for key, candidate in draft.candidates.items()}
-
-
 _NESTED_VALUES = st.recursive(
     st.none()
     | st.booleans()
@@ -809,9 +794,9 @@ def test_harmonize_end_to_end_drafts():
     for text in texts:
         segment = CaseSegment(0, text, 0, len(text))
         detection = detect_source(text, SIGNATURES)
-        draft = dispatch(detection, segment, RULESETS)
+        raw, _ = dispatch(detection, segment, RULESETS)
         table = MAPPINGS.get(detection.source_label) or MAPPINGS["unknown"]
-        _same_harmonized(_raw_values(draft), table, SCHEMA)
+        _same_harmonized(raw, table, SCHEMA)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from casepipe.rules import (
     FAMILY_NARRATIVE,
     FAMILY_REGISTRY,
     LabelRule,
-    apply_rules,
     dispatch,
     extract_movement_cues,
     load_ruleset,
@@ -22,7 +21,7 @@ from casepipe.rules import (
     strip_sentinel,
 )
 from casepipe.schema import assemble_record, default_schema
-from casepipe.sources import detect_source, load_signatures
+from casepipe.sources import DetectionResult, detect_source, load_signatures
 
 RULESETS = load_rulesets(bundled_path("rulesets"))
 SIGNATURES = load_signatures(bundled_path("signatures.jsonl"))
@@ -90,8 +89,10 @@ def segment(text: str) -> CaseSegment:
     return CaseSegment(segment_index=0, text=text, char_start=0, char_end=len(text))
 
 
-def candidates_by_path(draft):
-    return {c.field_path: c for c in draft.candidates.values()}
+def parse(text: str, family: str, label: str, on_warning=None):
+    """``dispatch``'s ``(raw, spans)`` for ``text`` detected as ``label`` of
+    ``family``, so the family's own rules run."""
+    return dispatch(DetectionResult(label, family, (), 2), segment(text), RULESETS, on_warning)
 
 
 @pytest.fixture()
@@ -180,30 +181,30 @@ class TestRegistryParsing:
     }
 
     def test_all_labeled_fields_captured(self):
-        draft = apply_rules(segment(REGISTRY_DOC), RULESETS[FAMILY_REGISTRY], "missing_persons_registry")
-        values = {path: c.raw_value for path, c in draft.candidates.items()}
-        assert values == self.EXPECTED
+        raw, _ = parse(REGISTRY_DOC, FAMILY_REGISTRY, "missing_persons_registry")
+        assert raw == self.EXPECTED
 
     def test_spans_point_at_source_text(self):
-        draft = apply_rules(segment(REGISTRY_DOC), RULESETS[FAMILY_REGISTRY], "missing_persons_registry")
-        for candidate in draft.candidates.values():
-            assert REGISTRY_DOC[candidate.char_start : candidate.char_end] == candidate.raw_value
+        raw, spans = parse(REGISTRY_DOC, FAMILY_REGISTRY, "missing_persons_registry")
+        assert list(spans) == list(raw)
+        for path, value in raw.items():
+            index, start, end = spans[path]
+            assert index == 0
+            assert REGISTRY_DOC[start:end] == value
 
     def test_first_match_wins_with_warning(self, warnings_list):
         doubled = REGISTRY_DOC.replace(
             "Race / Ethnicity: White", "Race / Ethnicity: White\nSex: Male"
         )
-        draft = apply_rules(
-            segment(doubled), RULESETS[FAMILY_REGISTRY], "missing_persons_registry", warnings_list
-        )
-        assert draft.candidates["demographic.sex"].raw_value == "Female"
+        raw, _ = parse(doubled, FAMILY_REGISTRY, "missing_persons_registry", warnings_list)
+        assert raw["demographic.sex"] == "Female"
         codes = [code for code, _ in warnings_list.collected]
         assert codes == ["duplicate_field_match"]
 
     def test_sentinel_tail_never_parsed(self):
         tail = REGISTRY_DOC + "Full Name: Someone Else\n"
-        draft = apply_rules(segment(tail), RULESETS[FAMILY_REGISTRY], "missing_persons_registry")
-        assert draft.candidates["demographic.name"].raw_value == "Avery Quill"
+        raw, _ = parse(tail, FAMILY_REGISTRY, "missing_persons_registry")
+        assert raw["demographic.name"] == "Avery Quill"
 
 
 class TestBulletinParsing:
@@ -219,23 +220,22 @@ class TestBulletinParsing:
     }
 
     def test_all_labeled_fields_captured(self):
-        draft = apply_rules(segment(BULLETIN_DOC), RULESETS[FAMILY_BULLETIN], "police_bulletin")
-        values = {path: c.raw_value for path, c in draft.candidates.items()}
-        assert values == self.EXPECTED
+        raw, _ = parse(BULLETIN_DOC, FAMILY_BULLETIN, "police_bulletin")
+        assert raw == self.EXPECTED
 
     def test_spans_point_at_source_text(self):
-        draft = apply_rules(segment(BULLETIN_DOC), RULESETS[FAMILY_BULLETIN], "police_bulletin")
-        for candidate in draft.candidates.values():
-            assert BULLETIN_DOC[candidate.char_start : candidate.char_end] == candidate.raw_value
+        raw, spans = parse(BULLETIN_DOC, FAMILY_BULLETIN, "police_bulletin")
+        assert list(spans) == list(raw)
+        for path, value in raw.items():
+            assert BULLETIN_DOC[slice(*spans[path][1:])] == value
 
 
 class TestNarrativeParsing:
     def test_label_fields_captured(self):
-        draft = dispatch(
+        raw, _ = dispatch(
             detect_source(NARRATIVE_DOC, SIGNATURES), segment(NARRATIVE_DOC), RULESETS
         )
-        values = {path: c.raw_value for path, c in draft.candidates.items()}
-        assert values == {
+        assert raw == {
             "subject.name": "Avery Quill",
             "subject.age": "15",
             "event.date_text": "June 14, 2023",
@@ -248,23 +248,22 @@ class TestNarrativeParsing:
         }
 
     def test_cue_spans_point_at_source_text(self):
-        draft = dispatch(
+        raw, spans = dispatch(
             detect_source(NARRATIVE_DOC, SIGNATURES), segment(NARRATIVE_DOC), RULESETS
         )
         for path in ("narrative_osint.movement_cues.0", "narrative_osint.movement_cues.1"):
-            candidate = draft.candidates[path]
+            index, start, end = spans[path]
             stripped = strip_sentinel(NARRATIVE_DOC)
-            assert stripped[candidate.char_start : candidate.char_end] == candidate.raw_value
+            assert index == 0
+            assert stripped[start:end] == raw[path]
 
 
 class TestMovementCues:
     def test_or_separated_places_split(self):
-        cues = extract_movement_cues("He is believed to be en route to Maryland or Delaware.")
-        assert [c.raw_value for c in cues] == ["Maryland", "Delaware"]
-        assert [c.field_path for c in cues] == [
-            "narrative_osint.movement_cues.0",
-            "narrative_osint.movement_cues.1",
-        ]
+        text = "He is believed to be en route to Maryland or Delaware."
+        cues = extract_movement_cues(text)
+        assert [place for place, _, _ in cues] == ["Maryland", "Delaware"]
+        assert [text[start:end] for _, start, end in cues] == ["Maryland", "Delaware"]
 
     @pytest.mark.parametrize(
         "text,expected",
@@ -276,23 +275,17 @@ class TestMovementCues:
         ],
     )
     def test_cue_phrasings(self, text, expected):
-        assert [c.raw_value for c in extract_movement_cues(text)] == expected
+        assert [place for place, _, _ in extract_movement_cues(text)] == expected
 
     def test_sentence_period_stripped_but_abbreviation_kept(self):
-        assert [c.raw_value for c in extract_movement_cues("en route to Delaware.")] == ["Delaware"]
-        assert [c.raw_value for c in extract_movement_cues("headed to Washington D.C.")] == [
-            "Washington D.C."
-        ]
+        assert extract_movement_cues("en route to Delaware.") == [("Delaware", 12, 20)]
+        assert extract_movement_cues("headed to Washington D.C.") == [("Washington D.C.", 10, 25)]
 
     def test_repeated_place_deduplicated(self):
         cues = extract_movement_cues(
             "She was en route to Baltimore. Later reported headed toward Baltimore."
         )
-        assert [c.raw_value for c in cues] == ["Baltimore"]
-
-    def test_base_index_offsets_list_position(self):
-        cues = extract_movement_cues("en route to Dover", base_index=2)
-        assert cues[0].field_path == "narrative_osint.movement_cues.2"
+        assert [place for place, _, _ in cues] == ["Baltimore"]
 
 
 class TestDispatch:
@@ -308,17 +301,21 @@ class TestDispatch:
         detection = detect_source(doc, SIGNATURES)
         assert detection.source_label == label
         assert detection.family == family
-        draft = dispatch(detection, segment(doc), RULESETS)
-        assert draft.source_label == label
-        assert draft.candidates
+        raw, spans = dispatch(detection, segment(doc), RULESETS)
+        # The family's own rules ran: every field path is one of theirs.
+        paths = {rule.field_path for rule in RULESETS[family]}
+        assert raw and set(raw) <= paths | {
+            f"narrative_osint.movement_cues.{i}" for i in range(len(raw))
+        }
+        assert list(spans) == list(raw)
 
     def test_unknown_source_falls_back_to_registry_rules(self, warnings_list):
         text = "HANDWRITTEN NOTE\nFull Name: Avery Quill\nnothing else here\n"
         detection = detect_source(text, SIGNATURES)
         assert detection.is_unknown
-        draft = dispatch(detection, segment(text), RULESETS, warnings_list)
-        assert draft.source_label == "unknown"
-        assert draft.candidates["demographic.name"].raw_value == "Avery Quill"
+        raw, _ = dispatch(detection, segment(text), RULESETS, warnings_list)
+        assert detection.source_label == "unknown"
+        assert raw == {"demographic.name": "Avery Quill"}
         codes = [code for code, _ in warnings_list.collected]
         assert codes == ["unknown_source_fallback"]
 
@@ -329,8 +326,7 @@ class TestRulePathEndToEnd:
     def geocoded(self, doc, label):
         detection = detect_source(doc, SIGNATURES)
         assert detection.source_label == label
-        draft = dispatch(detection, segment(doc), RULESETS)
-        raw = {key: candidate.raw_value for key, candidate in draft.candidates.items()}
+        raw, _ = dispatch(detection, segment(doc), RULESETS)
         leaves = harmonize(raw, MAPPINGS[label], SCHEMA).record
         gazetteer = Gazetteer.load(bundled_path("gazetteer.jsonl"))
         apply_geocode(leaves, gazetteer, GeocodeCache())

@@ -6,8 +6,10 @@ a forked child beside the llm path on the calling thread. The tests here
 force each placement through that one predicate and compare the metrics
 files, the report and the eval warnings on stderr, for ``eval`` and for
 ``run --gold``; they check that a repeated ``case_id`` on either path, or
-both, fails alike with no report written, that a failure in the child
-reaches the caller, and that no child outlives the evaluation.
+both, fails alike with no report written, as does a ``run_summary.json``
+not in the shape ``run`` writes, there before any child is forked, that a
+failure in the child reaches the caller, and that no child outlives the
+evaluation.
 """
 
 from __future__ import annotations
@@ -201,3 +203,65 @@ def test_one_path_is_scored_on_the_calling_thread(tmp_path, monkeypatch, capsys)
     assert _eval(out, gold, capsys)[0] == 0
     assert forks == []
     assert sorted(_reports(out)) == ["metrics_rule.json", "report.txt"]
+
+
+def _summary() -> dict:
+    """A run_summary.json's scored blocks, in the shape ``run`` writes them."""
+    row = {"pre_valid": True, "post_valid": True, "attempts": 0}
+    log = [{"case_id": each, **row} for each in "ab"]
+    runtime = {"samples": [0.25, 0.5], "mean_s": 0.375, "p95_s": 0.5}
+    return {
+        "config_digest": "0123456789abcdef",
+        "repair_log": {"rule": log, "llm": log[:1]},
+        "runtime": {"rule": runtime, "llm": {**runtime, "samples": [0.5]}},
+    }
+
+
+def _truncated(summary: dict) -> str:
+    text = json.dumps(summary, indent=2)
+    return text[: len(text) // 2]
+
+
+def _no_pre_valid(summary: dict) -> str:
+    del summary["repair_log"]["llm"][0]["pre_valid"]
+    return json.dumps(summary)
+
+
+def _null_samples(summary: dict) -> str:
+    summary["runtime"]["rule"]["samples"] = None
+    return json.dumps(summary)
+
+
+@pytest.mark.parametrize(
+    "bad_summary",
+    [_truncated, lambda summary: "[]", _no_pre_valid, _null_samples, lambda summary: "[" * 10**5],
+    ids=["truncated", "not_an_object", "row_without_pre_valid", "null_samples", "nested_too_deep"],
+)
+@pytest.mark.parametrize("placement", PLACEMENTS)
+def test_a_bad_run_summary_is_a_config_error(
+    tmp_path, monkeypatch, capsys, bad_summary, placement
+):
+    forks = _place(monkeypatch, placement)
+    out, gold = _hand_built(tmp_path, ["a", "b"], ["a"])
+    summary = out / "run_summary.json"
+    summary.write_text(bad_summary(_summary()), encoding="utf-8")
+    code, err = _eval(out, gold, capsys)
+    assert code == 2
+    assert err.startswith(f"casepipe: {summary}: ") and err.count("\n") == 1, err
+    # Checked before any path is scored: no child is forked, no report written.
+    assert forks == []
+    _assert_no_child()
+    assert _reports(out) == {}
+
+
+def test_a_run_summary_in_the_shape_run_writes_is_scored(tmp_path, monkeypatch, capsys):
+    _place(monkeypatch, "in_process")
+    out, gold = _hand_built(tmp_path, ["a", "b"], ["a"])
+    (out / "run_summary.json").write_text(json.dumps(_summary()), encoding="utf-8")
+    code, err = _eval(out, gold, capsys)
+    assert code == 0
+    # Each path has its run log and runtime samples.
+    assert "run log" not in err and "runtime" not in err
+    report = json.loads((out / "metrics_rule.json").read_text(encoding="utf-8"))
+    assert (report["pre_pass_rate"], report["runtime_p95_s"]) == (1.0, 0.5)
+    assert "0123456789abcdef" in (out / "report.txt").read_text(encoding="utf-8")

@@ -33,8 +33,7 @@ def rule_parse(case):
     """Run the deterministic path the way the pipeline would."""
     text = prenormalize(case.document_text)
     detection = detect_source(text, SIGNATURES)
-    draft = dispatch(detection, CaseSegment(0, text, 0, len(text)), RULESETS)
-    raw = {key: candidate.raw_value for key, candidate in draft.candidates.items()}
+    raw, _ = dispatch(detection, CaseSegment(0, text, 0, len(text)), RULESETS)
     leaves = harmonize(raw, MAPPINGS[detection.source_label], SCHEMA).record
     apply_geocode(leaves, GAZETTEER, GeocodeCache())
     leaves["case_id"] = f"{case.document_id}#s0"
