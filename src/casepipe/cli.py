@@ -49,11 +49,12 @@ reader hands back once what it kept (``_hand_back``): on a both-path run it
 writes the rule files to staging itself and returns the rule record count,
 repair-log rows and runtimes, while the calling thread writes the llm
 files.
-Records are geocoded against a copy of the run's cache that writes no file
-and journals each lookup, which ``apply_geocode`` hands back with its own
-warnings, and each record's warnings and lookups reach one accept step
-(``_accept``) on the calling thread as plain data, which logs the warnings
-and replays the lookups into the run's cache in document order. Every
+Records are geocoded against a plain dict copy of the run cache's outcomes,
+which writes no file; ``apply_geocode`` fills it on a miss and hands back
+its one lookup with its own warnings, and each record's warnings and lookups
+reach one accept step (``_accept``) on the calling thread as plain data,
+which logs the warnings and replays the lookups into the run's cache in
+document order. Every
 warning is ``(stage, severity, code, message)`` and is logged there, with
 its record, or for extract and detect warnings its document.
 The in-process test doubles are called inline, so with them, as on the rule
@@ -361,7 +362,7 @@ class _Pipeline:
         self.cache = GeocodeCache(config.cache_path)
         # What records are geocoded against, in whichever process finishes
         # them; only ``_accept`` feeds the run's cache, replaying the lookups.
-        self.lookup_cache = self.cache.journaling_copy()
+        self.lookup_cache = self.cache.outcomes()
         params = dict(config.backend_params or {})
         if config.seed is not None:
             params.setdefault("seed", config.seed)

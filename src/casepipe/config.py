@@ -39,7 +39,7 @@ def iter_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
                 raise ConfigError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise ConfigError(f"{path}:{lineno}: expected a JSON object")

@@ -6,6 +6,11 @@ gazetteer is a local line-oriented file; there is no network geocoder and no
 fuzzy matching. Every query outcome, including a miss, is cached so a warm
 second run touches the gazetteer zero times.
 
+A record is geocoded in one step, ``apply_geocode``, against a plain dict of
+cache key -> outcome (a copy of the run cache's ``outcomes``), which it
+feeds on a miss; it returns the lookup it made, which ``replay_lookup``
+counts and persists in the run's ``GeocodeCache``.
+
 Plausibility is a coarse sanity check, not a guarantee: coordinates must be
 non-null, not at the (0, 0) null island, and inside the expected region's
 bounding box (the min/max extent of that region's gazetteer entries plus a
@@ -29,6 +34,12 @@ DEFAULT_BOX_MARGIN = 0.25
 _ZERO_EPS = 1e-6
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
 _POSTAL_TOKEN_RE = re.compile(r"^\d{5}$")
+_PLACE_LEAVES = (
+    "spatial.last_seen_location",
+    "spatial.city",
+    "spatial.state",
+    "spatial.postal_code",
+)
 
 RegionBoxes = Mapping[str, tuple[float, float, float, float]]
 # A cached outcome: a match's (lat, lon, matched_place), or for a miss the
@@ -36,12 +47,17 @@ RegionBoxes = Mapping[str, tuple[float, float, float, float]]
 CacheValue = tuple[float, float, str] | str | None
 
 
+def _place_key(raw: str) -> str:
+    """``normalize_place``'s key, "" for text with no letter or digit."""
+    return "|".join(_TOKEN_RE.findall(raw.casefold()))
+
+
 def normalize_place(raw: str) -> str:
     """Canonical query key: casefold, punctuation to separators, "|"-joined."""
-    tokens = _TOKEN_RE.findall(raw.casefold())
-    if not tokens:
+    key = _place_key(raw)
+    if not key:
         raise ValueError(f"empty place query: {raw!r}")
-    return "|".join(tokens)
+    return key
 
 
 class _GazetteerFields(NamedTuple):
@@ -66,51 +82,11 @@ class GazetteerEntry(_GazetteerFields):
         return self
 
 
-class _QueryFields(NamedTuple):
-    normalized_key: str
-    bias_region: str | None = None
-
-
-class GeocodeQuery(_QueryFields):
-    __slots__ = ()
-
-    def __new__(cls, *args: Any, **kwargs: Any) -> GeocodeQuery:
-        self = super().__new__(cls, *args, **kwargs)
-        if not self.normalized_key:
-            raise ValueError("normalized_key must be non-empty")
-        return self
-
-
-class _ResultFields(NamedTuple):
-    lat: float | None
-    lon: float | None
-    matched_place: str | None
-    cache_hit: bool
-    plausible: bool | None
-
-
-class GeocodeResult(_ResultFields):
-    __slots__ = ()
-
-    def __new__(cls, *args: Any, **kwargs: Any) -> GeocodeResult:
-        self = super().__new__(cls, *args, **kwargs)
-        coords = [self.lat is None, self.lon is None, self.matched_place is None]
-        if len(set(coords)) != 1:
-            raise ValueError("lat, lon, and matched_place must be null together")
-        if (self.plausible is None) != (self.lat is None):
-            raise ValueError("plausible must be set exactly when coordinates are")
-        return self
-
-    @property
-    def matched(self) -> bool:
-        return self.lat is not None
-
-
 class Gazetteer:
     """In-memory place table with postal, place+region, and place indices.
 
-    It counts nothing: ``geocode`` resolves exactly on a cache miss, so a
-    run's gazetteer lookups are its geocode cache's misses.
+    It counts nothing: ``apply_geocode`` resolves exactly on a cache miss,
+    so a run's gazetteer lookups are its geocode cache's misses.
     """
 
     def __init__(self, entries: list[GazetteerEntry]):
@@ -184,46 +160,35 @@ class Gazetteer:
             boxes[code_key] = boxes[region_key]
         return boxes
 
-    def resolve(
-        self,
-        normalized_key: str,
-        bias_region: str | None,
-        on_warning: WarnFn | None = None,
-    ) -> GazetteerEntry | None:
-        """Match order: postal code, place+in-string region, bias region, unique
-        place. A region may be named by its code."""
-        warn = on_warning if on_warning is not None else (lambda code, msg: None)
-        tokens = normalized_key.split("|")
+    def resolve(self, place_key: str, bias_region: str | None) -> CacheValue:
+        """The outcome the cache keeps for a normalized place key: a match's
+        ``(lat, lon, place)``, else the ``ambiguous_place`` message when the
+        key names several places, else None. ``bias_region`` is a region's
+        normalized key, or None. Match order: postal code, place+in-string
+        region, bias region, unique place. A region may be named by its
+        code."""
+        tokens = place_key.split("|")
 
         for token in tokens:
             if _POSTAL_TOKEN_RE.match(token):
                 hits = self._by_postal.get(token, [])
                 if len(hits) == 1:
-                    return hits[0]
+                    return hits[0].lat, hits[0].lon, hits[0].place
                 if len(hits) > 1:
-                    warn("ambiguous_place", f"postal code {token} maps to several places")
-                    return None
+                    return f"postal code {token} maps to several places"
 
-        place_key, region_key = self._split_region(tokens)
-        if region_key is not None:
-            entry = self._by_place_region.get((place_key, region_key))
+        place, region = self._split_region(tokens)
+        # (place, None) is in no index, so a missing region matches nothing.
+        for key in (region, bias_region):
+            entry = self._by_place_region.get((place, key))
             if entry is not None:
-                return entry
+                return entry.lat, entry.lon, entry.place
 
-        if bias_region is not None:
-            bias_key = normalize_place(bias_region)
-            entry = self._by_place_region.get((place_key, bias_key))
-            if entry is not None:
-                return entry
-
-        hits = self._by_place.get(place_key, [])
+        hits = self._by_place.get(place, [])
         if len(hits) == 1:
-            return hits[0]
+            return hits[0].lat, hits[0].lon, hits[0].place
         if len(hits) > 1:
-            warn(
-                "ambiguous_place",
-                f"{place_key!r} exists in several regions and no region was given",
-            )
+            return f"{place!r} exists in several regions and no region was given"
         return None
 
     def _split_region(self, tokens: list[str]) -> tuple[str, str | None]:
@@ -245,9 +210,8 @@ class GeocodeCache:
     the last write for a key wins, and a negative row without ``ambiguous``
     reads as a plain negative. Missing files mean an empty cache.
 
-    On a ``journaling_copy``, ``journal`` is a list (else None) to which
-    each lookup ``geocode`` makes appends its key and value, for
-    ``replay_lookup`` to count against the cache the copy was made from.
+    Records are geocoded against a copy of its ``outcomes``; it counts and
+    persists only the lookups ``replay_lookup`` hands it.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -256,7 +220,6 @@ class GeocodeCache:
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        self.journal: list[tuple[str, CacheValue]] | None = None
         if self.path is not None and self.path.is_file():
             for row in read_jsonl(self.path):
                 key = row.get("key")
@@ -275,11 +238,10 @@ class GeocodeCache:
     def __len__(self) -> int:
         return len(self._data)
 
-    def journaling_copy(self) -> GeocodeCache:
-        """A copy that writes no file and journals every lookup."""
-        copy = GeocodeCache()
-        copy._data, copy.journal = dict(self._data), []
-        return copy
+    def outcomes(self) -> dict[str, CacheValue]:
+        """A copy of the cached outcomes, key -> value, counting nothing."""
+        with self._lock:
+            return dict(self._data)
 
     def lookup(self, key: str) -> tuple[bool, CacheValue]:
         """(present, value) for a key; counts the hit or miss."""
@@ -325,43 +287,10 @@ def plausible_coords(
     return lat_min <= lat <= lat_max and lon_min <= lon <= lon_max
 
 
-def _cache_key(query: GeocodeQuery) -> str:
-    if query.bias_region is None:
-        return query.normalized_key
-    return f"{query.normalized_key}@{normalize_place(query.bias_region)}"
-
-
-def geocode(
-    query: GeocodeQuery,
-    gazetteer: Gazetteer,
-    cache: GeocodeCache,
-    on_warning: WarnFn | None = None,
-) -> GeocodeResult:
-    """Resolve one query, consulting and feeding the cache."""
-    key = _cache_key(query)
-    present, value = cache.lookup(key)
-    if not present:
-        notes: list[str] = []
-        entry = gazetteer.resolve(
-            query.normalized_key, query.bias_region, lambda code, message: notes.append(message)
-        )
-        value = (entry.lat, entry.lon, entry.place) if entry else (notes[0] if notes else None)
-        cache.put(key, value)
-    if cache.journal is not None:
-        cache.journal.append((key, value))
-    if isinstance(value, tuple):
-        lat, lon, place = value
-        plausible = plausible_coords(lat, lon, query.bias_region, gazetteer.default_boxes)
-        return GeocodeResult(lat, lon, place, cache_hit=present, plausible=plausible)
-    if value is not None and on_warning is not None:
-        on_warning("ambiguous_place", value)
-    return GeocodeResult(None, None, None, cache_hit=present, plausible=None)
-
-
 def replay_lookup(key: str, value: CacheValue, cache: GeocodeCache) -> None:
-    """Count a lookup of ``key`` that resolved to ``value`` in another cache,
-    such as a journaling copy of ``cache``, as ``geocode`` counts one here:
-    a hit if the key is cached, else a miss and a put of ``value``."""
+    """Count a lookup of ``key`` that resolved to ``value`` against a copy of
+    ``cache``'s outcomes, as one made here would count: a hit if the key is
+    cached, else a miss and a put of ``value``."""
     if not cache.lookup(key)[0]:
         cache.put(key, value)
 
@@ -369,53 +298,59 @@ def replay_lookup(key: str, value: CacheValue, cache: GeocodeCache) -> None:
 def apply_geocode(
     leaves: dict,
     gazetteer: Gazetteer,
-    cache: GeocodeCache,
+    known: dict[str, CacheValue],
     on_warning: WarnFn | None = None,
 ) -> tuple[tuple[str, CacheValue], ...]:
     """Fill the spatial coordinates of a record's leaf map in place, when a
-    place is known, and return the ``(key, value)`` lookups a journaling
-    cache recorded. A leaf the map lacks reads as null.
+    place is known, and return the ``(key, outcome)`` lookup made, or ``()``
+    when none was. ``known`` maps cache keys to outcomes; a key it lacks is
+    resolved through the gazetteer and added. A leaf the map lacks, or a
+    place leaf that is not a string, reads as null.
 
     Records that already carry coordinates bypass resolution entirely and are
     marked source_provided. Records with no usable place text are left
-    untouched (method stays "none", coordinates stay null). A record whose
+    untouched (method stays "none", coordinates stay null). The state, when
+    it has a letter or digit, biases the match, is part of the cache key and
+    names the region the coordinates must fall in. A place in several
+    regions warns ``ambiguous_place``, on a hit as on a miss. A record whose
     method stays "none" though it names a last_seen_location, city or postal
-    code warns ``geocode_no_match``, unless its place was ambiguous. The
-    lookups are cleared from the journal; a cache without one gives ``()``.
+    code warns ``geocode_no_match``, unless its place was ambiguous.
     """
-    warned: list[str] = []
-
-    def note(code: str, message: str) -> None:
-        warned.append(code)
-        if on_warning is not None:
-            on_warning(code, message)
-
     get = leaves.get
     if get("spatial.lat") is not None and get("spatial.lon") is not None:
         if get("spatial.geocode_method") in (None, "none"):
             leaves["spatial.geocode_method"] = "source_provided"
         return ()
 
-    state = get("spatial.state")
-    raw_place = get("spatial.last_seen_location")
-    if raw_place is None:
-        parts = (get("spatial.city"), state, get("spatial.postal_code"))
-        raw_place = " ".join(p for p in parts if p)
-    if raw_place and _TOKEN_RE.search(raw_place.casefold()):
-        query = GeocodeQuery(normalize_place(raw_place), bias_region=state)
-        result = geocode(query, gazetteer, cache, note)
-        if result.matched:
-            leaves["spatial.lat"] = result.lat
-            leaves["spatial.lon"] = result.lon
+    # A place leaf that is not a string reads as null.
+    location, city, state, postal = (
+        value if isinstance(value, str) else None for value in map(get, _PLACE_LEAVES)
+    )
+    place = location if location is not None else " ".join(p for p in (city, state, postal) if p)
+    place_key = _place_key(place)
+    lookups: tuple[tuple[str, CacheValue], ...] = ()
+    outcome: CacheValue = None
+    if place_key:
+        bias = _place_key(state or "") or None
+        key = f"{place_key}@{bias}" if bias else place_key
+        if key in known:
+            outcome = known[key]
+        else:
+            outcome = known[key] = gazetteer.resolve(place_key, bias)
+        lookups = ((key, outcome),)
+        if isinstance(outcome, tuple):
+            lat, lon, _ = outcome
+            leaves["spatial.lat"] = lat
+            leaves["spatial.lon"] = lon
             leaves["spatial.geocode_method"] = "gazetteer"
-            leaves["spatial.geocode_plausible"] = result.plausible
-    if not warned and get("spatial.geocode_method") == "none" and any(
-        get(k) for k in ("spatial.last_seen_location", "spatial.city", "spatial.postal_code")
-    ):
-        note("geocode_no_match", "no gazetteer match for the record's place text")
-    lookups = tuple(cache.journal or ())
-    if lookups:
-        cache.journal.clear()
+            leaves["spatial.geocode_plausible"] = plausible_coords(
+                lat, lon, bias, gazetteer.default_boxes
+            )
+    if on_warning is not None:
+        if isinstance(outcome, str):
+            on_warning("ambiguous_place", outcome)
+        elif get("spatial.geocode_method") == "none" and (location or city or postal):
+            on_warning("geocode_no_match", "no gazetteer match for the record's place text")
     return lookups
 
 
@@ -424,10 +359,7 @@ __all__ = [
     "Gazetteer",
     "GazetteerEntry",
     "GeocodeCache",
-    "GeocodeQuery",
-    "GeocodeResult",
     "apply_geocode",
-    "geocode",
     "normalize_place",
     "plausible_coords",
     "replay_lookup",

@@ -766,6 +766,34 @@ class TestHostileInput:
         assert names == {"bom#s0": "Avery Quill", "plain#s0": "Avery Quill"}
         assert not warnings
 
+    def test_a_place_answer_that_is_not_a_usable_string_reaches_validation(self, tmp_path):
+        # A model answer's place leaf that is not a string reads as null to
+        # the geocoder, and a state with no letter or digit biases nothing:
+        # neither may end the run. Validation then withholds the records
+        # whose place leaves have the wrong type; the "--" state is a string
+        # and its record geocodes as Dover.
+        answers = {
+            "int_city": {"case_id": "A", "spatial": {"city": 5}},
+            "dash_state": {"case_id": "B", "spatial": {"city": "Dover", "state": "--"}},
+            "int_location": {"case_id": "C", "spatial": {"last_seen_location": 123}},
+        }
+        files = {
+            f"{name}.txt": f"A person was reported missing.\n{encode_gold_marker(answer)}\n".encode()
+            for name, answer in answers.items()
+        }
+        summary, out, warnings = self._run(tmp_path, files, "llm")
+        assert summary.records_out_llm == 1
+        [record] = _read_jsonl(out / "cases_llm.jsonl")
+        assert record["case_id"] == "dash_state#s0"
+        assert record["spatial"]["state"] == "--"
+        assert (record["spatial"]["lat"], record["spatial"]["lon"]) == (39.158, -75.524)
+        assert record["spatial"]["geocode_method"] == "gazetteer"
+        assert record["spatial"]["geocode_plausible"] is True
+        for withheld in ("int_city", "int_location"):
+            codes = [w["code"] for w in warnings if w["document_id"] == withheld]
+            assert "repair_exhausted" in codes and "record_withheld" in codes
+            assert not {"geocode_no_match", "ambiguous_place"} & set(codes)
+
 
 class TestColdStart:
     def test_empty_run_does_not_load_the_scorer(self, tmp_path):
@@ -1117,6 +1145,21 @@ class TestMainEntry:
         assert code == 2
         assert capsys.readouterr().err == f"casepipe: {message}\n"
         assert not (tmp_path / "report.txt").exists()
+
+    @pytest.mark.parametrize("nested", ["gold.jsonl", "cases_rule.jsonl"])
+    def test_eval_exits_2_on_a_line_nested_past_the_recursion_limit(
+        self, tmp_path, capsys, nested
+    ):
+        (tmp_path / "gold.jsonl").write_text('{"case_id": "x"}\n', encoding="utf-8")
+        (tmp_path / "cases_rule.jsonl").write_text('{"case_id": "x"}\n', encoding="utf-8")
+        (tmp_path / nested).write_text("[" * 100_000 + "\n", encoding="utf-8")
+        argv = ["eval", "--output", str(tmp_path), "--gold", str(tmp_path / "gold.jsonl")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"casepipe: {tmp_path / nested}:1: not valid JSON: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not (tmp_path / "report.txt").exists()
+        assert not list(tmp_path.glob("metrics_*.json"))
 
     @pytest.mark.parametrize(
         "change, message",

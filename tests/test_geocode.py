@@ -9,10 +9,7 @@ from casepipe.geocode import (
     DEFAULT_BOX_MARGIN,
     Gazetteer,
     GeocodeCache,
-    GeocodeQuery,
-    GeocodeResult,
     apply_geocode,
-    geocode,
     normalize_place,
     plausible_coords,
     replay_lookup,
@@ -29,6 +26,8 @@ GAZETTEER_ROWS = [
     {"place": "Ashford", "region": "Maryland", "postal_codes": ["21771"], "lat": 39.4, "lon": -76.9},
     {"place": "Dover", "region": "Delaware", "postal_codes": ["19901"], "lat": 39.158, "lon": -75.524},
 ]
+DOVER = (39.158, -75.524, "Dover")
+ASHFORD_AMBIGUITY = "'ashford' exists in several regions and no region was given"
 
 
 @pytest.fixture
@@ -41,6 +40,11 @@ def gazetteer(tmp_path):
 @pytest.fixture
 def cache(tmp_path):
     return GeocodeCache(tmp_path / "geocode_cache.jsonl")
+
+
+@pytest.fixture
+def known():
+    return {}
 
 
 def count_resolves(gazetteer: Gazetteer) -> list[int]:
@@ -60,6 +64,18 @@ def count_resolves(gazetteer: Gazetteer) -> list[int]:
 def collect_warnings():
     seen = []
     return seen, lambda code, msg: seen.append(code)
+
+
+def place(gazetteer, known, on_warning=None, **spatial):
+    """Geocode a leaf map holding only the given spatial leaves, with
+    ``geocode_method`` "none"; return it and the lookups made."""
+    leaves = {f"spatial.{name}": value for name, value in spatial.items()}
+    leaves["spatial.geocode_method"] = "none"
+    return leaves, apply_geocode(leaves, gazetteer, known, on_warning)
+
+
+def coords(leaves):
+    return leaves.get("spatial.lat"), leaves.get("spatial.lon")
 
 
 class TestNormalizePlace:
@@ -105,82 +121,86 @@ class TestGazetteer:
 
 
 class TestGeocode:
-    def test_postal_code_match(self, gazetteer, cache):
-        result = geocode(GeocodeQuery("culpeper|virginia|22701"), gazetteer, cache)
-        assert (result.lat, result.lon) == (38.47, -77.996)
-        assert result.matched_place == "Culpeper"
-        assert result.cache_hit is False
-        assert result.plausible is True
+    def test_postal_code_match(self, gazetteer, known):
+        leaves, lookups = place(gazetteer, known, last_seen_location="Culpeper, Virginia 22701")
+        assert lookups == (("culpeper|virginia|22701", (38.47, -77.996, "Culpeper")),)
+        assert coords(leaves) == (38.47, -77.996)
+        assert leaves["spatial.geocode_method"] == "gazetteer"
+        assert leaves["spatial.geocode_plausible"] is True
+        assert known == dict(lookups)
 
-    def test_place_and_region_match(self, gazetteer, cache):
-        result = geocode(GeocodeQuery("ashford|maryland"), gazetteer, cache)
-        assert (result.lat, result.lon) == (39.4, -76.9)
+    def test_place_and_region_match(self, gazetteer, known):
+        leaves, _ = place(gazetteer, known, last_seen_location="Ashford, Maryland")
+        assert coords(leaves) == (39.4, -76.9)
 
-    def test_bias_region_resolves_ambiguity(self, gazetteer, cache):
-        result = geocode(
-            GeocodeQuery("ashford", bias_region="Virginia"), gazetteer, cache
-        )
-        assert (result.lat, result.lon) == (37.9, -78.5)
+    def test_bias_region_resolves_ambiguity(self, gazetteer, known):
+        leaves, lookups = place(gazetteer, known, last_seen_location="Ashford", state="Virginia")
+        assert lookups == (("ashford@virginia", (37.9, -78.5, "Ashford")),)
+        assert coords(leaves) == (37.9, -78.5)
 
-    def test_unique_place_without_region(self, gazetteer, cache):
-        result = geocode(GeocodeQuery("baltimore"), gazetteer, cache)
-        assert (result.lat, result.lon) == (39.29, -76.612)
+    def test_unique_place_without_region(self, gazetteer, known):
+        leaves, _ = place(gazetteer, known, city="Baltimore")
+        assert coords(leaves) == (39.29, -76.612)
 
-    def test_ambiguous_place_warns_and_misses(self, gazetteer, cache):
+    def test_ambiguous_place_warns_and_misses(self, gazetteer, known):
         seen, warn = collect_warnings()
-        result = geocode(GeocodeQuery("ashford"), gazetteer, cache, on_warning=warn)
-        assert result.lat is None and result.lon is None
-        assert result.matched_place is None
-        assert result.plausible is None
-        assert "ambiguous_place" in seen
+        leaves, lookups = place(gazetteer, known, warn, city="Ashford")
+        assert coords(leaves) == (None, None)
+        assert leaves["spatial.geocode_method"] == "none"
+        assert "spatial.geocode_plausible" not in leaves
+        assert lookups == (("ashford", ASHFORD_AMBIGUITY),)
+        assert seen == ["ambiguous_place"]
 
-    def test_unknown_place_cached_negative(self, gazetteer, cache):
-        first = geocode(GeocodeQuery("atlantis"), gazetteer, cache)
-        assert first.lat is None and first.cache_hit is False
-        second = geocode(GeocodeQuery("atlantis"), gazetteer, cache)
-        assert second.cache_hit is True
-        assert second.lat is None
+    def test_unknown_place_cached_negative(self, gazetteer, known):
+        resolves = count_resolves(gazetteer)
+        for _ in range(2):
+            leaves, lookups = place(gazetteer, known, last_seen_location="Atlantis")
+            assert lookups == (("atlantis", None),)
+            assert coords(leaves) == (None, None)
+        assert known == {"atlantis": None}
+        assert resolves == [1]
 
-    def test_cache_hit_equals_first_result(self, gazetteer, cache):
-        query = GeocodeQuery("culpeper|virginia|22701")
-        first = geocode(query, gazetteer, cache)
-        second = geocode(query, gazetteer, cache)
-        assert second.cache_hit is True
-        assert (second.lat, second.lon, second.matched_place) == (
-            first.lat,
-            first.lon,
-            first.matched_place,
-        )
+    def test_cache_hit_equals_first_result(self, gazetteer, known):
+        resolves = count_resolves(gazetteer)
+        first, first_lookups = place(gazetteer, known, last_seen_location="Culpeper Virginia 22701")
+        second, second_lookups = place(gazetteer, known, last_seen_location="Culpeper Virginia 22701")
+        assert resolves == [1]
+        assert second == first and second_lookups == first_lookups
 
-    def test_warm_cache_performs_zero_lookups(self, gazetteer, cache):
-        queries = [
-            GeocodeQuery("culpeper|virginia|22701"),
-            GeocodeQuery("dover", bias_region="Delaware"),
-            GeocodeQuery("nowhere|at|all"),
+    def test_warm_cache_performs_zero_lookups(self, gazetteer, known):
+        spatials = [
+            {"last_seen_location": "Culpeper, Virginia 22701"},
+            {"city": "Dover", "state": "Delaware"},
+            {"last_seen_location": "nowhere at all"},
         ]
         resolves = count_resolves(gazetteer)
-        for q in queries:
-            geocode(q, gazetteer, cache)
-        assert resolves == [len(queries)]
-        for q in queries:
-            result = geocode(q, gazetteer, cache)
-            assert result.cache_hit is True
-        assert resolves == [len(queries)]
+        cold = [place(gazetteer, known, **spatial) for spatial in spatials]
+        assert resolves == [len(spatials)]
+        warm = [place(gazetteer, known, **spatial) for spatial in spatials]
+        assert warm == cold
+        assert resolves == [len(spatials)]
 
-    def test_bias_is_part_of_cache_key(self, gazetteer, cache):
-        miss = geocode(GeocodeQuery("ashford"), gazetteer, cache)
-        assert miss.lat is None
-        biased = geocode(GeocodeQuery("ashford", bias_region="Maryland"), gazetteer, cache)
-        assert biased.cache_hit is False
-        assert (biased.lat, biased.lon) == (39.4, -76.9)
+    def test_bias_is_part_of_cache_key(self, gazetteer, known):
+        resolves = count_resolves(gazetteer)
+        miss, _ = place(gazetteer, known, last_seen_location="Ashford")
+        assert coords(miss) == (None, None)
+        biased, lookups = place(gazetteer, known, last_seen_location="Ashford", state="Maryland")
+        assert resolves == [2]
+        assert lookups == (("ashford@maryland", (39.4, -76.9, "Ashford")),)
+        assert coords(biased) == (39.4, -76.9)
 
     def test_cache_survives_reload(self, tmp_path, gazetteer, cache):
-        geocode(GeocodeQuery("norfolk|virginia"), gazetteer, cache)
+        _, lookups = place(gazetteer, cache.outcomes(), last_seen_location="Norfolk, Virginia")
+        for key, value in lookups:
+            replay_lookup(key, value, cache)
         reloaded = GeocodeCache(cache.path)
         fresh_gazetteer = Gazetteer.load(tmp_path / "gazetteer.jsonl")
         resolves = count_resolves(fresh_gazetteer)
-        result = geocode(GeocodeQuery("norfolk|virginia"), fresh_gazetteer, reloaded)
-        assert result.cache_hit is True
+        leaves, again = place(
+            fresh_gazetteer, reloaded.outcomes(), last_seen_location="Norfolk, Virginia"
+        )
+        assert again == lookups
+        assert coords(leaves) == (36.85, -76.285)
         assert resolves == [0]
 
 
@@ -206,12 +226,6 @@ class TestPlausibility:
         boxes = gazetteer.region_boxes()
         assert plausible_coords(38.47, -77.996, "Atlantis", boxes) is False
 
-    def test_result_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            GeocodeResult(lat=1.0, lon=None, matched_place="X", cache_hit=False, plausible=True)
-        with pytest.raises(ValueError):
-            GeocodeResult(lat=1.0, lon=1.0, matched_place="X", cache_hit=False, plausible=None)
-
 
 class TestCacheFile:
     def test_round_trip_and_negative(self, tmp_path):
@@ -230,21 +244,30 @@ class TestCacheFile:
         cache.put("k", (3.0, 4.0, "Later"))
         again = GeocodeCache(path)
         assert again.lookup("k") == (True, (3.0, 4.0, "Later"))
+        assert again.outcomes() == {"k": (3.0, 4.0, "Later")}
 
     def test_an_ambiguity_is_kept_with_its_negative_entry(self, tmp_path, gazetteer):
         path = tmp_path / "c.jsonl"
         resolves = count_resolves(gazetteer)
-        cold_seen, cold_warn = collect_warnings()
-        geocode(GeocodeQuery("ashford"), gazetteer, GeocodeCache(path), on_warning=cold_warn)
-        assert cold_seen == ["ambiguous_place"]
+        cold = GeocodeCache(path)
+        known = cold.outcomes()
+        for _ in range(2):  # a miss, then a hit
+            cold_seen, cold_warn = collect_warnings()
+            _, lookups = place(gazetteer, known, cold_warn, city="Ashford")
+            assert cold_seen == ["ambiguous_place"]
+            for key, value in lookups:
+                replay_lookup(key, value, cold)
         assert resolves == [1]
+        assert (cold.hits, cold.misses) == (1, 1)
         row = json.loads(path.read_text(encoding="utf-8"))
         assert row["lat"] is None and "several regions" in row["ambiguous"]
         for cache in (GeocodeCache(path), GeocodeCache(path)):
             seen, warn = collect_warnings()
+            known = cache.outcomes()
             for _ in range(2):
-                result = geocode(GeocodeQuery("ashford"), gazetteer, cache, on_warning=warn)
-                assert result.cache_hit is True and result.lat is None
+                leaves, lookups = place(gazetteer, known, warn, city="Ashford")
+                assert lookups == (("ashford", ASHFORD_AMBIGUITY),)
+                assert coords(leaves) == (None, None)
             assert seen == ["ambiguous_place", "ambiguous_place"]
         assert resolves == [1]
 
@@ -254,10 +277,12 @@ class TestCacheFile:
             '{"key": "ashford", "lat": null, "lon": null, "matched_place": null}\n',
             encoding="utf-8",
         )
+        resolves = count_resolves(gazetteer)
         seen, warn = collect_warnings()
-        result = geocode(GeocodeQuery("ashford"), gazetteer, GeocodeCache(path), on_warning=warn)
-        assert result.cache_hit is True and result.lat is None
-        assert seen == []
+        leaves, lookups = place(gazetteer, GeocodeCache(path).outcomes(), warn, city="Ashford")
+        assert lookups == (("ashford", None),) and coords(leaves) == (None, None)
+        assert seen == ["geocode_no_match"]
+        assert resolves == [0]
 
     def test_hit_and_miss_counters(self, tmp_path):
         cache = GeocodeCache(tmp_path / "c.jsonl")
@@ -267,25 +292,26 @@ class TestCacheFile:
         assert cache.hits == 1
         assert cache.misses == 1
 
-    def test_a_journaling_copy_writes_nothing_and_replays_as_a_lookup_here(
+    def test_outcomes_copy_writes_nothing_and_replays_as_a_lookup_here(
         self, tmp_path, gazetteer
     ):
         path = tmp_path / "c.jsonl"
         cache = GeocodeCache(path)
         cache.put("norfolk|virginia", (36.85, -76.285, "Norfolk"))
         before = path.read_bytes()
-        copy = cache.journaling_copy()
-        for key in ("norfolk|virginia", "dover"):
-            geocode(GeocodeQuery(key), gazetteer, copy)
-        assert path.read_bytes() == before and len(cache) == 1
-        assert copy.journal == [
-            ("norfolk|virginia", (36.85, -76.285, "Norfolk")),
-            ("dover", (39.158, -75.524, "Dover")),
+        known = cache.outcomes()
+        lookups = [
+            lookup
+            for spatial in ({"last_seen_location": "Norfolk, Virginia"}, {"city": "Dover"})
+            for lookup in place(gazetteer, known, **spatial)[1]
         ]
-        for key, value in copy.journal:
+        assert path.read_bytes() == before and len(cache) == 1
+        assert (cache.hits, cache.misses) == (0, 0)
+        assert lookups == [("norfolk|virginia", (36.85, -76.285, "Norfolk")), ("dover", DOVER)]
+        for key, value in lookups:
             replay_lookup(key, value, cache)
         assert (cache.hits, cache.misses) == (1, 1)
-        assert GeocodeCache(path).lookup("dover") == (True, (39.158, -75.524, "Dover"))
+        assert GeocodeCache(path).lookup("dover") == (True, DOVER)
 
     def test_file_is_line_oriented_json(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -309,7 +335,7 @@ class TestApplyGeocode:
         # The record's leaf map, every leaf given, as the pipeline geocodes it.
         return record_leaves(assemble_record(base, SCHEMA), SCHEMA)
 
-    def test_fills_coordinates_and_method(self, gazetteer, cache):
+    def test_fills_coordinates_and_method(self, gazetteer, known):
         record = self.record_with(
             **{
                 "spatial.last_seen_location": "Culpeper, Virginia 22701",
@@ -318,95 +344,89 @@ class TestApplyGeocode:
                 "spatial.postal_code": "22701",
             }
         )
-        apply_geocode(record, gazetteer, cache)
+        apply_geocode(record, gazetteer, known)
         assert resolve_path(record, "spatial.lat") == 38.47
         assert resolve_path(record, "spatial.lon") == -77.996
         assert resolve_path(record, "spatial.geocode_method") == "gazetteer"
         assert resolve_path(record, "spatial.geocode_plausible") is True
 
-    def test_city_state_used_when_no_location_string(self, gazetteer, cache):
+    def test_city_state_used_when_no_location_string(self, gazetteer, known):
         record = self.record_with(
             **{"spatial.city": "Dover", "spatial.state": "Delaware"}
         )
-        apply_geocode(record, gazetteer, cache)
+        apply_geocode(record, gazetteer, known)
         assert resolve_path(record, "spatial.lat") == 39.158
 
-    def test_no_place_leaves_record_alone(self, gazetteer, cache):
+    def test_no_place_leaves_record_alone(self, gazetteer, known):
         record = self.record_with()
-        apply_geocode(record, gazetteer, cache)
+        apply_geocode(record, gazetteer, known)
         assert resolve_path(record, "spatial.lat") is None
         assert resolve_path(record, "spatial.geocode_method") == "none"
         assert resolve_path(record, "spatial.geocode_plausible") is None
 
-    def test_ambiguous_place_leaves_nulls(self, gazetteer, cache):
+    def test_ambiguous_place_leaves_nulls(self, gazetteer, known):
         seen, warn = collect_warnings()
         record = self.record_with(**{"spatial.city": "Ashford"})
-        apply_geocode(record, gazetteer, cache, on_warning=warn)
+        apply_geocode(record, gazetteer, known, on_warning=warn)
         assert resolve_path(record, "spatial.lat") is None
         assert "ambiguous_place" in seen
 
-    def test_state_bias_applies(self, gazetteer, cache):
+    def test_state_bias_applies(self, gazetteer, known):
         record = self.record_with(
             **{"spatial.city": "Ashford", "spatial.state": "Maryland"}
         )
-        apply_geocode(record, gazetteer, cache)
+        apply_geocode(record, gazetteer, known)
         assert resolve_path(record, "spatial.lat") == 39.4
         assert resolve_path(record, "spatial.geocode_plausible") is True
 
-    def test_existing_coordinates_bypass(self, gazetteer, cache):
+    def test_existing_coordinates_bypass(self, gazetteer, known):
         record = self.record_with(
             **{"spatial.lat": 10.0, "spatial.lon": 20.0, "spatial.city": "Culpeper"}
         )
         resolves = count_resolves(gazetteer)
-        apply_geocode(record, gazetteer, cache)
+        assert apply_geocode(record, gazetteer, known) == ()
         assert resolve_path(record, "spatial.lat") == 10.0
         assert resolve_path(record, "spatial.geocode_method") == "source_provided"
         assert resolves == [0]
+        assert known == {}
 
 
-    # apply_geocode owns its outcome: the warnings it decides and the
-    # lookups a journaling cache recorded in the call.
+    # apply_geocode owns its outcome: the warnings it decides and the one
+    # lookup it made.
 
-    def test_the_lookups_are_the_calls_journal_entries_then_cleared(self, gazetteer, cache):
-        copy = cache.journaling_copy()
+    def test_the_lookups_are_the_calls_own(self, gazetteer, known):
         record = self.record_with(**{"spatial.city": "Dover", "spatial.state": "Delaware"})
-        looked_up = apply_geocode(record, gazetteer, copy)
-        assert looked_up == (("dover|delaware@delaware", (39.158, -75.524, "Dover")),)
-        assert copy.journal == []
-        again = apply_geocode(self.record_with(**{"spatial.city": "Dover"}), gazetteer, copy)
-        assert again == (("dover", (39.158, -75.524, "Dover")),)
-        assert copy.journal == []
-
-    def test_a_cache_that_does_not_journal_gives_no_lookups(self, gazetteer, cache):
-        record = self.record_with(**{"spatial.city": "Dover"})
-        assert apply_geocode(record, gazetteer, cache) == ()
-        assert resolve_path(record, "spatial.geocode_method") == "gazetteer"
+        looked_up = apply_geocode(record, gazetteer, known)
+        assert looked_up == (("dover|delaware@delaware", DOVER),)
+        again = apply_geocode(self.record_with(**{"spatial.city": "Dover"}), gazetteer, known)
+        assert again == (("dover", DOVER),)
+        assert known == {"dover|delaware@delaware": DOVER, "dover": DOVER}
 
     @pytest.mark.parametrize(
         "spatial",
         [{"spatial.city": "Springfield"}, {"spatial.postal_code": "99999"}],
     )
-    def test_unmatched_place_text_warns_no_match(self, gazetteer, cache, spatial):
+    def test_unmatched_place_text_warns_no_match(self, gazetteer, known, spatial):
         seen, warn = collect_warnings()
         record = self.record_with(**spatial)
-        assert len(apply_geocode(record, gazetteer, cache.journaling_copy(), warn)) == 1
+        assert len(apply_geocode(record, gazetteer, known, warn)) == 1
         assert seen == ["geocode_no_match"]
         assert resolve_path(record, "spatial.geocode_method") == "none"
 
     def test_place_text_without_a_token_warns_no_match_and_looks_nothing_up(
-        self, gazetteer, cache
+        self, gazetteer, known
     ):
         seen, warn = collect_warnings()
         record = self.record_with(**{"spatial.last_seen_location": "--"})
-        assert apply_geocode(record, gazetteer, cache.journaling_copy(), warn) == ()
+        assert apply_geocode(record, gazetteer, known, warn) == ()
         assert seen == ["geocode_no_match"]
+        assert known == {}
 
-    def test_an_ambiguous_place_warns_only_of_the_ambiguity(self, gazetteer, cache):
+    def test_an_ambiguous_place_warns_only_of_the_ambiguity(self, gazetteer, known):
         seen, warn = collect_warnings()
         record = self.record_with(**{"spatial.city": "Ashford"})
-        looked_up = apply_geocode(record, gazetteer, cache.journaling_copy(), warn)
-        message = "'ashford' exists in several regions and no region was given"
-        assert looked_up == (("ashford", message),)
+        looked_up = apply_geocode(record, gazetteer, known, warn)
+        assert looked_up == (("ashford", ASHFORD_AMBIGUITY),)
         assert seen == ["ambiguous_place"]
 
     @pytest.mark.parametrize(
@@ -419,12 +439,45 @@ class TestApplyGeocode:
         ids=["no_place_text", "a_state_alone", "source_provided"],
     )
     def test_no_warning_without_place_text_or_with_source_coordinates(
-        self, gazetteer, cache, spatial, lookups
+        self, gazetteer, known, spatial, lookups
     ):
         seen, warn = collect_warnings()
         record = self.record_with(**spatial)
-        assert apply_geocode(record, gazetteer, cache.journaling_copy(), warn) == lookups
+        assert apply_geocode(record, gazetteer, known, warn) == lookups
         assert seen == []
+
+    # A model answer can put any JSON value in a place leaf. One that is
+    # not a string reads as null, and a state with no letter or digit is no
+    # bias; validation then judges the values.
+
+    @pytest.mark.parametrize(
+        "spatial, lookups",
+        [
+            ({"city": 5, "postal_code": "19901"}, (("19901", DOVER),)),
+            ({"city": "Dover", "state": 7}, (("dover", DOVER),)),
+            ({"city": "Dover", "postal_code": 19901}, (("dover", DOVER),)),
+            ({"last_seen_location": 123, "city": "Dover"}, (("dover", DOVER),)),
+            ({"city": "Dover", "state": "--"}, (("dover", DOVER),)),
+            ({"last_seen_location": ["Dover"], "city": {"name": "Dover"}, "postal_code": 1.5}, ()),
+        ],
+        ids=["int_city", "int_state", "int_postal_code", "int_location", "punctuation_state",
+             "no_string_place"],
+    )
+    def test_a_place_leaf_that_is_not_usable_text_reads_as_null(
+        self, gazetteer, known, spatial, lookups
+    ):
+        seen, warn = collect_warnings()
+        leaves, looked_up = place(gazetteer, known, warn, **spatial)
+        assert looked_up == lookups
+        assert seen == []
+        if lookups:
+            assert coords(leaves) == DOVER[:2]
+            assert leaves["spatial.geocode_method"] == "gazetteer"
+            assert leaves["spatial.geocode_plausible"] is True
+        else:
+            assert leaves["spatial.geocode_method"] == "none" and coords(leaves) == (None, None)
+        for name, value in spatial.items():
+            assert leaves[f"spatial.{name}"] == value
 
 
 class TestBundledGazetteer:
@@ -461,7 +514,7 @@ class TestPartialSpatialSection:
     )
     def test_a_partial_section_geocodes(self, bundled, spatial):
         record = {f"spatial.{key}": value for key, value in spatial.items()}
-        apply_geocode(record, bundled, GeocodeCache())
+        apply_geocode(record, bundled, {})
         assert (record["spatial.lat"], record["spatial.lon"]) == (37.541, -77.436)
         assert record["spatial.geocode_method"] == "gazetteer"
         assert record["spatial.geocode_plausible"] is True
@@ -475,7 +528,7 @@ class TestPartialSpatialSection:
         # Virginia as a trailing region token, as a bias region, and as the
         # region whose box the coordinates must fall in.
         record = {f"spatial.{key}": value for key, value in spatial.items()}
-        apply_geocode(record, bundled, GeocodeCache())
+        apply_geocode(record, bundled, {})
         assert (record["spatial.lat"], record["spatial.lon"]) == (37.541, -77.436)
         assert record["spatial.geocode_method"] == "gazetteer"
         assert record["spatial.geocode_plausible"] is True

@@ -6,7 +6,7 @@ import pytest
 
 from casepipe.config import ConfigError, bundled_path
 from casepipe.extract import CaseSegment, prenormalize
-from casepipe.geocode import Gazetteer, GeocodeCache, apply_geocode
+from casepipe.geocode import Gazetteer, apply_geocode
 from casepipe.harmonize import harmonize, load_mapping_dir
 from casepipe.rules import (
     END_SENTINEL,
@@ -329,7 +329,7 @@ class TestRulePathEndToEnd:
         raw, _ = dispatch(detection, segment(doc), RULESETS)
         leaves = harmonize(raw, MAPPINGS[label], SCHEMA).record
         gazetteer = Gazetteer.load(bundled_path("gazetteer.jsonl"))
-        apply_geocode(leaves, gazetteer, GeocodeCache())
+        apply_geocode(leaves, gazetteer, {})
         return assemble_record(leaves, SCHEMA)
 
     def test_registry_document(self):

@@ -6,7 +6,7 @@ import pytest
 
 from casepipe.config import ConfigError, bundled_path, read_jsonl
 from casepipe.extract import CaseSegment, prenormalize
-from casepipe.geocode import Gazetteer, GeocodeCache, apply_geocode
+from casepipe.geocode import Gazetteer, apply_geocode
 from casepipe.harmonize import harmonize, load_mapping_dir
 from casepipe.llm import read_gold_marker
 from casepipe.rules import (
@@ -35,7 +35,7 @@ def rule_parse(case):
     detection = detect_source(text, SIGNATURES)
     raw, _ = dispatch(detection, CaseSegment(0, text, 0, len(text)), RULESETS)
     leaves = harmonize(raw, MAPPINGS[detection.source_label], SCHEMA).record
-    apply_geocode(leaves, GAZETTEER, GeocodeCache())
+    apply_geocode(leaves, GAZETTEER, {})
     leaves["case_id"] = f"{case.document_id}#s0"
     return detection, assemble_record(leaves, SCHEMA)
 
